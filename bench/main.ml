@@ -30,6 +30,7 @@ module Tables = Rtlsat_harness.Tables
 module Report = Rtlsat_harness.Report
 module Json = Rtlsat_obs.Json
 module Ledger = Rtlsat_obs.Ledger
+module Mono = Rtlsat_obs.Mono
 module Registry = Rtlsat_itc99.Registry
 module Bmc = Rtlsat_bmc.Bmc
 module Unroll = Rtlsat_bmc.Unroll
@@ -132,12 +133,12 @@ let ablation () =
     let inst = Registry.instance ~circuit:"b13" ~prop:"2" ~bound:50 in
     let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
     E.assume_bool enc inst.Bmc.violation true;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Mono.now () in
     let { Solver.result; stats; _ } = Solver.solve ~options enc in
     Format.printf "  %-28s %-2s %7.2fs  dec=%-6d cfl=%-6d rels=%d@." name
       (match result with
        | Solver.Sat _ -> "S" | Solver.Unsat -> "U" | Solver.Timeout -> "to")
-      (Unix.gettimeofday () -. t0)
+      (Mono.now () -. t0)
       stats.Solver.decisions stats.Solver.conflicts stats.Solver.relations
   in
   run "base (no S, no P)" Solver.hdpll;
@@ -153,10 +154,10 @@ let ablation () =
        let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
        E.assume_bool enc inst.Bmc.violation true;
        let options = { Solver.hdpll_sp with Solver.learn_threshold = Some threshold } in
-       let t0 = Unix.gettimeofday () in
+       let t0 = Mono.now () in
        let { Solver.result = _; stats; _ } = Solver.solve ~options enc in
        Format.printf "  threshold %-6d -> %7.2fs  rels=%-6d learn=%.2fs@." threshold
-         (Unix.gettimeofday () -. t0)
+         (Mono.now () -. t0)
          stats.Solver.relations stats.Solver.learn_time)
     [ 0; 100; 500; 2000; 5000 ]
 
@@ -381,7 +382,7 @@ let () =
     "rtlsat benchmark harness — reproduction of DAC'05 \"Structural Search@.\
      for RTL with Predicate Learning\" (%s)@.@."
     (if !opt_full then "FULL matrix" else "scaled bounds; --full or RTLSAT_FULL=1 for the paper's");
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mono.now () in
   let artifact =
     if !opt_json then Some (bench_artifact ())
     else begin
@@ -410,4 +411,4 @@ let () =
       None
     end
   in
-  ledger_append ~wall_s:(Unix.gettimeofday () -. t0) ~artifact
+  ledger_append ~wall_s:(Mono.now () -. t0) ~artifact

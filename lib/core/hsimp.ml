@@ -35,7 +35,7 @@ let max_subsumer_len = 10
 
 (* the candidate variable of [c] with the fewest clause occurrences *)
 let best_var s c =
-  let occ v = List.length s.State.clause_occs.(v) in
+  let occ v = State.occs_count s.State.clause_occs v in
   let best = ref (atom_var c.(0)) in
   Array.iter
     (fun a ->
@@ -94,7 +94,7 @@ let run s =
           let len = Array.length c in
           if len > 0 && len <= max_subsumer_len then begin
             (* backward subsumption: kill non-root clauses implied by c *)
-            List.iter
+            State.occs_iter
               (fun di ->
                  if di < n && di <> ci && (not dead.(di))
                     && not (State.is_root_clause s di)
@@ -106,14 +106,14 @@ let run s =
                      changed := true
                    end
                  end)
-              s.State.clause_occs.(best_var s c);
+              s.State.clause_occs (best_var s c);
             (* self-subsuming strengthening: for an atom a of c, find a
                clause d with an atom b incompatible with a such that
                every atom of c either clashes with b or implies into
                d \ {b}; then c ∧ d ⊨ d \ {b} and b can be dropped *)
             Array.iter
               (fun a ->
-                 List.iter
+                 State.occs_iter
                    (fun di ->
                       if di < n && di <> ci && (not dead.(di))
                          && not (State.is_root_clause s di)
@@ -151,7 +151,7 @@ let run s =
                           end
                         end
                       end)
-                   s.State.clause_occs.(atom_var a))
+                   s.State.clause_occs (atom_var a))
               c
           end
         end
@@ -170,7 +170,7 @@ let run s =
       Vec.clear s.State.clauses;
       Vec.clear s.State.root_flags;
       s.State.n_root_clauses <- 0;
-      Array.fill s.State.clause_occs 0 s.State.nv [];
+      State.clear_clause_occs s;
       List.iter (fun (cl, root) -> State.add_clause s ~root cl) !kept
     end;
     st

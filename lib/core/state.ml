@@ -16,6 +16,52 @@ type entry = {
 
 exception Conflict of atom array
 
+(* occurrence lists as flat int arrays: [occ.(v)] holds the indices
+   registered for [v] oldest first in its first [n_occ.(v)] slots, and
+   readers walk it newest first — that order is the propagation visit
+   order, which the search depends on.  Variables without occurrences
+   share the empty array. *)
+type occs = {
+  mutable occ : int array array;
+  mutable n_occ : int array;
+}
+
+let occs_make nv = { occ = Array.make nv [||]; n_occ = Array.make nv 0 }
+
+let occs_push o v i =
+  let a = o.occ.(v) and n = o.n_occ.(v) in
+  let a =
+    if n < Array.length a then a
+    else begin
+      let b = Array.make (max 4 (2 * n)) 0 in
+      Array.blit a 0 b 0 n;
+      o.occ.(v) <- b;
+      b
+    end
+  in
+  a.(n) <- i;
+  o.n_occ.(v) <- n + 1
+
+let occs_count o v = o.n_occ.(v)
+
+let occs_iter f o v =
+  let a = o.occ.(v) in
+  for j = o.n_occ.(v) - 1 downto 0 do
+    f a.(j)
+  done
+
+let occs_clear o = Array.fill o.n_occ 0 (Array.length o.n_occ) 0
+
+let occs_grow o nv =
+  let old = Array.length o.n_occ in
+  if nv > old then begin
+    let occ = Array.make nv [||] and n_occ = Array.make nv 0 in
+    Array.blit o.occ 0 occ 0 old;
+    Array.blit o.n_occ 0 n_occ 0 old;
+    o.occ <- occ;
+    o.n_occ <- n_occ
+  end
+
 type t = {
   prob : Problem.t;
   mutable nv : int;
@@ -29,11 +75,11 @@ type t = {
   mutable hi_ev : (int * int) list array;
   clauses : clause Vec.t;
   root_flags : bool Vec.t;
-  mutable clause_occs : int list array;
+  clause_occs : occs;
   mutable n_root_clauses : int;
   mutable n_prob_clauses : int;
   mutable constrs : constr array;
-  mutable constr_occs : int list array;
+  constr_occs : occs;
   mutable qhead : int;
   mutable activity : float array;
   mutable var_inc : float;
@@ -72,40 +118,42 @@ let split_min_width = 16
 
 let decision_level s = Vec.length s.lim
 
+(* canonical (Ge (v, k)) / canonical (Le (v, k)), building one atom *)
+let mk_lo s v k =
+  if not (Problem.is_bool_var s.prob v) then Ge (v, k)
+  else if k >= 1 then Pos v
+  else invalid_arg "State.canonical: trivial Boolean atom"
+
+let mk_hi s v k =
+  if not (Problem.is_bool_var s.prob v) then Le (v, k)
+  else if k <= 0 then Neg v
+  else invalid_arg "State.canonical: trivial Boolean atom"
+
 let canonical s a =
   match a with
-  | Pos _ | Neg _ -> a
-  | Ge (v, k) when Problem.is_bool_var s.prob v ->
-    if k >= 1 then Pos v else invalid_arg "State.canonical: trivial Boolean atom"
-  | Le (v, k) when Problem.is_bool_var s.prob v ->
-    if k <= 0 then Neg v else invalid_arg "State.canonical: trivial Boolean atom"
+  | Ge (v, k) when Problem.is_bool_var s.prob v -> mk_lo s v k
+  | Le (v, k) when Problem.is_bool_var s.prob v -> mk_hi s v k
   | a -> a
 
-(* internal view of an atom as a (var, direction, bound) triple;
-   [`Lo k] means v >= k, [`Hi k] means v <= k *)
-let bound_of = function
-  | Pos v -> (v, `Lo, 1)
-  | Neg v -> (v, `Hi, 0)
-  | Ge (v, k) -> (v, `Lo, k)
-  | Le (v, k) -> (v, `Hi, k)
+(* every atom is a lower bound (Pos v is v >= 1, Ge) or an upper bound
+   (Neg v is v <= 0, Le); the kernel matches on the constructors
+   directly so that no query allocates *)
+let entailed s = function
+  | Pos v -> s.lb.(v) >= 1
+  | Ge (v, k) -> s.lb.(v) >= k
+  | Neg v -> s.ub.(v) <= 0
+  | Le (v, k) -> s.ub.(v) <= k
 
-let entailed s a =
-  match bound_of a with
-  | v, `Lo, k -> s.lb.(v) >= k
-  | v, `Hi, k -> s.ub.(v) <= k
-
-let falsified s a =
-  match bound_of a with
-  | v, `Lo, k -> s.ub.(v) < k
-  | v, `Hi, k -> s.lb.(v) > k
+let falsified s = function
+  | Pos v -> s.ub.(v) < 1
+  | Ge (v, k) -> s.ub.(v) < k
+  | Neg v -> s.lb.(v) > 0
+  | Le (v, k) -> s.lb.(v) > k
 
 let bool_value s v =
   if s.lb.(v) >= 1 then 1 else if s.ub.(v) <= 0 then 0 else -1
 
 let dom s v = Interval.make s.lb.(v) s.ub.(v)
-
-let mk_lo s v k = canonical s (Ge (v, k))
-let mk_hi s v k = canonical s (Le (v, k))
 
 let note_shave s v ~shaved ~width =
   if shaved <= split_max_shave && width >= split_min_width then begin
@@ -116,57 +164,62 @@ let note_shave s v ~shaved ~width =
   end
   else s.split_streak.(v) <- 0
 
+let assert_lo s v k reason =
+  if k > s.lb.(v) then begin
+    if k > s.ub.(v) then begin
+      let opposing = mk_hi s v (k - 1) in
+      let expl = match reason with None -> [||] | Some r -> r in
+      raise (Conflict (Array.append expl [| opposing |]))
+    end;
+    let idx = Vec.length s.trail in
+    let prev = s.lb.(v) in
+    Vec.push s.trail
+      { eatom = mk_lo s v k; prev; elevel = decision_level s; ereason = reason };
+    s.lb.(v) <- k;
+    s.lo_ev.(v) <- (k, idx) :: s.lo_ev.(v);
+    if k = 1 && Problem.is_bool_var s.prob v then s.phase.(v) <- true
+    else if not (Problem.is_bool_var s.prob v) then begin
+      let width = s.ub.(v) - s.lb.(v) in
+      s.split_dir.(v) <- true;
+      note_shave s v ~shaved:(k - prev) ~width;
+      if s.obs.Obs.enabled then begin
+        Hist.observe s.obs.Obs.interval_width width;
+        Obs.note_narrow s.obs ~var:v ~shaved:(k - prev) ~width
+      end
+    end
+  end
+
+let assert_hi s v k reason =
+  if k < s.ub.(v) then begin
+    if k < s.lb.(v) then begin
+      let opposing = mk_lo s v (k + 1) in
+      let expl = match reason with None -> [||] | Some r -> r in
+      raise (Conflict (Array.append expl [| opposing |]))
+    end;
+    let idx = Vec.length s.trail in
+    let prev = s.ub.(v) in
+    Vec.push s.trail
+      { eatom = mk_hi s v k; prev; elevel = decision_level s; ereason = reason };
+    s.ub.(v) <- k;
+    s.hi_ev.(v) <- (k, idx) :: s.hi_ev.(v);
+    if k = 0 && Problem.is_bool_var s.prob v then s.phase.(v) <- false
+    else if not (Problem.is_bool_var s.prob v) then begin
+      let width = s.ub.(v) - s.lb.(v) in
+      s.split_dir.(v) <- false;
+      note_shave s v ~shaved:(prev - k) ~width;
+      if s.obs.Obs.enabled then begin
+        Hist.observe s.obs.Obs.interval_width width;
+        Obs.note_narrow s.obs ~var:v ~shaved:(prev - k) ~width
+      end
+    end
+  end
+
 let assert_atom s a reason =
-  let v, dir, k = bound_of a in
-  match dir with
-  | `Lo ->
-    if k > s.lb.(v) then begin
-      if k > s.ub.(v) then begin
-        let opposing = mk_hi s v (k - 1) in
-        let expl = match reason with None -> [||] | Some r -> r in
-        raise (Conflict (Array.append expl [| opposing |]))
-      end;
-      let idx = Vec.length s.trail in
-      let prev = s.lb.(v) in
-      Vec.push s.trail
-        { eatom = mk_lo s v k; prev; elevel = decision_level s; ereason = reason };
-      s.lb.(v) <- k;
-      s.lo_ev.(v) <- (k, idx) :: s.lo_ev.(v);
-      if k = 1 && Problem.is_bool_var s.prob v then s.phase.(v) <- true
-      else if not (Problem.is_bool_var s.prob v) then begin
-        let width = s.ub.(v) - s.lb.(v) in
-        s.split_dir.(v) <- true;
-        note_shave s v ~shaved:(k - prev) ~width;
-        if s.obs.Obs.enabled then begin
-          Hist.observe s.obs.Obs.interval_width width;
-          Obs.note_narrow s.obs ~var:v ~shaved:(k - prev) ~width
-        end
-      end
-    end
-  | `Hi ->
-    if k < s.ub.(v) then begin
-      if k < s.lb.(v) then begin
-        let opposing = mk_lo s v (k + 1) in
-        let expl = match reason with None -> [||] | Some r -> r in
-        raise (Conflict (Array.append expl [| opposing |]))
-      end;
-      let idx = Vec.length s.trail in
-      let prev = s.ub.(v) in
-      Vec.push s.trail
-        { eatom = mk_hi s v k; prev; elevel = decision_level s; ereason = reason };
-      s.ub.(v) <- k;
-      s.hi_ev.(v) <- (k, idx) :: s.hi_ev.(v);
-      if k = 0 && Problem.is_bool_var s.prob v then s.phase.(v) <- false
-      else if not (Problem.is_bool_var s.prob v) then begin
-        let width = s.ub.(v) - s.lb.(v) in
-        s.split_dir.(v) <- false;
-        note_shave s v ~shaved:(prev - k) ~width;
-        if s.obs.Obs.enabled then begin
-          Hist.observe s.obs.Obs.interval_width width;
-          Obs.note_narrow s.obs ~var:v ~shaved:(prev - k) ~width
-        end
-      end
-    end
+  match a with
+  | Pos v -> assert_lo s v 1 reason
+  | Ge (v, k) -> assert_lo s v k reason
+  | Neg v -> assert_hi s v 0 reason
+  | Le (v, k) -> assert_hi s v k reason
 
 let new_level s = Vec.push s.lim (Vec.length s.trail)
 
@@ -175,12 +228,12 @@ let backtrack_to s lvl =
     let bound = Vec.get s.lim lvl in
     while Vec.length s.trail > bound do
       let e = Vec.pop s.trail in
-      let v, dir, _ = bound_of e.eatom in
-      (match dir with
-       | `Lo ->
+      let v = atom_var e.eatom in
+      (match e.eatom with
+       | Pos _ | Ge _ ->
          s.lb.(v) <- e.prev;
          s.lo_ev.(v) <- List.tl s.lo_ev.(v)
-       | `Hi ->
+       | Neg _ | Le _ ->
          s.ub.(v) <- e.prev;
          s.hi_ev.(v) <- List.tl s.hi_ev.(v));
       if Problem.is_bool_var s.prob v && bool_value s v = -1 then
@@ -190,44 +243,50 @@ let backtrack_to s lvl =
     s.qhead <- min s.qhead bound
   end
 
-let entailing_entry s a =
-  let v, dir, k = bound_of a in
-  match dir with
-  | `Lo ->
-    if s.init_lb.(v) >= k then None
-    else begin
-      (* events newest first with decreasing values; the entailing
-         entry is the oldest one whose value is still >= k *)
-      let rec find best = function
-        | (value, idx) :: rest when value >= k -> find (Some idx) rest
-        | _ -> best
-      in
-      find None s.lo_ev.(v)
-    end
-  | `Hi ->
-    if s.init_ub.(v) <= k then None
-    else begin
-      let rec find best = function
-        | (value, idx) :: rest when value <= k -> find (Some idx) rest
-        | _ -> best
-      in
-      find None s.hi_ev.(v)
-    end
+(* events newest first with decreasing (lo) / increasing (hi) values;
+   the entailing entry is the oldest one whose value still entails *)
+let entailing_lo s v k =
+  if s.init_lb.(v) >= k then None
+  else begin
+    let rec find best = function
+      | (value, idx) :: rest when value >= k -> find (Some idx) rest
+      | _ -> best
+    in
+    find None s.lo_ev.(v)
+  end
+
+let entailing_hi s v k =
+  if s.init_ub.(v) <= k then None
+  else begin
+    let rec find best = function
+      | (value, idx) :: rest when value <= k -> find (Some idx) rest
+      | _ -> best
+    in
+    find None s.hi_ev.(v)
+  end
+
+let entailing_entry s = function
+  | Pos v -> entailing_lo s v 1
+  | Ge (v, k) -> entailing_lo s v k
+  | Neg v -> entailing_hi s v 0
+  | Le (v, k) -> entailing_hi s v k
 
 let add_clause s ?(root = false) cl =
   let ci = Vec.length s.clauses in
   Vec.push s.clauses cl;
   Vec.push s.root_flags root;
   if root then s.n_root_clauses <- s.n_root_clauses + 1;
-  let seen = Hashtbl.create 4 in
+  (* [ci] is the newest index, so a variable already registered for
+     this clause has it in its last slot *)
+  let o = s.clause_occs in
   Array.iter
     (fun a ->
        let v = atom_var a in
-       if not (Hashtbl.mem seen v) then begin
-         Hashtbl.replace seen v ();
-         s.clause_occs.(v) <- ci :: s.clause_occs.(v)
-       end)
+       let n = o.n_occ.(v) in
+       if n = 0 || o.occ.(v).(n - 1) <> ci then occs_push o v ci)
     cl
+
+let clear_clause_occs s = occs_clear s.clause_occs
 
 let is_root_clause s ci = Vec.get s.root_flags ci
 
@@ -247,7 +306,7 @@ let reduce_clauses s ~keep_recent =
     Vec.clear s.clauses;
     Vec.clear s.root_flags;
     s.n_root_clauses <- 0;
-    Array.fill s.clause_occs 0 s.nv [];
+    clear_clause_occs s;
     List.iter (fun (cl, root) -> add_clause s ~root cl) !kept;
     s.n_reductions <- s.n_reductions + 1
   end
@@ -296,11 +355,11 @@ let create prob =
       hi_ev = Array.make nv [];
       clauses = Vec.create ~dummy:[||] ();
       root_flags = Vec.create ~dummy:false ();
-      clause_occs = Array.make nv [];
+      clause_occs = occs_make nv;
       n_root_clauses = 0;
       n_prob_clauses = 0;
       constrs = Problem.constrs prob;
-      constr_occs = Array.make nv [];
+      constr_occs = occs_make nv;
       qhead = 0;
       activity = Array.make nv 0.0;
       var_inc = 1.0;
@@ -326,7 +385,7 @@ let create prob =
   s.n_prob_clauses <- Problem.n_clauses prob;
   Array.iteri
     (fun ci c ->
-       List.iter (fun v -> s.constr_occs.(v) <- ci :: s.constr_occs.(v)) (constr_vars c))
+       List.iter (fun v -> occs_push s.constr_occs v ci) (constr_vars c))
     s.constrs;
   (* decision heap holds every Boolean variable *)
   for v = 0 to nv - 1 do
@@ -362,8 +421,8 @@ let grow s =
     Array.blit s.ub old s.init_ub old (nv - old);
     s.lo_ev <- grown s.lo_ev [];
     s.hi_ev <- grown s.hi_ev [];
-    s.clause_occs <- grown s.clause_occs [];
-    s.constr_occs <- grown s.constr_occs [];
+    occs_grow s.clause_occs nv;
+    occs_grow s.constr_occs nv;
     s.activity <- grown s.activity 0.0;
     s.phase <- grown s.phase false;
     s.split_streak <- grown s.split_streak 0;
@@ -378,9 +437,7 @@ let grow s =
   if ncn > old_cn then begin
     s.constrs <- Problem.constrs s.prob;
     for ci = old_cn to ncn - 1 do
-      List.iter
-        (fun v -> s.constr_occs.(v) <- ci :: s.constr_occs.(v))
-        (constr_vars s.constrs.(ci))
+      List.iter (fun v -> occs_push s.constr_occs v ci) (constr_vars s.constrs.(ci))
     done
   end;
   let ncl = Problem.n_clauses s.prob in

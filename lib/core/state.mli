@@ -25,6 +25,21 @@ type entry = {
 exception Conflict of atom array
 (** The payload atoms are all entailed and jointly inconsistent. *)
 
+(** Occurrence lists (variable → clause or constraint indices) as flat
+    int arrays.  [occ.(v)] holds [v]'s indices in registration order
+    in its first [n_occ.(v)] slots; every reader walks them newest
+    first (see {!occs_iter}), which fixes the propagation visit
+    order. *)
+type occs = {
+  mutable occ : int array array;
+  mutable n_occ : int array;
+}
+
+val occs_count : occs -> var -> int
+
+val occs_iter : (int -> unit) -> occs -> var -> unit
+(** Newest registration first. *)
+
 type t = {
   prob : Rtlsat_constr.Problem.t;
   mutable nv : int;
@@ -41,13 +56,13 @@ type t = {
       (** parallel to [clauses]: [true] for problem ("root") clauses.
           A per-clause flag, not a prefix — in a session, appended
           problem clauses land after learned ones *)
-  mutable clause_occs : int list array;     (** var → clause indices *)
+  clause_occs : occs;                       (** var → clause indices *)
   mutable n_root_clauses : int;             (** count of root-flagged clauses *)
   mutable n_prob_clauses : int;
       (** how many of the problem's clauses have been loaded; the sync
           cursor for {!grow} *)
   mutable constrs : constr array;
-  mutable constr_occs : int list array;     (** var → constraint indices *)
+  constr_occs : occs;                       (** var → constraint indices *)
   mutable qhead : int;
   mutable activity : float array;
   mutable var_inc : float;
@@ -130,10 +145,19 @@ val assert_atom : t -> atom -> reason -> unit
 val canonical : t -> atom -> atom
 (** Bound atoms over Boolean variables become [Pos]/[Neg]. *)
 
+val mk_lo : t -> var -> int -> atom
+val mk_hi : t -> var -> int -> atom
+(** [canonical (Ge (v, k))] and [canonical (Le (v, k))], allocating
+    only the result. *)
+
 val add_clause : t -> ?root:bool -> clause -> unit
 (** Register a clause (learned by default; [~root:true] for problem
     clauses, which database reduction never drops) with occurrence
     lists; the caller is responsible for any immediate propagation. *)
+
+val clear_clause_occs : t -> unit
+(** Empty every clause occurrence list (capacity is kept) before a
+    database rebuild re-registers the surviving clauses. *)
 
 val is_root_clause : t -> int -> bool
 (** Whether the clause at this database index is root (problem-level)

@@ -61,19 +61,18 @@ let constr_desc t ci =
   if ci < 0 then "(clause propagation)"
   else match t.descr with Some f -> f ci | None -> Printf.sprintf "c%d" ci
 
-let constr_enter t ci =
+(* the caller owns the clock: the propagation loop chains wakeups, so
+   one reading is both a wakeup's exit and the next one's entry *)
+let constr_enter t ci ~now =
   if ci >= 0 && ci < Array.length t.c_wakeups then begin
     t.c_wakeups.(ci) <- t.c_wakeups.(ci) + 1;
     t.cur <- ci;
-    t.mark <- Mono.now ()
+    t.mark <- now
   end
 
-let constr_exit t ci =
-  if t.cur = ci && ci >= 0 && ci < Array.length t.c_time then
-    t.c_time.(ci) <- t.c_time.(ci) +. (Mono.now () -. t.mark);
+let constr_exit t ~now =
+  if t.cur >= 0 then t.c_time.(t.cur) <- t.c_time.(t.cur) +. (now -. t.mark);
   t.cur <- -1
-
-let reset_cur t = t.cur <- -1
 
 type stall = {
   st_var : int;

@@ -35,18 +35,17 @@ val set_names :
 val var_name : t -> int -> string
 val constr_desc : t -> int -> string
 
-val constr_enter : t -> int -> unit
-(** The propagator is about to run constraint [ci]: counts a wakeup,
-    marks the time, and makes [ci] the attribution target for
-    narrowings until {!constr_exit}. *)
+val constr_enter : t -> int -> now:float -> unit
+(** The propagator is about to run constraint [ci] at instant [now]
+    ({!Mono.now}): counts a wakeup and makes [ci] the attribution
+    target for narrowings until {!constr_exit}. *)
 
-val constr_exit : t -> int -> unit
-(** Charges the elapsed time since {!constr_enter} to [ci] and clears
-    the attribution target. *)
-
-val reset_cur : t -> unit
-(** Clear the attribution target without charging time (used when a
-    conflict unwinds past {!constr_exit}). *)
+val constr_exit : t -> now:float -> unit
+(** Charges [now] minus the entry instant to the current target, if
+    any, and clears it.  The propagation loop passes one reading as
+    both a wakeup's exit and the next wakeup's entry, so per-constraint
+    time costs one clock read per wakeup and covers the whole ICP
+    batch. *)
 
 (** An ICP stall report: variable [st_var] has been narrowed for
     [st_streak] consecutive events, each shaving at most

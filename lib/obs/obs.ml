@@ -160,6 +160,20 @@ let span_exit t ph =
     | _ -> () (* unbalanced (exception unwound past an exit): ignore *)
   end
 
+let span_switch t ~now from into =
+  if t.enabled then
+    match t.stack with
+    | p :: rest when p = phase_index from ->
+      let words = allocated_words () in
+      t.self.(p) <- t.self.(p) +. (now -. t.mark);
+      t.alloc.(p) <- t.alloc.(p) +. (words -. t.alloc_mark);
+      let i = phase_index into in
+      t.stack <- i :: rest;
+      t.calls.(i) <- t.calls.(i) + 1;
+      t.mark <- now;
+      t.alloc_mark <- words
+    | _ -> ()
+
 let span t ph f =
   if not t.enabled then f ()
   else begin
@@ -230,15 +244,6 @@ let attach_forensics t ~nvars ~nconstrs ~var_name ~constr_desc =
   end
 
 let forensics t = if t.enabled then t.forensics else None
-
-let constr_enter t ci =
-  match t.forensics with Some f -> Forensics.constr_enter f ci | None -> ()
-
-let constr_exit t ci =
-  match t.forensics with Some f -> Forensics.constr_exit f ci | None -> ()
-
-let forensics_reset_cur t =
-  match t.forensics with Some f -> Forensics.reset_cur f | None -> ()
 
 let note_narrow t ~var ~shaved ~width =
   match t.forensics with

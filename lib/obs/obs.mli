@@ -102,6 +102,13 @@ val span_exit : t -> phase -> unit
 (** Unbalanced exits are ignored (the solver can unwind through
     exceptions); prefer {!span}. *)
 
+val span_switch : t -> now:float -> phase -> phase -> unit
+(** [span_switch t ~now from into] closes the innermost span [from] at
+    instant [now] ({!Mono.now}) and opens [into] in its place, counting
+    one entry of [into]: an exit and an enter for one clock read.  The
+    propagation loop alternates its BCP and ICP batches this way.  A
+    [from] that is not innermost is ignored, like an unbalanced exit. *)
+
 val span : t -> phase -> (unit -> 'a) -> 'a
 (** [span t ph f] runs [f] inside phase [ph], exception-safely.
     Disabled handles run [f] directly. *)
@@ -171,17 +178,6 @@ val attach_forensics :
 
 val forensics : t -> Forensics.t option
 (** The attached table; [None] when disabled or never attached. *)
-
-val constr_enter : t -> int -> unit
-val constr_exit : t -> int -> unit
-(** Bracket the propagation of one arithmetic constraint: wakeup
-    count, per-constraint time, and the attribution target for
-    {!note_narrow}.  Only call from an [enabled]-guarded arm — the
-    check inside is [forensics <> None], not [enabled]. *)
-
-val forensics_reset_cur : t -> unit
-(** Clear the attribution target after an exception unwound past
-    {!constr_exit}. *)
 
 val note_narrow : t -> var:int -> shaved:int -> width:int -> unit
 (** Record one word-variable narrowing ([shaved] units removed,

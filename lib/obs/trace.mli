@@ -6,7 +6,7 @@
 type t
 
 val schema : string
-(** The current trace schema tag, ["rtlsat.trace/7"].  Version 2 added
+(** The current trace schema tag, ["rtlsat.trace/8"].  Version 2 added
     the leading [header] event and the forensics events ([icp_stall],
     [hot_constraints], [hot_vars], [phases]); v1 traces have no header
     line.  Version 3 adds the [split] event (interval-split decisions)
@@ -22,7 +22,9 @@ val schema : string
     / eliminated, probe results, database size before/after).
     Version 7 adds GC/memory telemetry to [heartbeat] events
     ([major_words], [heap_mb], [compactions] from [Gc.quick_stat]).
-    {!Forensics.trace_versions} is the dispatch table offline tooling
+    Version 8 tags every event emitted through a parallel worker's
+    handle (portfolio / cube-and-conquer domains) with a ["worker"]
+    field.  {!Forensics.trace_versions} is the dispatch table offline tooling
     reads. *)
 
 val to_file : string -> t

@@ -213,9 +213,10 @@ let test_snapshot_json_schema () =
 
 (* ---- trace round trip on a tiny instance ---- *)
 
-let solve_instance ?obs ?(collect = false) () =
-  (* b13_1(10): small, UNSAT, but needs real decisions and conflicts *)
-  let inst = Registry.instance ~circuit:"b13" ~prop:"1" ~bound:10 in
+let solve_instance ?obs ?(collect = false) ?(prop = "1") ?(bound = 10) () =
+  (* b13_1(10) by default: small, UNSAT, but needs real decisions and
+     conflicts *)
+  let inst = Registry.instance ~circuit:"b13" ~prop ~bound in
   let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
   E.assume_bool enc inst.Bmc.violation true;
   let options =
@@ -263,29 +264,43 @@ let test_trace_round_trip () =
 
 (* ---- determinism: observability must not change the solve ---- *)
 
+(* against Obs.disabled: a trace-file handle, and the recorder-armed
+   handle with heartbeats that the CLI attaches by default — the
+   instrumented propagation loop must make the same search *)
 let test_observation_does_not_change_solve () =
-  let plain = solve_instance ~collect:true () in
-  let path = Filename.temp_file "rtlsat_trace" ".jsonl" in
-  let obs = Obs.create ~trace:(Trace.to_file path) () in
-  let observed = solve_instance ~obs ~collect:true () in
-  Obs.close obs;
-  Sys.remove path;
-  check_bool "same result" true (plain.Solver.result = observed.Solver.result);
-  check_int "same decisions" plain.Solver.stats.Solver.decisions
-    observed.Solver.stats.Solver.decisions;
-  check_int "same conflicts" plain.Solver.stats.Solver.conflicts
-    observed.Solver.stats.Solver.conflicts;
-  check_int "same propagations" plain.Solver.stats.Solver.propagations
-    observed.Solver.stats.Solver.propagations;
-  check_bool "same learned clauses, same order" true
-    (plain.Solver.learned_clauses = observed.Solver.learned_clauses)
+  let same_search ~prop ~bound =
+    let plain = solve_instance ~collect:true ~prop ~bound () in
+    let path = Filename.temp_file "rtlsat_trace" ".jsonl" in
+    let traced = Obs.create ~trace:(Trace.to_file path) () in
+    let armed = Obs.create ~recorder:(Recorder.create ()) ~heartbeat_every:1.0 () in
+    List.iter
+      (fun (handle, obs) ->
+         let observed = solve_instance ~obs ~collect:true ~prop ~bound () in
+         let what m = Printf.sprintf "b13_%s(%d) %s: same %s" prop bound handle m in
+         check_bool (what "result") true (plain.Solver.result = observed.Solver.result);
+         check_int (what "decisions") plain.Solver.stats.Solver.decisions
+           observed.Solver.stats.Solver.decisions;
+         check_int (what "conflicts") plain.Solver.stats.Solver.conflicts
+           observed.Solver.stats.Solver.conflicts;
+         check_int (what "propagations") plain.Solver.stats.Solver.propagations
+           observed.Solver.stats.Solver.propagations;
+         check_bool (what "learned clauses, same order") true
+           (plain.Solver.learned_clauses = observed.Solver.learned_clauses))
+      [ ("traced", traced); ("flight recorder", armed) ];
+    Obs.close traced;
+    Sys.remove path
+  in
+  same_search ~prop:"1" ~bound:10;
+  (* a b13-class search: about a thousand conflicts and 2*10^5
+     propagations through the instrumented loop *)
+  same_search ~prop:"2" ~bound:50
 
 (* ---- forensics: stall detection unit tests ---- *)
 
 let test_stall_detection () =
   let f = Forensics.create ~nvars:4 ~nconstrs:2 in
   let wide = Forensics.stall_min_width + 1 in
-  Forensics.constr_enter f 1;
+  Forensics.constr_enter f 1 ~now:0.0;
   (* stall_streak - 1 tiny narrowings: no report yet *)
   for _ = 1 to Forensics.stall_streak - 1 do
     match Forensics.note_narrow f ~var:0 ~shaved:1 ~width:wide with
@@ -304,7 +319,7 @@ let test_stall_detection () =
   (match Forensics.note_narrow f ~var:0 ~shaved:1 ~width:wide with
    | Some _ -> Alcotest.fail "re-reported without backoff"
    | None -> ());
-  Forensics.constr_exit f 1;
+  Forensics.constr_exit f ~now:0.0;
   check_int "reports so far" 1 (Forensics.stalls f)
 
 let test_stall_needs_wide_domain_and_tiny_shave () =
@@ -334,18 +349,16 @@ let test_forensics_attribution () =
   Forensics.set_names f
     ~var_name:(Printf.sprintf "v%d")
     ~constr_desc:(Printf.sprintf "c%d");
-  Forensics.constr_enter f 0;
+  (* chained wakeups, as the propagation loop stamps them: c0 runs
+     2 ms, c1 starts at c0's exit stamp and runs 0.5 ms, so
+     top_constraints (time first) ranks c0 ahead *)
+  Forensics.constr_enter f 0 ~now:1.0;
   ignore (Forensics.note_narrow f ~var:1 ~shaved:5 ~width:100);
   ignore (Forensics.note_narrow f ~var:2 ~shaved:3 ~width:50);
-  (* top_constraints orders by accrued time first; both spans here are
-     sub-microsecond, so without a deterministic bias a context switch
-     during c1's span can invert the expected c0-first order *)
-  let t0 = Unix.gettimeofday () in
-  while Unix.gettimeofday () -. t0 < 0.002 do () done;
-  Forensics.constr_exit f 0;
-  Forensics.constr_enter f 1;
+  Forensics.constr_exit f ~now:1.002;
+  Forensics.constr_enter f 1 ~now:1.002;
   ignore (Forensics.note_narrow f ~var:1 ~shaved:2 ~width:98);
-  Forensics.constr_exit f 1;
+  Forensics.constr_exit f ~now:1.0025;
   (match Forensics.top_constraints f ~k:10 with
    | [ a; b ] ->
      check_int "c0 wakeups" 1 a.Forensics.hc_wakeups;
