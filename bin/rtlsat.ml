@@ -132,6 +132,19 @@ let engine_conv =
   in
   Arg.enum all
 
+(* BMC bounds (frame counts) must be at least 1.  A smaller value is
+   invalid input, so it exits 2 per the convention above; returning a
+   conversion error instead would make cmdliner exit 124. *)
+let bound_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok k when k < 1 ->
+      Format.eprintf "rtlsat: invalid bound %d: must be at least 1@." k;
+      exit 2
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* ---- shared request-context options ----
 
    solve / sweep / sat / fuzz used to each re-declare
@@ -259,7 +272,7 @@ let solve_cmd =
     Arg.(value & opt (some string) None & info [ "p"; "property" ] ~docv:"PROP")
   in
   let bound =
-    Arg.(value & opt (some int) None & info [ "k"; "bound" ] ~docv:"FRAMES")
+    Arg.(value & opt (some bound_conv) None & info [ "k"; "bound" ] ~docv:"FRAMES")
   in
   let engine =
     Arg.(value & opt engine_conv Engines.Hdpll_sp & info [ "e"; "engine" ])
@@ -587,7 +600,7 @@ let check_cmd =
     Arg.(required & opt (some string) None & info [ "p"; "property" ] ~docv:"OUTPUT"
            ~doc:"Output port holding the safety property (must be 1)")
   in
-  let bound = Arg.(required & opt (some int) None & info [ "k"; "bound" ]) in
+  let bound = Arg.(required & opt (some bound_conv) None & info [ "k"; "bound" ]) in
   let any = Arg.(value & flag & info [ "any" ] ~doc:"Violation anywhere within the bound") in
   let vcd_out =
     Arg.(value & opt (some string) None & info [ "vcd" ] ~docv:"FILE"
@@ -622,7 +635,11 @@ let check_cmd =
        exit 1
      | Solver.Sat m ->
        let value n = m.(Rtlsat_constr.Encode.var enc n) in
-       assert (Rtlsat_bmc.Bmc.witness_ok inst value);
+       (match Rtlsat_harness.Engine.replay inst value with
+        | Engines.Abort msg ->
+          Format.printf "ABORT: %s@." msg;
+          exit 1
+        | _ -> ());
        Format.printf "%s VIOLATED within %d frames@." port bound;
        let inputs_at f =
          List.map
@@ -661,7 +678,7 @@ let sweep_cmd =
     Arg.(required & opt (some string) None & info [ "p"; "property" ] ~docv:"PROP")
   in
   let bounds =
-    Arg.(value & opt (list int) [ 10; 20; 30 ]
+    Arg.(value & opt (list bound_conv) [ 10; 20; 30 ]
          & info [ "bounds" ] ~docv:"K1,K2,.."
              ~doc:"Comma-separated bounds to sweep, in order")
   in
@@ -1101,7 +1118,7 @@ let export_cmd =
   let prop =
     Arg.(required & opt (some string) None & info [ "p"; "property" ] ~docv:"PROP")
   in
-  let bound = Arg.(required & opt (some int) None & info [ "k"; "bound" ]) in
+  let bound = Arg.(required & opt (some bound_conv) None & info [ "k"; "bound" ]) in
   let fmt_arg =
     Arg.(value & opt (enum [ ("smt2", `Smt2); ("dimacs", `Dimacs); ("rtl", `Rtl) ]) `Smt2
          & info [ "format" ] ~docv:"smt2|dimacs|rtl")

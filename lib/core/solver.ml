@@ -11,9 +11,7 @@ type options = {
   structural : bool;
   predicate_learning : bool;
   learn_threshold : int option;
-  learn_depth : int;
   deadline : float;
-  max_final_nodes : int;
   restarts : bool;
   split : bool;
   simplify : bool;
@@ -21,7 +19,6 @@ type options = {
   seed_fanout : bool;
   random_seed : int option;
   collect_learned : bool;
-  reduce_db : int option;
   obs : Obs.t;
   dump_graph : string option;
   dump_graph_max : int;
@@ -38,9 +35,7 @@ let default =
     structural = false;
     predicate_learning = false;
     learn_threshold = None;
-    learn_depth = 1;
     deadline = infinity;
-    max_final_nodes = 200_000;
     restarts = true;
     split = true;
     simplify = true;
@@ -48,13 +43,19 @@ let default =
     seed_fanout = true;
     random_seed = None;
     collect_learned = false;
-    reduce_db = Some 20_000;
     obs = Obs.disabled;
     dump_graph = None;
     dump_graph_max = 10;
     cancel = never_cancelled;
     on_learn = None;
   }
+
+(* fixed search parameters: recursive-learning depth of predicate
+   learning, box-search budget per final check, and the learned-clause
+   budget beyond which restarts drop old long clauses *)
+let learn_depth = 1
+let max_final_nodes = 200_000
+let reduce_db_budget = 20_000
 
 let hdpll = default
 let hdpll_s = { default with structural = true }
@@ -111,20 +112,6 @@ let validate_clause prob cl =
 
 let validate_input_clauses prob =
   Problem.iter_clauses (fun cl -> validate_clause prob cl) prob
-
-let seed_activities s enc =
-  match enc with
-  | None -> ()
-  | Some enc ->
-    let c = enc.Encode.circuit in
-    let fo = Structure.fanout_counts c in
-    Rtlsat_rtl.Ir.nodes c
-    |> List.iter (fun n ->
-        let v = enc.Encode.var_of.(n.Rtlsat_rtl.Ir.id) in
-        if Problem.is_bool_var s.State.prob v then begin
-          s.State.activity.(v) <- float_of_int fo.(n.Rtlsat_rtl.Ir.id);
-          Heap.bumped s.State.heap s.State.activity v
-        end)
 
 (* hottest split candidate whose interval is still splittable; stale
    nominations (variables fixed since they were queued, or queued at a
@@ -273,9 +260,11 @@ let simplify_db opts s =
               ("clauses_after", Json.Int (Vec.length s.State.clauses)) ]
       end)
 
-(* summary trace events + the final [done] line, shared by the main
-   loop and the early-exit (root) paths *)
-let emit_done obs s r =
+(* the one place an [outcome] is built, shared by the main loop and
+   the early (root) exits: summary trace events and the final [done]
+   line, then the kernel's counters (cumulative over a session) *)
+let outcome_of opts s t0 learn_summary r =
+  let obs = opts.obs in
   if Obs.tracing obs then begin
     Obs.emit_summary_events obs;
     Obs.event obs "done"
@@ -286,9 +275,32 @@ let emit_done obs s r =
         ("conflicts", Json.Int s.State.n_conflicts);
         ("decisions", Json.Int s.State.n_decisions);
       ]
-  end
+  end;
+  let relations, learn_time =
+    match learn_summary with
+    | Some (sm : Predicate_learning.summary) -> (sm.relations, sm.learn_time)
+    | None -> (0, 0.0)
+  in
+  {
+    result = r;
+    stats =
+      {
+        decisions = s.State.n_decisions;
+        conflicts = s.State.n_conflicts;
+        propagations = s.State.n_propagations;
+        learned = s.State.n_learned;
+        jconflicts = s.State.n_jconflicts;
+        final_checks = s.State.n_final_checks;
+        splits = s.State.n_splits;
+        relations;
+        learn_time;
+        solve_time = Mono.now () -. t0;
+      };
+    learned_clauses = collected_clauses opts s;
+    metrics = Obs.snapshot obs;
+  }
 
-let solve_loop ?(assumptions = [||]) opts s enc t0 learn_summary =
+let solve_loop ~assumptions opts s enc learn_summary =
   let obs = opts.obs in
   let assumptions = Array.map (State.canonical s) assumptions in
   (* conflict forensics: --dump-graph exports the implication graph of
@@ -408,15 +420,14 @@ let solve_loop ?(assumptions = [||]) opts s enc t0 learn_summary =
               [ ("num", Json.Int !restart_num);
                 ("conflicts", Json.Int s.State.n_conflicts) ];
           State.backtrack_to s 0;
-          (match opts.reduce_db with
-           | Some budget
-             when Vec.length s.State.clauses - s.State.n_root_clauses > budget ->
-             State.reduce_clauses s ~keep_recent:(budget / 2);
-             if Obs.tracing obs then
-               Obs.event obs "reduce_db"
-                 [ ( "learned_db",
-                     Json.Int (Vec.length s.State.clauses - s.State.n_root_clauses) ) ]
-           | _ -> ());
+          if Vec.length s.State.clauses - s.State.n_root_clauses > reduce_db_budget
+          then begin
+            State.reduce_clauses s ~keep_recent:(reduce_db_budget / 2);
+            if Obs.tracing obs then
+              Obs.event obs "reduce_db"
+                [ ( "learned_db",
+                    Json.Int (Vec.length s.State.clauses - s.State.n_root_clauses) ) ]
+          end;
           (* inprocessing: re-simplify the clause database at the
              first restart after every [inprocess] conflicts — the
              solver is back at level 0 here, the precondition of the
@@ -467,7 +478,7 @@ let solve_loop ?(assumptions = [||]) opts s enc t0 learn_summary =
                budget. *)
             if free_bool s then split_decide obs s v
             else begin
-              match Final_check.run ~max_nodes:opts.max_final_nodes s with
+              match Final_check.run ~max_nodes:max_final_nodes s with
               | Final_check.Model m when model_ok s m -> result := Some (Sat m)
               | Final_check.Model _ | Final_check.Resource_out ->
                 split_decide obs s v
@@ -545,7 +556,7 @@ let solve_loop ?(assumptions = [||]) opts s enc t0 learn_summary =
                  None
              | None ->
                (* all Booleans assigned: certify the solution box *)
-               (match Final_check.run ~max_nodes:opts.max_final_nodes s with
+               (match Final_check.run ~max_nodes:max_final_nodes s with
                 | Final_check.Model m -> result := Some (Sat m)
                 | Final_check.Resource_out -> result := Some Timeout
                 | Final_check.Conflict_atoms atoms ->
@@ -555,105 +566,7 @@ let solve_loop ?(assumptions = [||]) opts s enc t0 learn_summary =
         end
     end
   done;
-  let r = Option.get !result in
-  emit_done obs s r;
-  let relations, learn_time =
-    match learn_summary with
-    | Some sm -> (sm.Predicate_learning.relations, sm.Predicate_learning.learn_time)
-    | None -> (0, 0.0)
-  in
-  {
-    result = r;
-    stats =
-      {
-        decisions = s.State.n_decisions;
-        conflicts = s.State.n_conflicts;
-        propagations = s.State.n_propagations;
-        learned = s.State.n_learned;
-        jconflicts = s.State.n_jconflicts;
-        final_checks = s.State.n_final_checks;
-        splits = s.State.n_splits;
-        relations;
-        learn_time;
-        solve_time = Mono.now () -. t0;
-      };
-    learned_clauses = collected_clauses opts s;
-    metrics = Obs.snapshot opts.obs;
-  }
-
-let root_outcome r opts s t0 learn_summary =
-  emit_done opts.obs s r;
-  let relations, learn_time =
-    match learn_summary with
-    | Some (sm : Predicate_learning.summary) -> (sm.relations, sm.learn_time)
-    | None -> (0, 0.0)
-  in
-  {
-    result = r;
-    stats =
-      {
-        decisions = s.State.n_decisions;
-        conflicts = s.State.n_conflicts;
-        propagations = s.State.n_propagations;
-        learned = s.State.n_learned;
-        jconflicts = s.State.n_jconflicts;
-        final_checks = s.State.n_final_checks;
-        splits = s.State.n_splits;
-        relations;
-        learn_time;
-        solve_time = Mono.now () -. t0;
-      };
-    learned_clauses = collected_clauses opts s;
-    metrics = Obs.snapshot opts.obs;
-  }
-
-let solve_common ?(options = default) ?assumptions prob enc =
-  let t0 = Mono.now () in
-  validate_input_clauses prob;
-  let s = State.create prob in
-  s.State.split <- options.split;
-  s.State.obs <- options.obs;
-  if options.obs.Obs.enabled then
-    Obs.attach_forensics options.obs ~nvars:(Problem.n_vars prob)
-      ~nconstrs:(Array.length s.State.constrs)
-      ~var_name:(Problem.var_name prob)
-      ~constr_desc:(fun ci ->
-        Format.asprintf "%a"
-          (pp_constr ~name:(Problem.var_name prob) ())
-          s.State.constrs.(ci));
-  if options.seed_fanout then seed_activities s enc;
-  match Propagate.run ~full:true ~deadline:options.deadline ~cancel:options.cancel s with
-  | exception Propagate.Propagation_timeout -> root_outcome Timeout options s t0 None
-  | Some _ -> root_outcome Unsat options s t0 None
-  | None ->
-    let learn_summary =
-      (* a suspended root propagation (pending queue + split
-         candidate) would make every probe inside predicate learning
-         return immediately; skip it and let the main loop split and
-         finish the fixpoint first *)
-      let suspended = s.State.qhead < Vec.length s.State.trail in
-      match (options.predicate_learning && not suspended, enc) with
-      | true, Some enc ->
-        Some
-          (Obs.span options.obs Obs.Static_learn (fun () ->
-               Predicate_learning.run ?threshold:options.learn_threshold
-                 ~depth:options.learn_depth ~deadline:options.deadline s enc))
-      | _ -> None
-    in
-    (match learn_summary with
-     | Some sm when sm.Predicate_learning.root_unsat ->
-       root_outcome Unsat options s t0 learn_summary
-     | _ ->
-       (* preprocessing after predicate learning so the learned
-          relations participate in subsumption/strengthening *)
-       if options.simplify then simplify_db options s;
-       solve_loop ?assumptions options s enc t0 learn_summary)
-
-let solve ?options ?assumptions enc =
-  solve_common ?options ?assumptions enc.Encode.problem (Some enc)
-
-let solve_problem ?options ?assumptions prob =
-  solve_common ?options ?assumptions prob None
+  Option.get !result
 
 (* ---- persistent solver sessions (incremental interface) ----
 
@@ -806,16 +719,16 @@ module Session = struct
             ("carried_relations", Json.Int carried_relations);
             ("vars", Json.Int (Problem.n_vars t.prob)) ]
     end;
-    let raw =
+    let r =
       match Propagate.run ~full:true ~deadline:opts.deadline ~cancel:opts.cancel t.s with
-      | exception Propagate.Propagation_timeout ->
-        root_outcome Timeout opts t.s t0 t.learn_summary
-      | Some _ -> root_outcome Unsat opts t.s t0 t.learn_summary
+      | exception Propagate.Propagation_timeout -> Timeout
+      | Some _ -> Unsat
       | None ->
         if t.learn_pending then begin
-          (* same suspension rule as the one-shot path: a pending split
-             nomination would make every learning probe return
-             immediately, so retry on the next call instead *)
+          (* a suspended root propagation (pending queue + split
+             nomination) would make every learning probe return
+             immediately; skip learning and retry on the next call,
+             letting the main loop split and finish the fixpoint *)
           let suspended = t.s.State.qhead < Vec.length t.s.State.trail in
           if not suspended then begin
             (match t.enc with
@@ -824,23 +737,25 @@ module Session = struct
                  Some
                    (Obs.span obs Obs.Static_learn (fun () ->
                         Predicate_learning.run ?threshold:opts.learn_threshold
-                          ~depth:opts.learn_depth ~deadline:opts.deadline t.s
+                          ~depth:learn_depth ~deadline:opts.deadline t.s
                           enc))
              | None -> ());
             t.learn_pending <- false
           end
         end;
         (match t.learn_summary with
-         | Some sm when sm.Predicate_learning.root_unsat ->
-           root_outcome Unsat opts t.s t0 t.learn_summary
+         | Some sm when sm.Predicate_learning.root_unsat -> Unsat
          | _ ->
-           (* per-call preprocessing: clauses learned by earlier calls
-              and grown problem clauses get subsumed/strengthened
-              before the new query runs; only non-root clauses are
-              touched, so session growth stays sound *)
+           (* per-call preprocessing, after predicate learning so the
+              learned relations participate: clauses learned by
+              earlier calls and grown problem clauses get
+              subsumed/strengthened before the new query runs; only
+              non-root clauses are touched, so session growth stays
+              sound *)
            if opts.simplify then simplify_db opts t.s;
-           solve_loop ~assumptions opts t.s t.enc t0 t.learn_summary)
+           solve_loop ~assumptions opts t.s t.enc t.learn_summary)
     in
+    let raw = outcome_of opts t.s t0 t.learn_summary r in
     State.backtrack_to t.s 0;
     (* kernel counters are cumulative across the session; report the
        per-call delta in [outcome] and the running totals alongside *)
@@ -912,3 +827,9 @@ module Session = struct
     end;
     List.rev !out
 end
+
+(* a one-shot solve is the first call of a fresh session *)
+let solve ?options enc = (Session.solve (Session.create ?options enc)).Session.outcome
+
+let solve_problem ?options prob =
+  (Session.solve (Session.of_problem ?options prob)).Session.outcome

@@ -24,9 +24,7 @@ type options = {
   predicate_learning : bool;    (** §3 static learning (+P) *)
   learn_threshold : int option; (** cap on learned relations; default
                                     [min #candidates 2000] *)
-  learn_depth : int;            (** recursive-learning depth, default 1 *)
   deadline : float;             (** absolute wall-clock instant *)
-  max_final_nodes : int;        (** box-search budget per final check *)
   restarts : bool;              (** Luby restarts *)
   split : bool;                 (** interval-split decisions on ICP
                                     shave-streaks; default on.  Off
@@ -47,9 +45,6 @@ type options = {
                                     baseline the paper's §5.1 compares
                                     against); overrides activities *)
   collect_learned : bool;       (** return the learned clauses *)
-  reduce_db : int option;       (** learned-clause budget; on restarts
-                                    beyond it, old long clauses are
-                                    dropped ([None] keeps everything) *)
   obs : Rtlsat_obs.Obs.t;       (** observability handle (span timers,
                                     histograms, trace sink, progress);
                                     default {!Rtlsat_obs.Obs.disabled},
@@ -129,23 +124,18 @@ type outcome = {
           [stats] record above is unchanged — [metrics] extends it. *)
 }
 
-val solve :
-  ?options:options ->
-  ?assumptions:Rtlsat_constr.Types.atom array ->
-  Rtlsat_constr.Encode.t ->
-  outcome
-(** Decide the encoded RTL problem.  [assumptions] are hybrid literals
-    (Boolean or word-interval atoms) decided on levels 1..k before the
-    free search; [Unsat] then means unsat {e under the assumptions}. *)
+val solve : ?options:options -> Rtlsat_constr.Encode.t -> outcome
+(** Decide the encoded RTL problem.  A one-shot solve is the first
+    call of a fresh {!Session}: [(Session.solve (Session.create
+    ?options enc)).outcome], so it reports the [session.creates] /
+    [session.solves] counters and the [session.create] / [solve.begin]
+    trace events like any session.  Queries under assumptions go
+    through {!Session.solve}. *)
 
-val solve_problem :
-  ?options:options ->
-  ?assumptions:Rtlsat_constr.Types.atom array ->
-  Rtlsat_constr.Problem.t ->
-  outcome
-(** Decide a bare constraint problem (no netlist): the structural
-    strategy and predicate learning are unavailable and silently
-    disabled. *)
+val solve_problem : ?options:options -> Rtlsat_constr.Problem.t -> outcome
+(** Decide a bare constraint problem (no netlist), as a one-call
+    {!Session.of_problem} session: the structural strategy and
+    predicate learning are unavailable and silently disabled. *)
 
 (** Persistent solver sessions: one kernel across many [solve] calls.
 
@@ -161,9 +151,12 @@ val solve_problem :
     Lemma retention: {e every} learned clause carries over.  Conflict
     analysis resolves only through reasons, never through decisions,
     so an assumption contributing to a conflict appears {e negated} in
-    the learned clause (it is "guarded" in the ISSUE's sense); each
-    lemma is therefore implied by the clause database and the theory
-    alone and stays valid for every later call. *)
+    the learned clause (it is "guarded"); each lemma is therefore
+    implied by the clause database and the theory alone and stays
+    valid for every later call.
+
+    Sessions are the only way the kernel is set up and driven: the
+    one-shot {!solve} / {!solve_problem} are one-call sessions. *)
 module Session : sig
   type session
 

@@ -109,7 +109,41 @@ let snap obs = if obs.Obs.enabled then Some (Obs.snapshot obs) else None
 
 let wrong_mode fn = invalid_arg ("Engine." ^ fn ^ ": wrong session mode")
 
-(* ---- the four hybrid configurations, over Solver / Solver.Session ---- *)
+(* ---- helpers shared by every engine and the parallel drivers ---- *)
+
+let solver_options id (req : Req.t) =
+  let base =
+    match id with
+    | Hdpll -> Solver.hdpll
+    | Hdpll_s -> Solver.hdpll_s
+    | Hdpll_sp -> Solver.hdpll_sp
+    | Hdpll_p -> Solver.hdpll_p
+    | Bitblast | Lazy_cdp ->
+      invalid_arg ("Engine.solver_options: " ^ name_of id ^ " is not a hybrid engine")
+  in
+  {
+    base with
+    Solver.learn_threshold = req.Req.learn_threshold;
+    obs = req.Req.obs;
+    dump_graph = req.Req.dump_graph;
+    dump_graph_max = req.Req.dump_graph_max;
+    split = req.Req.split;
+    simplify = req.Req.simplify;
+    inprocess = req.Req.inprocess;
+    cancel = req.Req.cancel;
+    on_learn = req.Req.on_learn;
+  }
+
+let encode_instance obs inst =
+  Obs.span obs Obs.Encode (fun () ->
+      let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
+      E.assume_bool enc inst.Bmc.violation true;
+      enc)
+
+let replay inst value =
+  if Bmc.witness_ok inst value then Sat else Abort "witness failed replay"
+
+(* ---- the four hybrid configurations, over Solver.Session ---- *)
 
 module Make_hybrid (C : sig
     val id : id
@@ -118,123 +152,77 @@ module Make_hybrid (C : sig
   let name = name_of C.id
   let caps = caps_of C.id
 
-  let base_options () =
-    match C.id with
-    | Hdpll -> Solver.hdpll
-    | Hdpll_s -> Solver.hdpll_s
-    | Hdpll_sp -> Solver.hdpll_sp
-    | Hdpll_p -> Solver.hdpll_p
-    | Bitblast | Lazy_cdp -> invalid_arg "Engine.Make_hybrid"
-
-  let options (req : Req.t) ~deadline ~one_shot =
-    let base = base_options () in
-    {
-      base with
-      Solver.deadline;
-      Solver.learn_threshold = req.Req.learn_threshold;
-      Solver.obs = req.Req.obs;
-      Solver.dump_graph = (if one_shot then req.Req.dump_graph else None);
-      Solver.dump_graph_max = req.Req.dump_graph_max;
-      Solver.split = req.Req.split;
-      Solver.simplify = req.Req.simplify;
-      Solver.inprocess = req.Req.inprocess;
-      Solver.cancel = req.Req.cancel;
-      Solver.on_learn = req.Req.on_learn;
-    }
-
-  type mode =
-    | One_shot of { inst : Bmc.instance; enc : E.t }
-    | Sweep of { sw : Bmc.sweep; enc : E.t; sess : Solver.Session.session }
-
-  type session = { s_req : Req.t; s_created : float; mode : mode }
+  (* Both context kinds drive one session.  A [create] context has its
+     violation asserted as a unit clause of [enc] and replays against
+     [inst]; a [session] context extends [enc] along [sweep] and poses
+     each bound's violation as an assumption. *)
+  type session = {
+    s_req : Req.t;
+    s_created : float;
+    enc : E.t;
+    sess : Solver.Session.session;
+    inst : Bmc.instance option;
+    sweep : Bmc.sweep option;
+  }
 
   let create ~req inst =
     let t0 = Mono.now () in
-    let obs = req.Req.obs in
-    let enc =
-      Obs.span obs Obs.Encode (fun () ->
-          let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
-          E.assume_bool enc inst.Bmc.violation true;
-          enc)
-    in
-    { s_req = req; s_created = t0; mode = One_shot { inst; enc } }
+    let enc = encode_instance req.Req.obs inst in
+    let sess = Solver.Session.create ~options:(solver_options C.id req) enc in
+    { s_req = req; s_created = t0; enc; sess; inst = Some inst; sweep = None }
 
   let session ~req ?semantics source ~prop =
-    let obs = req.Req.obs in
     let sw = Bmc.sweep source ~prop ?semantics () in
     let enc =
-      Obs.span obs Obs.Encode (fun () ->
+      Obs.span req.Req.obs Obs.Encode (fun () ->
           E.encode (Unroll.combo (Bmc.sweep_unrolled sw)))
     in
-    (* the per-call deadline is passed to [Session.solve]; the options
-       deadline is a never-fires placeholder *)
-    let sess =
-      Solver.Session.create ~options:(options req ~deadline:infinity ~one_shot:false) enc
+    (* conflict graphs are exported by one-shot contexts only: every
+       sweep call would restart the file numbering *)
+    let options = solver_options C.id { req with Req.dump_graph = None } in
+    let sess = Solver.Session.create ~options enc in
+    { s_req = req; s_created = Mono.now (); enc; sess; inst = None; sweep = Some sw }
+
+  (* one session call within [req]'s budget from [t0], and its run *)
+  let call ~req s ~t0 ?assumptions inst =
+    let r =
+      Solver.Session.solve ?assumptions ~deadline:(Req.deadline_from req t0) s.sess
     in
-    { s_req = req; s_created = Mono.now (); mode = Sweep { sw; enc; sess } }
+    let { Solver.result; stats; _ } = r.Solver.Session.outcome in
+    let verdict =
+      match result with
+      | Solver.Unsat -> Unsat
+      | Solver.Timeout -> Timeout
+      | Solver.Sat m -> replay inst (fun n -> m.(E.var s.enc n))
+    in
+    ( {
+        verdict;
+        time = Mono.now () -. t0;
+        relations = stats.Solver.relations;
+        learn_time = stats.Solver.learn_time;
+        decisions = stats.Solver.decisions;
+        conflicts = stats.Solver.conflicts;
+        stats = Some stats;
+        metrics = snap s.s_req.Req.obs;
+      },
+      r )
 
   let solve ~req s =
-    match s.mode with
-    | Sweep _ -> wrong_mode "solve"
-    | One_shot { inst; enc } ->
-      let t0 = s.s_created in
-      let obs = s.s_req.Req.obs in
-      let deadline = Req.deadline_from req t0 in
-      let options = options s.s_req ~deadline ~one_shot:true in
-      let { Solver.result; stats; _ } = Solver.solve ~options enc in
-      let mk verdict =
-        {
-          verdict;
-          time = Mono.now () -. t0;
-          relations = stats.Solver.relations;
-          learn_time = stats.Solver.learn_time;
-          decisions = stats.Solver.decisions;
-          conflicts = stats.Solver.conflicts;
-          stats = Some stats;
-          metrics = snap obs;
-        }
-      in
-      (match result with
-       | Solver.Unsat -> mk Unsat
-       | Solver.Timeout -> mk Timeout
-       | Solver.Sat m ->
-         if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then mk Sat
-         else mk (Abort "witness failed replay"))
+    match s.inst with
+    | None -> wrong_mode "solve"
+    | Some inst -> fst (call ~req s ~t0:s.s_created inst)
 
   let sweep_step ~req s ~bound =
-    match s.mode with
-    | One_shot _ -> wrong_mode "sweep_step"
-    | Sweep { sw; enc; sess } ->
-      let obs = s.s_req.Req.obs in
+    match s.sweep with
+    | None -> wrong_mode "sweep_step"
+    | Some sw ->
       let t0 = Mono.now () in
       let vnode = Bmc.sweep_violation sw ~bound in
-      Obs.span obs Obs.Encode (fun () -> E.extend enc);
-      let r =
-        Solver.Session.solve
-          ~assumptions:[| Rtlsat_constr.Types.Pos (E.var enc vnode) |]
-          ~deadline:(Req.deadline_from req t0) sess
-      in
-      let stats = r.Solver.Session.outcome.Solver.stats in
-      let mk verdict =
-        {
-          verdict;
-          time = Mono.now () -. t0;
-          relations = stats.Solver.relations;
-          learn_time = stats.Solver.learn_time;
-          decisions = stats.Solver.decisions;
-          conflicts = stats.Solver.conflicts;
-          stats = Some stats;
-          metrics = snap obs;
-        }
-      in
-      let sw_run =
-        match r.Solver.Session.outcome.Solver.result with
-        | Solver.Unsat -> mk Unsat
-        | Solver.Timeout -> mk Timeout
-        | Solver.Sat m ->
-          let inst = Bmc.sweep_instance sw ~bound in
-          if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then mk Sat
-          else mk (Abort "witness failed replay")
+      Obs.span s.s_req.Req.obs Obs.Encode (fun () -> E.extend s.enc);
+      let sw_run, r =
+        call ~req s ~t0
+          ~assumptions:[| Rtlsat_constr.Types.Pos (E.var s.enc vnode) |]
+          (Bmc.sweep_instance sw ~bound)
       in
       {
         sw_bound = bound;
@@ -324,9 +312,7 @@ module Bitblast_e : S = struct
         with
         | Bb.Unsat -> Unsat
         | Bb.Timeout -> Timeout
-        | Bb.Sat ->
-          if Bmc.witness_ok inst (Bb.node_value bb) then Sat
-          else Abort "witness failed replay"
+        | Bb.Sat -> replay inst (Bb.node_value bb)
       in
       {
         verdict;
@@ -366,10 +352,7 @@ module Bitblast_e : S = struct
         with
         | Bb.Unsat -> Unsat
         | Bb.Timeout -> Timeout
-        | Bb.Sat ->
-          let inst = Bmc.sweep_instance sw ~bound in
-          if Bmc.witness_ok inst (Bb.node_value bb) then Sat
-          else Abort "witness failed replay"
+        | Bb.Sat -> replay (Bmc.sweep_instance sw ~bound) (Bb.node_value bb)
       in
       let sw_run =
         {
@@ -410,80 +393,48 @@ module Lazy_cdp_e : S = struct
 
   let create ~req inst =
     let t0 = Mono.now () in
-    let obs = req.Req.obs in
-    let enc =
-      Obs.span obs Obs.Encode (fun () ->
-          let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
-          E.assume_bool enc inst.Bmc.violation true;
-          enc)
-    in
+    let enc = encode_instance req.Req.obs inst in
     { s_req = req; s_created = t0; mode = One_shot { inst; enc } }
 
   let session ~req ?semantics source ~prop =
     let sw = Bmc.sweep source ~prop ?semantics () in
     { s_req = req; s_created = Mono.now (); mode = Sweep { sw } }
 
-  let mk_run ~t0 ~obs verdict (st : Lz.stats) =
+  let run ~req s ~t0 inst enc =
+    let result, st =
+      Lz.solve ~deadline:(Req.deadline_from req t0) ~cancel:s.s_req.Req.cancel
+        enc.E.problem
+    in
     {
-      verdict;
+      verdict =
+        (match result with
+         | Lz.Unsat -> Unsat
+         | Lz.Timeout -> Timeout
+         | Lz.Sat m -> replay inst (fun n -> m.(E.var enc n)));
       time = Mono.now () -. t0;
       relations = 0;
       learn_time = 0.0;
       decisions = st.Lz.theory_calls;
       conflicts = st.Lz.blocking_clauses;
       stats = None;
-      metrics = snap obs;
+      metrics = snap s.s_req.Req.obs;
     }
 
   let solve ~req s =
     match s.mode with
     | Sweep _ -> wrong_mode "solve"
-    | One_shot { inst; enc } ->
-      let t0 = s.s_created in
-      let obs = s.s_req.Req.obs in
-      let deadline = Req.deadline_from req t0 in
-      let result, st =
-        Lz.solve ~deadline ~cancel:s.s_req.Req.cancel enc.E.problem
-      in
-      let verdict =
-        match result with
-        | Lz.Unsat -> Unsat
-        | Lz.Timeout -> Timeout
-        | Lz.Sat m ->
-          if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Sat
-          else Abort "witness failed replay"
-      in
-      mk_run ~t0 ~obs verdict st
+    | One_shot { inst; enc } -> run ~req s ~t0:s.s_created inst enc
 
   let sweep_step ~req s ~bound =
     match s.mode with
     | One_shot _ -> wrong_mode "sweep_step"
     | Sweep { sw } ->
-      let obs = s.s_req.Req.obs in
       let t0 = Mono.now () in
-      let vnode = Bmc.sweep_violation sw ~bound in
-      let enc =
-        Obs.span obs Obs.Encode (fun () ->
-            let enc = E.encode (Unroll.combo (Bmc.sweep_unrolled sw)) in
-            E.assume_bool enc vnode true;
-            enc)
-      in
-      let result, st =
-        Lz.solve ~deadline:(Req.deadline_from req t0)
-          ~cancel:s.s_req.Req.cancel enc.E.problem
-      in
-      let verdict =
-        match result with
-        | Lz.Unsat -> Unsat
-        | Lz.Timeout -> Timeout
-        | Lz.Sat m ->
-          let inst = Bmc.sweep_instance sw ~bound in
-          if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Sat
-          else Abort "witness failed replay"
-      in
+      let inst = Bmc.sweep_instance sw ~bound in
+      let enc = encode_instance s.s_req.Req.obs inst in
       {
         sw_bound = bound;
-        sw_run = mk_run ~t0 ~obs verdict st;
+        sw_run = run ~req s ~t0 inst enc;
         sw_carried_clauses = 0;
         sw_carried_relations = 0;
       }

@@ -86,6 +86,28 @@ type caps = {
 
 val caps_of : id -> caps
 
+(** {1 Helpers shared by the engines and the parallel drivers} *)
+
+val solver_options : id -> Req.t -> Rtlsat_core.Solver.options
+(** The hybrid kernel options of a request: the engine's preset
+    ({!Rtlsat_core.Solver.hdpll} … [hdpll_p]) with the request's
+    [obs], [cancel] and solver knobs ([learn_threshold], [dump_graph],
+    [dump_graph_max], [split], [simplify], [inprocess], [on_learn]).
+    The options deadline stays [infinity]: every caller passes its
+    per-call deadline to {!Rtlsat_core.Solver.Session.solve}.
+    @raise Invalid_argument for [Bitblast] and [Lazy_cdp]. *)
+
+val encode_instance :
+  Rtlsat_obs.Obs.t -> Rtlsat_bmc.Bmc.instance -> Rtlsat_constr.Encode.t
+(** One-shot hybrid encoding of a BMC instance, under the handle's
+    Encode span: the unrolled circuit with its violation selector
+    asserted as a unit clause. *)
+
+val replay : Rtlsat_bmc.Bmc.instance -> (Rtlsat_rtl.Ir.node -> int) -> verdict
+(** Check a model by replaying its witness through the RTL simulator
+    ({!Rtlsat_bmc.Bmc.witness_ok}): [Sat] when it replays,
+    [Abort "witness failed replay"] when it does not. *)
+
 (** The uniform engine surface.
 
     Contexts come in two modes.  [create] builds a {e one-shot}

@@ -15,10 +15,9 @@
    ([Obs.merge_snapshots]). *)
 
 module Exchange = Exchange
-module Bmc = Rtlsat_bmc.Bmc
-module Unroll = Rtlsat_bmc.Unroll
 module E = Rtlsat_constr.Encode
 module Solver = Rtlsat_core.Solver
+module Engine = Rtlsat_harness.Engine
 module Engines = Rtlsat_harness.Engines
 module Req = Rtlsat_harness.Req
 module Obs = Rtlsat_obs.Obs
@@ -146,19 +145,6 @@ let portfolio ?(req = Req.default) ~j ~engine inst =
 
 (* ---- cube-and-conquer ---- *)
 
-let is_hybrid = function
-  | Engines.Hdpll | Engines.Hdpll_s | Engines.Hdpll_sp | Engines.Hdpll_p ->
-    true
-  | Engines.Bitblast | Engines.Lazy_cdp -> false
-
-let base_options = function
-  | Engines.Hdpll -> Solver.hdpll
-  | Engines.Hdpll_s -> Solver.hdpll_s
-  | Engines.Hdpll_sp -> Solver.hdpll_sp
-  | Engines.Hdpll_p -> Solver.hdpll_p
-  | Engines.Bitblast | Engines.Lazy_cdp ->
-    invalid_arg "Parallel: cube-and-conquer needs a hybrid engine"
-
 (* what may cross the exchange: unit clauses over any atom (interval
    bounds included) and binary clauses over Boolean literals only —
    [Session.add_clause] restricts multi-atom clauses to pure Boolean,
@@ -201,35 +187,19 @@ type cube_result = {
   c_metrics : Obs.snapshot;
 }
 
-type cube_worker_verdict = W_sat | W_unsat_all | W_timeout | W_abort of string
-
 let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
-  if not (is_hybrid engine) then
-    invalid_arg "Parallel.cube_solve: cube-and-conquer needs a hybrid engine";
+  (* the probe and every worker run the engine's kernel options under
+     their own handle, cancel flag and exchange hook; no conflict
+     graphs.  A non-hybrid engine fails here, before any work. *)
+  let options ~obs ~cancel ~on_learn =
+    Engine.solver_options engine
+      { req with Req.obs; cancel; on_learn; dump_graph = None }
+  in
   let obs = req.Req.obs in
+  let probe_options = options ~obs ~cancel:req.Req.cancel ~on_learn:None in
   let j = max 1 j in
   let t0 = Mono.now () in
   let deadline = Req.deadline_from req t0 in
-  let opts_for ~obs:o ~deadline ?cancel ?on_learn () =
-    let base = base_options engine in
-    {
-      base with
-      Solver.deadline;
-      Solver.obs = o;
-      Solver.learn_threshold = req.Req.learn_threshold;
-      Solver.split = req.Req.split;
-      Solver.simplify = req.Req.simplify;
-      Solver.inprocess = req.Req.inprocess;
-      Solver.cancel =
-        (match cancel with Some c -> c | None -> req.Req.cancel);
-      Solver.on_learn = on_learn;
-    }
-  in
-  let encode () =
-    let e = E.encode (Unroll.combo inst.Bmc.unrolled) in
-    E.assume_bool e inst.Bmc.violation true;
-    e
-  in
   let finish ?(cubes = 0) ?(refuted = 0) ?(vars = []) ?(pushed = 0)
       ?(taken = 0) ~probe_time ~metrics verdict =
     {
@@ -247,23 +217,18 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
   (* --- probe on the main domain: a short solve that either decides
      the instance outright or warms activities and the split heap so
      [split_candidates] nominates informed cube variables --- *)
-  let enc0 = encode () in
+  let enc0 = Engine.encode_instance obs inst in
   let probe_deadline = Float.min deadline (t0 +. Float.max 0.1 probe_budget) in
-  let sess0 =
-    Solver.Session.create ~options:(opts_for ~obs ~deadline:probe_deadline ()) enc0
+  let sess0 = Solver.Session.create ~options:probe_options enc0 in
+  let verdict_of (r : Solver.Session.solve_result) =
+    match r.Solver.Session.outcome.Solver.result with
+    | Solver.Unsat -> Engines.Unsat
+    | Solver.Timeout -> Engines.Timeout
+    | Solver.Sat m -> Engine.replay inst (fun n -> m.(E.var enc0 n))
   in
   let probe = Solver.Session.solve ~deadline:probe_deadline sess0 in
   let probe_time = Mono.now () -. t0 in
-  let verdict_of_result enc = function
-    | Solver.Unsat -> Engines.Unsat
-    | Solver.Timeout -> Engines.Timeout
-    | Solver.Sat m ->
-      if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Engines.Sat
-      else Engines.Abort "witness failed replay"
-  in
-  match
-    verdict_of_result enc0 probe.Solver.Session.outcome.Solver.result
-  with
+  match verdict_of probe with
   | (Engines.Sat | Engines.Unsat | Engines.Abort _) as v ->
     finish ~probe_time ~metrics:(Obs.snapshot obs) v
   | Engines.Timeout when Mono.now () >= deadline ->
@@ -273,9 +238,8 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
     if candidates = [] then begin
       (* nothing to cube on (no splittable word interval): spend the
          remaining budget on the probe session sequentially *)
-      let r = Solver.Session.solve ~deadline sess0 in
       finish ~probe_time ~metrics:(Obs.snapshot obs)
-        (verdict_of_result enc0 r.Solver.Session.outcome.Solver.result)
+        (verdict_of (Solver.Session.solve ~deadline sess0))
     end
     else begin
       let cubes = Array.of_list (cubes_of candidates (max (2 * j) 4)) in
@@ -285,16 +249,17 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
       let xchg : (int * clause) Exchange.t = Exchange.create 256 in
       let worker ~worker:w ~cancel =
         let o = worker_obs obs w in
-        let enc = encode () in
+        let enc = Engine.encode_instance o inst in
         let on_learn cl =
           if exportable cl then Exchange.push xchg (w, cl)
         in
         let sess =
           Solver.Session.create
-            ~options:(opts_for ~obs:o ~deadline ~cancel ~on_learn ())
+            ~options:(options ~obs:o ~cancel ~on_learn:(Some on_learn))
             enc
         in
-        let my = ref W_unsat_all in
+        (* [Unsat]: every cube this worker took was refuted *)
+        let my = ref Engines.Unsat in
         let continue = ref true in
         while !continue && not (Atomic.get cancel) do
           let i = Atomic.fetch_and_add next 1 in
@@ -310,12 +275,10 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
             match r.Solver.Session.outcome.Solver.result with
             | Solver.Unsat -> Atomic.incr refuted
             | Solver.Timeout ->
-              my := W_timeout;
+              my := Engines.Timeout;
               continue := false
             | Solver.Sat m ->
-              if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then
-                my := W_sat
-              else my := W_abort "witness failed replay";
+              my := Engine.replay inst (fun n -> m.(E.var enc n));
               continue := false
           end
         done;
@@ -324,7 +287,7 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
       let nworkers = min j ncubes in
       let rr =
         race
-          ~decisive:(fun (v, _) -> v = W_sat)
+          ~decisive:(fun (v, _) -> v = Engines.Sat)
           (Array.init nworkers (fun _ -> worker))
       in
       let refuted = Atomic.get refuted in
@@ -337,7 +300,7 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
       let abort_msg =
         Array.to_list rr.entries
         |> List.find_map (function
-          | Some (W_abort m, _) -> Some m
+          | Some (Engines.Abort m, _) -> Some m
           | _ -> None)
       in
       let verdict =

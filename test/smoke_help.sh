@@ -6,6 +6,8 @@
 #   2. the subcommands on the shared exit-code convention document it:
 #      0 success / 1 negative finding / 2 invalid input
 #   3. the top-level help lists the serve daemon next to solve/sweep
+#   4. a bound below 1 is invalid input (exit 2 with a message) on
+#      every subcommand that takes one, not an uncaught exception
 # Pass the rtlsat binary as $1 (the dune rule does); standalone runs
 # build it first.
 set -eu
@@ -21,7 +23,8 @@ else
 fi
 
 out=$(mktemp /tmp/rtlsat_help.XXXXXX.out)
-trap 'rm -f "$out"' EXIT
+net=$(mktemp /tmp/rtlsat_help.XXXXXX.rtl)
+trap 'rm -f "$out" "$net"' EXIT
 
 # 1. every subcommand answers --help
 "$rtlsat" --help=plain > "$out"
@@ -42,5 +45,32 @@ for sub in show solve sweep serve check prove sat fuzz profile top \
   grep -q "on a negative finding" "$out"
   grep -q "on unreadable or invalid input" "$out"
 done
+
+# 4. bound 0 exits 2 with a message
+cat > "$net" <<'NETLIST'
+circuit counter
+input tick 1
+reg r 3 0
+node one = const 1 3
+node nxt = add r one
+node five = const 5 3
+node p = ne r five
+connect r nxt
+output prop p
+NETLIST
+expect_exit2() {
+  status=0
+  "$rtlsat" "$@" > "$out" 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "smoke_help: '$*' exited $status, expected 2" >&2
+    cat "$out" >&2
+    exit 1
+  fi
+  grep -q "must be at least 1" "$out"
+}
+expect_exit2 solve -c b01 -p 1 -k 0
+expect_exit2 check "$net" -p prop -k 0
+expect_exit2 export -c b01 -p 1 -k 0
+expect_exit2 sweep -c b01 -p 1 --bounds 0,2
 
 echo "smoke_help: all checks passed"

@@ -258,6 +258,15 @@ let test_wrap_add_sat () =
   | Solver.Sat m -> check_int "x = 15" 15 m.(E.var enc x)
   | _ -> Alcotest.fail "expected sat"
 
+(* an early (root) exit builds its outcome like the main loop does:
+   nothing was decided or conflicted, and under [collect_learned] the
+   collected clauses are exactly the learned ones *)
+let check_root_exit name (o : Solver.outcome) =
+  check_int (name ^ " decisions") 0 o.Solver.stats.Solver.decisions;
+  check_int (name ^ " conflicts") 0 o.Solver.stats.Solver.conflicts;
+  check_int (name ^ " collected = learned") o.Solver.stats.Solver.learned
+    (List.length o.Solver.learned_clauses)
+
 let test_timeout () =
   let c, _, _, _ = build_combo () in
   let enc = E.encode c in
@@ -265,7 +274,28 @@ let test_timeout () =
   let { Solver.result; _ } = Solver.solve ~options enc in
   (* tiny instances may finish before the first deadline poll *)
   check_bool "timeout or solved" true
-    (match result with Solver.Timeout | Solver.Sat _ -> true | Solver.Unsat -> false)
+    (match result with Solver.Timeout | Solver.Sat _ -> true | Solver.Unsat -> false);
+  (* y = x + 1 and y <= x - 1 over 16-bit words: with splits off, root
+     propagation crawls one unit per sweep and reaches the deadline
+     poll long before the fixpoint, so the passed deadline is a
+     Timeout at the root *)
+  let p = P.create () in
+  let x = P.new_word p ~name:"x" (I.make 0 65535) in
+  let y = P.new_word p ~name:"y" (I.make 0 65535) in
+  P.add_constr p (T.Lin_eq (T.lin_of_terms [ (1, x); (-1, y) ] 1));
+  P.add_constr p (T.Lin_le (T.lin_of_terms [ (1, y); (-1, x) ] 1));
+  let o =
+    Solver.solve_problem
+      ~options:
+        { Solver.default with
+          Solver.deadline = Rtlsat_obs.Mono.now () -. 1.0;
+          split = false;
+          collect_learned = true }
+      p
+  in
+  check_bool "root timeout" true (o.Solver.result = Solver.Timeout);
+  check_root_exit "root timeout" o;
+  check_int "root timeout learned" 0 o.Solver.stats.Solver.learned
 
 (* ---- Figure 4: structural decision making ---- *)
 
@@ -404,6 +434,39 @@ let test_learning_depth_2 () =
   check_int "g1 implied at depth 2" 1 (State.bool_value s (E.var enc g1));
   check_int "g2 implied at depth 2" 1 (State.bool_value s (E.var enc g2))
 
+let test_learning_root_unsat () =
+  (* (a|b)(a|~b)(~a|b)(~a|~b) with a = (x > 5): root propagation only
+     fixes the four ORs.  Learning first probes r = (y > 3) and learns
+     r -> z, then finds both values of the predicate a refuted — a
+     root-level Unsat that skips the search *)
+  let c = N.create "pl_root_unsat" in
+  let y = N.input c ~name:"y" 4 in
+  let k = N.input c ~name:"k" 1 in
+  let r = N.gt c y (N.const c ~width:4 3) in
+  N.output c "z" (N.or_ c ~name:"z" [ r; k ]);
+  let x = N.input c ~name:"x" 4 in
+  let a = N.gt c x (N.const c ~width:4 5) in
+  let b = N.input c ~name:"b" 1 in
+  let na = N.not_ c a and nb = N.not_ c b in
+  let o =
+    N.and_ c
+      [ N.or_ c [ a; b ]; N.or_ c [ a; nb ]; N.or_ c [ na; b ]; N.or_ c [ na; nb ] ]
+  in
+  N.output c "o" o;
+  let enc = E.encode c in
+  E.assume_bool enc o true;
+  List.iter
+    (fun (name, options) ->
+       let o = Solver.solve ~options:{ options with Solver.collect_learned = true } enc in
+       check_bool (name ^ " unsat") true (o.Solver.result = Solver.Unsat);
+       check_root_exit name o;
+       check_bool (name ^ " relations reported") true (o.Solver.stats.Solver.relations >= 1);
+       check_int (name ^ " relations are the learned clauses")
+         o.Solver.stats.Solver.relations o.Solver.stats.Solver.learned;
+       check_bool (name ^ " learn time reported") true
+         (o.Solver.stats.Solver.learn_time > 0.0))
+    [ ("hdpll+p", Solver.hdpll_p); ("hdpll+s+p", Solver.hdpll_sp) ]
+
 let test_solve_problem_bare () =
   (* no netlist: +S and +P silently disabled, solving still works *)
   let p = P.create () in
@@ -423,8 +486,14 @@ let test_solve_problem_bare () =
   let w = P.new_word p (I.make 0 10) in
   P.add_clause p [| T.Ge (w, 7) |];
   P.add_constr p (T.Lin_le (T.lin_of_terms [ (1, w) ] (-3)));
-  let { Solver.result; _ } = Solver.solve_problem p in
-  check_bool "unsat" true (result = Solver.Unsat)
+  (* w >= 7 against w <= 3: refuted by root propagation *)
+  let o =
+    Solver.solve_problem ~options:{ Solver.default with Solver.collect_learned = true } p
+  in
+  check_bool "unsat" true (o.Solver.result = Solver.Unsat);
+  check_root_exit "root conflict" o;
+  check_int "root conflict learned" 0 o.Solver.stats.Solver.learned;
+  check_int "root conflict relations" 0 o.Solver.stats.Solver.relations
 
 let test_rejects_hybrid_input_clause () =
   let p = P.create () in
@@ -549,6 +618,7 @@ let () =
           Alcotest.test_case "figure 1 recursive learning" `Quick test_fig1_recursive_learning;
           Alcotest.test_case "threshold" `Quick test_learning_threshold;
           Alcotest.test_case "depth 2" `Quick test_learning_depth_2;
+          Alcotest.test_case "root unsat" `Quick test_learning_root_unsat;
         ] );
       ( "api",
         [
