@@ -149,14 +149,3 @@ let decide ?mux_pref t s =
       | None -> scan (i + 1)
   in
   scan 0
-
-let frontier_size t s =
-  let n = ref 0 in
-  Array.iter
-    (fun g ->
-       match check_gate t s g with
-       | Some _ -> incr n
-       | None -> ()
-       | exception Jconflict _ -> incr n)
-    t.gates;
-  !n

@@ -33,8 +33,3 @@ val decide :
     sel=0)] from static predicate learning (§4.4): with a choice of
     select values, prefer the one satisfying more learned relations.
     @raise Jconflict on a structural conflict. *)
-
-val frontier_size : t -> State.t -> int
-(** Number of currently unjustified candidates (gates {!decide} would
-    still act on, plus structurally conflicting muxes).  A full scan —
-    intended for trace emission, not for the decision hot path. *)

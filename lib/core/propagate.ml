@@ -258,65 +258,54 @@ let propagate_constr s ci =
 
 exception Propagation_timeout
 
-(* one forensics-timed wakeup of [ci] entered at [now]; returns its
-   exit stamp, which is the next wakeup's entry *)
-let wake_timed s f ci now =
-  Forensics.constr_enter f ci ~now;
-  propagate_constr s ci;
-  let now = Mono.now () in
-  Forensics.constr_exit f ~now;
-  now
+(* one wakeup of [ci] under forensics: counted and made the narrowing
+   target, and timed when it is the sampled one *)
+let wake s f ci =
+  if Forensics.constr_enter f ci then begin
+    let enter = Mono.now () in
+    propagate_constr s ci;
+    Forensics.constr_exit_sampled f ~enter ~exit:(Mono.now ())
+  end
+  else begin
+    propagate_constr s ci;
+    Forensics.constr_exit f
+  end
 
-(* the loop's open span: none, BCP or ICP *)
-let no_span = 0
-let in_bcp = 1
-let in_icp = 2
-
-(* switch the open span from BCP to ICP; returns the clock reading *)
-let to_icp obs =
-  let now = Mono.now () in
-  Obs.span_switch obs ~now Obs.Bcp Obs.Icp;
-  now
-
-(* close the loop's span on the way out; after a conflict or a timeout
-   the running wakeup, if any, is charged up to now *)
-let close_span obs fz cur ~aborted =
-  (if aborted then
-     match fz with
-     | Some f -> Forensics.constr_exit f ~now:(Mono.now ())
-     | None -> ());
-  if cur = in_bcp then Obs.span_exit obs Obs.Bcp
-  else if cur = in_icp then Obs.span_exit obs Obs.Icp
+(* close the run's span, counting one BCP entry per trail entry (and
+   the full scan) and one ICP entry per BCP entry that got past its
+   clauses: all but the last when the run ended in clauses ([in_bcp]) *)
+let close obs fz ~full ~entries ~in_bcp =
+  (match fz with Some f -> Forensics.constr_exit f | None -> ());
+  if obs.Obs.enabled then begin
+    let bcp_calls = if full then entries + 1 else entries in
+    Obs.prop_exit obs ~bcp_calls
+      ~icp_calls:(if in_bcp then bcp_calls - 1 else bcp_calls)
+  end
 
 (* One loop serves both observed and unobserved runs.  With obs
-   enabled a single span stays open and switches between BCP and ICP
-   per batch (one clock read per switch, counting one entry per batch
-   as separate spans did); with forensics attached each wakeup costs
-   one more read, its exit stamp doubling as the next entry — and the
-   last one as the ICP→BCP switch. *)
+   enabled the run is one span (two clock reads); one trail entry in 16
+   is timed on its clause and constraint halves (three reads), and the
+   span's time is split between BCP and ICP by the sampled ratio at the
+   exit.  With forensics attached, one wakeup in
+   [Forensics.sample_period] of each constraint is timed (two reads). *)
 let run ?(full = false) ?(deadline = infinity) ?cancel s =
   let obs = s.State.obs in
   let on = obs.Obs.enabled in
   let fz = Obs.forensics obs in
-  let cur = ref no_span in
-  let stamp = ref 0.0 in
+  let q0 = s.State.qhead in
+  let in_bcp = ref false in
   (* ICP can tighten a bound by 1 per sweep over a 2^61 domain, so the
      fixpoint loop must watch the clock itself; check sparsely to keep
      the hot path free of syscalls *)
   let fuel = ref 4096 in
+  if on then Obs.prop_enter obs;
   match
     if full then begin
-      if on then begin
-        Obs.span_enter obs Obs.Bcp;
-        cur := in_bcp
-      end;
+      in_bcp := true;
       for ci = 0 to Vec.length s.State.clauses - 1 do
         check_clause s ci
       done;
-      if on then begin
-        stamp := to_icp obs;
-        cur := in_icp
-      end;
+      in_bcp := false;
       match fz with
       | None ->
         for ci = 0 to Array.length s.State.constrs - 1 do
@@ -324,7 +313,7 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
         done
       | Some f ->
         for ci = 0 to Array.length s.State.constrs - 1 do
-          stamp := wake_timed s f ci !stamp
+          wake s f ci
         done
     end;
     (* a split candidate suspends the fixpoint: the solver takes the
@@ -356,43 +345,38 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
       s.State.qhead <- s.State.qhead + 1;
       s.State.n_propagations <- s.State.n_propagations + 1;
       let v = atom_var e.State.eatom in
-      if on then begin
-        if !cur = in_icp then begin
-          let now = match fz with Some _ -> !stamp | None -> Mono.now () in
-          Obs.span_switch obs ~now Obs.Icp Obs.Bcp
-        end
-        else if !cur = no_span then Obs.span_enter obs Obs.Bcp;
-        cur := in_bcp
-      end;
+      let sampled = on && Obs.prop_sample_due obs in
+      let t0 = if sampled then Mono.now () else 0.0 in
+      in_bcp := true;
       (* both visit orders are newest occurrence first *)
       let o = s.State.clause_occs in
       let a = o.State.occ.(v) in
       for j = o.State.n_occ.(v) - 1 downto 0 do
         check_clause s a.(j)
       done;
-      if on then begin
-        stamp := to_icp obs;
-        cur := in_icp
-      end;
+      in_bcp := false;
+      let t1 = if sampled then Mono.now () else 0.0 in
       let o = s.State.constr_occs in
       let a = o.State.occ.(v) in
-      match fz with
-      | None ->
-        for j = o.State.n_occ.(v) - 1 downto 0 do
-          propagate_constr s a.(j)
-        done
-      | Some f ->
-        for j = o.State.n_occ.(v) - 1 downto 0 do
-          stamp := wake_timed s f a.(j) !stamp
-        done
+      (match fz with
+       | None ->
+         for j = o.State.n_occ.(v) - 1 downto 0 do
+           propagate_constr s a.(j)
+         done
+       | Some f ->
+         for j = o.State.n_occ.(v) - 1 downto 0 do
+           wake s f a.(j)
+         done);
+      if sampled then
+        Obs.prop_sample obs ~bcp:(t1 -. t0) ~icp:(Mono.now () -. t1)
     done
   with
   | () ->
-    close_span obs fz !cur ~aborted:false;
+    close obs fz ~full ~entries:(s.State.qhead - q0) ~in_bcp:!in_bcp;
     None
   | exception State.Conflict c ->
-    close_span obs fz !cur ~aborted:true;
+    close obs fz ~full ~entries:(s.State.qhead - q0) ~in_bcp:!in_bcp;
     Some c
   | exception e ->
-    close_span obs fz !cur ~aborted:true;
+    close obs fz ~full ~entries:(s.State.qhead - q0) ~in_bcp:!in_bcp;
     raise e

@@ -519,17 +519,11 @@ let solve_loop ~assumptions opts s enc learn_summary =
           | Some (Pos v) when v = -1 -> () (* J-conflict handled *)
           | Some a ->
             s.State.n_decisions <- s.State.n_decisions + 1;
-            if Obs.tracing obs then begin
+            if Obs.tracing obs then
               Obs.event obs "decide"
                 [ ("kind", Json.Str "structural");
                   ("lvl", Json.Int (State.decision_level s + 1));
                   ("var", Json.Int (atom_var a)) ];
-              match justifier with
-              | Some j ->
-                Obs.event obs "jfrontier"
-                  [ ("size", Json.Int (Justify.frontier_size j s)) ]
-              | None -> ()
-            end;
             State.new_level s;
             State.assert_atom s a None
           | None ->

@@ -1,5 +1,6 @@
 module Obs = Rtlsat_obs.Obs
 module Json = Rtlsat_obs.Json
+module Mono = Rtlsat_obs.Mono
 module Engines = Rtlsat_harness.Engines
 module Req = Rtlsat_harness.Req
 module Report = Rtlsat_harness.Report
@@ -52,8 +53,8 @@ type summary = {
 let instance_seed cfg i = cfg.seed + i
 
 let run cfg =
-  let t0 = Unix.gettimeofday () in
-  let elapsed () = Unix.gettimeofday () -. t0 in
+  let t0 = Mono.now () in
+  let elapsed () = Mono.now () -. t0 in
   let sat = ref 0 and unsat = ref 0 and timeouts = ref 0 in
   let instances = ref 0 in
   let failures = ref [] in

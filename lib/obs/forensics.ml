@@ -20,7 +20,6 @@ type t = {
   mutable n_splits : int;
   (* attribution target while a constraint propagates *)
   mutable cur : int;
-  mutable mark : float;
   mutable namer : (int -> string) option;
   mutable descr : (int -> string) option;
 }
@@ -45,7 +44,6 @@ let create ~nvars ~nconstrs =
     v_splits = Array.make nvars 0;
     n_splits = 0;
     cur = -1;
-    mark = 0.0;
     namer = None;
     descr = None;
   }
@@ -61,17 +59,29 @@ let constr_desc t ci =
   if ci < 0 then "(clause propagation)"
   else match t.descr with Some f -> f ci | None -> Printf.sprintf "c%d" ci
 
-(* the caller owns the clock: the propagation loop chains wakeups, so
-   one reading is both a wakeup's exit and the next one's entry *)
-let constr_enter t ci ~now =
-  if ci >= 0 && ci < Array.length t.c_wakeups then begin
-    t.c_wakeups.(ci) <- t.c_wakeups.(ci) + 1;
-    t.cur <- ci;
-    t.mark <- now
-  end
+(* Per-constraint time is sampled: one in [sample_period] wakeups of
+   each constraint is timed and stands for the [sample_period] around
+   it.  Counting each constraint's own wakeups, at a phase spread by its
+   id, keeps constraints woken in turn (the w61 crawl alternates two)
+   from aliasing every sample onto one of them.  The counts and the
+   narrowing target stay exact on every wakeup. *)
+let sample_period = 64
 
-let constr_exit t ~now =
-  if t.cur >= 0 then t.c_time.(t.cur) <- t.c_time.(t.cur) +. (now -. t.mark);
+let constr_enter t ci =
+  if ci >= 0 && ci < Array.length t.c_wakeups then begin
+    let n = t.c_wakeups.(ci) in
+    t.c_wakeups.(ci) <- n + 1;
+    t.cur <- ci;
+    (n + (ci * 37)) land (sample_period - 1) = 0
+  end
+  else false
+
+let constr_exit t = t.cur <- -1
+
+let constr_exit_sampled t ~enter ~exit =
+  if t.cur >= 0 then
+    t.c_time.(t.cur) <-
+      t.c_time.(t.cur) +. (float_of_int sample_period *. (exit -. enter));
   t.cur <- -1
 
 type stall = {

@@ -5,8 +5,8 @@
     {b Online attribution} — a per-solve table of propagation work,
     attributed to the arithmetic constraint that caused it and the
     word variable it narrowed: wakeups, narrowing counts, total
-    interval width shaved, and wall-clock time per constraint.  The
-    table also watches for {e ICP stalls} — sustained runs of tiny
+    interval width shaved, and sampled wall-clock time per constraint.
+    The table also watches for {e ICP stalls} — sustained runs of tiny
     narrowings across a huge domain (the w61 wrap-around pathology,
     where interval propagation converges one unit per sweep across a
     2^61 domain) — and reports them as they happen, so a slow solve
@@ -35,17 +35,27 @@ val set_names :
 val var_name : t -> int -> string
 val constr_desc : t -> int -> string
 
-val constr_enter : t -> int -> now:float -> unit
-(** The propagator is about to run constraint [ci] at instant [now]
-    ({!Mono.now}): counts a wakeup and makes [ci] the attribution
-    target for narrowings until {!constr_exit}. *)
+val sample_period : int
+(** 64: one wakeup of a constraint in this many is timed (see
+    {!constr_enter}). *)
 
-val constr_exit : t -> now:float -> unit
-(** Charges [now] minus the entry instant to the current target, if
-    any, and clears it.  The propagation loop passes one reading as
-    both a wakeup's exit and the next wakeup's entry, so per-constraint
-    time costs one clock read per wakeup and covers the whole ICP
-    batch. *)
+val constr_enter : t -> int -> bool
+(** The propagator is about to run constraint [ci]: counts a wakeup
+    and makes [ci] the attribution target for narrowings until the
+    exit.  Returns [true] on one in every {!sample_period} consecutive
+    wakeups of [ci] (at a phase fixed by [ci]): the caller times that
+    wakeup and closes it with {!constr_exit_sampled}, any other with
+    {!constr_exit}. *)
+
+val constr_exit : t -> unit
+(** Clears the attribution target. *)
+
+val constr_exit_sampled : t -> enter:float -> exit:float -> unit
+(** Charges {!sample_period} times [exit - enter] (two {!Mono.now}
+    readings around the sampled wakeup) to the current target, if any,
+    and clears it.  Per-constraint time is thus an estimate costing two
+    clock reads per {!sample_period} wakeups; wakeup, narrowing and
+    shaved counts stay exact. *)
 
 (** An ICP stall report: variable [st_var] has been narrowed for
     [st_streak] consecutive events, each shaving at most

@@ -52,6 +52,8 @@ type t = {
   mutable stack : int list;
   mutable mark : float;
   mutable alloc_mark : float;
+  mutable prop_entries : int;
+  prop_sampled : float array;
   learned_len : Hist.t;
   backjump : Hist.t;
   interval_width : Hist.t;
@@ -94,6 +96,8 @@ let make ~enabled ~trace ~recorder ~heartbeat ~progress =
     stack = [];
     mark = now;
     alloc_mark = allocated_words ();
+    prop_entries = 0;
+    prop_sampled = [| 0.0; 0.0 |];
     learned_len = Hist.create [| 1; 2; 4; 8; 16; 32; 64; 128 |];
     backjump = Hist.create [| 1; 2; 4; 8; 16; 32; 64; 128 |];
     interval_width = Hist.create [| 0; 1; 3; 7; 15; 63; 255; 1023; 65535 |];
@@ -129,20 +133,24 @@ let tracing t = t.enabled && (t.trace <> None || t.recorder <> None)
 
 (* ---- spans: self-time accounting over an explicit phase stack ---- *)
 
+(* charge the innermost open phase up to now and open phase [i] *)
+let push t i =
+  let now = Mono.now () in
+  let words = allocated_words () in
+  (match t.stack with
+   | p :: _ ->
+     t.self.(p) <- t.self.(p) +. (now -. t.mark);
+     t.alloc.(p) <- t.alloc.(p) +. (words -. t.alloc_mark)
+   | [] -> ());
+  t.stack <- i :: t.stack;
+  t.mark <- now;
+  t.alloc_mark <- words
+
 let span_enter t ph =
   if t.enabled then begin
-    let now = Mono.now () in
-    let words = allocated_words () in
-    (match t.stack with
-     | p :: _ ->
-       t.self.(p) <- t.self.(p) +. (now -. t.mark);
-       t.alloc.(p) <- t.alloc.(p) +. (words -. t.alloc_mark)
-     | [] -> ());
     let i = phase_index ph in
-    t.stack <- i :: t.stack;
-    t.calls.(i) <- t.calls.(i) + 1;
-    t.mark <- now;
-    t.alloc_mark <- words
+    push t i;
+    t.calls.(i) <- t.calls.(i) + 1
   end
 
 let span_exit t ph =
@@ -160,16 +168,49 @@ let span_exit t ph =
     | _ -> () (* unbalanced (exception unwound past an exit): ignore *)
   end
 
-let span_switch t ~now from into =
+(* ---- propagation runs: one span, BCP/ICP split by sampling ---- *)
+
+(* One trail entry in [prop_sample_period], the first one included, is
+   timed on its clause half and its constraint half; the cumulative
+   ratio of those sampled times splits each run's exact elapsed time
+   and allocation between [Bcp] and [Icp]. *)
+let prop_sample_period = 16
+
+(* the run's span sits on the stack as [Bcp]; its calls are counted
+   at the exit *)
+let prop_enter t = if t.enabled then push t (phase_index Bcp)
+
+let prop_sample_due t =
+  if t.enabled then begin
+    let n = t.prop_entries in
+    t.prop_entries <- n + 1;
+    n land (prop_sample_period - 1) = 0
+  end
+  else false
+
+let prop_sample t ~bcp ~icp =
+  if t.enabled then begin
+    t.prop_sampled.(0) <- t.prop_sampled.(0) +. bcp;
+    t.prop_sampled.(1) <- t.prop_sampled.(1) +. icp
+  end
+
+let prop_exit t ~bcp_calls ~icp_calls =
+  let b = phase_index Bcp and i = phase_index Icp in
   if t.enabled then
     match t.stack with
-    | p :: rest when p = phase_index from ->
+    | p :: rest when p = b ->
+      let now = Mono.now () in
       let words = allocated_words () in
-      t.self.(p) <- t.self.(p) +. (now -. t.mark);
-      t.alloc.(p) <- t.alloc.(p) +. (words -. t.alloc_mark);
-      let i = phase_index into in
-      t.stack <- i :: rest;
-      t.calls.(i) <- t.calls.(i) + 1;
+      let sb = t.prop_sampled.(0) and si = t.prop_sampled.(1) in
+      let r = if sb +. si > 0.0 then sb /. (sb +. si) else 0.5 in
+      let dt = now -. t.mark and dw = words -. t.alloc_mark in
+      t.self.(b) <- t.self.(b) +. (r *. dt);
+      t.self.(i) <- t.self.(i) +. ((1.0 -. r) *. dt);
+      t.alloc.(b) <- t.alloc.(b) +. (r *. dw);
+      t.alloc.(i) <- t.alloc.(i) +. ((1.0 -. r) *. dw);
+      t.calls.(b) <- t.calls.(b) + bcp_calls;
+      t.calls.(i) <- t.calls.(i) + icp_calls;
+      t.stack <- rest;
       t.mark <- now;
       t.alloc_mark <- words
     | _ -> ()

@@ -41,6 +41,9 @@ type t = {
   mutable stack : int list;        (** open phases, innermost first *)
   mutable mark : float;            (** time of the last span event *)
   mutable alloc_mark : float;      (** allocated words at the last span event *)
+  mutable prop_entries : int;      (** trail entries seen by {!prop_sample_due} *)
+  prop_sampled : float array;      (** sampled BCP and ICP seconds, the
+                                       ratio {!prop_exit} splits by *)
   learned_len : Hist.t;            (** learned-clause lengths *)
   backjump : Hist.t;               (** backjump distances (levels) *)
   interval_width : Hist.t;         (** word-interval widths after narrowing *)
@@ -102,12 +105,28 @@ val span_exit : t -> phase -> unit
 (** Unbalanced exits are ignored (the solver can unwind through
     exceptions); prefer {!span}. *)
 
-val span_switch : t -> now:float -> phase -> phase -> unit
-(** [span_switch t ~now from into] closes the innermost span [from] at
-    instant [now] ({!Mono.now}) and opens [into] in its place, counting
-    one entry of [into]: an exit and an enter for one clock read.  The
-    propagation loop alternates its BCP and ICP batches this way.  A
-    [from] that is not innermost is ignored, like an unbalanced exit. *)
+(* ---- propagation runs ---- *)
+
+val prop_enter : t -> unit
+(** Opens the span of one propagation run (one clock read).  It nests
+    like any span and is closed by {!prop_exit}. *)
+
+val prop_sample_due : t -> bool
+(** Counts one trail entry; [true] on the handle's first entry and on
+    every 16th one after it.  The caller then times
+    that entry's clause and constraint halves and passes both to
+    {!prop_sample}.  Always [false] on a disabled handle. *)
+
+val prop_sample : t -> bcp:float -> icp:float -> unit
+(** Adds one sampled entry's clause ([bcp]) and constraint ([icp])
+    seconds to the handle's cumulative sample. *)
+
+val prop_exit : t -> bcp_calls:int -> icp_calls:int -> unit
+(** Closes the run's span (one clock read) and splits its self time
+    and allocation between [Bcp] and [Icp] by the cumulative sampled
+    ratio (evenly before the first sample).  [bcp_calls] and
+    [icp_calls] are counted as entries of each phase.  Ignored, like an
+    unbalanced exit, when the run's span is not innermost. *)
 
 val span : t -> phase -> (unit -> 'a) -> 'a
 (** [span t ph f] runs [f] inside phase [ph], exception-safely.

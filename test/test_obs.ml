@@ -21,6 +21,7 @@ module Openmetrics = Rtlsat_obs.Openmetrics
 module Env = Rtlsat_obs.Env
 module Ledger = Rtlsat_obs.Ledger
 module Trace_diff = Rtlsat_obs.Trace_diff
+module Mono = Rtlsat_obs.Mono
 module Fuzz_case = Rtlsat_fuzz.Case
 module P = Rtlsat_constr.Problem
 module T = Rtlsat_constr.Types
@@ -266,15 +267,19 @@ let test_trace_round_trip () =
 
 (* against Obs.disabled: a trace-file handle, and the recorder-armed
    handle with heartbeats that the CLI attaches by default — the
-   instrumented propagation loop must make the same search *)
+   instrumented propagation loop must make the same search.  [pin]
+   checks the armed handle right after its solve. *)
 let test_observation_does_not_change_solve () =
-  let same_search ~prop ~bound =
+  let same_search ?(pin = ignore) ~prop ~bound () =
     let plain = solve_instance ~collect:true ~prop ~bound () in
     let path = Filename.temp_file "rtlsat_trace" ".jsonl" in
     let traced = Obs.create ~trace:(Trace.to_file path) () in
-    let armed = Obs.create ~recorder:(Recorder.create ()) ~heartbeat_every:1.0 () in
+    let armed () =
+      Obs.create ~recorder:(Recorder.create ()) ~heartbeat_every:1.0 ()
+    in
     List.iter
-      (fun (handle, obs) ->
+      (fun (handle, make, check) ->
+         let obs = make () in
          let observed = solve_instance ~obs ~collect:true ~prop ~bound () in
          let what m = Printf.sprintf "b13_%s(%d) %s: same %s" prop bound handle m in
          check_bool (what "result") true (plain.Solver.result = observed.Solver.result);
@@ -285,22 +290,70 @@ let test_observation_does_not_change_solve () =
          check_int (what "propagations") plain.Solver.stats.Solver.propagations
            observed.Solver.stats.Solver.propagations;
          check_bool (what "learned clauses, same order") true
-           (plain.Solver.learned_clauses = observed.Solver.learned_clauses))
-      [ ("traced", traced); ("flight recorder", armed) ];
+           (plain.Solver.learned_clauses = observed.Solver.learned_clauses);
+         check obs)
+      [ ("traced", (fun () -> traced), ignore); ("flight recorder", armed, pin) ];
     Obs.close traced;
     Sys.remove path
   in
-  same_search ~prop:"1" ~bound:10;
+  (* what sampling the BCP/ICP split and the per-constraint time must
+     not move: the exact counts the unsampled timers gave *)
+  let pin obs =
+    let sn = Obs.snapshot obs in
+    let phase name =
+      match List.find_opt (fun (n, _, _) -> n = name) sn.Obs.phases with
+      | Some (_, self, calls) -> (self, calls)
+      | None -> Alcotest.failf "no %s phase" name
+    in
+    let bcp_self, bcp_calls = phase "bcp" and icp_self, icp_calls = phase "icp" in
+    check_int "bcp calls" 214400 bcp_calls;
+    check_int "icp calls" 214192 icp_calls;
+    check_bool
+      (Printf.sprintf "bcp + icp self (%.3fs + %.3fs) within the wall (%.3fs)"
+         bcp_self icp_self sn.Obs.wall)
+      true
+      (bcp_self +. icp_self <= sn.Obs.wall);
+    let all =
+      match Obs.forensics obs with
+      | Some f -> Forensics.top_constraints f ~k:max_int
+      | None -> Alcotest.fail "no forensics attached"
+    in
+    let total g = List.fold_left (fun acc h -> acc + g h) 0 all in
+    check_int "woken constraints" 2800 (List.length all);
+    check_int "total wakeups" 454388 (total (fun h -> h.Forensics.hc_wakeups));
+    check_int "total narrows" 81024 (total (fun h -> h.Forensics.hc_narrows));
+    check_int "total shaved" 482305 (total (fun h -> h.Forensics.hc_shaved));
+    (* the five most-narrowing constraints: id, wakeups, narrows, shaved *)
+    let by_narrows =
+      List.sort
+        (fun a b ->
+           compare
+             (b.Forensics.hc_narrows, b.Forensics.hc_shaved, a.Forensics.hc_id)
+             (a.Forensics.hc_narrows, a.Forensics.hc_shaved, b.Forensics.hc_id))
+        all
+    in
+    List.iteri
+      (fun i (id, wakeups, narrows, shaved) ->
+         let h = List.nth by_narrows i in
+         let what m = Printf.sprintf "hot constraint %d: %s" i m in
+         check_int (what "id") id h.Forensics.hc_id;
+         check_int (what "wakeups") wakeups h.Forensics.hc_wakeups;
+         check_int (what "narrows") narrows h.Forensics.hc_narrows;
+         check_int (what "shaved") shaved h.Forensics.hc_shaved)
+      [ (1420, 732, 317, 1717); (1308, 733, 316, 1720); (1532, 695, 303, 1621);
+        (1364, 648, 300, 1617); (972, 689, 297, 1544) ]
+  in
+  same_search ~prop:"1" ~bound:10 ();
   (* a b13-class search: about a thousand conflicts and 2*10^5
      propagations through the instrumented loop *)
-  same_search ~prop:"2" ~bound:50
+  same_search ~pin ~prop:"2" ~bound:50 ()
 
 (* ---- forensics: stall detection unit tests ---- *)
 
 let test_stall_detection () =
   let f = Forensics.create ~nvars:4 ~nconstrs:2 in
   let wide = Forensics.stall_min_width + 1 in
-  Forensics.constr_enter f 1 ~now:0.0;
+  ignore (Forensics.constr_enter f 1);
   (* stall_streak - 1 tiny narrowings: no report yet *)
   for _ = 1 to Forensics.stall_streak - 1 do
     match Forensics.note_narrow f ~var:0 ~shaved:1 ~width:wide with
@@ -319,7 +372,7 @@ let test_stall_detection () =
   (match Forensics.note_narrow f ~var:0 ~shaved:1 ~width:wide with
    | Some _ -> Alcotest.fail "re-reported without backoff"
    | None -> ());
-  Forensics.constr_exit f ~now:0.0;
+  Forensics.constr_exit f;
   check_int "reports so far" 1 (Forensics.stalls f)
 
 let test_stall_needs_wide_domain_and_tiny_shave () =
@@ -345,33 +398,67 @@ let test_stall_needs_wide_domain_and_tiny_shave () =
   check_int "no reports" 0 (Forensics.stalls f)
 
 let test_forensics_attribution () =
-  let f = Forensics.create ~nvars:3 ~nconstrs:2 in
+  let p = Forensics.sample_period in
+  check_int "per-constraint time sampling period" 64 p;
+  let f = Forensics.create ~nvars:3 ~nconstrs:3 in
   Forensics.set_names f
     ~var_name:(Printf.sprintf "v%d")
     ~constr_desc:(Printf.sprintf "c%d");
-  (* chained wakeups, as the propagation loop stamps them: c0 runs
-     2 ms, c1 starts at c0's exit stamp and runs 0.5 ms, so
-     top_constraints (time first) ranks c0 ahead *)
-  Forensics.constr_enter f 0 ~now:1.0;
-  ignore (Forensics.note_narrow f ~var:1 ~shaved:5 ~width:100);
-  ignore (Forensics.note_narrow f ~var:2 ~shaved:3 ~width:50);
-  Forensics.constr_exit f ~now:1.002;
-  Forensics.constr_enter f 1 ~now:1.002;
-  ignore (Forensics.note_narrow f ~var:1 ~shaved:2 ~width:98);
-  Forensics.constr_exit f ~now:1.0025;
+  (* the propagation loop's protocol with injected clock stamps: every
+     sampled wakeup lasts 1 ms *)
+  let clock = ref 1.0 in
+  let wake ci body =
+    if Forensics.constr_enter f ci then begin
+      let enter = !clock in
+      body ();
+      clock := !clock +. 0.001;
+      Forensics.constr_exit_sampled f ~enter ~exit:!clock
+    end
+    else begin
+      body ();
+      Forensics.constr_exit f
+    end
+  in
+  (* c0: 3·64 wakeups, each narrowing v1 by 5 and v2 by 3 *)
+  for _ = 1 to 3 * p do
+    wake 0 (fun () ->
+        ignore (Forensics.note_narrow f ~var:1 ~shaved:5 ~width:100);
+        ignore (Forensics.note_narrow f ~var:2 ~shaved:3 ~width:50))
+  done;
+  (* a narrowing between wakeups (clause propagation) is charged to no
+     constraint *)
+  ignore (Forensics.note_narrow f ~var:2 ~shaved:1 ~width:49);
+  (* c1: 64 wakeups, the first narrowing v1 by 2; c2 is never woken *)
+  for i = 1 to p do
+    wake 1 (fun () ->
+        if i = 1 then ignore (Forensics.note_narrow f ~var:1 ~shaved:2 ~width:98))
+  done;
+  let check_ms what ms t =
+    Alcotest.(check (float 1e-9)) what (float_of_int ms /. 1000.0) t
+  in
   (match Forensics.top_constraints f ~k:10 with
    | [ a; b ] ->
-     check_int "c0 wakeups" 1 a.Forensics.hc_wakeups;
-     check_int "c0 narrows" 2 a.Forensics.hc_narrows;
-     check_int "c0 shaved" 8 a.Forensics.hc_shaved;
-     check_string "c0 desc" "c0" a.Forensics.hc_desc;
-     check_int "c1 narrows" 1 b.Forensics.hc_narrows
+     check_string "c0 first (most time)" "c0" a.Forensics.hc_desc;
+     check_int "c0 wakeups" (3 * p) a.Forensics.hc_wakeups;
+     check_int "c0 narrows" (6 * p) a.Forensics.hc_narrows;
+     check_int "c0 shaved" (24 * p) a.Forensics.hc_shaved;
+     check_ms "c0 time: 3x64 wakeups of 1 ms" (3 * p) a.Forensics.hc_time;
+     check_int "c1 id" 1 b.Forensics.hc_id;
+     check_int "c1 wakeups" p b.Forensics.hc_wakeups;
+     check_int "c1 narrows" 1 b.Forensics.hc_narrows;
+     check_int "c1 shaved" 2 b.Forensics.hc_shaved;
+     check_ms "c1 time: 64 wakeups of 1 ms" p b.Forensics.hc_time
    | l -> Alcotest.failf "expected 2 hot constraints, got %d" (List.length l));
+  (* c2 never woke: no wakeup, narrowing or time, so it is not listed *)
+  check_bool "never-woken c2 reads 0" false
+    (List.exists
+       (fun h -> h.Forensics.hc_id = 2)
+       (Forensics.top_constraints f ~k:max_int));
   (match Forensics.top_vars f ~k:1 with
    | [ v ] ->
      check_int "hottest var" 1 v.Forensics.hv_id;
-     check_int "its narrows" 2 v.Forensics.hv_narrows;
-     check_int "its shaved" 7 v.Forensics.hv_shaved
+     check_int "its narrows" ((3 * p) + 1) v.Forensics.hv_narrows;
+     check_int "its shaved" ((15 * p) + 2) v.Forensics.hv_shaved
    | l -> Alcotest.failf "expected 1 hot var, got %d" (List.length l))
 
 (* attribution totals are pure functions of the search, so two
@@ -830,6 +917,34 @@ let test_overhead_guard () =
     (Printf.sprintf "telemetry overhead (off %.3fs, on %.3fs)" off on_)
     true
     (on_ <= (off *. 2.0) +. 0.25)
+
+(* The CLI-default handle (flight recorder, 1 s heartbeat) on a
+   b13-class search, against Obs.disabled, best-of-3 each with the two
+   arms interleaved so a load change hits both: a few clock reads per
+   propagation run may cost little, a clock read per constraint wakeup
+   or a full frontier scan per decision may not. *)
+let test_overhead_guard_cli_default () =
+  let time f =
+    let t0 = Mono.now () in
+    ignore (f ());
+    Mono.now () -. t0
+  in
+  let off = ref infinity and on_ = ref infinity in
+  for _ = 1 to 3 do
+    off := Float.min !off (time (fun () -> solve_instance ~prop:"2" ~bound:50 ()));
+    on_ :=
+      Float.min !on_
+        (time (fun () ->
+             let obs =
+               Obs.create ~recorder:(Recorder.create ()) ~heartbeat_every:1.0 ()
+             in
+             solve_instance ~obs ~prop:"2" ~bound:50 ()))
+  done;
+  check_bool
+    (Printf.sprintf "CLI-default telemetry overhead (off %.3fs, on %.3fs)" !off
+       !on_)
+    true
+    (!on_ <= (!off *. 1.35) +. 0.03)
 
 let test_openmetrics_exposition () =
   let obs = Obs.create () in
@@ -1379,6 +1494,8 @@ let () =
           Alcotest.test_case "flight dump through obs" `Quick
             test_flight_dump_through_obs;
           Alcotest.test_case "overhead guard" `Slow test_overhead_guard;
+          Alcotest.test_case "overhead guard, CLI default on b13_2(50)" `Slow
+            test_overhead_guard_cli_default;
           Alcotest.test_case "openmetrics exposition" `Quick
             test_openmetrics_exposition;
           Alcotest.test_case "openmetrics solve report" `Quick
