@@ -1007,9 +1007,23 @@ let sat_cmd =
   in
   let run file timeout opts stats_json flight flight_out ledger =
     let simplify = opts.eo_simplify and inprocess = opts.eo_inprocess in
-    let ic = open_in_bin file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
+    let cnf =
+      match
+        let ic = open_in_bin file in
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      with
+      | text -> (
+          match Rtlsat_sat.Dimacs.parse text with
+          | cnf -> cnf
+          | exception Failure msg ->
+            Format.eprintf "rtlsat: %s: %s@." file msg;
+            exit 2)
+      | exception Sys_error msg ->
+        Format.eprintf "rtlsat: cannot read %s: %s@." file msg;
+        exit 2
+    in
     let obs =
       if flight then Obs.create ~recorder:(Recorder.create ()) ~heartbeat_every:1.0 ()
       else Obs.disabled
@@ -1038,8 +1052,8 @@ let sat_cmd =
     let solver_out = ref None in
     let result =
       try
-        Rtlsat_sat.Dimacs.solve_text ~deadline ~simplify ~inprocess ~solver_out
-          ~obs text
+        Rtlsat_sat.Dimacs.solve_cnf ~deadline ~simplify ~inprocess ~solver_out
+          ~obs cnf
       with e ->
         ignore (dump_flight ());
         raise e

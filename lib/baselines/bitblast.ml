@@ -233,7 +233,8 @@ type result = Sat | Unsat | Timeout
    eliminated variables may no longer be mentioned.  Model readback
    ([node_value]) is unaffected either way — the CDCL engine extends
    Sat models back over substituted and eliminated variables. *)
-let simplify ?(elim = false) t = C.simplify ~elim t.sat
+let simplify ?(elim = false) ?deadline ?cancel t =
+  C.simplify ~elim ?deadline ?cancel t.sat
 let simp_stats t = C.simp_stats t.sat
 
 let solve ?deadline ?assumptions ?inprocess ?cancel t =

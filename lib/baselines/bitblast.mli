@@ -38,13 +38,15 @@ type result =
   | Unsat
   | Timeout
 
-val simplify : ?elim:bool -> t -> unit
+val simplify :
+  ?elim:bool -> ?deadline:float -> ?cancel:bool Atomic.t -> t -> unit
 (** Pre/inprocess the CNF with {!Rtlsat_sat.Cdcl.simplify}.
     [elim:true] (bounded variable elimination) is only sound for
     one-shot solving — keep it off (the default) when the encoding
     will later {!extend} or assume literals.  [node_value] keeps
     working either way: Sat models are extended back over substituted
-    and eliminated variables. *)
+    and eliminated variables.  [deadline] and [cancel] cut the passes
+    short as in {!Rtlsat_sat.Cdcl.simplify}. *)
 
 val simp_stats : t -> Rtlsat_simplify.Simp.stats
 (** Cumulative simplification counters of the underlying solver. *)

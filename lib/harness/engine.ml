@@ -273,24 +273,35 @@ module Bitblast_e : S = struct
     in
     { s_req = req; s_created = Mono.now (); mode = Sweep { sw; bb } }
 
-  let simplify_with_obs obs ~elim bb =
+  (* simplify, then record this call's work: the solver's Simp
+     counters are cumulative (inprocessing adds to them too), so the
+     counters and the trace event carry the delta of this call *)
+  let simplify_with_obs obs ~elim ~deadline ~cancel bb =
     Obs.span obs Obs.Simplify (fun () ->
-        Bb.simplify ~elim bb;
-        if elim && obs.Obs.enabled then begin
+        let open Rtlsat_simplify.Simp in
+        let before = empty_stats () in
+        if obs.Obs.enabled then add_stats before (Bb.simp_stats bb);
+        Bb.simplify ~elim ~deadline ~cancel bb;
+        if obs.Obs.enabled then begin
           let st = Bb.simp_stats bb in
-          let open Rtlsat_simplify.Simp in
-          Obs.add obs "simplify.subsumed" st.subsumed;
-          Obs.add obs "simplify.strengthened" st.strengthened;
-          Obs.add obs "simplify.eliminated" st.eliminated;
-          Obs.add obs "simplify.probed" st.probed;
+          let subsumed = st.subsumed - before.subsumed
+          and strengthened = st.strengthened - before.strengthened
+          and eliminated = st.eliminated - before.eliminated
+          and probed = st.probed - before.probed
+          and equivs = st.equivs - before.equivs in
+          Obs.add obs "simplify.subsumed" subsumed;
+          Obs.add obs "simplify.strengthened" strengthened;
+          Obs.add obs "simplify.eliminated" eliminated;
+          Obs.add obs "simplify.probed" probed;
+          Obs.add obs "simplify.equivs" equivs;
           if Obs.tracing obs then
             Obs.event obs "simplify.pass"
               [ ("engine", Json.Str "cdcl");
-                ("subsumed", Json.Int st.subsumed);
-                ("strengthened", Json.Int st.strengthened);
-                ("eliminated", Json.Int st.eliminated);
-                ("probed", Json.Int st.probed);
-                ("equivs", Json.Int st.equivs) ]
+                ("subsumed", Json.Int subsumed);
+                ("strengthened", Json.Int strengthened);
+                ("eliminated", Json.Int eliminated);
+                ("probed", Json.Int probed);
+                ("equivs", Json.Int equivs) ]
         end)
 
   let solve ~req s =
@@ -304,7 +315,9 @@ module Bitblast_e : S = struct
          clause at [create], not an assumption, and the encoding never
          grows — so full preprocessing including variable elimination
          is sound *)
-      if s.s_req.Req.simplify then simplify_with_obs obs ~elim:true bb;
+      if s.s_req.Req.simplify then
+        simplify_with_obs obs ~elim:true ~deadline ~cancel:s.s_req.Req.cancel
+          bb;
       let verdict =
         match
           Bb.solve ~deadline ~inprocess:s.s_req.Req.inprocess
@@ -343,10 +356,13 @@ module Bitblast_e : S = struct
          subsumption, probing and equivalent-literal substitution
          remain sound (assumptions and later clauses are rewritten
          through the substitution) *)
-      if s.s_req.Req.simplify then simplify_with_obs obs ~elim:false bb;
+      let deadline = Req.deadline_from req t0 in
+      if s.s_req.Req.simplify then
+        simplify_with_obs obs ~elim:false ~deadline
+          ~cancel:s.s_req.Req.cancel bb;
       let verdict =
         match
-          Bb.solve ~deadline:(Req.deadline_from req t0)
+          Bb.solve ~deadline
             ~inprocess:s.s_req.Req.inprocess ~cancel:s.s_req.Req.cancel
             ~assumptions:[ Bb.bool_lit bb vnode ] bb
         with

@@ -331,8 +331,10 @@ let propagate t =
    watches and clause store are rebuilt.  [elim] enables bounded
    variable elimination — only sound while no later [add_clause] or
    assumption mentions an eliminated variable, so it defaults to off;
-   [frozen] additionally protects known assumption variables. *)
-let simplify ?(elim = false) ?(frozen = []) t =
+   [frozen] additionally protects known assumption variables.  Past
+   [deadline] or once [cancel] is set, Simp cuts its remaining passes
+   short; the database it hands back is still equisatisfiable. *)
+let simplify ?(elim = false) ?(frozen = []) ?(deadline = infinity) ?cancel t =
   backtrack t 0;
   if (not t.unsat_root) && propagate t >= 0 then t.unsat_root <- true;
   if not t.unsat_root then begin
@@ -340,9 +342,13 @@ let simplify ?(elim = false) ?(frozen = []) t =
     let clauses = fold_clauses (fun acc c -> Array.copy c :: acc) [] t in
     let frozen_a = Array.make (max t.nvars 1) false in
     List.iter (fun v -> if v < t.nvars then frozen_a.(v) <- true) frozen;
+    let stop () =
+      Rtlsat_obs.Mono.now () > deadline
+      || match cancel with Some c -> Atomic.get c | None -> false
+    in
     let r =
-      Simp.run ~elim ~frozen:(fun v -> frozen_a.(v)) ~nvars:t.nvars ~units
-        ~clauses ()
+      Simp.run ~elim ~frozen:(fun v -> frozen_a.(v)) ~stop ~nvars:t.nvars
+        ~units ~clauses ()
     in
     Simp.add_stats t.simp r.Simp.r_stats;
     if r.Simp.r_unsat then t.unsat_root <- true
@@ -580,7 +586,7 @@ let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
            must keep their variables addressable *)
         if inprocess > 0 && t.conflicts - !last_simp >= inprocess then begin
           last_simp := t.conflicts;
-          simplify ~elim:false t;
+          simplify ~elim:false ~deadline ?cancel t;
           if t.unsat_root then result := Some Unsat
           else assumptions := List.map (rep_lit t) !assumptions
         end

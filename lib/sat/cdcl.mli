@@ -44,7 +44,13 @@ val add_clause : t -> lit list -> unit
     literal substitution left by {!simplify}; mentioning a variable
     removed by variable elimination raises [Invalid_argument]. *)
 
-val simplify : ?elim:bool -> ?frozen:int list -> t -> unit
+val simplify :
+  ?elim:bool ->
+  ?frozen:int list ->
+  ?deadline:float ->
+  ?cancel:bool Atomic.t ->
+  t ->
+  unit
 (** Run the pre/inprocessing pipeline ({!Rtlsat_simplify.Simp}) over
     the whole clause database — subsumption, self-subsuming
     resolution, failed-literal probing, binary-implication SCC
@@ -58,7 +64,14 @@ val simplify : ?elim:bool -> ?frozen:int list -> t -> unit
     that must never be eliminated (e.g. future assumption variables).
     Models returned by later [solve] calls are automatically extended
     over substituted and eliminated variables, so {!value} and
-    {!model} are unaffected. *)
+    {!model} are unaffected.
+
+    [deadline] (monotonic clock, as in {!solve}) and [cancel] are
+    polled between passes and every few thousand clause visits inside
+    them: past the deadline or once cancelled, the pipeline stops early
+    and the solver is rebuilt from the partly simplified, still
+    equisatisfiable formula, so a following {!solve} with the same
+    deadline returns [Timeout] promptly. *)
 
 val simp_stats : t -> Rtlsat_simplify.Simp.stats
 (** Cumulative pass counters over every {!simplify} call on this

@@ -40,8 +40,7 @@ let parse text =
   if !current <> [] then clauses := List.rev !current :: !clauses;
   (!n_vars, List.rev !clauses)
 
-let load solver text =
-  let n_vars, clauses = parse text in
+let load_cnf solver (n_vars, clauses) =
   let map = Array.init n_vars (fun _ -> Cdcl.new_var solver) in
   List.iter
     (fun cl ->
@@ -53,18 +52,23 @@ let load solver text =
     clauses;
   map
 
-let solve_text ?deadline ?(simplify = true) ?(inprocess = 0) ?solver_out ?obs
-    text =
+let load solver text = load_cnf solver (parse text)
+
+let solve_cnf ?deadline ?(simplify = true) ?(inprocess = 0) ?solver_out ?obs
+    cnf =
   let solver = Cdcl.create () in
   (match solver_out with Some r -> r := Some solver | None -> ());
-  let map = load solver text in
+  let map = load_cnf solver cnf in
   (* one-shot solving: no clause will ever be added after this point,
      so full preprocessing including variable elimination is sound *)
-  if simplify then Cdcl.simplify ~elim:true solver;
+  if simplify then Cdcl.simplify ~elim:true ?deadline solver;
   match Cdcl.solve ?deadline ~inprocess ?obs solver with
   | Cdcl.Unsat -> `Unsat
   | Cdcl.Timeout -> `Timeout
   | Cdcl.Sat -> `Sat (Array.map (fun v -> Cdcl.value solver v) map)
+
+let solve_text ?deadline ?simplify ?inprocess ?solver_out ?obs text =
+  solve_cnf ?deadline ?simplify ?inprocess ?solver_out ?obs (parse text)
 
 let print_result fmt = function
   | `Unsat -> Format.fprintf fmt "s UNSATISFIABLE@."

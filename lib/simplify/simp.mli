@@ -24,7 +24,25 @@
       the eliminated variable ({!extend_model}).
 
     The result is equisatisfiable with the input, and every model of
-    the output extends to a model of the input via [repr] and [elim]. *)
+    the output extends to a model of the input via [repr] and [elim].
+
+    {b Implementation.}  The passes allocate almost nothing per clause
+    visit.  Clauses live in one array, kept sorted and duplicate free
+    between passes; a dead clause is the shared empty array.  Each
+    round builds one flat occurrence store (an offsets array plus a
+    data array, every literal's clauses newest first) that subsumption,
+    probing and elimination read without copying.  Unit extraction
+    ({i normalize}) is incremental: after its first full sweep it only
+    rewrites clauses that mention a variable assigned or substituted
+    since the previous sweep, and builds a variable index only when a
+    rewrite derives a new unit that earlier clauses must see.
+
+    {b Output contract.}  The result is a function of the input alone:
+    the clause order, the units, [repr], [elim] and every counter in
+    [r_stats] match those of the original list-based pipeline, kept
+    as [test/simp_ref.ml] and checked field by field by the
+    differential suite in [test/test_simplify.ml].  Downstream CDCL
+    search therefore does not move when this module is optimized. *)
 
 type stats = {
   mutable subsumed : int;      (** clauses deleted by subsumption *)
@@ -65,6 +83,7 @@ val run :
   ?elim:bool ->
   ?frozen:(int -> bool) ->
   ?max_rounds:int ->
+  ?stop:(unit -> bool) ->
   nvars:int ->
   units:int list ->
   clauses:int array list ->
@@ -78,7 +97,20 @@ val run :
     literals over arbitrary variables (e.g. incremental solving).
     [frozen] marks variables that must never be eliminated (assumption
     variables); substitution and units still apply to them, so
-    consumers must rewrite their own literals through [r_repr]. *)
+    consumers must rewrite their own literals through [r_repr].
+
+    [stop] (default: never) is polled before every round, between
+    passes and every few thousand clause visits inside subsumption,
+    probing and elimination — never inside unit extraction or SCC
+    collapsing, which always run to completion.  Once it returns
+    [true] the current pass ends at its next poll, the survivors are
+    normalized once more and the run returns: the result is still
+    equisatisfiable and reconstructible, just less simplified.  An
+    always-true [stop] returns right after the first unit extraction
+    with [rounds = 0].
+
+    Clause arrays in the result may be physically shared with
+    [clauses]; neither is mutated by [run]. *)
 
 val extend_model : result -> bool array -> unit
 (** [extend_model r model] completes a model of the simplified formula

@@ -8,6 +8,9 @@
 #   3. the top-level help lists the serve daemon next to solve/sweep
 #   4. a bound below 1 is invalid input (exit 2 with a message) on
 #      every subcommand that takes one, not an uncaught exception
+#   5. malformed DIMACS is invalid input for `sat` (exit 2, the file
+#      and line in the message), and a bit-blast solve honours a tiny
+#      --timeout even though preprocessing alone outlasts it
 # Pass the rtlsat binary as $1 (the dune rule does); standalone runs
 # build it first.
 set -eu
@@ -24,7 +27,8 @@ fi
 
 out=$(mktemp /tmp/rtlsat_help.XXXXXX.out)
 net=$(mktemp /tmp/rtlsat_help.XXXXXX.rtl)
-trap 'rm -f "$out" "$net"' EXIT
+cnf=$(mktemp /tmp/rtlsat_help.XXXXXX.cnf)
+trap 'rm -f "$out" "$net" "$cnf"' EXIT
 
 # 1. every subcommand answers --help
 "$rtlsat" --help=plain > "$out"
@@ -72,5 +76,32 @@ expect_exit2 solve -c b01 -p 1 -k 0
 expect_exit2 check "$net" -p prop -k 0
 expect_exit2 export -c b01 -p 1 -k 0
 expect_exit2 sweep -c b01 -p 1 --bounds 0,2
+
+# 5. malformed DIMACS exits 2 with FILE: line N; a 10 ms bit-blast
+#    solve reports TIMEOUT (verdict only: the wall time is not checked)
+expect_bad_cnf() {
+  printf "$1" > "$cnf"
+  status=0
+  "$rtlsat" sat --no-ledger --no-flight-recorder "$cnf" > "$out" 2>&1 \
+    || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "smoke_help: sat on '$1' exited $status, expected 2" >&2
+    cat "$out" >&2
+    exit 1
+  fi
+  grep -q "$cnf: line $2:" "$out"
+}
+expect_bad_cnf 'p cnf 2 1\n3 0\n' 2
+expect_bad_cnf '1 2 0\np cnf 2 1\n' 1
+expect_bad_cnf 'p cnf 2 1\n1 x 0\n' 2
+
+status=0
+"$rtlsat" solve -c b13 -p 2 -k 100 -e bitblast --timeout 0.01 --no-ledger \
+  --no-flight-recorder > "$out" 2>&1 || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "TIMEOUT" "$out"; then
+  echo "smoke_help: bit-blast solve ignored --timeout 0.01 (exit $status)" >&2
+  cat "$out" >&2
+  exit 1
+fi
 
 echo "smoke_help: all checks passed"

@@ -112,6 +112,208 @@ let test_frozen_never_eliminated () =
   check_bool "frozen variable survives" true
     (not (List.mem_assoc 0 r.Simp.r_elim))
 
+(* ---- differential suite: Simp against the reference pipeline ----
+
+   [Simp_ref] is a frozen copy of the list-based pipeline that the
+   allocation-free Simp replaced.  Simp promises a structurally equal
+   result on every input — same clauses in the same order, same units,
+   repr, elimination records and pass counters — because the CDCL
+   search downstream, and every counter pinned by the perf anchor,
+   depends on exactly that output. *)
+
+let same_stats (a : Simp.stats) (b : Simp_ref.stats) =
+  a.Simp.subsumed = b.Simp_ref.subsumed
+  && a.Simp.strengthened = b.Simp_ref.strengthened
+  && a.Simp.eliminated = b.Simp_ref.eliminated
+  && a.Simp.probed = b.Simp_ref.probed
+  && a.Simp.equivs = b.Simp_ref.equivs
+  && a.Simp.rounds = b.Simp_ref.rounds
+
+(* the first differing field, if any *)
+let result_diff (a : Simp.result) (b : Simp_ref.result) =
+  if a.Simp.r_unsat <> b.Simp_ref.r_unsat then Some "r_unsat"
+  else if a.Simp.r_clauses <> b.Simp_ref.r_clauses then Some "r_clauses"
+  else if a.Simp.r_units <> b.Simp_ref.r_units then Some "r_units"
+  else if a.Simp.r_repr <> b.Simp_ref.r_repr then Some "r_repr"
+  else if a.Simp.r_elim <> b.Simp_ref.r_elim then Some "r_elim"
+  else if not (same_stats a.Simp.r_stats b.Simp_ref.r_stats) then
+    Some "r_stats"
+  else None
+
+let diff_label a b =
+  match result_diff a b with None -> "equal" | Some f -> f ^ " differs"
+
+type dcase = {
+  d_nvars : int;
+  d_units : int list;
+  d_clauses : int array list;
+  d_elim : bool;
+  d_frozen : int list;
+  d_rounds : int;
+}
+
+let print_dcase d =
+  let lits c = String.concat "," (List.map string_of_int (Array.to_list c)) in
+  Printf.sprintf "nvars=%d elim=%b rounds=%d frozen=[%s] units=[%s] cls=[%s]"
+    d.d_nvars d.d_elim d.d_rounds
+    (String.concat "," (List.map string_of_int d.d_frozen))
+    (String.concat "," (List.map string_of_int d.d_units))
+    (String.concat ";" (List.map lits d.d_clauses))
+
+(* small variable counts so duplicate literals, tautologies, units,
+   subsumption and elimination all occur; explicit implication cycles
+   give the SCC pass equivalences to find *)
+let gen_dcase =
+  QCheck.Gen.(
+    let* nvars = int_range 1 14 in
+    let lit = map2 (fun v neg -> (2 * v) + if neg then 1 else 0)
+        (int_bound (nvars - 1)) bool in
+    let clause =
+      map Array.of_list
+        (list_size
+           (frequency
+              [ (3, return 1); (20, return 2); (30, return 3); (20, return 4);
+                (10, return 5) ])
+           lit)
+    in
+    let* plain = list_size (int_range 0 (3 * nvars)) clause in
+    let* cycles =
+      list_size (int_range 0 2)
+        (map
+           (fun ls ->
+              (* l1 -> l2 -> ... -> l1 as binary clauses (~li v li+1) *)
+              match ls with
+              | [] -> []
+              | first :: _ ->
+                let rec edges = function
+                  | a :: (b :: _ as rest) -> [| a lxor 1; b |] :: edges rest
+                  | [ last ] -> [ [| last lxor 1; first |] ]
+                  | [] -> []
+                in
+                edges ls)
+           (list_size (int_range 2 4) lit))
+    in
+    let* empty = frequency [ (1, return [ [||] ]); (40, return []) ] in
+    let* clauses = shuffle_l (plain @ List.concat cycles @ empty) in
+    let* units = list_size (int_range 0 2) lit in
+    let* frozen = list_size (int_range 0 3) (int_bound (nvars - 1)) in
+    let* d_elim = bool in
+    let* d_rounds = int_range 1 3 in
+    return
+      { d_nvars = nvars; d_units = units; d_clauses = clauses; d_elim;
+        d_frozen = frozen; d_rounds })
+
+let run_both d =
+  let frozen v = List.mem v d.d_frozen in
+  ( Simp.run ~elim:d.d_elim ~frozen ~max_rounds:d.d_rounds ~nvars:d.d_nvars
+      ~units:d.d_units ~clauses:d.d_clauses (),
+    Simp_ref.run ~elim:d.d_elim ~frozen ~max_rounds:d.d_rounds
+      ~nvars:d.d_nvars ~units:d.d_units ~clauses:d.d_clauses () )
+
+let simp_matches_reference =
+  QCheck.Test.make ~count:2000 ~name:"Simp.run = reference on every field"
+    (QCheck.make ~print:print_dcase gen_dcase)
+    (fun d ->
+       let a, b = run_both d in
+       match result_diff a b with
+       | None -> true
+       | Some field -> QCheck.Test.fail_reportf "%s differs" field)
+
+(* the bit-blast CNF of a Table 2 row, units split off as CDCL hands
+   them to Simp *)
+let bitblast_cnf (circuit, prop, bound) =
+  let inst = Registry.instance ~circuit ~prop ~bound in
+  let bb = Bitblast.encode (Unroll.combo inst.Bmc.unrolled) in
+  Bitblast.assume_bool bb inst.Bmc.violation true;
+  let nvars, cls = Dimacs.parse (Bitblast.to_dimacs bb) in
+  let units, clauses =
+    List.partition_map
+      (function [ u ] -> Either.Left (l u) | c -> Either.Right (clause c))
+      cls
+  in
+  (nvars, units, clauses)
+
+let test_reference_on_bitblast_rows () =
+  List.iter
+    (fun ((c, p, k) as row) ->
+       let nvars, units, clauses = bitblast_cnf row in
+       List.iter
+         (fun elim ->
+            let a = Simp.run ~elim ~nvars ~units ~clauses () in
+            let b = Simp_ref.run ~elim ~nvars ~units ~clauses () in
+            check_string
+              (Printf.sprintf "%s_%s(%d) elim=%b" c p k elim)
+              "equal" (diff_label a b))
+         [ true; false ])
+    [ ("b04", "1", 50); ("b13", "2", 50); ("b13", "8", 50) ]
+
+(* solve a Simp result with a plain CDCL solver; Sat models are
+   extended back to the input variables *)
+let solve_result ~nvars r =
+  if r.Simp.r_unsat then None
+  else begin
+    let s = Cdcl.create () in
+    for _ = 1 to nvars do ignore (Cdcl.new_var s) done;
+    List.iter (fun u -> Cdcl.add_clause s [ u ]) r.Simp.r_units;
+    List.iter (fun c -> Cdcl.add_clause s (Array.to_list c)) r.Simp.r_clauses;
+    match Cdcl.solve s with
+    | Cdcl.Sat ->
+      let model = Array.init nvars (Cdcl.value s) in
+      Simp.extend_model r model;
+      Some model
+    | _ -> None
+  end
+
+let satisfies model units clauses =
+  let lit_true x = model.(x lsr 1) = (x land 1 = 0) in
+  List.for_all lit_true units
+  && List.for_all (fun c -> Array.exists lit_true c) clauses
+
+let test_stop_after_first_normalize () =
+  (* the transition relation of b04_1(10) without the violation: a
+     satisfiable CNF on which every pass has work to do *)
+  let inst = Registry.instance ~circuit:"b04" ~prop:"1" ~bound:10 in
+  let bb = Bitblast.encode (Unroll.combo inst.Bmc.unrolled) in
+  let nvars, cls = Dimacs.parse (Bitblast.to_dimacs bb) in
+  let clauses = List.map clause cls in
+  let polls = ref 0 in
+  let r =
+    Simp.run ~stop:(fun () -> incr polls; true) ~nvars ~units:[] ~clauses ()
+  in
+  check_int "no round started" 0 r.Simp.r_stats.Simp.rounds;
+  check_int "polled once" 1 !polls;
+  (* ending after the first normalize is what zero rounds of the
+     reference pipeline compute *)
+  let b = Simp_ref.run ~max_rounds:0 ~nvars ~units:[] ~clauses () in
+  check_string "equals the normalized input" "equal" (diff_label r b);
+  match solve_result ~nvars r with
+  | None -> Alcotest.fail "stopped result lost satisfiability"
+  | Some model ->
+    check_bool "model extends to the input" true
+      (satisfies model [] clauses)
+
+(* a stop that fires at an arbitrary poll, inside a pass or between
+   passes, still leaves an equisatisfiable, reconstructible formula *)
+let stopped_runs_stay_sound =
+  QCheck.Test.make ~count:500 ~name:"stopped runs stay equisatisfiable"
+    (QCheck.make
+       ~print:(fun (d, k) -> Printf.sprintf "stop at poll %d, %s" k (print_dcase d))
+       QCheck.Gen.(pair gen_dcase (int_range 1 6)))
+    (fun (d, k) ->
+       let frozen v = List.mem v d.d_frozen in
+       let polls = ref 0 in
+       let stop () = incr polls; !polls >= k in
+       let run ?stop () =
+         Simp.run ?stop ~elim:d.d_elim ~frozen ~max_rounds:d.d_rounds
+           ~nvars:d.d_nvars ~units:d.d_units ~clauses:d.d_clauses ()
+       in
+       let full = solve_result ~nvars:d.d_nvars (run ()) in
+       let cut = solve_result ~nvars:d.d_nvars (run ~stop ()) in
+       match (full, cut) with
+       | None, None -> true
+       | Some _, Some m -> satisfies m d.d_units d.d_clauses
+       | _ -> false)
+
 (* ---- CDCL end-to-end: on/off equivalence with model checking ---- *)
 
 (* deterministic random k-CNF text; small enough that both arms always
@@ -268,6 +470,26 @@ let test_hybrid_phase_instrumented () =
   in
   check_bool "simplify phase entered" true (calls >= 1)
 
+let test_bitblast_sweep_counts_preprocessing () =
+  (* every incremental bit-blast step preprocesses without
+     elimination; its work must reach the counters like a one-shot
+     solve's does *)
+  let obs = Obs.create () in
+  let source, props = Registry.build "b13" in
+  let steps =
+    Engines.run_sweep
+      ~req:(Rtlsat_harness.Req.make ~timeout:20.0 ~obs ())
+      Engines.Bitblast source ~prop:(List.assoc "1" props) ~bounds:[ 5; 10 ]
+  in
+  check_int "two steps" 2 (List.length steps);
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.snapshot obs).Obs.counter_values)
+  in
+  check_bool "equivalences counted" true (counter "simplify.equivs" > 0);
+  check_bool "subsumption counted" true (counter "simplify.subsumed" > 0);
+  check_int "no elimination in a sweep" 0 (counter "simplify.eliminated")
+
 let test_engine_simplify_off_matches_seed_behaviour () =
   (* --no-simplify must reproduce the prior solver exactly: same
      verdict, same decision/conflict counts with and without the new
@@ -350,6 +572,15 @@ let () =
           Alcotest.test_case "frozen variables" `Quick
             test_frozen_never_eliminated;
         ] );
+      ( "reference",
+        [
+          Alcotest.test_case "bit-blast rows equal the reference" `Quick
+            test_reference_on_bitblast_rows;
+          Alcotest.test_case "stop ends after the first normalize" `Quick
+            test_stop_after_first_normalize;
+        ] );
+      Qutil.qsuite "differential"
+        [ simp_matches_reference; stopped_runs_stay_sound ];
       ( "cdcl",
         [
           Alcotest.test_case "on/off + models on random CNF" `Quick
@@ -366,6 +597,8 @@ let () =
             test_hybrid_on_off_same_result;
           Alcotest.test_case "phase instrumented" `Quick
             test_hybrid_phase_instrumented;
+          Alcotest.test_case "bit-blast sweep counts preprocessing" `Quick
+            test_bitblast_sweep_counts_preprocessing;
           Alcotest.test_case "off reproduces seed behaviour" `Quick
             test_engine_simplify_off_matches_seed_behaviour;
         ] );
