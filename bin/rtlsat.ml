@@ -200,11 +200,19 @@ let engine_opts_term =
         { eo_split; eo_simplify; eo_inprocess })
     $ split $ simplify $ inprocess)
 
+(* a request Req.make rejects (a negative or NaN --timeout) exits 2 *)
+let checked_req make =
+  try make ()
+  with Invalid_argument msg ->
+    Format.eprintf "rtlsat: %s@." msg;
+    exit 2
+
 (* the one request context of the run: shared spec + per-command budget
    and telemetry *)
 let req_of_opts ?obs ?dump_graph ?dump_graph_max ~timeout o =
-  Req.make ~timeout ?obs ~split:o.eo_split ~simplify:o.eo_simplify
-    ~inprocess:o.eo_inprocess ?dump_graph ?dump_graph_max ()
+  checked_req (fun () ->
+      Req.make ~timeout ?obs ~split:o.eo_split ~simplify:o.eo_simplify
+        ~inprocess:o.eo_inprocess ?dump_graph ?dump_graph_max ())
 
 (* the --trace spec, shared shape with per-command doc *)
 let trace_term ~doc =
@@ -352,6 +360,7 @@ let solve_cmd =
   let run case_file circuit prop bound engine timeout stats_json trace_out
       dump_graph dump_graph_max progress opts flight flight_out heartbeat
       metrics_out jobs cube ledger =
+    let req = req_of_opts ?dump_graph ~dump_graph_max ~timeout opts in
     let inst, label =
       match (case_file, circuit, prop, bound) with
       | Some file, None, None, None ->
@@ -447,9 +456,7 @@ let solve_cmd =
            "rtlsat: --cube needs a hybrid engine (no split heap to cube on)@.";
          exit 2);
     let mode_note = ref [] in
-    let req =
-      req_of_opts ~obs ?dump_graph ~dump_graph_max ~timeout opts
-    in
+    let req = Req.with_obs req obs in
     let r =
       try
         if cube then begin
@@ -608,6 +615,7 @@ let check_cmd =
   in
   let timeout = Arg.(value & opt float 1200.0 & info [ "timeout" ]) in
   let run file port bound any vcd_out timeout =
+    let req = checked_req (fun () -> Req.make ~timeout ()) in
     let circuit =
       try Rtlsat_rtl.Text.parse_file file
       with Sys_error msg | Failure msg ->
@@ -627,7 +635,9 @@ let check_cmd =
     let enc = Rtlsat_constr.Encode.encode combo in
     Rtlsat_constr.Encode.assume_bool enc inst.Rtlsat_bmc.Bmc.violation true;
     let module Solver = Rtlsat_core.Solver in
-    let options = { Solver.hdpll_sp with Solver.deadline = Mono.now () +. timeout } in
+    let options =
+      { Solver.hdpll_sp with Solver.deadline = Req.deadline_from req (Mono.now ()) }
+    in
     (match (Solver.solve ~options enc).Solver.result with
      | Solver.Unsat -> Format.printf "%s holds within %d frames (UNSAT)@." port bound
      | Solver.Timeout ->
@@ -738,6 +748,7 @@ let sweep_cmd =
   in
   let run circuit prop bounds engine timeout scratch trace_out heartbeat
       metrics_out flight flight_out opts jobs ledger =
+    let req = req_of_opts ~timeout opts in
     let source, p =
       match Registry.build circuit with
       | c, props ->
@@ -786,7 +797,7 @@ let sweep_cmd =
            (Sys.Signal_handle (fun _ -> ignore (dump_flight ())))
        with Invalid_argument _ | Sys_error _ -> ());
     let jobs = max 1 jobs in
-    let req = req_of_opts ~obs ~timeout opts in
+    let req = Req.with_obs req obs in
     let steps =
       try Parallel.sweep ~req ~j:jobs engine source ~prop:p ~bounds
       with e ->
@@ -1006,6 +1017,7 @@ let sat_cmd =
                    when the solve ends normally")
   in
   let run file timeout opts stats_json flight flight_out ledger =
+    let req = req_of_opts ~timeout opts in
     let simplify = opts.eo_simplify and inprocess = opts.eo_inprocess in
     let cnf =
       match
@@ -1048,7 +1060,7 @@ let sat_cmd =
            (Sys.Signal_handle (fun _ -> ignore (dump_flight ())))
        with Invalid_argument _ | Sys_error _ -> ());
     let t_start = Mono.now () in
-    let deadline = t_start +. timeout in
+    let deadline = Req.deadline_from req t_start in
     let solver_out = ref None in
     let result =
       try

@@ -745,7 +745,10 @@ module Session = struct
               earlier calls and grown problem clauses get
               subsumed/strengthened before the new query runs; only
               non-root clauses are touched, so session growth stays
-              sound *)
+              sound.  The pass is incremental: it tests only pairs
+              that involve a clause appended or changed since its last
+              fixpoint (the clean prefix, [State.n_clean]), and leaves
+              exactly the database a full pass would *)
            if opts.simplify then simplify_db opts t.s;
            solve_loop ~assumptions opts t.s t.enc t.learn_summary)
     in

@@ -78,6 +78,9 @@ type t = {
   clause_occs : occs;
   mutable n_root_clauses : int;
   mutable n_prob_clauses : int;
+  mutable n_clean : int;
+  mutable hs_flags : Bytes.t;
+  mutable hs_mark : Bytes.t;
   mutable constrs : constr array;
   constr_occs : occs;
   mutable qhead : int;
@@ -271,24 +274,54 @@ let entailing_entry s = function
   | Neg v -> entailing_hi s v 0
   | Le (v, k) -> entailing_hi s v k
 
+(* register clause [ci] in the occurrence lists of its variables;
+   [ci] is the newest index registered, so a variable already
+   registered for this clause has it in its last slot *)
+let register_clause s ci cl =
+  let o = s.clause_occs in
+  for i = 0 to Array.length cl - 1 do
+    let v = atom_var cl.(i) in
+    let n = o.n_occ.(v) in
+    if n = 0 || o.occ.(v).(n - 1) <> ci then occs_push o v ci
+  done
+
 let add_clause s ?(root = false) cl =
   let ci = Vec.length s.clauses in
   Vec.push s.clauses cl;
   Vec.push s.root_flags root;
   if root then s.n_root_clauses <- s.n_root_clauses + 1;
-  (* [ci] is the newest index, so a variable already registered for
-     this clause has it in its last slot *)
-  let o = s.clause_occs in
-  Array.iter
-    (fun a ->
-       let v = atom_var a in
-       let n = o.n_occ.(v) in
-       if n = 0 || o.occ.(v).(n - 1) <> ci then occs_push o v ci)
-    cl
+  register_clause s ci cl
 
 let clear_clause_occs s = occs_clear s.clause_occs
 
 let is_root_clause s ci = Vec.get s.root_flags ci
+
+(* in-order compaction: slide the kept clauses (and their root flags)
+   down over the dropped ones and re-register the survivors, which
+   yields exactly the occurrence lists that adding them afresh in
+   order would.  The clean prefix shrinks to the kept clauses that
+   were in it — any subset of a pairwise-checked set still is one. *)
+let compact_clauses s ~keep =
+  let n = Vec.length s.clauses in
+  let j = ref 0 and clean = ref 0 and roots = ref 0 in
+  for ci = 0 to n - 1 do
+    if keep ci then begin
+      let root = Vec.get s.root_flags ci in
+      Vec.set s.clauses !j (Vec.get s.clauses ci);
+      Vec.set s.root_flags !j root;
+      if root then incr roots;
+      if ci < s.n_clean then incr clean;
+      incr j
+    end
+  done;
+  Vec.shrink s.clauses !j;
+  Vec.shrink s.root_flags !j;
+  s.n_root_clauses <- !roots;
+  s.n_clean <- !clean;
+  clear_clause_occs s;
+  for ci = 0 to !j - 1 do
+    register_clause s ci (Vec.get s.clauses ci)
+  done
 
 (* in a session, root (problem) clauses may arrive after learned ones,
    so "root" is a per-clause flag rather than a prefix of the database *)
@@ -296,18 +329,10 @@ let reduce_clauses s ~keep_recent =
   let total = Vec.length s.clauses in
   if total - s.n_root_clauses > keep_recent then begin
     let cutoff = total - keep_recent in
-    let kept = ref [] in
-    for ci = total - 1 downto 0 do
-      let cl = Vec.get s.clauses ci in
-      let root = Vec.get s.root_flags ci in
-      if root || ci >= cutoff || Array.length cl <= 4 then
-        kept := (cl, root) :: !kept
-    done;
-    Vec.clear s.clauses;
-    Vec.clear s.root_flags;
-    s.n_root_clauses <- 0;
-    clear_clause_occs s;
-    List.iter (fun (cl, root) -> add_clause s ~root cl) !kept;
+    compact_clauses s ~keep:(fun ci ->
+        ci >= cutoff
+        || Vec.get s.root_flags ci
+        || Array.length (Vec.get s.clauses ci) <= 4);
     s.n_reductions <- s.n_reductions + 1
   end
 
@@ -358,6 +383,9 @@ let create prob =
       clause_occs = occs_make nv;
       n_root_clauses = 0;
       n_prob_clauses = 0;
+      n_clean = 0;
+      hs_flags = Bytes.empty;
+      hs_mark = Bytes.empty;
       constrs = Problem.constrs prob;
       constr_occs = occs_make nv;
       qhead = 0;

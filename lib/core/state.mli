@@ -29,7 +29,8 @@ exception Conflict of atom array
     int arrays.  [occ.(v)] holds [v]'s indices in registration order
     in its first [n_occ.(v)] slots; every reader walks them newest
     first (see {!occs_iter}), which fixes the propagation visit
-    order. *)
+    order.  Clauses are registered in index order, so each clause
+    list ascends by clause index ({!Hsimp} relies on this). *)
 type occs = {
   mutable occ : int array array;
   mutable n_occ : int array;
@@ -61,6 +62,15 @@ type t = {
   mutable n_prob_clauses : int;
       (** how many of the problem's clauses have been loaded; the sync
           cursor for {!grow} *)
+  mutable n_clean : int;
+      (** clean prefix: the first [n_clean] clauses were all present,
+          and checked pair by pair, when the last {!Hsimp} pass
+          reached its fixpoint, and none has changed since.  Appends
+          land outside it; {!compact_clauses} keeps it right *)
+  mutable hs_flags : Bytes.t;
+  mutable hs_mark : Bytes.t;
+      (** {!Hsimp} scratch, reused across passes: per-clause pass
+          flags and per-variable marks *)
   mutable constrs : constr array;
   constr_occs : occs;                       (** var → constraint indices *)
   mutable qhead : int;
@@ -162,6 +172,14 @@ val clear_clause_occs : t -> unit
 val is_root_clause : t -> int -> bool
 (** Whether the clause at this database index is root (problem-level)
     as opposed to learned. *)
+
+val compact_clauses : t -> keep:(int -> bool) -> unit
+(** Drop every clause whose index fails [keep], preserving the order
+    of the rest, and rebuild the occurrence lists and root count as
+    {!add_clause} in that order would.  [keep] sees each original
+    index once, in increasing order, before anything at or after it
+    moves.  The clean prefix ({!field-n_clean}) shrinks to the kept
+    clauses that were in it. *)
 
 val reduce_clauses : t -> keep_recent:int -> unit
 (** Learned-clause database reduction: drop long, old learned clauses,

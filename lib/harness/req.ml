@@ -19,10 +19,18 @@ type t = {
    for its own; mirrors [Solver.default.cancel] *)
 let never_cancel = Atomic.make false
 
+(* the one check on a budget: NaN would never expire ([t0 +. nan] is
+   never exceeded) and a negative one has expired before it starts *)
+let check_timeout timeout =
+  if Float.is_nan timeout || timeout < 0.0 then
+    invalid_arg
+      (Printf.sprintf "timeout must be a number of seconds >= 0, got %g" timeout)
+
 let make ?(timeout = 1200.0) ?(deadline = infinity) ?(cancel = never_cancel)
     ?(obs = Obs.disabled) ?learn_threshold ?(split = true) ?(simplify = true)
     ?(inprocess = 0) ?dump_graph ?(dump_graph_max = 10) ?on_learn ?(tag = "")
     () =
+  check_timeout timeout;
   {
     timeout;
     deadline;
@@ -45,7 +53,9 @@ let cancelled t = Atomic.get t.cancel
 let fresh_cancel t = { t with cancel = Atomic.make false }
 let with_obs t obs = { t with obs }
 let with_cancel t cancel = { t with cancel }
-let with_timeout t timeout = { t with timeout }
+let with_timeout t timeout =
+  check_timeout timeout;
+  { t with timeout }
 let with_deadline t deadline = { t with deadline }
 
 let options_string t =

@@ -64,7 +64,10 @@ val make :
   unit ->
   t
 (** A request with the defaults documented on {!t}.  Without [?cancel]
-    the request shares the global never-set flag. *)
+    the request shares the global never-set flag.  This is where every
+    request's budget is validated: 0 is a valid timeout (decide nothing
+    that needs time), a negative or NaN one is not.
+    @raise Invalid_argument on a negative or NaN [timeout]. *)
 
 val default : t
 (** [make ()] evaluated once; its [cancel] flag is shared and must
@@ -83,7 +86,10 @@ val fresh_cancel : t -> t
 
 val with_obs : t -> Rtlsat_obs.Obs.t -> t
 val with_cancel : t -> bool Atomic.t -> t
+
 val with_timeout : t -> float -> t
+(** @raise Invalid_argument on a negative or NaN timeout, as {!make}. *)
+
 val with_deadline : t -> float -> t
 
 val options_string : t -> string

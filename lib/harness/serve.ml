@@ -30,7 +30,6 @@ let create ?ledger ?(engine = Engine.Hdpll_sp) () =
 
 let str_field name j = Option.bind (Json.member name j) Json.get_string
 let int_field name j = Option.bind (Json.member name j) Json.get_int
-let float_field name j = Option.bind (Json.member name j) Json.get_float
 
 let require name = function
   | Some v -> v
@@ -49,6 +48,19 @@ let err ~id msg =
       ("ok", Json.Bool false);
       ("error", Json.Str msg);
     ]
+
+(* the request context; a [timeout_s] that is present must be a number,
+   and Req.make validates its value *)
+let request_req request =
+  let timeout =
+    Option.map
+      (fun j ->
+         match Json.get_float j with
+         | Some t -> t
+         | None -> failwith "field \"timeout_s\" must be a number")
+      (Json.member "timeout_s" request)
+  in
+  Req.make ?timeout ~tag:"serve" ()
 
 (* ---- the warm session pool ---- *)
 
@@ -127,8 +139,7 @@ let do_solve t ~id request =
   let prop = require "prop" (str_field "prop" request) in
   let bound = require "bound" (int_field "bound" request) in
   let engine = parse_engine t request in
-  let timeout = Option.value (float_field "timeout_s" request) ~default:1200.0 in
-  let req = Req.make ~timeout ~tag:"serve" () in
+  let req = request_req request in
   let entry, warm = get_session t ~circuit ~prop ~engine ~req in
   let step, key, solves =
     match entry with
@@ -161,13 +172,13 @@ let do_sweep t ~id request =
   let prop = require "prop" (str_field "prop" request) in
   let bounds =
     match Option.bind (Json.member "bounds" request) Json.get_list with
+    | Some [] -> failwith "field \"bounds\" lists no bound"
     | Some l ->
       List.map (fun b -> require "bounds" (Json.get_int b)) l
     | None -> failwith "missing field \"bounds\""
   in
   let engine = parse_engine t request in
-  let timeout = Option.value (float_field "timeout_s" request) ~default:1200.0 in
-  let req = Req.make ~timeout ~tag:"serve" () in
+  let req = request_req request in
   let entry, warm = get_session t ~circuit ~prop ~engine ~req in
   let steps, key, solves =
     match entry with
@@ -190,17 +201,13 @@ let do_sweep t ~id request =
     with
     | Some s -> Report.verdict_string s.Engine.sw_run.Engine.verdict
     | None ->
-      (match steps with
-       | [] -> "unsat"
-       | s :: _ ->
-         Report.verdict_string
-           (List.fold_left
-              (fun acc st ->
-                 match st.Engine.sw_run.Engine.verdict with
-                 | Engine.Unsat -> acc
-                 | v -> v)
-              s.Engine.sw_run.Engine.verdict
-              steps))
+      Report.verdict_string
+        (List.fold_left
+           (fun acc st ->
+              match st.Engine.sw_run.Engine.verdict with
+              | Engine.Unsat -> acc
+              | v -> v)
+           Engine.Unsat steps)
   in
   let carried =
     List.fold_left (fun a s -> max a s.Engine.sw_carried_clauses) 0 steps

@@ -11,6 +11,9 @@
 #   5. malformed DIMACS is invalid input for `sat` (exit 2, the file
 #      and line in the message), and a bit-blast solve honours a tiny
 #      --timeout even though preprocessing alone outlasts it
+#   6. a negative or NaN --timeout is invalid input (exit 2), and serve
+#      answers ok:false to a negative timeout_s, a non-number timeout_s
+#      and an empty sweep, then keeps serving
 # Pass the rtlsat binary as $1 (the dune rule does); standalone runs
 # build it first.
 set -eu
@@ -100,6 +103,36 @@ status=0
   --no-flight-recorder > "$out" 2>&1 || status=$?
 if [ "$status" -ne 1 ] || ! grep -q "TIMEOUT" "$out"; then
   echo "smoke_help: bit-blast solve ignored --timeout 0.01 (exit $status)" >&2
+  cat "$out" >&2
+  exit 1
+fi
+
+# 6. bad timeouts and empty sweeps are rejected, not run
+for t in -1 nan; do
+  status=0
+  "$rtlsat" solve -c b01 -p 1 -k 5 --timeout="$t" --no-ledger \
+    --no-flight-recorder > "$out" 2>&1 || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q "timeout" "$out"; then
+    echo "smoke_help: solve --timeout=$t exited $status, expected 2" >&2
+    cat "$out" >&2
+    exit 1
+  fi
+done
+printf '%s\n' \
+  '{"op":"solve","id":1,"circuit":"b01","prop":"1","bound":5,"timeout_s":-1}' \
+  '{"op":"solve","id":2,"circuit":"b01","prop":"1","bound":5,"timeout_s":"x"}' \
+  '{"op":"sweep","id":3,"circuit":"b01","prop":"1","bounds":[]}' \
+  '{"op":"ping","id":4}' \
+  | "$rtlsat" serve --no-ledger > "$out" 2>/dev/null
+for id in 1 2 3; do
+  if ! grep -q "\"id\":$id,\"ok\":false" "$out"; then
+    echo "smoke_help: serve request $id was not rejected" >&2
+    cat "$out" >&2
+    exit 1
+  fi
+done
+if ! grep -q '"id":4,"ok":true,"op":"ping"' "$out"; then
+  echo "smoke_help: serve stopped answering after the rejected requests" >&2
   cat "$out" >&2
   exit 1
 fi

@@ -335,6 +335,33 @@ let test_serve_warm_reuse () =
   in
   check_bool "shutdown stops the loop" false continue
 
+(* ---- bad budgets and empty sweeps are rejected, not run ---- *)
+
+let test_bad_requests () =
+  let rejects timeout =
+    match Req.make ~timeout () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "negative timeout" true (rejects (-1.0));
+  check_bool "NaN timeout" true (rejects Float.nan);
+  check_bool "zero timeout is valid" false (rejects 0.0);
+  let t = Serve.create () in
+  List.iter
+    (fun line ->
+       let r, keep = Serve.handle t (Json.of_string line) in
+       check_bool ("keeps serving after " ^ line) true keep;
+       check_bool ("rejects " ^ line) true
+         (Json.member "ok" r = Some (Json.Bool false)))
+    [
+      {|{"op":"solve","id":1,"circuit":"b01","prop":"1","bound":5,"timeout_s":-1}|};
+      {|{"op":"solve","id":2,"circuit":"b01","prop":"1","bound":5,"timeout_s":"x"}|};
+      {|{"op":"sweep","id":3,"circuit":"b01","prop":"1","bounds":[]}|};
+    ];
+  let stats, _ = Serve.handle t (Json.of_string {|{"op":"stats","id":4}|}) in
+  check_bool "nothing served" true
+    (Json.member "served" stats = Some (Json.Int 0))
+
 let () =
   Alcotest.run "engine"
     [
@@ -359,5 +386,7 @@ let () =
         [
           Alcotest.test_case "warm reuse over one pool" `Quick
             test_serve_warm_reuse;
+          Alcotest.test_case "bad timeouts and empty sweeps rejected" `Quick
+            test_bad_requests;
         ] );
     ]

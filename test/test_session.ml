@@ -150,6 +150,46 @@ let test_session_obs_counters () =
   check_int "session.solves" 2 (Obs.counter obs "session.solves");
   Obs.close obs
 
+(* ---- a warm b13_2 ladder pins the search ----
+
+   Per-call decisions and conflicts, and the per-call Hsimp counters,
+   of one warm hdpll+s+p session over a random-access bound ladder.
+   The bounds revisit the clause database after a deep call (200), so
+   every call but the first runs Hsimp over carried lemmas, grown
+   frames and predicate relations.  The figures are the search as it
+   stands; a change that moves it must update them deliberately. *)
+
+(* per call: bound, decisions, conflicts, simplify.subsumed,
+   simplify.strengthened *)
+let b13_2_ladder =
+  [ [ 20; 60; 43; 43; 41 ]; [ 200; 24428; 5016; 52; 30 ];
+    [ 40; 32; 32; 3143; 463 ]; [ 150; 1098; 2; 1; 6 ]; [ 60; 41; 41; 0; 0 ] ]
+
+let test_b13_2_ladder () =
+  let module Engine = Rtlsat_harness.Engine in
+  let obs = Obs.create () in
+  let req = Rtlsat_harness.Req.make ~timeout:120.0 ~obs () in
+  let source, props = Rtlsat_itc99.Registry.build "b13" in
+  let (module M : Engine.S) = Engine.of_id Engine.Hdpll_sp in
+  let sess = M.session ~req source ~prop:(List.assoc "2" props) in
+  let seen = ref (0, 0) in
+  let actual =
+    List.map
+      (fun row ->
+         let bound = List.hd row in
+         let r = (M.sweep_step ~req sess ~bound).Engine.sw_run in
+         let sub = Obs.counter obs "simplify.subsumed"
+         and str = Obs.counter obs "simplify.strengthened" in
+         let sub0, str0 = !seen in
+         seen := (sub, str);
+         [ bound; r.Engine.decisions; r.Engine.conflicts; sub - sub0;
+           str - str0 ])
+      b13_2_ladder
+  in
+  Obs.close obs;
+  Alcotest.(check (list (list int))) "per-call search counters" b13_2_ladder
+    actual
+
 (* ---- equivalence property: one session per sweep vs fresh solves ---- *)
 
 let sweep_engines =
@@ -207,6 +247,8 @@ let () =
           Alcotest.test_case "word assumptions" `Quick test_word_assumptions;
           Alcotest.test_case "carried counters" `Quick test_carried_counters;
           Alcotest.test_case "obs counters" `Quick test_session_obs_counters;
+          Alcotest.test_case "b13_2 warm ladder pins the search" `Quick
+            test_b13_2_ladder;
         ] );
       Qutil.qsuite "sweep-properties" [ sweep_equivalence ];
     ]
