@@ -210,20 +210,22 @@ let encode circuit =
   encode_nodes t (Ir.nodes circuit);
   t
 
-(* incremental path: the circuit grew (e.g. more unrolled frames);
-   encode only the nodes that have no variable yet.  Node ids are
-   append-only, so existing variables — and the problem's numbering —
+(* incremental path: the circuit grew (e.g. more unrolled frames).
+   Every encoded node has a variable, and node ids are append-only, so
+   the nodes still to encode are exactly those at or above the old
+   [var_of] length; existing variables — and the problem's numbering —
    are untouched. *)
 let extend t =
   let c = t.circuit in
-  if c.Ir.ncount > Array.length t.var_of then begin
+  let old = Array.length t.var_of in
+  if c.Ir.ncount > old then begin
+    let fresh = Ir.nodes_since c old in
+    check_combinational fresh;
     let nv = Array.make c.Ir.ncount (-1) in
-    Array.blit t.var_of 0 nv 0 (Array.length t.var_of);
-    t.var_of <- nv
-  end;
-  let fresh = List.filter (fun n -> t.var_of.(n.Ir.id) = -1) (Ir.nodes c) in
-  check_combinational fresh;
-  encode_nodes t fresh
+    Array.blit t.var_of 0 nv 0 old;
+    t.var_of <- nv;
+    encode_nodes t fresh
+  end
 
 let var t n = t.var_of.(n.Rtlsat_rtl.Ir.id)
 

@@ -2,7 +2,6 @@ open Rtlsat_constr.Types
 module Vec = Rtlsat_constr.Vec
 module Problem = Rtlsat_constr.Problem
 module Encode = Rtlsat_constr.Encode
-module Structure = Rtlsat_rtl.Structure
 module Obs = Rtlsat_obs.Obs
 module Json = Rtlsat_obs.Json
 module Mono = Rtlsat_obs.Mono
@@ -300,7 +299,7 @@ let outcome_of opts s t0 learn_summary r =
     metrics = Obs.snapshot obs;
   }
 
-let solve_loop ~assumptions opts s enc learn_summary =
+let solve_loop ~assumptions opts s justifier learn_summary =
   let obs = opts.obs in
   let assumptions = Array.map (State.canonical s) assumptions in
   (* conflict forensics: --dump-graph exports the implication graph of
@@ -321,11 +320,6 @@ let solve_loop ~assumptions opts s enc learn_summary =
          close_out oc
        with Sys_error _ -> ())
     | _ -> ()
-  in
-  let justifier =
-    match (opts.structural, enc) with
-    | true, Some enc -> Some (Justify.create enc)
-    | _ -> None
   in
   let mux_pref =
     match learn_summary with
@@ -582,6 +576,10 @@ module Session = struct
     prob : Problem.t;
     enc : Encode.t option;
     s : State.t;
+    just : Justify.t option;
+        (* the circuit's structure: gate order and fanout for
+           structural decisions, fanout for activity seeding; extended
+           at every call *)
     mutable learn_summary : Predicate_learning.summary option;
     mutable learn_pending : bool;
     mutable validated : int;  (* problem clauses validated so far *)
@@ -638,6 +636,7 @@ module Session = struct
       prob;
       enc;
       s;
+      just = Option.map Justify.create enc;
       learn_summary = None;
       learn_pending = options.predicate_learning && Option.is_some enc;
       validated = Problem.n_clauses prob;
@@ -658,24 +657,20 @@ module Session = struct
   (* activity seeding restricted to circuit nodes added since the last
      call, so VSIDS bumps earned by the old variables are preserved *)
   let seed_new t =
-    match t.enc with
-    | Some enc when t.opts.seed_fanout ->
+    match (t.enc, t.just) with
+    | Some enc, Some j when t.opts.seed_fanout ->
       let c = enc.Encode.circuit in
-      if c.Rtlsat_rtl.Ir.ncount > t.seeded then begin
-        let fo = Structure.fanout_counts c in
-        Rtlsat_rtl.Ir.nodes c
-        |> List.iter (fun n ->
-            if n.Rtlsat_rtl.Ir.id >= t.seeded then begin
-              let v = enc.Encode.var_of.(n.Rtlsat_rtl.Ir.id) in
-              if v >= 0 && Problem.is_bool_var t.s.State.prob v then begin
-                t.s.State.activity.(v) <-
-                  t.s.State.activity.(v)
-                  +. float_of_int fo.(n.Rtlsat_rtl.Ir.id);
-                Heap.bumped t.s.State.heap t.s.State.activity v
-              end
-            end);
-        t.seeded <- c.Rtlsat_rtl.Ir.ncount
-      end
+      let fo = Justify.fanout j in
+      List.iter
+        (fun n ->
+           let v = enc.Encode.var_of.(n.Rtlsat_rtl.Ir.id) in
+           if v >= 0 && Problem.is_bool_var t.s.State.prob v then begin
+             t.s.State.activity.(v) <-
+               t.s.State.activity.(v) +. float_of_int fo.(n.Rtlsat_rtl.Ir.id);
+             Heap.bumped t.s.State.heap t.s.State.activity v
+           end)
+        (Rtlsat_rtl.Ir.nodes_since c t.seeded);
+      t.seeded <- c.Rtlsat_rtl.Ir.ncount
     | _ -> ()
 
   let solve ?(assumptions = [||]) ?deadline t =
@@ -693,6 +688,7 @@ module Session = struct
     done;
     t.validated <- ncl;
     State.grow t.s;
+    Option.iter Justify.extend t.just;
     seed_new t;
     let carried_clauses =
       Vec.length t.s.State.clauses - t.s.State.n_root_clauses
@@ -750,7 +746,9 @@ module Session = struct
               fixpoint (the clean prefix, [State.n_clean]), and leaves
               exactly the database a full pass would *)
            if opts.simplify then simplify_db opts t.s;
-           solve_loop ~assumptions opts t.s t.enc t.learn_summary)
+           solve_loop ~assumptions opts t.s
+             (if opts.structural then t.just else None)
+             t.learn_summary)
     in
     let raw = outcome_of opts t.s t0 t.learn_summary r in
     State.backtrack_to t.s 0;

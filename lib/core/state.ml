@@ -71,6 +71,7 @@ type t = {
   mutable init_ub : int array;
   trail : entry Vec.t;
   lim : int Vec.t;
+  mutable low_water : int;
   mutable lo_ev : (int * int) list array;
   mutable hi_ev : (int * int) list array;
   clauses : clause Vec.t;
@@ -243,7 +244,8 @@ let backtrack_to s lvl =
         Heap.insert s.heap s.activity v
     done;
     Vec.shrink s.lim lvl;
-    s.qhead <- min s.qhead bound
+    s.qhead <- min s.qhead bound;
+    if bound < s.low_water then s.low_water <- bound
   end
 
 (* events newest first with decreasing (lo) / increasing (hi) values;
@@ -376,6 +378,7 @@ let create prob =
       init_ub = Array.copy ub;
       trail = Vec.create ~dummy:{ eatom = Pos 0; prev = 0; elevel = 0; ereason = None } ();
       lim = Vec.create ~dummy:0 ();
+      low_water = 0;
       lo_ev = Array.make nv [];
       hi_ev = Array.make nv [];
       clauses = Vec.create ~dummy:[||] ();

@@ -50,6 +50,11 @@ type t = {
   mutable init_ub : int array;
   trail : entry Rtlsat_constr.Vec.t;
   lim : int Rtlsat_constr.Vec.t;            (** decision-level boundaries *)
+  mutable low_water : int;
+      (** the lowest trail length since {!Justify} last set it:
+          {!backtrack_to} lowers it to the length it leaves.  The
+          justifier reads it to undo retirements made on trail entries
+          that have since been popped *)
   mutable lo_ev : (int * int) list array;   (** var → (new lb, trail idx), newest first *)
   mutable hi_ev : (int * int) list array;   (** var → (new ub, trail idx), newest first *)
   clauses : clause Rtlsat_constr.Vec.t;

@@ -44,6 +44,14 @@ let is_bool n = n.width = 1
 let max_value n = (1 lsl n.width) - 1
 
 let nodes c = List.rev c.rev_nodes
+
+(* the newest nodes sit at the head of [rev_nodes] *)
+let nodes_since c k =
+  let rec take acc = function
+    | n :: rest when n.id >= k -> take (n :: acc) rest
+    | _ -> acc
+  in
+  take [] c.rev_nodes
 let inputs c = List.rev c.rev_inputs
 let regs c = List.rev c.rev_regs
 

@@ -66,6 +66,10 @@ val nodes : circuit -> node list
 (** All nodes in creation order (a topological order of the
     combinational edges). *)
 
+val nodes_since : circuit -> int -> node list
+(** [nodes_since c k]: the nodes with id [>= k], in creation order.
+    Costs in proportion to those nodes, not to the circuit. *)
+
 val inputs : circuit -> node list
 val regs : circuit -> node list
 

@@ -1,25 +1,39 @@
 open Ir
 
-let levels c =
-  let lvl = Array.make c.ncount 0 in
+(* a copy of [a] grown to [n] slots, or [a] itself when long enough *)
+let grown a n =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let extend_levels lvl c =
+  let from = Array.length lvl in
+  let lvl = grown lvl c.ncount in
   let level_of n =
     match n.op with
     | Input | Const _ | Reg _ -> 0
     | _ -> 1 + List.fold_left (fun acc m -> max acc lvl.(m.id)) 0 (fanins n)
   in
-  List.iter (fun n -> lvl.(n.id) <- level_of n) (nodes c);
+  List.iter (fun n -> lvl.(n.id) <- level_of n) (nodes_since c from);
   lvl
 
-let fanout_counts c =
-  let fo = Array.make c.ncount 0 in
+let extend_fanout fo c =
+  let from = Array.length fo in
+  let fo = grown fo c.ncount in
   let count n =
     List.iter (fun m -> fo.(m.id) <- fo.(m.id) + 1) (fanins n);
     match n.op with
     | Reg { next = Some nx; _ } -> fo.(nx.id) <- fo.(nx.id) + 1
     | _ -> ()
   in
-  List.iter count (nodes c);
+  List.iter count (nodes_since c from);
   fo
+
+let levels c = extend_levels [||] c
+let fanout_counts c = extend_fanout [||] c
 
 let coi ?(through_regs = true) c roots =
   let mark = Array.make c.ncount false in

@@ -16,6 +16,16 @@ val fanout_counts : circuit -> int array
 (** Number of combinational fanout references per node id (register
     next-state edges included). *)
 
+val extend_levels : int array -> circuit -> int array
+val extend_fanout : int array -> circuit -> int array
+(** Incremental {!levels} / {!fanout_counts}: given the result for the
+    circuit's first [Array.length a] nodes, return the result for the
+    whole circuit, visiting only the nodes added since.  A new array
+    when the circuit grew (the argument is left untouched), the
+    argument itself otherwise.  Exact as long as no register counted
+    earlier has since been connected to its next-state input, which
+    holds for the combinational circuits of an extending unroll. *)
+
 val coi : ?through_regs:bool -> circuit -> node list -> bool array
 (** [coi c roots] marks the cone of influence of [roots]: every node
     whose value can affect a root.  With [through_regs] (default

@@ -273,6 +273,39 @@ let test_caps_sessions () =
            steps)
     Engine.all_ids
 
+(* ---- one-shot structural search pinned ----
+
+   Per-row decisions and conflicts of the structural engines on three
+   Table 2 rows, one fresh context each (the path of `rtlsat solve`).
+   The b13_2 ladder in test_session.ml pins the warm session path;
+   this pins the one-shot path.  The figures are the search as it
+   stands; a change that moves the structural decisions must update
+   them deliberately. *)
+
+(* engine, circuit, property, bound, decisions, conflicts *)
+let one_shot_rows =
+  [ (Engine.Hdpll_sp, "b04", "1", 50, 4, 4);
+    (Engine.Hdpll_sp, "b13", "8", 50, 844, 35);
+    (Engine.Hdpll_sp, "b13", "2", 50, 1625, 1051);
+    (Engine.Hdpll_s, "b04", "1", 50, 4, 4);
+    (Engine.Hdpll_s, "b13", "8", 50, 1262, 37);
+    (Engine.Hdpll_s, "b13", "2", 50, 1917, 1160) ]
+
+let test_one_shot_pin () =
+  let run (id, circuit, prop, bound, _, _) =
+    let (module M : Engine.S) = Engine.of_id id in
+    let req = Req.make ~timeout:120.0 () in
+    let r = M.solve ~req (M.create ~req (Registry.instance ~circuit ~prop ~bound)) in
+    Printf.sprintf "%s %s_%s(%d): %d decisions, %d conflicts" M.name circuit prop
+      bound r.Engine.decisions r.Engine.conflicts
+  in
+  let pinned (id, circuit, prop, bound, d, c) =
+    Printf.sprintf "%s %s_%s(%d): %d decisions, %d conflicts"
+      (Engine.name_of id) circuit prop bound d c
+  in
+  Alcotest.(check (list string)) "per-row search counters"
+    (List.map pinned one_shot_rows) (List.map run one_shot_rows)
+
 (* ---- mode contract: solve vs sweep_step are not interchangeable ---- *)
 
 let test_mode_contract () =
@@ -381,6 +414,8 @@ let () =
           Alcotest.test_case "sessionless carries nothing" `Quick
             test_caps_sessions;
           Alcotest.test_case "mode contract" `Quick test_mode_contract;
+          Alcotest.test_case "one-shot structural search pinned" `Quick
+            test_one_shot_pin;
         ] );
       ( "serve",
         [
