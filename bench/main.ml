@@ -3,10 +3,9 @@
    table) on representative instances.
 
    Default run: scaled-down bound matrix (minutes on a laptop).
-   RTLSAT_FULL=1 or --full switches to the paper's full bounds with
-   the 1200 s timeout.
+   --full switches to the paper's full bounds with the 1200 s timeout.
 
-   Usage: main.exe [--full] [--json [--json-file FILE]] [SUBCOMMAND]
+   Usage: main.exe [--full] [SUBCOMMAND]
 
    Subcommands:
      (none) | all      tables 1 and 2 + extension + wide_wrap + ablation + micro
@@ -19,16 +18,10 @@
      sweep             scaling curve (CSV)
      bmc_sweep         incremental sessions vs from-scratch bound sweeps
      simplify          pre/inprocessing on vs off, per clause database
-     parallel          -j 1 vs -j N engine portfolio (speedup rows)
-
-   --json collects tables 1 and 2 with per-run metrics attached and
-   writes a BENCH_<timestamp>.json perf-trajectory artifact (schema
-   rtlsat.bench/1, see docs/OBSERVABILITY.md). *)
+     parallel          -j 1 vs -j N engine portfolio (speedup rows) *)
 
 module Engines = Rtlsat_harness.Engines
 module Tables = Rtlsat_harness.Tables
-module Report = Rtlsat_harness.Report
-module Json = Rtlsat_obs.Json
 module Ledger = Rtlsat_obs.Ledger
 module Mono = Rtlsat_obs.Mono
 module Registry = Rtlsat_itc99.Registry
@@ -40,26 +33,20 @@ module Solver = Rtlsat_core.Solver
 (* ---- command line (stdlib Arg; previously a raw Sys.argv scan that
    mistook "--full" anywhere — including file names — for the flag) ---- *)
 
-let opt_full = ref (Sys.getenv_opt "RTLSAT_FULL" = Some "1")
-let opt_json = ref false
-let opt_json_file = ref ""
+let opt_full = ref false
 let opt_ledger = ref ""
 let opt_no_ledger = ref false
 let subcommand = ref "all"
 
 let usage =
-  "main.exe [--full] [--json [--json-file FILE]] \
+  "main.exe [--full] \
    [all|table1|table2|micro|ablation|extension|wide_wrap|sweep|bmc_sweep|simplify|parallel]"
 
 let spec =
   Arg.align
     [
       ("--full", Arg.Set opt_full,
-       " Paper's full bound matrix and 1200 s timeout (also: RTLSAT_FULL=1)");
-      ("--json", Arg.Set opt_json,
-       " Write a BENCH_<timestamp>.json perf-trajectory artifact");
-      ("--json-file", Arg.Set_string opt_json_file,
-       "FILE Override the artifact path (default BENCH_<timestamp>.json)");
+       " Paper's full bound matrix and 1200 s timeout");
       ("--ledger", Arg.Set_string opt_ledger,
        "FILE Append the run record to this ledger \
         (default $RTLSAT_LEDGER or .rtlsat/ledger.jsonl)");
@@ -229,6 +216,18 @@ module Parallel = Rtlsat_parallel.Parallel
 
 let parallel_jobs = 4
 
+(* the requested engine solved alone ([pl_seq]) vs raced as a -j
+   [pl_j] portfolio ([pl_par]: wall clock of the whole race, the
+   winner's verdict) *)
+type parallel_row = {
+  pl_instance : string;
+  pl_engine : Engines.engine;
+  pl_j : int;
+  pl_seq : Engines.run;
+  pl_par : Engines.run;
+  pl_winner : string option;
+}
+
 let parallel_cases =
   [
     ("b01", "1", 100, Engines.Lazy_cdp, 10.0);
@@ -248,14 +247,12 @@ let run_parallel () =
            (Registry.instance ~circuit ~prop ~bound)
        in
        {
-         Report.pl_instance = Registry.instance_name ~circuit ~prop ~bound;
+         pl_instance = Registry.instance_name ~circuit ~prop ~bound;
          pl_engine = engine;
          pl_j = parallel_jobs;
          pl_seq = seq;
          pl_par = { p.Parallel.p_run with Engines.time = p.Parallel.p_wall };
          pl_winner = Option.map Engines.engine_name p.Parallel.p_winner;
-         pl_lineup =
-           List.map (fun (e, _) -> Engines.engine_name e) p.Parallel.p_runs;
        })
     parallel_cases
 
@@ -263,20 +260,20 @@ let print_parallel rows =
   Format.printf "%-12s %-10s %3s %9s %9s %8s  %s@." "instance" "engine" "j"
     "seq(s)" "par(s)" "speedup" "winner";
   List.iter
-    (fun (r : Report.parallel_row) ->
+    (fun r ->
        let cell (run : Engines.run) =
          match run.Engines.verdict with
          | Engines.Timeout -> Printf.sprintf "%9s" "-to-"
          | Engines.Abort _ -> Printf.sprintf "%9s" "-A-"
          | _ -> Printf.sprintf "%9.2f" run.Engines.time
        in
-       Format.printf "%-12s %-10s %3d %s %s %7.1fx  %s@." r.Report.pl_instance
-         (Engines.engine_name r.Report.pl_engine)
-         r.Report.pl_j (cell r.Report.pl_seq) (cell r.Report.pl_par)
-         (if r.Report.pl_par.Engines.time > 0.0 then
-            r.Report.pl_seq.Engines.time /. r.Report.pl_par.Engines.time
+       Format.printf "%-12s %-10s %3d %s %s %7.1fx  %s@." r.pl_instance
+         (Engines.engine_name r.pl_engine)
+         r.pl_j (cell r.pl_seq) (cell r.pl_par)
+         (if r.pl_par.Engines.time > 0.0 then
+            r.pl_seq.Engines.time /. r.pl_par.Engines.time
           else 0.0)
-         (match r.Report.pl_winner with Some w -> w | None -> "-"))
+         (match r.pl_winner with Some w -> w | None -> "-"))
     rows
 
 let parallel () =
@@ -292,83 +289,18 @@ let wide_wrap () =
      at exactly one corner):@.";
   Tables.print_table2 Format.std_formatter (Tables.run_wide_wrap ())
 
-(* ---- the perf-trajectory artifact: both tables with per-run
-   metrics, one timestamped JSON file per invocation ---- *)
-
-let bench_artifact () =
-  let sc = scale () in
-  let tm = Unix.localtime (Unix.gettimeofday ()) in
-  let stamp =
-    Printf.sprintf "%04d%02d%02d_%02d%02d%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let generated_at =
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02d" (tm.Unix.tm_year + 1900)
-      (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-      tm.Unix.tm_sec
-  in
-  let path =
-    if !opt_json_file <> "" then !opt_json_file else "BENCH_" ^ stamp ^ ".json"
-  in
-  let scale_str = Tables.scale_name sc in
-  Format.printf "collecting Table 1 with metrics...@.";
-  let t1 = Tables.run_table1 ~metrics:true sc in
-  Tables.print_table1 Format.std_formatter t1;
-  Format.printf "@.collecting Table 2 with metrics...@.";
-  let t2 = Tables.run_table2 ~metrics:true sc in
-  Tables.print_table2 Format.std_formatter t2;
-  Format.printf "@.collecting wide_wrap with metrics...@.";
-  let ww = Tables.run_wide_wrap ~metrics:true () in
-  Tables.print_table2 Format.std_formatter ww;
-  Format.printf "@.collecting bmc_sweep with metrics...@.";
-  let sw = Tables.run_bmc_sweep ~metrics:true sc in
-  Tables.print_bmc_sweep Format.std_formatter sw;
-  Format.printf "@.collecting simplify with metrics...@.";
-  let sy = Tables.run_simplify ~metrics:true sc in
-  Tables.print_simplify Format.std_formatter sy;
-  Format.printf "@.collecting parallel speedups...@.";
-  let pl = run_parallel () in
-  print_parallel pl;
-  let doc =
-    Report.bench_json ~generated_at ~scale:scale_str
-      ~sections:
-        [
-          ("table1", Report.table1_json ~scale:scale_str t1);
-          ("table2", Report.table2_json ~scale:scale_str t2);
-          ("wide_wrap", Report.table2_json ~scale:scale_str ww);
-          ("bmc_sweep", Report.bmc_sweep_json ~scale:scale_str sw);
-          ("simplify", Report.simplify_json ~scale:scale_str sy);
-          ("parallel", Report.parallel_json ~scale:scale_str pl);
-        ]
-  in
-  let oc = open_out path in
-  Json.to_channel oc doc;
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "@.perf-trajectory artifact written to %s@." path;
-  Format.printf
-    "compare against a committed baseline with: rtlsat bench-diff \
-     BENCH_<old>.json %s@."
-    path;
-  path
-
 (* one rtlsat.run/1 record per invocation, same ledger the rtlsat
    subcommands append to — so `rtlsat runs` sees bench runs too *)
-let ledger_append ~wall_s ~artifact =
+let ledger_append ~wall_s =
   if not !opt_no_ledger then begin
     let path =
       if !opt_ledger <> "" then !opt_ledger else Ledger.default_path ()
     in
-    let options =
-      Printf.sprintf "scale=%s,json=%b" (Tables.scale_name (scale ())) !opt_json
-    in
+    let options = Printf.sprintf "scale=%s" (Tables.scale_name (scale ())) in
     let record =
       Ledger.make ~subcommand:"bench" ~argv:(Array.to_list Sys.argv)
         ~instance:!subcommand ~engine:"all" ~options ~verdict:"ok" ~wall_s
-        ~counters:[]
-        ~artifacts:(match artifact with None -> [] | Some a -> [ ("bench", a) ])
-        ()
+        ~counters:[] ~artifacts:[] ()
     in
     try Ledger.append ~path record with
     | Sys_error msg -> Format.eprintf "bench: ledger: %s@." msg
@@ -381,34 +313,28 @@ let () =
   Format.printf
     "rtlsat benchmark harness — reproduction of DAC'05 \"Structural Search@.\
      for RTL with Predicate Learning\" (%s)@.@."
-    (if !opt_full then "FULL matrix" else "scaled bounds; --full or RTLSAT_FULL=1 for the paper's");
+    (if !opt_full then "FULL matrix" else "scaled bounds; --full for the paper's");
   let t0 = Mono.now () in
-  let artifact =
-    if !opt_json then Some (bench_artifact ())
-    else begin
-      (match !subcommand with
-       | "table1" -> table1 ()
-       | "table2" -> table2 ()
-       | "micro" -> micro ()
-       | "ablation" -> ablation ()
-       | "extension" -> extension ()
-       | "wide_wrap" -> wide_wrap ()
-       | "sweep" -> sweep ()
-       | "bmc_sweep" -> bmc_sweep ()
-       | "simplify" -> simplify ()
-       | "parallel" -> parallel ()
-       | _ ->
-         table1 ();
-         Format.printf "@.";
-         table2 ();
-         extension ();
-         wide_wrap ();
-         bmc_sweep ();
-         simplify ();
-         parallel ();
-         ablation ();
-         micro ());
-      None
-    end
-  in
-  ledger_append ~wall_s:(Mono.now () -. t0) ~artifact
+  (match !subcommand with
+   | "table1" -> table1 ()
+   | "table2" -> table2 ()
+   | "micro" -> micro ()
+   | "ablation" -> ablation ()
+   | "extension" -> extension ()
+   | "wide_wrap" -> wide_wrap ()
+   | "sweep" -> sweep ()
+   | "bmc_sweep" -> bmc_sweep ()
+   | "simplify" -> simplify ()
+   | "parallel" -> parallel ()
+   | _ ->
+     table1 ();
+     Format.printf "@.";
+     table2 ();
+     extension ();
+     wide_wrap ();
+     bmc_sweep ();
+     simplify ();
+     parallel ();
+     ablation ();
+     micro ());
+  ledger_append ~wall_s:(Mono.now () -. t0)

@@ -8,19 +8,20 @@
      serve              JSON-lines daemon over warm solver sessions
      check              BMC of a property in a textual netlist file
      prove              k-induction on a benchmark property
+     export             an instance as SMT-LIB 2 / DIMACS, or the circuit as text
+     sat                a DIMACS CNF file through the CDCL engine
      fuzz               differential fuzzing of all engines
      profile            replay a --trace file and diagnose the run
      top                live (or post-hoc) monitor over a heartbeat trace
      metrics            OpenMetrics text exposition of a stats/metrics JSON
      runs               list and filter the cross-run ledger
      trace-diff         first divergence between two traces of one instance
-     bench-diff         compare two BENCH_*.json perf artifacts
-     bench-history      perf trajectory across a directory of artifacts
-     table1 / table2    regenerate the paper's tables
+
+   The paper's tables are regenerated by bench/main.exe.
 
    Exit codes (shared across subcommands): 0 success; 1 negative
-   finding (timeout/abort verdict, fuzz failures, bench-diff
-   regressions); 2 unreadable or invalid input. *)
+   finding (timeout/abort verdict, fuzz failures); 2 unreadable or
+   invalid input. *)
 
 open Cmdliner
 module Ir = Rtlsat_rtl.Ir
@@ -29,7 +30,6 @@ module Registry = Rtlsat_itc99.Registry
 module Engines = Rtlsat_harness.Engines
 module Req = Rtlsat_harness.Req
 module Serve = Rtlsat_harness.Serve
-module Tables = Rtlsat_harness.Tables
 module Report = Rtlsat_harness.Report
 module Parallel = Rtlsat_parallel.Parallel
 module Obs = Rtlsat_obs.Obs
@@ -60,8 +60,8 @@ let std_exits =
     Cmd.Exit.info 0 ~doc:"on success.";
     Cmd.Exit.info 1
       ~doc:
-        "on a negative finding: a timeout or abort verdict, fuzz failures, \
-         or bench-diff regressions.";
+        "on a negative finding: a timeout or abort verdict or fuzz \
+         failures.";
     Cmd.Exit.info 2
       ~doc:
         "on unreadable or invalid input: unknown circuit/property, \
@@ -1631,144 +1631,6 @@ let trace_diff_cmd =
              counter deltas; exits 1 when the verdicts diverge")
     Term.(const run $ old_file $ new_file)
 
-(* ---- bench-diff: perf-trajectory comparison ---- *)
-
-let bench_diff_cmd =
-  let old_file =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD.json")
-  in
-  let new_file =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW.json")
-  in
-  let threshold =
-    Arg.(value & opt float 0.20 & info [ "threshold" ] ~docv:"FRACTION"
-           ~doc:"Relative slowdown that counts as a regression \
-                 (0.20 = 20 percent)")
-  in
-  let min_time =
-    Arg.(value & opt float 0.05 & info [ "min-time" ] ~docv:"SECONDS"
-           ~doc:"Absolute slowdown floor: jitter below this never flags")
-  in
-  let run old_file new_file threshold min_time =
-    let old_json = read_json_file old_file in
-    let new_json = read_json_file new_file in
-    match Report.bench_diff ~threshold ~min_time old_json new_json with
-    | d ->
-      Report.print_bench_diff Format.std_formatter d;
-      if d.Report.bd_regressions > 0 then exit 1
-    | exception Invalid_argument msg ->
-      Format.eprintf "rtlsat: %s@." msg;
-      exit 2
-  in
-  Cmd.v
-    (Cmd.info "bench-diff" ~exits:std_exits
-       ~doc:"Compare two BENCH_*.json artifacts per instance; exit 1 when \
-             any engine regressed (verdict degraded, or slowed past the \
-             threshold)")
-    Term.(const run $ old_file $ new_file $ threshold $ min_time)
-
-(* ---- bench-history: perf trajectory across artifacts ---- *)
-
-let bench_history_cmd =
-  let dir =
-    Arg.(value & pos 0 string "bench/baselines" & info [] ~docv:"DIR"
-           ~doc:"Directory holding BENCH_*.json artifacts")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Emit the trajectory as JSON (schema rtlsat.bench_history/1) \
-                 instead of the text table")
-  in
-  let run dir json =
-    let files =
-      match Sys.readdir dir with
-      | entries ->
-        Array.to_list entries
-        |> List.filter (fun f ->
-            String.length f > 6
-            && String.sub f 0 6 = "BENCH_"
-            && Filename.check_suffix f ".json")
-      | exception Sys_error msg ->
-        Format.eprintf "rtlsat: %s@." msg;
-        exit 2
-    in
-    if files = [] then begin
-      Format.eprintf "rtlsat: no BENCH_*.json artifacts in %s@." dir;
-      exit 2
-    end;
-    let artifacts =
-      List.map
-        (fun f ->
-           ( Filename.remove_extension f,
-             read_json_file (Filename.concat dir f) ))
-        files
-    in
-    (* chronological: generated_at first, filename as tie-break *)
-    let key (label, j) =
-      ( (match Option.bind (Json.member "generated_at" j) Json.get_string with
-         | Some s -> s
-         | None -> ""),
-        label )
-    in
-    let artifacts =
-      List.sort (fun a b -> compare (key a) (key b)) artifacts
-    in
-    match Report.bench_history artifacts with
-    | points ->
-      if json then begin
-        Json.to_channel stdout (Report.bench_history_json points);
-        print_newline ()
-      end
-      else Report.print_bench_history Format.std_formatter points
-    | exception Invalid_argument msg ->
-      Format.eprintf "rtlsat: %s@." msg;
-      exit 2
-  in
-  Cmd.v
-    (Cmd.info "bench-history" ~exits:std_exits
-       ~doc:"Aggregate a directory of BENCH_*.json artifacts into a \
-             per-section performance trajectory: runs, solved/timeout/abort \
-             counts and total time per artifact, oldest first")
-    Term.(const run $ dir $ json)
-
-(* ---- tables ---- *)
-
-let scale_term =
-  let full = Arg.(value & flag & info [ "full" ] ~doc:"Paper's full bound matrix") in
-  Term.(const (fun f : Tables.scale -> if f then `Full else `Scaled) $ full)
-
-let timeout_term =
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS")
-
-let json_term =
-  Arg.(value & flag & info [ "json" ]
-         ~doc:"Emit the table as JSON on stdout (with per-run metrics) \
-               instead of the formatted text table")
-
-let table1_cmd =
-  let run scale timeout json =
-    let rows = Tables.run_table1 ?timeout ~metrics:json scale in
-    if json then (
-      Json.to_channel stdout
-        (Report.table1_json ~scale:(Tables.scale_name scale) rows);
-      print_newline ())
-    else Tables.print_table1 Format.std_formatter rows
-  in
-  Cmd.v (Cmd.info "table1" ~doc:"Regenerate Table 1 (predicate learning)")
-    Term.(const run $ scale_term $ timeout_term $ json_term)
-
-let table2_cmd =
-  let run scale timeout json =
-    let rows = Tables.run_table2 ?timeout ~metrics:json scale in
-    if json then (
-      Json.to_channel stdout
-        (Report.table2_json ~scale:(Tables.scale_name scale) rows);
-      print_newline ())
-    else Tables.print_table2 Format.std_formatter rows
-  in
-  Cmd.v (Cmd.info "table2" ~doc:"Regenerate Table 2 (structural decisions)")
-    Term.(const run $ scale_term $ timeout_term $ json_term)
-
 let () =
   let doc = "RTL satisfiability with structural search and predicate learning" in
   let info = Cmd.info "rtlsat" ~version:"1.0.0" ~doc in
@@ -1782,8 +1644,4 @@ let () =
             top_cmd;
             metrics_cmd;
             runs_cmd;
-            trace_diff_cmd;
-            bench_diff_cmd;
-            bench_history_cmd;
-            table1_cmd;
-            table2_cmd ]))
+            trace_diff_cmd ]))

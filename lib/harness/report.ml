@@ -23,10 +23,10 @@ let stats_json (st : Solver.stats) =
       ("solve_time_s", Json.Float st.Solver.solve_time);
     ]
 
-let run_json_named name (r : Engines.run) =
+let run_json engine (r : Engines.run) =
   let base =
     [
-      ("engine", Json.Str name);
+      ("engine", Json.Str (Engines.engine_name engine));
       ("verdict", Json.Str (verdict_string r.Engines.verdict));
       ("time_s", Json.Float r.Engines.time);
       ("decisions", Json.Int r.Engines.decisions);
@@ -52,8 +52,6 @@ let run_json_named name (r : Engines.run) =
   in
   Json.Obj (base @ abort @ stats @ metrics)
 
-let run_json engine r = run_json_named (Engines.engine_name engine) r
-
 let solve_json ~instance ~bound engine r =
   match run_json engine r with
   | Json.Obj fields ->
@@ -64,476 +62,6 @@ let solve_json ~instance ~bound engine r =
        :: ("env", Rtlsat_obs.Env.fingerprint_json ())
        :: fields)
   | v -> v
-
-let t1_row_json (row : Tables.t1_row) =
-  Json.Obj
-    [
-      ("instance", Json.Str row.Tables.t1_label);
-      ("verdict", Json.Str (verdict_string row.Tables.t1_type));
-      ("relations", Json.Int row.Tables.t1_relations);
-      ("learn_time_s", Json.Float row.Tables.t1_learn_time);
-      ( "runs",
-        Json.Arr
-          [
-            run_json Engines.Hdpll row.Tables.t1_hdpll;
-            run_json Engines.Hdpll_p row.Tables.t1_hdpll_p;
-          ] );
-    ]
-
-let t2_row_json (row : Tables.t2_row) =
-  Json.Obj
-    [
-      ("instance", Json.Str row.Tables.t2_label);
-      ("verdict", Json.Str (verdict_string row.Tables.t2_type));
-      ("arith_ops", Json.Int row.Tables.t2_arith);
-      ("bool_ops", Json.Int row.Tables.t2_bool);
-      ( "runs",
-        Json.Arr (List.map (fun (e, r) -> run_json e r) row.Tables.t2_runs) );
-    ]
-
-let table1_json ~scale rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.table1/1");
-      ("scale", Json.Str scale);
-      ("rows", Json.Arr (List.map t1_row_json rows));
-    ]
-
-let table2_json ~scale rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.table2/1");
-      ("scale", Json.Str scale);
-      ("rows", Json.Arr (List.map t2_row_json rows));
-    ]
-
-(* bmc_sweep rows: one JSON row per bound, with the incremental and
-   from-scratch runs side by side under "engine/incr" / "engine/scratch"
-   labels so [bench_rows] diffs them as distinct engines *)
-let sweep_row_json (row : Tables.sweep_row) =
-  let name suffix = Engines.engine_name row.Tables.sr_engine ^ suffix in
-  List.map
-    (fun ((step : Engines.sweep_step), scratch) ->
-       let incr_json =
-         match run_json_named (name "/incr") step.Engines.sw_run with
-         | Json.Obj fields ->
-           Json.Obj
-             (fields
-              @ [
-                  ("carried_clauses", Json.Int step.Engines.sw_carried_clauses);
-                  ( "carried_relations",
-                    Json.Int step.Engines.sw_carried_relations );
-                ])
-         | v -> v
-       in
-       Json.Obj
-         [
-           ( "instance",
-             Json.Str
-               (Printf.sprintf "%s(%d)" row.Tables.sr_label
-                  step.Engines.sw_bound) );
-           ("bound", Json.Int step.Engines.sw_bound);
-           ( "runs",
-             Json.Arr [ incr_json; run_json_named (name "/scratch") scratch ] );
-         ])
-    row.Tables.sr_steps
-
-let bmc_sweep_json ~scale rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.bmc_sweep/1");
-      ("scale", Json.Str scale);
-      ("rows", Json.Arr (List.concat_map sweep_row_json rows));
-    ]
-
-(* simplify rows: one JSON row per (instance, engine), with the
-   simplify-on and simplify-off runs side by side under "engine/simp"
-   / "engine/nosimp" labels so [bench_rows] diffs them as distinct
-   engines — a verdict flip between the arms then shows up as a
-   verdict change on one of them across baselines *)
-let simp_row_json (row : Tables.simp_row) =
-  let name suffix = Engines.engine_name row.Tables.sy_engine ^ suffix in
-  Json.Obj
-    [
-      ("instance", Json.Str row.Tables.sy_label);
-      ( "runs",
-        Json.Arr
-          [
-            run_json_named (name "/simp") row.Tables.sy_on;
-            run_json_named (name "/nosimp") row.Tables.sy_off;
-          ] );
-    ]
-
-let simplify_json ~scale rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.simplify/1");
-      ("scale", Json.Str scale);
-      ("rows", Json.Arr (List.map simp_row_json rows));
-    ]
-
-let bench_json ~generated_at ~scale ~sections =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.bench/1");
-      ("generated_at", Json.Str generated_at);
-      ("scale", Json.Str scale);
-      ("env", Rtlsat_obs.Env.fingerprint_json ());
-      ("sections", Json.Obj sections);
-    ]
-
-(* ---- bench-diff: per-instance comparison of two rtlsat.bench/1
-   artifacts (the [rtlsat bench-diff] subcommand) ---- *)
-
-type bench_row = {
-  br_section : string;
-  br_instance : string;
-  br_engine : string;
-  br_verdict : string;
-  br_time : float;
-}
-
-(* parallel rows: the requested engine solved sequentially vs raced
-   as a -j N portfolio, side by side under "engine/j1" /
-   "portfolio/jN" labels so [bench_rows] diffs both configurations;
-   speedup = sequential wall / portfolio wall *)
-type parallel_row = {
-  pl_instance : string;
-  pl_engine : Engines.engine;
-  pl_j : int;
-  pl_seq : Engines.run;
-  pl_par : Engines.run;
-  pl_winner : string option;
-  pl_lineup : string list;
-}
-
-let parallel_row_json row =
-  let speedup =
-    if row.pl_par.Engines.time > 0.0 then
-      row.pl_seq.Engines.time /. row.pl_par.Engines.time
-    else 0.0
-  in
-  Json.Obj
-    [
-      ("instance", Json.Str row.pl_instance);
-      ("j", Json.Int row.pl_j);
-      ( "winner",
-        match row.pl_winner with Some w -> Json.Str w | None -> Json.Null );
-      ("lineup", Json.Arr (List.map (fun e -> Json.Str e) row.pl_lineup));
-      ("speedup", Json.Float speedup);
-      ( "runs",
-        Json.Arr
-          [
-            run_json_named
-              (Engines.engine_name row.pl_engine ^ "/j1")
-              row.pl_seq;
-            run_json_named
-              (Printf.sprintf "portfolio/j%d" row.pl_j)
-              row.pl_par;
-          ] );
-    ]
-
-let parallel_json ~scale rows =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.parallel/1");
-      ("scale", Json.Str scale);
-      ("rows", Json.Arr (List.map parallel_row_json rows));
-    ]
-
-let bench_rows j =
-  let member name j = Json.member name j in
-  let str name j = Option.bind (member name j) Json.get_string in
-  let schema = str "schema" j in
-  if schema <> Some "rtlsat.bench/1" then
-    invalid_arg
-      (Printf.sprintf "bench_rows: expected schema rtlsat.bench/1, got %s"
-         (match schema with Some s -> s | None -> "<none>"));
-  let rows = ref [] in
-  (match Option.bind (member "sections" j) Json.get_obj with
-   | None -> ()
-   | Some sections ->
-     List.iter
-       (fun (section, payload) ->
-          match Option.bind (member "rows" payload) Json.get_list with
-          | None -> ()
-          | Some table_rows ->
-            List.iter
-              (fun row ->
-                 match str "instance" row with
-                 | None -> ()
-                 | Some instance ->
-                   (match Option.bind (member "runs" row) Json.get_list with
-                    | None -> ()
-                    | Some runs ->
-                      List.iter
-                        (fun run ->
-                           match
-                             ( str "engine" run,
-                               str "verdict" run,
-                               Option.bind (member "time_s" run) Json.get_float )
-                           with
-                           | Some engine, Some verdict, Some time ->
-                             rows :=
-                               {
-                                 br_section = section;
-                                 br_instance = instance;
-                                 br_engine = engine;
-                                 br_verdict = verdict;
-                                 br_time = time;
-                               }
-                               :: !rows
-                           | _ -> ())
-                        runs))
-              table_rows)
-       sections);
-  List.rev !rows
-
-type diff_status = Regression | Improvement | Unchanged
-
-type diff_entry = {
-  de_section : string;
-  de_instance : string;
-  de_engine : string;
-  de_old_verdict : string;
-  de_new_verdict : string;
-  de_old_time : float;
-  de_new_time : float;
-  de_status : diff_status;
-  de_note : string;
-}
-
-type bench_diff = {
-  bd_entries : diff_entry list;  (** instance order of the new artifact *)
-  bd_only_old : (string * string * string) list;
-  bd_only_new : (string * string * string) list;
-  bd_regressions : int;
-}
-
-let solved = function "sat" | "unsat" -> true | _ -> false
-
-let diff_rows ?(threshold = 0.20) ?(min_time = 0.05) old_rows new_rows =
-  let key r = (r.br_section, r.br_instance, r.br_engine) in
-  let old_tbl = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace old_tbl (key r) r) old_rows;
-  let matched = Hashtbl.create 64 in
-  let entries =
-    List.filter_map
-      (fun n ->
-         match Hashtbl.find_opt old_tbl (key n) with
-         | None -> None
-         | Some o ->
-           Hashtbl.replace matched (key n) ();
-           let status, note =
-             if o.br_verdict <> n.br_verdict then begin
-               if solved o.br_verdict && not (solved n.br_verdict) then
-                 ( Regression,
-                   Printf.sprintf "verdict degraded: %s -> %s" o.br_verdict
-                     n.br_verdict )
-               else if solved o.br_verdict && solved n.br_verdict then
-                 (* sat <-> unsat is a correctness alarm, not a slowdown *)
-                 ( Regression,
-                   Printf.sprintf "VERDICT FLIP: %s -> %s" o.br_verdict
-                     n.br_verdict )
-               else
-                 ( Improvement,
-                   Printf.sprintf "now solved: %s -> %s" o.br_verdict
-                     n.br_verdict )
-             end
-             else begin
-               (* same verdict: a slowdown only counts when it clears
-                  both the relative threshold and the absolute noise
-                  floor [min_time] *)
-               let limit =
-                 max (o.br_time *. (1.0 +. threshold)) (o.br_time +. min_time)
-               in
-               if n.br_time > limit then
-                 ( Regression,
-                   Printf.sprintf "%.3fs -> %.3fs (+%.0f%%)" o.br_time
-                     n.br_time
-                     ((n.br_time -. o.br_time) /. (max o.br_time 1e-9) *. 100.) )
-               else if
-                 o.br_time > n.br_time *. (1.0 +. threshold)
-                 && o.br_time > n.br_time +. min_time
-               then
-                 ( Improvement,
-                   Printf.sprintf "%.3fs -> %.3fs" o.br_time n.br_time )
-               else (Unchanged, "")
-             end
-           in
-           Some
-             {
-               de_section = n.br_section;
-               de_instance = n.br_instance;
-               de_engine = n.br_engine;
-               de_old_verdict = o.br_verdict;
-               de_new_verdict = n.br_verdict;
-               de_old_time = o.br_time;
-               de_new_time = n.br_time;
-               de_status = status;
-               de_note = note;
-             })
-      new_rows
-  in
-  let only_new =
-    List.filter_map
-      (fun n -> if Hashtbl.mem old_tbl (key n) then None else Some (key n))
-      new_rows
-  in
-  let only_old =
-    List.filter_map
-      (fun o -> if Hashtbl.mem matched (key o) then None else Some (key o))
-      old_rows
-  in
-  {
-    bd_entries = entries;
-    bd_only_old = only_old;
-    bd_only_new = only_new;
-    bd_regressions =
-      List.length (List.filter (fun e -> e.de_status = Regression) entries);
-  }
-
-let bench_diff ?threshold ?min_time old_json new_json =
-  diff_rows ?threshold ?min_time (bench_rows old_json) (bench_rows new_json)
-
-let print_bench_diff fmt d =
-  let pp_key fmt (s, i, e) = Format.fprintf fmt "%s/%s [%s]" s i e in
-  let by_status st =
-    List.filter (fun e -> e.de_status = st) d.bd_entries
-  in
-  let section title entries =
-    if entries <> [] then begin
-      Format.fprintf fmt "%s:@." title;
-      List.iter
-        (fun e ->
-           Format.fprintf fmt "  %a  %s@." pp_key
-             (e.de_section, e.de_instance, e.de_engine)
-             e.de_note)
-        entries
-    end
-  in
-  section "REGRESSIONS" (by_status Regression);
-  section "improvements" (by_status Improvement);
-  if d.bd_only_old <> [] then begin
-    Format.fprintf fmt "only in OLD:@.";
-    List.iter (fun k -> Format.fprintf fmt "  %a@." pp_key k) d.bd_only_old
-  end;
-  if d.bd_only_new <> [] then begin
-    Format.fprintf fmt "only in NEW:@.";
-    List.iter (fun k -> Format.fprintf fmt "  %a@." pp_key k) d.bd_only_new
-  end;
-  Format.fprintf fmt
-    "%d instances compared: %d regression%s, %d improvement%s, %d unchanged@."
-    (List.length d.bd_entries) d.bd_regressions
-    (if d.bd_regressions = 1 then "" else "s")
-    (List.length (by_status Improvement))
-    (if List.length (by_status Improvement) = 1 then "" else "s")
-    (List.length (by_status Unchanged))
-
-(* ---- bench-history ---- *)
-
-type history_point = {
-  hp_label : string;
-  hp_generated_at : string;
-  hp_section : string;
-  hp_runs : int;
-  hp_solved : int;
-  hp_timeouts : int;
-  hp_aborts : int;
-  hp_total_time : float;
-}
-
-let bench_history artifacts =
-  List.concat_map
-    (fun (label, j) ->
-       let generated_at =
-         match Option.bind (Json.member "generated_at" j) Json.get_string with
-         | Some s -> s
-         | None -> ""
-       in
-       let rows = bench_rows j in
-       let sections =
-         List.fold_left
-           (fun acc r ->
-              if List.mem r.br_section acc then acc else r.br_section :: acc)
-           [] rows
-         |> List.rev
-       in
-       List.map
-         (fun section ->
-            let rs = List.filter (fun r -> r.br_section = section) rows in
-            let count p = List.length (List.filter p rs) in
-            {
-              hp_label = label;
-              hp_generated_at = generated_at;
-              hp_section = section;
-              hp_runs = List.length rs;
-              hp_solved = count (fun r -> solved r.br_verdict);
-              hp_timeouts = count (fun r -> r.br_verdict = "timeout");
-              hp_aborts =
-                count (fun r ->
-                    (not (solved r.br_verdict)) && r.br_verdict <> "timeout");
-              hp_total_time =
-                List.fold_left (fun t r -> t +. r.br_time) 0.0 rs;
-            })
-         sections)
-    artifacts
-
-let history_point_json p =
-  Json.Obj
-    [
-      ("label", Json.Str p.hp_label);
-      ("generated_at", Json.Str p.hp_generated_at);
-      ("runs", Json.Int p.hp_runs);
-      ("solved", Json.Int p.hp_solved);
-      ("timeouts", Json.Int p.hp_timeouts);
-      ("aborts", Json.Int p.hp_aborts);
-      ("total_time_s", Json.Float p.hp_total_time);
-    ]
-
-let history_sections points =
-  List.fold_left
-    (fun acc p ->
-       if List.mem p.hp_section acc then acc else p.hp_section :: acc)
-    [] points
-  |> List.rev
-
-let bench_history_json points =
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.bench_history/1");
-      ( "sections",
-        Json.Obj
-          (List.map
-             (fun section ->
-                ( section,
-                  Json.Arr
-                    (List.filter_map
-                       (fun p ->
-                          if p.hp_section = section then
-                            Some (history_point_json p)
-                          else None)
-                       points) ))
-             (history_sections points)) );
-    ]
-
-let print_bench_history fmt points =
-  let width =
-    List.fold_left (fun w p -> max w (String.length p.hp_label)) 8 points
-  in
-  List.iter
-    (fun section ->
-       let ps = List.filter (fun p -> p.hp_section = section) points in
-       Format.fprintf fmt "%s:@." section;
-       Format.fprintf fmt "  %-*s  %5s  %6s  %7s  %6s  %9s@." width "artifact"
-         "runs" "solved" "timeout" "abort" "total_s";
-       List.iter
-         (fun p ->
-            Format.fprintf fmt "  %-*s  %5d  %6d  %7d  %6d  %9.3f@." width
-              p.hp_label p.hp_runs p.hp_solved p.hp_timeouts p.hp_aborts
-              p.hp_total_time)
-         ps)
-    (history_sections points)
 
 let fuzz_json ~seed ~count ~instances ~sat ~unsat ~timeouts ~wall_s ~failures
     ~metrics =

@@ -1,7 +1,6 @@
-(** The one JSON schema for every machine-readable result this repo
-    emits — [rtlsat solve --stats-json], [rtlsat table1/table2 --json]
-    and the bench harness's [BENCH_<timestamp>.json] perf-trajectory
-    artifact all go through these serializers.  The schema is
+(** JSON serializers for the machine-readable results of
+    [rtlsat solve --stats-json] (["rtlsat.solve/1"]) and
+    [rtlsat fuzz --json] (["rtlsat.fuzz/1"]).  The schemas are
     documented in docs/OBSERVABILITY.md; bump the ["schema"] tags when
     changing shapes. *)
 
@@ -15,159 +14,10 @@ val stats_json : Rtlsat_core.Solver.stats -> Json.t
     jconflicts, final_checks, splits, relations, learn_time_s,
     solve_time_s. *)
 
-val run_json_named : string -> Engines.run -> Json.t
-(** Like {!run_json} with an explicit engine label — e.g.
-    ["hdpll+s+p/incr"] vs ["hdpll+s+p/scratch"] in bmc_sweep rows. *)
-
-val run_json : Engines.engine -> Engines.run -> Json.t
-(** One engine run: engine, verdict, time_s, plus [stats]/[metrics]
-    objects when present. *)
-
 val solve_json : instance:string -> bound:int -> Engines.engine -> Engines.run -> Json.t
 (** Top-level object of [rtlsat solve --stats-json]
     (schema ["rtlsat.solve/1"]); carries the {!Rtlsat_obs.Env}
     fingerprint under ["env"]. *)
-
-val t1_row_json : Tables.t1_row -> Json.t
-val t2_row_json : Tables.t2_row -> Json.t
-
-val table1_json : scale:string -> Tables.t1_row list -> Json.t
-(** Schema ["rtlsat.table1/1"]. *)
-
-val table2_json : scale:string -> Tables.t2_row list -> Json.t
-(** Schema ["rtlsat.table2/1"]. *)
-
-val sweep_row_json : Tables.sweep_row -> Json.t list
-(** One JSON row per bound; each row's ["runs"] pairs the incremental
-    session run (["<engine>/incr"], with carried-clause / relation
-    counters) with its from-scratch twin (["<engine>/scratch"]). *)
-
-val bmc_sweep_json : scale:string -> Tables.sweep_row list -> Json.t
-(** The ["rtlsat.bmc_sweep/1"] section — shaped so {!bench_rows} picks
-    the per-bound runs up for {!bench_diff}. *)
-
-val simplify_json : scale:string -> Tables.simp_row list -> Json.t
-(** The ["rtlsat.simplify/1"] section: one row per (instance, engine),
-    its ["runs"] pairing the simplify-on arm (["<engine>/simp"]) with
-    the simplify-off arm (["<engine>/nosimp"]) so {!bench_diff} flags
-    a verdict flip or slowdown on either configuration. *)
-
-(** One parallel-portfolio comparison: the requested engine solved
-    sequentially ([pl_seq], labelled ["<engine>/j1"]) vs raced as a
-    [-j pl_j] portfolio ([pl_par], labelled ["portfolio/j<N>"] — wall
-    clock of the whole race, winner's verdict). *)
-type parallel_row = {
-  pl_instance : string;
-  pl_engine : Engines.engine;  (** the requested (sequential) engine *)
-  pl_j : int;
-  pl_seq : Engines.run;
-  pl_par : Engines.run;
-  pl_winner : string option;   (** winning engine's name, if any *)
-  pl_lineup : string list;     (** engine names raced *)
-}
-
-val parallel_json : scale:string -> parallel_row list -> Json.t
-(** The ["rtlsat.parallel/1"] section: per row, both configurations
-    under ["runs"] (so {!bench_rows} flags a verdict flip or slowdown
-    on either) plus ["winner"], ["lineup"] and ["speedup"] =
-    sequential wall / portfolio wall. *)
-
-val bench_json :
-  generated_at:string ->
-  scale:string ->
-  sections:(string * Json.t) list ->
-  Json.t
-(** The perf-trajectory artifact (schema ["rtlsat.bench/1"]):
-    [sections] maps section names (["table1"], ["table2"], …) to
-    their [table*_json] payloads.  Carries the {!Rtlsat_obs.Env}
-    fingerprint under ["env"], so every committed baseline is
-    self-describing. *)
-
-(* ---- bench-diff ---- *)
-
-type bench_row = {
-  br_section : string;   (** e.g. ["table2"] *)
-  br_instance : string;
-  br_engine : string;
-  br_verdict : string;
-  br_time : float;
-}
-
-val bench_rows : Json.t -> bench_row list
-(** Flatten a parsed [rtlsat.bench/1] artifact into one row per
-    (section, instance, engine).  @raise Invalid_argument on a wrong
-    or missing schema tag. *)
-
-type diff_status = Regression | Improvement | Unchanged
-
-type diff_entry = {
-  de_section : string;
-  de_instance : string;
-  de_engine : string;
-  de_old_verdict : string;
-  de_new_verdict : string;
-  de_old_time : float;
-  de_new_time : float;
-  de_status : diff_status;
-  de_note : string;  (** human-readable reason; empty when unchanged *)
-}
-
-type bench_diff = {
-  bd_entries : diff_entry list;
-      (** matched keys, in the new artifact's order *)
-  bd_only_old : (string * string * string) list;
-  bd_only_new : (string * string * string) list;
-  bd_regressions : int;
-}
-
-val diff_rows :
-  ?threshold:float ->
-  ?min_time:float ->
-  bench_row list ->
-  bench_row list ->
-  bench_diff
-(** Compare old vs new rows keyed by (section, instance, engine).
-    A matched pair regresses when the verdict degrades (solved →
-    timeout/abort, or a sat/unsat flip) or when, at equal verdicts,
-    [new_time > max (old_time * (1 + threshold)) (old_time +
-    min_time)] — the absolute floor [min_time] (default 0.05 s) keeps
-    micro-instance jitter from flagging.  Default [threshold] 0.20. *)
-
-val bench_diff : ?threshold:float -> ?min_time:float -> Json.t -> Json.t -> bench_diff
-(** [bench_diff old new] over whole parsed artifacts. *)
-
-val print_bench_diff : Format.formatter -> bench_diff -> unit
-(** The [rtlsat bench-diff] report: regressions first, then
-    improvements, unmatched keys, and a one-line summary. *)
-
-(* ---- bench-history ---- *)
-
-(** One (artifact, section) aggregate in a perf trajectory: how many
-    (instance, engine) runs the section carried and how they went. *)
-type history_point = {
-  hp_label : string;         (** artifact label, e.g. the file basename *)
-  hp_generated_at : string;  (** empty when the artifact carries none *)
-  hp_section : string;
-  hp_runs : int;
-  hp_solved : int;           (** sat or unsat verdicts *)
-  hp_timeouts : int;
-  hp_aborts : int;           (** anything neither solved nor timeout *)
-  hp_total_time : float;
-}
-
-val bench_history : (string * Json.t) list -> history_point list
-(** Aggregate labelled [rtlsat.bench/1] artifacts (oldest first) into
-    one point per (artifact, section), preserving artifact order so
-    each section reads as a time series.  @raise Invalid_argument when
-    an artifact has a wrong or missing schema tag. *)
-
-val bench_history_json : history_point list -> Json.t
-(** Schema ["rtlsat.bench_history/1"]: [{"sections": {name: [point,
-    …]}}] with points in artifact order. *)
-
-val print_bench_history : Format.formatter -> history_point list -> unit
-(** The [rtlsat bench-history] table: per section, one row per
-    artifact with runs/solved/timeout/abort counts and total time. *)
 
 val fuzz_json :
   seed:int ->

@@ -50,13 +50,7 @@ let default = make ()
 
 let deadline_from t t0 = Float.min (t0 +. t.timeout) t.deadline
 let cancelled t = Atomic.get t.cancel
-let fresh_cancel t = { t with cancel = Atomic.make false }
 let with_obs t obs = { t with obs }
-let with_cancel t cancel = { t with cancel }
-let with_timeout t timeout =
-  check_timeout timeout;
-  { t with timeout }
-let with_deadline t deadline = { t with deadline }
 
 let options_string t =
   Printf.sprintf "split=%b,simplify=%b,inprocess=%d" t.split t.simplify

@@ -25,7 +25,7 @@ type t = {
       (** cooperative cancellation: once set, every engine observing
           this request returns [Timeout] at its next step/fuel gate.
           The default flag is shared and never set — use {!make} [?cancel]
-          or {!fresh_cancel} for a flag you intend to trip *)
+          for a flag you intend to trip *)
   obs : Rtlsat_obs.Obs.t;
       (** observability handle threaded through encode and search;
           default {!Rtlsat_obs.Obs.disabled} *)
@@ -80,17 +80,7 @@ val deadline_from : t -> float -> float
 
 val cancelled : t -> bool
 
-val fresh_cancel : t -> t
-(** Same request with a private, unset [cancel] flag — give each
-    parallel race its own. *)
-
 val with_obs : t -> Rtlsat_obs.Obs.t -> t
-val with_cancel : t -> bool Atomic.t -> t
-
-val with_timeout : t -> float -> t
-(** @raise Invalid_argument on a negative or NaN timeout, as {!make}. *)
-
-val with_deadline : t -> float -> t
 
 val options_string : t -> string
 (** The ledger-facing option digest,

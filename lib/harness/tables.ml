@@ -5,14 +5,6 @@ type scale = [ `Scaled | `Full ]
 
 let scale_name = function `Scaled -> "scaled" | `Full -> "full"
 
-(* fresh per-run obs handle when metrics collection is requested *)
-let run_obs metrics = if metrics then Obs.create () else Obs.disabled
-
-(* fresh request per engine run: a private obs handle so [run.metrics]
-   snapshots stay per-run *)
-let run_req ?learn_threshold ?(simplify = true) ~timeout metrics =
-  Req.make ~timeout ?learn_threshold ~simplify ~obs:(run_obs metrics) ()
-
 (* ---- Table 1 (§3.1): predicate learning analysis ---- *)
 
 let table1_instances = function
@@ -53,18 +45,17 @@ let default_timeout = function `Full -> 1200.0 | `Scaled -> 20.0
 (* the paper's Table 1 threshold: 2500 learned relations *)
 let t1_threshold = 2500
 
-let run_table1 ?timeout ?(metrics = false) scale =
-  let timeout = match timeout with Some t -> t | None -> default_timeout scale in
+let run_table1 scale =
+  let timeout = default_timeout scale in
   List.map
     (fun (circuit, prop, bound) ->
        let mk () = Registry.instance ~circuit ~prop ~bound in
        let base =
-         Engines.run_instance ~req:(run_req ~timeout metrics) Engines.Hdpll
-           (mk ())
+         Engines.run_instance ~req:(Req.make ~timeout ()) Engines.Hdpll (mk ())
        in
        let learned =
          Engines.run_instance
-           ~req:(run_req ~learn_threshold:t1_threshold ~timeout metrics)
+           ~req:(Req.make ~timeout ~learn_threshold:t1_threshold ())
            Engines.Hdpll_p (mk ())
        in
        {
@@ -133,42 +124,44 @@ type t2_row = {
   t2_runs : (Engines.engine * Engines.run) list;
 }
 
-let run_row ?(timeout = 1200.0) ?(metrics = false) ~engines (circuit, prop, bound) =
-  let arith, boolean =
-    Engines.op_counts (Registry.instance ~circuit ~prop ~bound)
-  in
+(* the reference verdict: first engine that decided *)
+let reference_verdict runs =
+  match
+    List.find_opt
+      (fun (_, r) ->
+         match r.Engines.verdict with
+         | Engines.Sat | Engines.Unsat -> true
+         | _ -> false)
+      runs
+  with
+  | Some (_, r) -> r.Engines.verdict
+  | None -> Engines.Timeout
+
+(* one row: [mk ()] builds a fresh copy of the instance per engine run *)
+let make_row ~timeout ~engines label mk =
+  let arith, boolean = Engines.op_counts (mk ()) in
   let runs =
     List.map
-      (fun e ->
-         ( e,
-           Engines.run_instance ~req:(run_req ~timeout metrics) e
-             (Registry.instance ~circuit ~prop ~bound) ))
+      (fun e -> (e, Engines.run_instance ~req:(Req.make ~timeout ()) e (mk ())))
       engines
   in
-  let t2_type =
-    (* the reference verdict: first engine that decided *)
-    match
-      List.find_opt
-        (fun (_, r) ->
-           match r.Engines.verdict with
-           | Engines.Sat | Engines.Unsat -> true
-           | _ -> false)
-        runs
-    with
-    | Some (_, r) -> r.Engines.verdict
-    | None -> Engines.Timeout
-  in
   {
-    t2_label = Registry.instance_name ~circuit ~prop ~bound;
-    t2_type;
+    t2_label = label;
+    t2_type = reference_verdict runs;
     t2_arith = arith;
     t2_bool = boolean;
     t2_runs = runs;
   }
 
-let run_table2 ?timeout ?metrics ?(engines = Engines.table2_engines) scale =
-  let timeout = match timeout with Some t -> t | None -> default_timeout scale in
-  List.map (run_row ~timeout ?metrics ~engines) (table2_instances scale)
+let run_row ?(timeout = 1200.0) ~engines (circuit, prop, bound) =
+  make_row ~timeout ~engines
+    (Registry.instance_name ~circuit ~prop ~bound)
+    (fun () -> Registry.instance ~circuit ~prop ~bound)
+
+let run_table2 scale =
+  List.map
+    (run_row ~timeout:(default_timeout scale) ~engines:Engines.table2_engines)
+    (table2_instances scale)
 
 let print_table2 fmt rows =
   Format.fprintf fmt
@@ -212,9 +205,11 @@ let extension_instances =
     ("b11", "1", 12); ("b11", "3", 12);
   ]
 
-let run_extension ?(timeout = 20.0) ?metrics
-    ?(engines = [ Engines.Hdpll; Engines.Hdpll_s; Engines.Hdpll_sp; Engines.Bitblast ]) () =
-  List.map (run_row ~timeout ?metrics ~engines) extension_instances
+let run_extension () =
+  List.map
+    (run_row ~timeout:20.0
+       ~engines:[ Engines.Hdpll; Engines.Hdpll_s; Engines.Hdpll_sp; Engines.Bitblast ])
+    extension_instances
 
 (* ---- wide_wrap family: wrap-around arithmetic corners over wide
    words.  One-frame BMC with Final semantics; every case is Sat with
@@ -265,38 +260,11 @@ let wide_wrap_instance (kind, width) =
 let wide_wrap_engines =
   [ Engines.Hdpll; Engines.Hdpll_s; Engines.Hdpll_sp; Engines.Hdpll_p ]
 
-let run_wide_wrap ?(timeout = 20.0) ?(metrics = false)
-    ?(engines = wide_wrap_engines) () =
+let run_wide_wrap () =
   List.map
     (fun case ->
-       let arith, boolean = Engines.op_counts (wide_wrap_instance case) in
-       let runs =
-         List.map
-           (fun e ->
-              ( e,
-                Engines.run_instance ~req:(run_req ~timeout metrics) e
-                  (wide_wrap_instance case) ))
-           engines
-       in
-       let t2_type =
-         match
-           List.find_opt
-             (fun (_, r) ->
-                match r.Engines.verdict with
-                | Engines.Sat | Engines.Unsat -> true
-                | _ -> false)
-             runs
-         with
-         | Some (_, r) -> r.Engines.verdict
-         | None -> Engines.Timeout
-       in
-       {
-         t2_label = wide_wrap_label case;
-         t2_type;
-         t2_arith = arith;
-         t2_bool = boolean;
-         t2_runs = runs;
-       })
+       make_row ~timeout:20.0 ~engines:wide_wrap_engines (wide_wrap_label case)
+         (fun () -> wide_wrap_instance case))
     wide_wrap_cases
 
 (* ---- bmc_sweep family: incremental sessions vs from-scratch ----
@@ -332,9 +300,8 @@ let bmc_sweep_cases = function
 
 let bmc_sweep_engines = [ Engines.Hdpll; Engines.Hdpll_sp; Engines.Bitblast ]
 
-let run_bmc_sweep ?timeout ?(metrics = false) ?(engines = bmc_sweep_engines)
-    scale =
-  let timeout = match timeout with Some t -> t | None -> default_timeout scale in
+let run_bmc_sweep scale =
+  let timeout = default_timeout scale in
   List.concat_map
     (fun (circuit, prop, bounds) ->
        let source, props = Registry.build circuit in
@@ -342,14 +309,14 @@ let run_bmc_sweep ?timeout ?(metrics = false) ?(engines = bmc_sweep_engines)
        List.map
          (fun e ->
             let incr =
-              Engines.run_sweep ~req:(run_req ~timeout metrics) e source
+              Engines.run_sweep ~req:(Req.make ~timeout ()) e source
                 ~prop:p ~bounds
             in
             let steps =
               List.map
                 (fun (step : Engines.sweep_step) ->
                    let scratch =
-                     Engines.run_instance ~req:(run_req ~timeout metrics) e
+                     Engines.run_instance ~req:(Req.make ~timeout ()) e
                        (Registry.instance ~circuit ~prop
                           ~bound:step.Engines.sw_bound)
                    in
@@ -361,7 +328,7 @@ let run_bmc_sweep ?timeout ?(metrics = false) ?(engines = bmc_sweep_engines)
               sr_engine = e;
               sr_steps = steps;
             })
-         engines)
+         bmc_sweep_engines)
     (bmc_sweep_cases scale)
 
 let print_bmc_sweep fmt rows =
@@ -386,11 +353,11 @@ let print_bmc_sweep fmt rows =
 (* ---- simplify family: pre/inprocessing on vs off ----
 
    Each case solves one instance per engine twice — simplification on
-   (the default) and off — with obs attached to the on arm so the
-   simplify.* counters land in the artifact.  The family locks in two
-   facts: simplification never flips a verdict, and it actually
-   reduces the clause databases (all-zero counters would mean the
-   pipeline is wired but dead). *)
+   (the default) and off — each run with its own obs handle so
+   [print_simplify] can show the on arm's simplify.* counters.  The
+   rows show two facts: simplification never flips a verdict, and it
+   actually reduces the clause databases (all-zero counters would mean
+   the pipeline is wired but dead). *)
 
 type simp_row = {
   sy_label : string;
@@ -412,20 +379,22 @@ let simplify_cases = function
 
 let simplify_engines = [ Engines.Hdpll_sp; Engines.Bitblast ]
 
-let run_simplify ?timeout ?(metrics = true) ?(engines = simplify_engines)
-    scale =
-  let timeout = match timeout with Some t -> t | None -> default_timeout scale in
+let run_simplify scale =
+  let timeout = default_timeout scale in
   List.concat_map
     (fun (circuit, prop, bound) ->
        List.map
          (fun e ->
             let mk () = Registry.instance ~circuit ~prop ~bound in
             let on =
-              Engines.run_instance ~req:(run_req ~timeout metrics) e (mk ())
+              Engines.run_instance
+                ~req:(Req.make ~timeout ~obs:(Obs.create ()) ())
+                e (mk ())
             in
             let off =
               Engines.run_instance
-                ~req:(run_req ~simplify:false ~timeout metrics) e (mk ())
+                ~req:(Req.make ~timeout ~simplify:false ~obs:(Obs.create ()) ())
+                e (mk ())
             in
             {
               sy_label = Printf.sprintf "%s_%s(%d)" circuit prop bound;
@@ -433,7 +402,7 @@ let run_simplify ?timeout ?(metrics = true) ?(engines = simplify_engines)
               sy_on = on;
               sy_off = off;
             })
-         engines)
+         simplify_engines)
     (simplify_cases scale)
 
 let simp_counter (r : Engines.run) name =
@@ -462,27 +431,4 @@ let print_simplify fmt rows =
          (simp_counter row.sy_on "simplify.strengthened")
          (simp_counter row.sy_on "simplify.eliminated")
          (simp_counter row.sy_on "simplify.probed"))
-    rows
-
-let print_table2_csv fmt rows =
-  (match rows with
-   | [] -> ()
-   | row :: _ ->
-     Format.fprintf fmt "instance,result,arith_ops,bool_ops";
-     List.iter
-       (fun (e, _) -> Format.fprintf fmt ",%s" (Engines.engine_name e))
-       row.t2_runs;
-     Format.fprintf fmt "@.");
-  List.iter
-    (fun r ->
-       Format.fprintf fmt "%s,%s,%d,%d" r.t2_label
-         (Engines.verdict_symbol r.t2_type)
-         r.t2_arith r.t2_bool;
-       List.iter
-         (fun (_, run) ->
-            match run.Engines.verdict with
-            | Engines.Timeout | Engines.Abort _ -> Format.fprintf fmt ","
-            | _ -> Format.fprintf fmt ",%.3f" run.Engines.time)
-         r.t2_runs;
-       Format.fprintf fmt "@.")
     rows

@@ -7,7 +7,7 @@
 type scale = [ `Scaled | `Full ]
 
 val scale_name : scale -> string
-(** ["scaled"] / ["full"], as used in JSON reports. *)
+(** ["scaled"] / ["full"], as recorded in the bench ledger record. *)
 
 type t1_row = {
   t1_label : string;
@@ -21,9 +21,7 @@ type t1_row = {
 val table1_instances : scale -> (string * string * int) list
 (** (circuit, property, bound) triples of Table 1 rows. *)
 
-val run_table1 : ?timeout:float -> ?metrics:bool -> scale -> t1_row list
-(** [metrics] (default false) attaches a fresh observability handle to
-    every run, filling [Engines.run.metrics] for JSON reports. *)
+val run_table1 : scale -> t1_row list
 
 val print_table1 : Format.formatter -> t1_row list -> unit
 
@@ -37,25 +35,21 @@ type t2_row = {
 
 val table2_instances : scale -> (string * string * int) list
 
-val run_table2 :
-  ?timeout:float -> ?metrics:bool -> ?engines:Engines.engine list -> scale -> t2_row list
+val run_table2 : scale -> t2_row list
+(** Every {!table2_instances} row across {!Engines.table2_engines}. *)
 
 val print_table2 : Format.formatter -> t2_row list -> unit
 
 val run_row :
-  ?timeout:float ->
-  ?metrics:bool ->
-  engines:Engines.engine list ->
-  string * string * int ->
-  t2_row
-(** Run one instance across engines (used by the CLI). *)
+  ?timeout:float -> engines:Engines.engine list -> string * string * int -> t2_row
+(** Run one instance across engines. *)
 
 val extension_instances : (string * string * int) list
 (** BMC instances over the suite-extension circuits (b03, b06, b07,
     b09, b10, b11) — not part of the paper's tables. *)
 
-val run_extension :
-  ?timeout:float -> ?metrics:bool -> ?engines:Engines.engine list -> unit -> t2_row list
+val run_extension : unit -> t2_row list
+(** HDPLL, HDPLL+S, HDPLL+S+P and bit-blast, 20 s timeout. *)
 
 val wide_wrap_cases : (string * int) list
 (** (kind, width) pairs of the wide_wrap family: wrap-around add, sub
@@ -68,14 +62,9 @@ val wide_wrap_label : string * int -> string
 
 val wide_wrap_instance : string * int -> Rtlsat_bmc.Bmc.instance
 
-val run_wide_wrap :
-  ?timeout:float ->
-  ?metrics:bool ->
-  ?engines:Engines.engine list ->
-  unit ->
-  t2_row list
-(** Run the whole family (default: the four HDPLL configurations,
-    20 s timeout). *)
+val run_wide_wrap : unit -> t2_row list
+(** Run the whole family under the four HDPLL configurations, 20 s
+    timeout. *)
 
 type sweep_row = {
   sr_label : string;           (** e.g. ["b13_5"] *)
@@ -88,18 +77,13 @@ val bmc_sweep_cases : scale -> (string * string * int list) list
 (** (circuit, property, bounds) of the bmc_sweep bench family. *)
 
 val bmc_sweep_engines : Engines.engine list
-(** Default engines of the family: HDPLL, HDPLL+S+P and the eager
-    bit-blast baseline. *)
+(** Engines of the family: HDPLL, HDPLL+S+P and the eager bit-blast
+    baseline. *)
 
-val run_bmc_sweep :
-  ?timeout:float ->
-  ?metrics:bool ->
-  ?engines:Engines.engine list ->
-  scale ->
-  sweep_row list
+val run_bmc_sweep : scale -> sweep_row list
 (** Sweep every case's bounds through one solver session per engine
     ({!Engines.run_sweep}) and re-solve each bound from scratch for
-    comparison.  [timeout] is a per-bound budget. *)
+    comparison.  The scale's timeout is a per-bound budget. *)
 
 val print_bmc_sweep : Format.formatter -> sweep_row list -> unit
 
@@ -114,23 +98,14 @@ val simplify_cases : scale -> (string * string * int) list
 (** (circuit, property, bound) of the simplify bench family. *)
 
 val simplify_engines : Engines.engine list
-(** Default engines of the family: the hybrid HDPLL+S+P configuration
+(** Engines of the family: the hybrid HDPLL+S+P configuration
     and the eager bit-blast baseline — one arm per clause database the
     pre/inprocessing pipeline touches. *)
 
-val run_simplify :
-  ?timeout:float ->
-  ?metrics:bool ->
-  ?engines:Engines.engine list ->
-  scale ->
-  simp_row list
+val run_simplify : scale -> simp_row list
 (** Solve every case twice per engine, simplification on and off.
-    [metrics] defaults to [true] (unlike the other families) so the
-    simplify.* counters always land in the artifact — the family's
-    whole point is pinning the database reduction. *)
+    Every run gets its own observability handle (unlike the other
+    families) so {!print_simplify} can show the simplify.* counters —
+    the family's whole point is the database reduction. *)
 
 val print_simplify : Format.formatter -> simp_row list -> unit
-
-val print_table2_csv : Format.formatter -> t2_row list -> unit
-(** Machine-readable variant (label, result, ops, one time column per
-    engine; timeouts as empty cells). *)

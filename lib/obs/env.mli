@@ -1,7 +1,7 @@
 (** Environment fingerprint: which code, on which machine, under which
     runtime produced an artifact.  Embedded in every ledger record
-    ({!Ledger}), in [rtlsat solve --stats-json] and in [BENCH_*.json]
-    so results stay attributable after the working tree moves on.
+    ({!Ledger}) and in [rtlsat solve --stats-json], so results stay
+    attributable after the working tree moves on.
 
     All probes are best-effort and cached for the process lifetime:
     a missing [git] binary or a non-repo working directory yields

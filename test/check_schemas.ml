@@ -1,36 +1,12 @@
-(* Schema sweep over every committed machine-readable artifact: each
-   bench/baselines/BENCH_*.json must parse as rtlsat.bench/1 (via the
-   same flattener bench-diff uses), and each fixtures/trace_v<N>.jsonl
-   must replay through the profiler at exactly the version its
-   filename declares — fixtures named *unsupported* must instead be
-   rejected.  Run by the runtest alias so a schema bump that forgets a
-   committed artifact fails the build. *)
+(* Schema sweep over the committed trace fixtures: each
+   fixtures/trace_v<N>.jsonl must replay through the profiler at
+   exactly the version its filename declares — fixtures named
+   *unsupported* must instead be rejected.  Run by the runtest alias so
+   a schema bump that forgets a committed fixture fails the build. *)
 
-module Json = Rtlsat_obs.Json
 module Forensics = Rtlsat_obs.Forensics
-module Report = Rtlsat_harness.Report
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt
-
-let read_file path =
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  text
-
-let check_bench path =
-  let j =
-    match Json.of_string (String.trim (read_file path)) with
-    | j -> j
-    | exception Json.Parse_error m -> fail "%s: not valid JSON: %s" path m
-  in
-  let rows =
-    match Report.bench_rows j with
-    | rows -> rows
-    | exception Invalid_argument m -> fail "%s: %s" path m
-  in
-  if rows = [] then fail "%s: rtlsat.bench/1 artifact with no rows" path;
-  Printf.printf "OK: %s (rtlsat.bench/1, %d rows)\n" path (List.length rows)
 
 (* "trace_v5.jsonl" -> Some 5 *)
 let declared_version path =
@@ -73,10 +49,5 @@ let check_trace path =
 
 let () =
   let files = List.tl (Array.to_list Sys.argv) in
-  if files = [] then fail "usage: check_schemas FILE...";
-  List.iter
-    (fun path ->
-       if Filename.check_suffix path ".json" then check_bench path
-       else if Filename.check_suffix path ".jsonl" then check_trace path
-       else fail "%s: neither a .json artifact nor a .jsonl trace" path)
-    files
+  if files = [] then fail "usage: check_schemas TRACE.jsonl...";
+  List.iter check_trace files

@@ -39,15 +39,14 @@ grep -q "COMMANDS" "$out"
 grep -q "serve" "$out"
 
 for sub in list show solve sweep serve check prove export sat fuzz \
-           profile top metrics runs trace-diff bench-diff bench-history \
-           table1 table2; do
+           profile top metrics runs trace-diff; do
   "$rtlsat" "$sub" --help=plain > "$out"
 done
 
 # 2. the 0/1/2 exit-code convention is documented on the commands that
 #    share it
 for sub in show solve sweep serve check prove sat fuzz profile top \
-           metrics runs trace-diff bench-diff bench-history; do
+           metrics runs trace-diff; do
   "$rtlsat" "$sub" --help=plain > "$out"
   grep -q "on a negative finding" "$out"
   grep -q "on unreadable or invalid input" "$out"

@@ -6,11 +6,10 @@
 #   2. force the w61 ICP stall with a short deadline, check the trace
 #      carries icp_stall + heartbeat, and profile it — the diagnosis
 #      must name slow ICP convergence
-#   3. bench-diff exit codes: self-diff clean, injected slowdown flagged
-#   4. rtlsat metrics: OpenMetrics exposition from a solve report
-#   5. flight-recorder round trip: a --no-split timeout with no --trace
+#   3. rtlsat metrics: OpenMetrics exposition from a solve report
+#   4. flight-recorder round trip: a --no-split timeout with no --trace
 #      must still leave a dump that rtlsat profile diagnoses
-#   6. cross-run ledger: solves append rtlsat.run/1 records (env
+#   5. cross-run ledger: solves append rtlsat.run/1 records (env
 #      fingerprint included), rtlsat runs lists them, and trace-diff
 #      exits 1 on the committed w61 verdict flip
 set -eu
@@ -42,16 +41,7 @@ trap 'rm -f "$out" "$trace" "$profile" "$om" "$flight" "$ledger"' EXIT
 "$rtlsat" profile "$trace" > "$profile"
 grep -q "slow ICP convergence is the dominant behaviour" "$profile"
 
-# 3. bench-diff exit-code contract
-"$rtlsat" bench-diff "$root/test/fixtures/bench_a.json" \
-  "$root/test/fixtures/bench_a.json"
-if "$rtlsat" bench-diff "$root/test/fixtures/bench_a.json" \
-  "$root/test/fixtures/bench_b.json"; then
-  echo "FAIL: bench-diff did not flag the injected slowdown" >&2
-  exit 1
-fi
-
-# 4. OpenMetrics exposition (rtlsat metrics on the step-1 report, and
+# 3. OpenMetrics exposition (rtlsat metrics on the step-1 report, and
 #    --metrics-out straight from a solve); both must satisfy the
 #    line-format checker
 "$rtlsat" metrics "$out" -o "$om"
@@ -59,7 +49,7 @@ fi
 "$rtlsat" solve -c b01 -p 1 -k 5 --metrics-out "$om" --no-ledger > /dev/null
 "$root/_build/default/test/check_openmetrics.exe" "$om"
 
-# 5. flight-recorder round trip: trace OFF, timeout -> exit 1 plus a
+# 4. flight-recorder round trip: trace OFF, timeout -> exit 1 plus a
 #    dump the profiler can read; icp_stall and heartbeat events must
 #    survive the ring, and the diagnosis must still fire
 if "$rtlsat" solve "$root/test/corpus/w61_wrap_corner.rtl" -e hdpll \
@@ -74,7 +64,7 @@ fi
 grep -q "slow ICP convergence is the dominant behaviour" "$profile"
 grep -q "heartbeat" "$profile"
 
-# 6. cross-run ledger round trip: two solves append two parseable
+# 5. cross-run ledger round trip: two solves append two parseable
 #    rtlsat.run/1 records with the environment fingerprint, rtlsat
 #    runs reproduces them (text and rtlsat.runs/1 JSON), and
 #    trace-diff on the committed divergent w61 traces names the first

@@ -15,6 +15,7 @@ module Lz = Rtlsat_baselines.Lazy_cdp
 module Engine = Rtlsat_harness.Engine
 module Engines = Rtlsat_harness.Engines
 module Req = Rtlsat_harness.Req
+module Report = Rtlsat_harness.Report
 module Serve = Rtlsat_harness.Serve
 module Registry = Rtlsat_itc99.Registry
 module Obs = Rtlsat_obs.Obs
@@ -395,6 +396,45 @@ let test_bad_requests () =
   check_bool "nothing served" true
     (Json.member "served" stats = Some (Json.Int 0))
 
+(* ---- verdict pin: the benchmark's expected-verdict table ---- *)
+
+(* The rows of perfbench/expected.tsv (a read-only dune dep) up to
+   bound 50, as [(circuit, prop, bound, verdict)].  Each is solved the
+   way the table was generated: a default request under the paper's
+   engine and under the bit-blast baseline. *)
+let expected_rows ~max_bound =
+  let ic = open_in "../perfbench/expected.tsv" in
+  let rec read acc =
+    match input_line ic with
+    | line ->
+      (match String.split_on_char '\t' (String.trim line) with
+       | [ c; p; b; v ] when line.[0] <> '#' && int_of_string b <= max_bound ->
+         read ((c, p, int_of_string b, v) :: acc)
+       | _ -> read acc)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  read []
+
+let test_expected_verdicts engine () =
+  let rows = expected_rows ~max_bound:50 in
+  check_bool "table has rows" true (List.length rows >= 40);
+  let line (circuit, prop, bound) verdict =
+    Printf.sprintf "%s: %s" (Registry.instance_name ~circuit ~prop ~bound)
+      verdict
+  in
+  Alcotest.(check (list string)) (Engines.engine_name engine ^ " verdicts")
+    (List.map (fun (c, p, b, v) -> line (c, p, b) v) rows)
+    (List.map
+       (fun (circuit, prop, bound, _) ->
+          let r =
+            Engines.run_instance ~req:(Req.make ()) engine
+              (Registry.instance ~circuit ~prop ~bound)
+          in
+          line (circuit, prop, bound) (Report.verdict_string r.Engines.verdict))
+       rows)
+
 let () =
   Alcotest.run "engine"
     [
@@ -423,5 +463,12 @@ let () =
             test_serve_warm_reuse;
           Alcotest.test_case "bad timeouts and empty sweeps rejected" `Quick
             test_bad_requests;
+        ] );
+      ( "verdict-pin",
+        [
+          Alcotest.test_case "hdpll+s+p up to bound 50" `Quick
+            (test_expected_verdicts Engines.Hdpll_sp);
+          Alcotest.test_case "bitblast up to bound 50" `Quick
+            (test_expected_verdicts Engines.Bitblast);
         ] );
     ]

@@ -67,24 +67,12 @@ let test_run_row () =
   check_bool "decided" true (row.Tables.t2_type = Engines.Unsat);
   check_int "two runs" 2 (List.length row.Tables.t2_runs);
   check_bool "op counts positive" true (row.Tables.t2_arith > 0 && row.Tables.t2_bool > 0);
-  (* the printers don't raise *)
+  (* the printer doesn't raise *)
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
   Tables.print_table2 fmt [ row ];
   Format.pp_print_flush fmt ();
-  check_bool "printed something" true (Buffer.length buf > 0);
-  (* CSV form: header + one data row, engine columns present *)
-  let csv = Buffer.create 128 in
-  let fmt = Format.formatter_of_buffer csv in
-  Tables.print_table2_csv fmt [ row ];
-  Format.pp_print_flush fmt ();
-  (match String.split_on_char '\n' (Buffer.contents csv) with
-   | header :: data :: _ ->
-     Alcotest.(check string) "csv header"
-       "instance,result,arith_ops,bool_ops,hdpll,hdpll+s" header;
-     check_bool "csv row starts with label" true
-       (String.length data > 9 && String.sub data 0 9 = "b04_1(5),")
-   | _ -> Alcotest.fail "csv too short")
+  check_bool "printed something" true (Buffer.length buf > 0)
 
 (* ---- k-induction ---- *)
 

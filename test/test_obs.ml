@@ -668,78 +668,6 @@ let test_profile_v1_warning () =
   check_bool "warned" true (p.Forensics.pf_warnings <> []);
   check_bool "result still parsed" true (p.Forensics.pf_result = Some "sat")
 
-(* ---- bench-diff ---- *)
-
-let row section instance engine verdict time =
-  {
-    Report.br_section = section;
-    br_instance = instance;
-    br_engine = engine;
-    br_verdict = verdict;
-    br_time = time;
-  }
-
-let test_bench_diff_self_clean () =
-  let rows =
-    [ row "table2" "a" "hdpll" "unsat" 1.0; row "table2" "b" "hdpll" "sat" 0.3 ]
-  in
-  let d = Report.diff_rows rows rows in
-  check_int "no regressions" 0 d.Report.bd_regressions;
-  check_int "all matched" 2 (List.length d.Report.bd_entries);
-  check_bool "nothing unmatched" true
-    (d.Report.bd_only_old = [] && d.Report.bd_only_new = [])
-
-let test_bench_diff_flags_slowdown () =
-  let old_rows = [ row "table2" "a" "hdpll" "unsat" 1.0 ] in
-  (* +50% > the 20% threshold and past the absolute floor *)
-  let d = Report.diff_rows old_rows [ row "table2" "a" "hdpll" "unsat" 1.5 ] in
-  check_int "slowdown flagged" 1 d.Report.bd_regressions;
-  (* +10%: within threshold *)
-  let d = Report.diff_rows old_rows [ row "table2" "a" "hdpll" "unsat" 1.1 ] in
-  check_int "within threshold" 0 d.Report.bd_regressions;
-  (* micro-instance jitter below the absolute floor never flags *)
-  let d =
-    Report.diff_rows
-      [ row "table2" "a" "hdpll" "unsat" 0.010 ]
-      [ row "table2" "a" "hdpll" "unsat" 0.045 ]
-  in
-  check_int "jitter below min_time" 0 d.Report.bd_regressions
-
-let test_bench_diff_verdicts () =
-  let d =
-    Report.diff_rows
-      [ row "table2" "a" "hdpll" "unsat" 1.0 ]
-      [ row "table2" "a" "hdpll" "timeout" 5.0 ]
-  in
-  check_int "degradation is a regression" 1 d.Report.bd_regressions;
-  let d =
-    Report.diff_rows
-      [ row "table2" "a" "hdpll" "sat" 1.0 ]
-      [ row "table2" "a" "hdpll" "unsat" 1.0 ]
-  in
-  check_int "sat/unsat flip is a regression" 1 d.Report.bd_regressions;
-  let d =
-    Report.diff_rows
-      [ row "table2" "a" "hdpll" "timeout" 5.0 ]
-      [ row "table2" "a" "hdpll" "unsat" 1.0 ]
-  in
-  check_int "now solved is not a regression" 0 d.Report.bd_regressions;
-  (match d.Report.bd_entries with
-   | [ e ] -> check_bool "but noted" true (e.Report.de_status = Report.Improvement)
-   | _ -> Alcotest.fail "expected one entry")
-
-let test_bench_diff_unmatched () =
-  let d =
-    Report.diff_rows
-      [ row "table2" "gone" "hdpll" "sat" 1.0 ]
-      [ row "table2" "new" "hdpll" "sat" 1.0 ]
-  in
-  check_int "nothing compared" 0 (List.length d.Report.bd_entries);
-  check_bool "old key reported" true
-    (d.Report.bd_only_old = [ ("table2", "gone", "hdpll") ]);
-  check_bool "new key reported" true
-    (d.Report.bd_only_new = [ ("table2", "new", "hdpll") ])
-
 (* ---- the report serializers ---- *)
 
 let test_solve_json_shape () =
@@ -1356,71 +1284,6 @@ let test_trace_diff_truncated () =
   check_bool "missing done diverges the verdict" true d.Trace_diff.verdict_diverged;
   check_int "exit 1" 1 (Trace_diff.exit_code d)
 
-(* ---- bench-history ---- *)
-
-let mk_bench_artifact ~generated_at rows =
-  let run (engine, verdict, time) =
-    Json.Obj
-      [
-        ("engine", Json.Str engine);
-        ("verdict", Json.Str verdict);
-        ("time_s", Json.Float time);
-      ]
-  in
-  let row (instance, runs) =
-    Json.Obj
-      [
-        ("instance", Json.Str instance);
-        ("runs", Json.Arr (List.map run runs));
-      ]
-  in
-  Json.Obj
-    [
-      ("schema", Json.Str "rtlsat.bench/1");
-      ("generated_at", Json.Str generated_at);
-      ( "sections",
-        Json.Obj
-          [ ("table2", Json.Obj [ ("rows", Json.Arr (List.map row rows)) ]) ]
-      );
-    ]
-
-let test_bench_history_aggregation () =
-  let a =
-    mk_bench_artifact ~generated_at:"2026-08-01T00:00:00Z"
-      [
-        ("i1", [ ("hdpll", "unsat", 1.0); ("bitblast", "timeout", 5.0) ]);
-        ("i2", [ ("hdpll", "sat", 0.5) ]);
-      ]
-  in
-  let b =
-    mk_bench_artifact ~generated_at:"2026-08-02T00:00:00Z"
-      [
-        ("i1", [ ("hdpll", "unsat", 0.8); ("bitblast", "abort", 0.1) ]);
-        ("i2", [ ("hdpll", "sat", 0.4) ]);
-      ]
-  in
-  let points = Report.bench_history [ ("old", a); ("new", b) ] in
-  (match points with
-   | [ p1; p2 ] ->
-     check_string "order preserved" "old" p1.Report.hp_label;
-     check_int "runs" 3 p1.Report.hp_runs;
-     check_int "solved" 2 p1.Report.hp_solved;
-     check_int "timeouts" 1 p1.Report.hp_timeouts;
-     check_int "aborts" 0 p1.Report.hp_aborts;
-     check_bool "total time" true (abs_float (p1.Report.hp_total_time -. 6.5) < 1e-9);
-     check_int "new aborts" 1 p2.Report.hp_aborts;
-     check_int "new timeouts" 0 p2.Report.hp_timeouts
-   | l -> Alcotest.fail (Printf.sprintf "%d points" (List.length l)));
-  match Report.bench_history_json points with
-  | Json.Obj fields ->
-    check_bool "schema" true
-      (List.assoc_opt "schema" fields
-       = Some (Json.Str "rtlsat.bench_history/1"));
-    (match Option.bind (List.assoc_opt "sections" fields) Json.get_obj with
-     | Some [ ("table2", Json.Arr pts) ] -> check_int "points in json" 2 (List.length pts)
-     | _ -> Alcotest.fail "sections shape")
-  | _ -> Alcotest.fail "not an object"
-
 let () =
   Alcotest.run "obs"
     [
@@ -1465,14 +1328,6 @@ let () =
           Alcotest.test_case "split determinism + off-switch" `Quick
             test_split_determinism_and_off;
           Alcotest.test_case "profile v1 warning" `Quick test_profile_v1_warning;
-        ] );
-      ( "bench-diff",
-        [
-          Alcotest.test_case "self-diff clean" `Quick test_bench_diff_self_clean;
-          Alcotest.test_case "slowdown threshold" `Quick
-            test_bench_diff_flags_slowdown;
-          Alcotest.test_case "verdict changes" `Quick test_bench_diff_verdicts;
-          Alcotest.test_case "unmatched keys" `Quick test_bench_diff_unmatched;
         ] );
       ( "integration",
         [
@@ -1533,9 +1388,5 @@ let () =
             test_profile_every_version;
           Alcotest.test_case "unsupported version rejected" `Quick
             test_profile_unsupported_version;
-        ] );
-      ( "bench-history",
-        [
-          Alcotest.test_case "aggregation" `Quick test_bench_history_aggregation;
         ] );
     ]
