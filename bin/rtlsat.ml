@@ -123,14 +123,7 @@ let ledger_append ledger ~subcommand ~instance ~engine ~options ~verdict
        Format.eprintf "rtlsat: ledger: %s: %s@." path (Unix.error_message e))
 
 let engine_conv =
-  let all =
-    [
-      ("hdpll", Engines.Hdpll); ("hdpll+s", Engines.Hdpll_s);
-      ("hdpll+s+p", Engines.Hdpll_sp); ("hdpll+p", Engines.Hdpll_p);
-      ("bitblast", Engines.Bitblast); ("lazy-cdp", Engines.Lazy_cdp);
-    ]
-  in
-  Arg.enum all
+  Arg.enum (List.map (fun e -> (Engines.engine_name e, e)) Engines.all_engines)
 
 (* BMC bounds (frame counts) must be at least 1.  A smaller value is
    invalid input, so it exits 2 per the convention above; returning a
@@ -217,6 +210,81 @@ let req_of_opts ?obs ?dump_graph ?dump_graph_max ~timeout o =
 (* the --trace spec, shared shape with per-command doc *)
 let trace_term ~doc =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+
+(* open the --trace file, if any; an unwritable path is invalid input *)
+let open_trace =
+  Option.map (fun path ->
+      try Trace.to_file path
+      with Sys_error msg ->
+        Format.eprintf "rtlsat: cannot write trace file: %s@." msg;
+        exit 2)
+
+(* write a --metrics-out exposition; an unwritable path is invalid input *)
+let write_metrics path text =
+  try
+    let oc = open_out path in
+    output_string oc text;
+    close_out oc;
+    Format.printf "metrics written to %s@." path
+  with Sys_error msg ->
+    Format.eprintf "rtlsat: cannot write metrics file: %s@." msg;
+    exit 2
+
+(* ---- the flight recorder (solve / sweep / sat) ---- *)
+
+(* [Some file] = armed, dumping to [file]; [None] = --no-flight-recorder *)
+let flight_term =
+  let on =
+    Arg.(value
+         & vflag true
+             [ ( true,
+                 info [ "flight-recorder-on" ]
+                   ~doc:"Keep the flight recorder armed (default): a bounded \
+                         in-memory ring of the last trace events, dumped for \
+                         $(b,rtlsat profile) when the run times out, aborts, \
+                         dies, or receives SIGUSR1" );
+               ( false,
+                 info [ "no-flight-recorder" ]
+                   ~doc:"Disarm the flight recorder (and, with no other \
+                         observability flag, run fully uninstrumented)" ) ])
+  in
+  let file =
+    Arg.(value & opt string "rtlsat.flight.jsonl"
+         & info [ "flight-recorder" ] ~docv:"FILE"
+             ~doc:"Where a flight-recorder dump lands; nothing is written \
+                   when the run ends normally")
+  in
+  Term.(const (fun on file -> if on then Some file else None) $ on $ file)
+
+(* The dump of [obs]'s flight recorder to the [flight_term] file, also
+   wired to SIGUSR1 when armed.  The returned function answers the file
+   it wrote, if any. *)
+let arm_flight obs flight =
+  let dump () =
+    match flight with
+    | None -> None
+    | Some path ->
+      (match Obs.flight_dump obs path with
+       | true ->
+         Format.eprintf
+           "flight recorder dumped to %s; replay with: rtlsat profile %s@."
+           path path;
+         Some path
+       | false -> None
+       | exception Sys_error msg ->
+         Format.eprintf "rtlsat: cannot dump flight recorder: %s@." msg;
+         None)
+  in
+  (* signal handlers run on the main domain only; never arm (or
+     re-arm) from a worker domain *)
+  if flight <> None && Domain.is_main_domain () then
+    (try
+       Sys.set_signal Sys.sigusr1
+         (Sys.Signal_handle (fun _ -> ignore (dump ())))
+     with Invalid_argument _ | Sys_error _ -> ());
+  dump
+
+let flight_artifact = function Some p -> [ ("flight", p) ] | None -> []
 
 (* ---- list ---- *)
 
@@ -312,26 +380,6 @@ let solve_cmd =
            ~doc:"Periodic one-line progress reports on stderr (decisions/s, \
                  conflicts/s, learned DB size, depth) and a phase-time summary")
   in
-  let flight =
-    Arg.(value
-         & vflag true
-             [ ( true,
-                 info [ "flight-recorder-on" ]
-                   ~doc:"Keep the flight recorder armed (default): a bounded \
-                         in-memory ring of the last trace events, dumped for \
-                         $(b,rtlsat profile) when the solve times out, \
-                         aborts, dies, or receives SIGUSR1" );
-               ( false,
-                 info [ "no-flight-recorder" ]
-                   ~doc:"Disarm the flight recorder (and, with no other \
-                         observability flag, run fully uninstrumented)" ) ])
-  in
-  let flight_out =
-    Arg.(value & opt string "rtlsat.flight.jsonl"
-         & info [ "flight-recorder" ] ~docv:"FILE"
-             ~doc:"Where a flight-recorder dump lands; nothing is written \
-                   when the solve ends normally")
-  in
   let heartbeat =
     Arg.(value & opt float 1.0 & info [ "heartbeat" ] ~docv:"SECONDS"
            ~doc:"Interval between heartbeat trace events (progress totals \
@@ -358,8 +406,8 @@ let solve_cmd =
                  short-clause exchange.  Hybrid engines only")
   in
   let run case_file circuit prop bound engine timeout stats_json trace_out
-      dump_graph dump_graph_max progress opts flight flight_out heartbeat
-      metrics_out jobs cube ledger =
+      dump_graph dump_graph_max progress opts flight heartbeat metrics_out
+      jobs cube ledger =
     let req = req_of_opts ?dump_graph ~dump_graph_max ~timeout opts in
     let inst, label =
       match (case_file, circuit, prop, bound) with
@@ -407,45 +455,19 @@ let solve_cmd =
           exit 2)
      | None -> ());
     let need_obs =
-      stats_json <> None || trace_out <> None || progress || flight
+      stats_json <> None || trace_out <> None || progress || flight <> None
       || metrics_out <> None
     in
     let obs =
       if need_obs then
-        Obs.create
-          ?trace:
-            (Option.map
-               (fun path ->
-                  try Trace.to_file path
-                  with Sys_error msg ->
-                    Format.eprintf "rtlsat: cannot write trace file: %s@." msg;
-                    exit 2)
-               trace_out)
-          ?recorder:(if flight then Some (Recorder.create ()) else None)
+        Obs.create ?trace:(open_trace trace_out)
+          ?recorder:(Option.map (fun _ -> Recorder.create ()) flight)
           ?heartbeat_every:(if heartbeat > 0.0 then Some heartbeat else None)
           ?progress_every:(if progress then Some 1.0 else None)
           ()
       else Obs.disabled
     in
-    let dump_flight () =
-      match Obs.flight_dump obs flight_out with
-      | true ->
-        Format.eprintf
-          "flight recorder dumped to %s; replay with: rtlsat profile %s@."
-          flight_out flight_out;
-        true
-      | false -> false
-      | exception Sys_error msg ->
-        Format.eprintf "rtlsat: cannot dump flight recorder: %s@." msg;
-        false
-    in
-    (* signal handlers run on the main domain only; never arm (or
-       re-arm) from a worker domain *)
-    if flight && Domain.is_main_domain () then
-      (try
-         Sys.set_signal Sys.sigusr1
-           (Sys.Signal_handle (fun _ -> ignore (dump_flight ())))
-       with Invalid_argument _ | Sys_error _ -> ());
+    let dump_flight = arm_flight obs flight in
     let jobs = max 1 jobs in
     (if cube then
        match engine with
@@ -545,21 +567,13 @@ let solve_cmd =
      | None -> ());
     (match metrics_out with
      | Some path ->
-       (try
-          let oc = open_out path in
-          output_string oc
-            (Openmetrics.of_json
-               (Report.solve_json ~instance:label ~bound engine r));
-          close_out oc;
-          Format.printf "metrics written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "rtlsat: cannot write metrics file: %s@." msg;
-          exit 2)
+       write_metrics path
+         (Openmetrics.of_json (Report.solve_json ~instance:label ~bound engine r))
      | None -> ());
     let dumped =
       match r.Engines.verdict with
       | Engines.Timeout | Engines.Abort _ -> dump_flight ()
-      | Engines.Sat | Engines.Unsat -> false
+      | Engines.Sat | Engines.Unsat -> None
     in
     ledger_append ledger ~subcommand:"solve" ~instance:label
       ~engine:(Engines.engine_name engine)
@@ -585,7 +599,7 @@ let solve_cmd =
              (match trace_out with Some p -> [ ("trace", p) ] | None -> []);
              (match stats_json with Some p -> [ ("stats", p) ] | None -> []);
              (match metrics_out with Some p -> [ ("metrics", p) ] | None -> []);
-             (if dumped then [ ("flight", flight_out) ] else []);
+             flight_artifact dumped;
            ]);
     match r.Engines.verdict with
     | Engines.Timeout | Engines.Abort _ -> exit 1
@@ -596,8 +610,8 @@ let solve_cmd =
        ~doc:"Decide one BMC instance (benchmark or .rtl case file)")
     Term.(const run $ case_file $ circuit $ prop $ bound $ engine $ timeout
           $ stats_json $ trace_out $ dump_graph $ dump_graph_max $ progress
-          $ engine_opts_term $ flight $ flight_out $ heartbeat $ metrics_out
-          $ jobs $ cube $ ledger_term)
+          $ engine_opts_term $ flight_term $ heartbeat $ metrics_out $ jobs
+          $ cube $ ledger_term)
 
 (* ---- check: external netlist files ---- *)
 
@@ -645,7 +659,7 @@ let check_cmd =
        exit 1
      | Solver.Sat m ->
        let value n = m.(Rtlsat_constr.Encode.var enc n) in
-       (match Rtlsat_harness.Engine.replay inst value with
+       (match Engines.replay inst value with
         | Engines.Abort msg ->
           Format.printf "ABORT: %s@." msg;
           exit 1
@@ -720,26 +734,6 @@ let sweep_cmd =
            ~doc:"Write the sweep's cumulative metrics in OpenMetrics text \
                  exposition format")
   in
-  let flight =
-    Arg.(value
-         & vflag true
-             [ ( true,
-                 info [ "flight-recorder-on" ]
-                   ~doc:"Keep the flight recorder armed (default): a bounded \
-                         in-memory ring of the last trace events, dumped for \
-                         $(b,rtlsat profile) when any bound times out, the \
-                         sweep dies, or it receives SIGUSR1" );
-               ( false,
-                 info [ "no-flight-recorder" ]
-                   ~doc:"Disarm the flight recorder (and, with no other \
-                         observability flag, run fully uninstrumented)" ) ])
-  in
-  let flight_out =
-    Arg.(value & opt string "rtlsat.flight.jsonl"
-         & info [ "flight-recorder" ] ~docv:"FILE"
-             ~doc:"Where a flight-recorder dump lands; nothing is written \
-                   when every bound ends normally")
-  in
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Partition the bound ladder round-robin over $(docv) worker \
@@ -747,7 +741,7 @@ let sweep_cmd =
                  Verdicts match -j 1; carried counters become per-worker")
   in
   let run circuit prop bounds engine timeout scratch trace_out heartbeat
-      metrics_out flight flight_out opts jobs ledger =
+      metrics_out flight opts jobs ledger =
     let req = req_of_opts ~timeout opts in
     let source, p =
       match Registry.build circuit with
@@ -762,40 +756,14 @@ let sweep_cmd =
         exit 2
     in
     let obs =
-      if trace_out <> None || metrics_out <> None || flight then
-        Obs.create
-          ?trace:
-            (Option.map
-               (fun path ->
-                  try Trace.to_file path
-                  with Sys_error msg ->
-                    Format.eprintf "rtlsat: cannot write trace file: %s@." msg;
-                    exit 2)
-               trace_out)
-          ?recorder:(if flight then Some (Recorder.create ()) else None)
+      if trace_out <> None || metrics_out <> None || flight <> None then
+        Obs.create ?trace:(open_trace trace_out)
+          ?recorder:(Option.map (fun _ -> Recorder.create ()) flight)
           ?heartbeat_every:(if heartbeat > 0.0 then Some heartbeat else None)
           ()
       else Obs.disabled
     in
-    let dump_flight () =
-      match Obs.flight_dump obs flight_out with
-      | true ->
-        Format.eprintf
-          "flight recorder dumped to %s; replay with: rtlsat profile %s@."
-          flight_out flight_out;
-        true
-      | false -> false
-      | exception Sys_error msg ->
-        Format.eprintf "rtlsat: cannot dump flight recorder: %s@." msg;
-        false
-    in
-    (* signal handlers run on the main domain only; never arm (or
-       re-arm) from a worker domain *)
-    if flight && Domain.is_main_domain () then
-      (try
-         Sys.set_signal Sys.sigusr1
-           (Sys.Signal_handle (fun _ -> ignore (dump_flight ())))
-       with Invalid_argument _ | Sys_error _ -> ());
+    let dump_flight = arm_flight obs flight in
     let jobs = max 1 jobs in
     let req = Req.with_obs req obs in
     let steps =
@@ -806,15 +774,7 @@ let sweep_cmd =
         raise e
     in
     (match metrics_out with
-     | Some path ->
-       (try
-          let oc = open_out path in
-          output_string oc (Openmetrics.of_snapshot (Obs.snapshot obs));
-          close_out oc;
-          Format.printf "metrics written to %s@." path
-        with Sys_error msg ->
-          Format.eprintf "rtlsat: cannot write metrics file: %s@." msg;
-          exit 2)
+     | Some path -> write_metrics path (Openmetrics.of_snapshot (Obs.snapshot obs))
      | None -> ());
     Obs.close obs;
     if jobs > 1 then
@@ -871,23 +831,7 @@ let sweep_cmd =
            | Engines.Sat | Engines.Unsat -> false)
         steps
     in
-    let dumped = if bad then dump_flight () else false in
-    let sweep_verdict =
-      let has v =
-        List.exists
-          (fun (s : Engines.sweep_step) ->
-             match (s.Engines.sw_run.Engines.verdict, v) with
-             | Engines.Timeout, `T | Engines.Abort _, `A -> true
-             | _ -> false)
-          steps
-      in
-      if has `T then "timeout"
-      else if has `A then "abort"
-      else
-        match List.rev steps with
-        | last :: _ -> Report.verdict_string last.Engines.sw_run.Engines.verdict
-        | [] -> "abort"
-    in
+    let dumped = if bad then dump_flight () else None in
     let total c =
       List.fold_left
         (fun acc (s : Engines.sweep_step) -> acc + c s.Engines.sw_run)
@@ -900,7 +844,8 @@ let sweep_cmd =
         (Printf.sprintf "bounds=%s,simplify=%b,inprocess=%d,j=%d"
            (String.concat ";" (List.map string_of_int bounds))
            opts.eo_simplify opts.eo_inprocess jobs)
-      ~verdict:sweep_verdict ~wall_s:!incr_total
+      ~verdict:(Report.verdict_string (Engines.sweep_verdict steps))
+      ~wall_s:!incr_total
       ~counters:
         [
           ("bounds", List.length steps);
@@ -912,7 +857,7 @@ let sweep_cmd =
            [
              (match trace_out with Some p -> [ ("trace", p) ] | None -> []);
              (match metrics_out with Some p -> [ ("metrics", p) ] | None -> []);
-             (if dumped then [ ("flight", flight_out) ] else []);
+             flight_artifact dumped;
            ]);
     if bad then exit 1
   in
@@ -922,7 +867,7 @@ let sweep_cmd =
              session: learned clauses, predicate relations and heuristic \
              state carry from bound to bound")
     Term.(const run $ circuit $ prop $ bounds $ engine $ timeout $ scratch
-          $ trace_out $ heartbeat $ metrics_out $ flight $ flight_out
+          $ trace_out $ heartbeat $ metrics_out $ flight_term
           $ engine_opts_term $ jobs $ ledger_term)
 
 (* ---- serve: JSON-lines daemon over warm solver sessions ---- *)
@@ -996,27 +941,7 @@ let sat_cmd =
                  strengthened, eliminated, probed, equivalences, rounds) and \
                  final clause/variable counts as JSON")
   in
-  let flight =
-    Arg.(value
-         & vflag true
-             [ ( true,
-                 info [ "flight-recorder-on" ]
-                   ~doc:"Keep the flight recorder armed (default): a bounded \
-                         in-memory ring of the last CDCL trace events \
-                         (decisions, conflicts, restarts, heartbeats), dumped \
-                         for $(b,rtlsat profile) when the solve times out, \
-                         dies, or receives SIGUSR1" );
-               ( false,
-                 info [ "no-flight-recorder" ]
-                   ~doc:"Disarm the flight recorder and run uninstrumented" ) ])
-  in
-  let flight_out =
-    Arg.(value & opt string "rtlsat.flight.jsonl"
-         & info [ "flight-recorder" ] ~docv:"FILE"
-             ~doc:"Where a flight-recorder dump lands; nothing is written \
-                   when the solve ends normally")
-  in
-  let run file timeout opts stats_json flight flight_out ledger =
+  let run file timeout opts stats_json flight ledger =
     let req = req_of_opts ~timeout opts in
     let simplify = opts.eo_simplify and inprocess = opts.eo_inprocess in
     let cnf =
@@ -1037,28 +962,11 @@ let sat_cmd =
         exit 2
     in
     let obs =
-      if flight then Obs.create ~recorder:(Recorder.create ()) ~heartbeat_every:1.0 ()
+      if flight <> None then
+        Obs.create ~recorder:(Recorder.create ()) ~heartbeat_every:1.0 ()
       else Obs.disabled
     in
-    let dump_flight () =
-      match Obs.flight_dump obs flight_out with
-      | true ->
-        Format.eprintf
-          "flight recorder dumped to %s; replay with: rtlsat profile %s@."
-          flight_out flight_out;
-        true
-      | false -> false
-      | exception Sys_error msg ->
-        Format.eprintf "rtlsat: cannot dump flight recorder: %s@." msg;
-        false
-    in
-    (* signal handlers run on the main domain only; never arm (or
-       re-arm) from a worker domain *)
-    if flight && Domain.is_main_domain () then
-      (try
-         Sys.set_signal Sys.sigusr1
-           (Sys.Signal_handle (fun _ -> ignore (dump_flight ())))
-       with Invalid_argument _ | Sys_error _ -> ());
+    let dump_flight = arm_flight obs flight in
     let t_start = Mono.now () in
     let deadline = Req.deadline_from req t_start in
     let solver_out = ref None in
@@ -1101,7 +1009,7 @@ let sat_cmd =
        Format.printf "stats written to %s@." path
      | _ -> ());
     let dumped =
-      match result with `Timeout -> dump_flight () | `Sat _ | `Unsat -> false
+      match result with `Timeout -> dump_flight () | `Sat _ | `Unsat -> None
     in
     ledger_append ledger ~subcommand:"sat"
       ~instance:(Filename.basename file) ~engine:"cdcl"
@@ -1125,7 +1033,7 @@ let sat_cmd =
         (List.concat
            [
              (match stats_json with Some p -> [ ("stats", p) ] | None -> []);
-             (if dumped then [ ("flight", flight_out) ] else []);
+             flight_artifact dumped;
            ]);
     match result with `Timeout -> exit 1 | `Sat _ | `Unsat -> ()
   in
@@ -1133,7 +1041,7 @@ let sat_cmd =
     (Cmd.info "sat" ~exits:std_exits
        ~doc:"Solve a DIMACS CNF file with the CDCL engine")
     Term.(const run $ file $ timeout $ engine_opts_term $ stats_json
-          $ flight $ flight_out $ ledger_term)
+          $ flight_term $ ledger_term)
 
 (* ---- export ---- *)
 
@@ -1223,18 +1131,7 @@ let fuzz_cmd =
   in
   let run seed count max_nodes max_regs deadline timeout json_out out_dir
       verbose trace_out opts ledger =
-    let obs =
-      Obs.create
-        ?trace:
-          (Option.map
-             (fun path ->
-                try Trace.to_file path
-                with Sys_error msg ->
-                  Format.eprintf "rtlsat: cannot write trace file: %s@." msg;
-                  exit 2)
-             trace_out)
-        ()
-    in
+    let obs = Obs.create ?trace:(open_trace trace_out) () in
     let log =
       if verbose then
         Some

@@ -1,15 +1,20 @@
-(** Uniform driver for every satisfiability engine of the evaluation:
-    the four HDPLL configurations, the eager Boolean translation
-    (UCLID stand-in) and the lazy combined decision procedure (ICS
-    stand-in).  Every satisfiable answer is validated by replaying the
-    witness through the RTL simulator.
+(** Every satisfiability engine of the evaluation: the four HDPLL
+    configurations, the eager Boolean translation (UCLID stand-in) and
+    the lazy combined decision procedure (ICS stand-in).  Every
+    satisfiable answer is validated by replaying the witness through
+    the RTL simulator.
 
-    This is the convenience layer over {!Engine}: each engine is a
-    first-class module implementing {!Engine.S}, and [run_instance] /
-    [run_sweep] dispatch through {!Engine.of_id} with one {!Req.t}
-    request context instead of an optional-argument pile. *)
+    Two entry points, two types.  {!run_instance} is a {e one-shot}
+    solve of a pre-unrolled BMC instance: the violation selector is a
+    unit clause and destructive preprocessing (variable elimination on
+    the bit-blast CNF) is allowed.  A {!session} is a {e warm
+    incremental} context over a frame-incremental unroll, decided one
+    bound at a time with {!sweep_step}: each bound's selector is an
+    assumption, so carried learned clauses and the unroll prefix survive
+    across calls — the seam the [rtlsat serve] daemon keeps warm.  Both
+    thread one {!Req.t} request context. *)
 
-type engine = Engine.id =
+type engine =
   | Hdpll        (** HDPLL [9] *)
   | Hdpll_s      (** + structural decision strategy (§4) *)
   | Hdpll_sp     (** + structural decisions + predicate learning *)
@@ -18,19 +23,32 @@ type engine = Engine.id =
   | Lazy_cdp     (** lazy CDP (ICS stand-in) *)
 
 val engine_name : engine -> string
+(** ["hdpll"], ["hdpll+s"], ["hdpll+s+p"], ["hdpll+p"], ["bitblast"],
+    ["lazy-cdp"]. *)
+
+val engine_of_name : string -> engine option
+(** Inverse of {!engine_name}. *)
+
+val all_engines : engine list
+(** All six engines: the four HDPLL configurations, then the two
+    baselines. *)
+
 val table2_engines : engine list
 (** The five columns of Table 2, in order. *)
 
-type verdict = Engine.verdict =
+type verdict =
   | Sat
   | Unsat
   | Timeout
   | Abort of string
       (** engine failure — e.g. a witness that does not replay *)
 
-type run = Engine.run = {
+val verdict_symbol : verdict -> string
+(** ["S"], ["U"], ["-to-"], ["-A-"] as in the paper's tables. *)
+
+type run = {
   verdict : verdict;
-  time : float;           (** seconds *)
+  time : float;           (** seconds, encode included *)
   relations : int;        (** predicate relations learned (HDPLL+P) *)
   learn_time : float;
   decisions : int;
@@ -42,13 +60,11 @@ type run = Engine.run = {
           enabled [obs] handle *)
 }
 
-val verdict_symbol : verdict -> string
-(** ["S"], ["U"], ["-to-"], ["-A-"] as in the paper's tables. *)
-
 val run_instance : ?req:Req.t -> engine -> Rtlsat_bmc.Bmc.instance -> run
 (** Solve a BMC instance with the given engine under the request
     context [req] (default {!Req.default}: 1200 s budget — the paper's
-    limit — observability disabled, simplify and split on).
+    limit — observability disabled, simplify and split on).  The
+    budget runs from the call's start, so it covers encoding too.
     Satisfiable results are checked with {!Rtlsat_bmc.Bmc.witness_ok};
     failures become [Abort].  [req.obs] instruments the whole run —
     encoding included — and fills [run.metrics]; pass a fresh handle
@@ -68,7 +84,7 @@ val run_instance : ?req:Req.t -> engine -> Rtlsat_bmc.Bmc.instance -> run
     every conflict-learned clause of length ≤ 2 for cross-worker
     clause exchange. *)
 
-type sweep_step = Engine.sweep_step = {
+type sweep_step = {
   sw_bound : int;
   sw_run : run;
   sw_carried_clauses : int;
@@ -83,6 +99,35 @@ type sweep_step = Engine.sweep_step = {
       (** predicate relations carried from earlier bounds (HDPLL+P) *)
 }
 
+type session
+(** A warm incremental context: one frame-incremental unroll and the
+    engine's kernel — a {!Rtlsat_core.Solver.Session} for the HDPLL
+    engines, the CDCL solver behind the bit-blast encoding, nothing for
+    the lazy CDP, which re-solves every bound from scratch. *)
+
+val session :
+  req:Req.t ->
+  ?semantics:Rtlsat_bmc.Bmc.semantics ->
+  engine ->
+  Rtlsat_rtl.Ir.circuit ->
+  prop:Rtlsat_rtl.Ir.node ->
+  session
+(** Build a session.  Policy — [obs], [cancel] and the solver knobs
+    ([split]/[simplify]/[inprocess]/[learn_threshold]/[on_learn]) — is
+    taken from [req] and fixed for the session's lifetime;
+    [dump_graph] is ignored (every call would restart the file
+    numbering). *)
+
+val sweep_step : req:Req.t -> session -> bound:int -> sweep_step
+(** Decide one bound: extend the unroll to [bound], pose the bound's
+    violation selector (as an assumption for the HDPLL engines and the
+    bit-blast baseline) and solve within [req.timeout] of this call's
+    start.  Only the budget is read from [req], so a daemon can give
+    every request its own deadline over one warm session.  The
+    bit-blast baseline keeps variable elimination {e off}: the encoding
+    grows and literals are assumed per bound, which elimination does
+    not survive. *)
+
 val run_sweep :
   ?req:Req.t ->
   ?semantics:Rtlsat_bmc.Bmc.semantics ->
@@ -91,35 +136,41 @@ val run_sweep :
   prop:Rtlsat_rtl.Ir.node ->
   bounds:int list ->
   sweep_step list
-(** Sweep a list of bounds through {e one} solver session per engine:
-    the circuit is unrolled frame-incrementally, each bound's violation
-    selector is posed as an assumption literal, and learned clauses,
+(** Sweep a list of bounds through {e one} {!session}: learned clauses,
     predicate relations and heuristic state survive from bound to
-    bound.  HDPLL engines use {!Rtlsat_core.Solver.Session}; the
-    bit-blast baseline rides the CDCL solver's native assumptions; the
-    lazy CDP has no incremental interface and re-solves each bound from
-    scratch (uniform API, zero carried counters).  [req.timeout] is a
-    per-bound budget in seconds; Sat witnesses are replayed through the
-    simulator exactly as in {!run_instance}.  [req.simplify] /
-    [req.inprocess] are as in {!run_instance}, except that the
-    bit-blast baseline keeps variable elimination {e off}: the encoding
-    grows and literals are assumed per bound, which elimination does
-    not survive.  [req.cancel] cancels the sweep cooperatively
-    mid-bound, as in {!run_instance}. *)
+    bound.  [req.timeout] is a per-bound budget in seconds; [req.cancel]
+    cancels the sweep cooperatively mid-bound.  With [req.obs] enabled,
+    each bound points the heartbeat context at itself and is bracketed
+    by [sweep.bound] / [sweep.result] trace events, so a live monitor
+    can tell which bound a long sweep is stuck on. *)
 
-val sweep_with_obs :
-  Rtlsat_obs.Obs.t ->
-  total:int ->
-  index:int ->
-  bound:int ->
-  (unit -> sweep_step) ->
-  sweep_step
-(** Per-bound sweep telemetry wrapper: points the heartbeat context at
-    the current bound and brackets the step with [sweep.bound] /
-    [sweep.result] trace events, so a live monitor can tell which
-    bound a long sweep is stuck on.  Used by {!run_sweep} and the
-    parallel bound-partitioned sweep driver. *)
+val sweep_verdict : sweep_step list -> verdict
+(** The verdict of a whole sweep, as the ledger records it: [Sat] if
+    any bound is [Sat], else [Timeout] if any timed out, else the first
+    [Abort], else [Unsat]. *)
 
 val op_counts : Rtlsat_bmc.Bmc.instance -> int * int
 (** (arith, bool) operator counts of the unrolled instance —
     columns 3–4 of Table 2. *)
+
+(** {1 Helpers for the parallel drivers} *)
+
+val solver_options : engine -> Req.t -> Rtlsat_core.Solver.options
+(** The hybrid kernel options of a request: the engine's preset
+    ({!Rtlsat_core.Solver.hdpll} … [hdpll_p]) with the request's
+    [obs], [cancel] and solver knobs ([learn_threshold], [dump_graph],
+    [dump_graph_max], [split], [simplify], [inprocess], [on_learn]).
+    The options deadline stays [infinity]: every caller passes its
+    per-call deadline to {!Rtlsat_core.Solver.Session.solve}.
+    @raise Invalid_argument for [Bitblast] and [Lazy_cdp]. *)
+
+val encode_instance :
+  Rtlsat_obs.Obs.t -> Rtlsat_bmc.Bmc.instance -> Rtlsat_constr.Encode.t
+(** One-shot hybrid encoding of a BMC instance, under the handle's
+    Encode span: the unrolled circuit with its violation selector
+    asserted as a unit clause. *)
+
+val replay : Rtlsat_bmc.Bmc.instance -> (Rtlsat_rtl.Ir.node -> int) -> verdict
+(** Check a model by replaying its witness through the RTL simulator
+    ({!Rtlsat_bmc.Bmc.witness_ok}): [Sat] when it replays,
+    [Abort "witness failed replay"] when it does not. *)

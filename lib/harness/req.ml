@@ -2,7 +2,6 @@ module Obs = Rtlsat_obs.Obs
 
 type t = {
   timeout : float;
-  deadline : float;
   cancel : bool Atomic.t;
   obs : Obs.t;
   learn_threshold : int option;
@@ -12,7 +11,6 @@ type t = {
   dump_graph : string option;
   dump_graph_max : int;
   on_learn : (Rtlsat_constr.Types.clause -> unit) option;
-  tag : string;
 }
 
 (* the shared never-set flag backing every request that does not ask
@@ -26,14 +24,12 @@ let check_timeout timeout =
     invalid_arg
       (Printf.sprintf "timeout must be a number of seconds >= 0, got %g" timeout)
 
-let make ?(timeout = 1200.0) ?(deadline = infinity) ?(cancel = never_cancel)
-    ?(obs = Obs.disabled) ?learn_threshold ?(split = true) ?(simplify = true)
-    ?(inprocess = 0) ?dump_graph ?(dump_graph_max = 10) ?on_learn ?(tag = "")
-    () =
+let make ?(timeout = 1200.0) ?(cancel = never_cancel) ?(obs = Obs.disabled)
+    ?learn_threshold ?(split = true) ?(simplify = true) ?(inprocess = 0)
+    ?dump_graph ?(dump_graph_max = 10) ?on_learn () =
   check_timeout timeout;
   {
     timeout;
-    deadline;
     cancel;
     obs;
     learn_threshold;
@@ -43,13 +39,11 @@ let make ?(timeout = 1200.0) ?(deadline = infinity) ?(cancel = never_cancel)
     dump_graph;
     dump_graph_max;
     on_learn;
-    tag;
   }
 
 let default = make ()
 
-let deadline_from t t0 = Float.min (t0 +. t.timeout) t.deadline
-let cancelled t = Atomic.get t.cancel
+let deadline_from t t0 = t0 +. t.timeout
 let with_obs t obs = { t with obs }
 
 let options_string t =

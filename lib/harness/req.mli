@@ -6,21 +6,16 @@
     CLI, the parallel drivers, the fuzz oracle, the bench harness and
     the [rtlsat serve] daemon all build one record and thread it down.
 
-    Deadline discipline: a request carries {e both} a relative
-    [timeout] budget (seconds, applied per engine call — per bound in
-    a sweep) and an absolute [deadline] instant on the monotonic clock
-    ({!Rtlsat_obs.Mono.now}).  The effective per-call deadline is the
-    earlier of the two ({!deadline_from}), so a serve request can say
-    "finish by instant T" while a sweep says "spend at most t seconds
-    per bound" — or both. *)
+    Deadline discipline: a request carries one relative [timeout]
+    budget (seconds), applied per engine call — per bound in a sweep,
+    per request in [rtlsat serve].  A call started at instant [t0] on
+    the monotonic clock ({!Rtlsat_obs.Mono.now}) must finish by
+    {!deadline_from}[ req t0]. *)
 
 type t = {
   timeout : float;
       (** per-engine-call budget, seconds; default 1200 (the paper's
           limit).  In a sweep the budget applies to every bound. *)
-  deadline : float;
-      (** absolute monotonic-clock cap across the whole request;
-          [infinity] (the default) defers to [timeout] alone *)
   cancel : bool Atomic.t;
       (** cooperative cancellation: once set, every engine observing
           this request returns [Timeout] at its next step/fuel gate.
@@ -43,14 +38,10 @@ type t = {
   on_learn : (Rtlsat_constr.Types.clause -> unit) option;
       (** short-clause export hook (hybrid engines only); must be
           cheap and must not raise *)
-  tag : string;
-      (** free-form ledger tag naming the caller (e.g. ["serve"]);
-          empty by default *)
 }
 
 val make :
   ?timeout:float ->
-  ?deadline:float ->
   ?cancel:bool Atomic.t ->
   ?obs:Rtlsat_obs.Obs.t ->
   ?learn_threshold:int ->
@@ -60,7 +51,6 @@ val make :
   ?dump_graph:string ->
   ?dump_graph_max:int ->
   ?on_learn:(Rtlsat_constr.Types.clause -> unit) ->
-  ?tag:string ->
   unit ->
   t
 (** A request with the defaults documented on {!t}.  Without [?cancel]
@@ -74,11 +64,8 @@ val default : t
     never be set. *)
 
 val deadline_from : t -> float -> float
-(** [deadline_from req t0] is the effective absolute deadline of an
-    engine call started at instant [t0]: the earlier of
-    [t0 +. req.timeout] and [req.deadline]. *)
-
-val cancelled : t -> bool
+(** [deadline_from req t0] is the absolute deadline of an engine call
+    started at instant [t0]: [t0 +. req.timeout]. *)
 
 val with_obs : t -> Rtlsat_obs.Obs.t -> t
 

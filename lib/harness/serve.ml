@@ -4,26 +4,22 @@ module Ledger = Rtlsat_obs.Ledger
 
 let schema = "rtlsat.serve/1"
 
-(* one warm session: the engine module and its session value packed
-   together so the pool can hold any engine's session uniformly *)
-type entry =
-  | E : {
-      m : (module Engine.S with type session = 's);
-      sess : 's;
-      engine : Engine.id;
-      key : string;
-      mutable solves : int;
-    }
-      -> entry
+(* one warm session of the pool *)
+type entry = {
+  sess : Engines.session;
+  engine : Engines.engine;
+  key : string;
+  mutable solves : int;
+}
 
 type t = {
   pool : (string, entry) Hashtbl.t;
   ledger : string option;
-  default_engine : Engine.id;
+  default_engine : Engines.engine;
   mutable served : int;
 }
 
-let create ?ledger ?(engine = Engine.Hdpll_sp) () =
+let create ?ledger ?(engine = Engines.Hdpll_sp) () =
   { pool = Hashtbl.create 8; ledger; default_engine = engine; served = 0 }
 
 (* ---- request plumbing ---- *)
@@ -60,12 +56,12 @@ let request_req request =
          | None -> failwith "field \"timeout_s\" must be a number")
       (Json.member "timeout_s" request)
   in
-  Req.make ?timeout ~tag:"serve" ()
+  Req.make ?timeout ()
 
 (* ---- the warm session pool ---- *)
 
 let get_session t ~circuit ~prop ~engine ~req =
-  let key = Printf.sprintf "%s/%s/%s" circuit prop (Engine.name_of engine) in
+  let key = Printf.sprintf "%s/%s/%s" circuit prop (Engines.engine_name engine) in
   match Hashtbl.find_opt t.pool key with
   | Some e -> (e, true)
   | None ->
@@ -80,31 +76,31 @@ let get_session t ~circuit ~prop ~engine ~req =
         failwith
           (Printf.sprintf "unknown property %S of circuit %S" prop circuit)
     in
-    let (module M : Engine.S) = Engine.of_id engine in
-    let sess = M.session ~req source ~prop:p in
-    let e = E { m = (module M); sess; engine; key; solves = 0 } in
+    let e =
+      { sess = Engines.session ~req engine source ~prop:p; engine; key; solves = 0 }
+    in
     Hashtbl.add t.pool key e;
     (e, false)
 
-let step_fields (step : Engine.sweep_step) =
-  let r = step.Engine.sw_run in
+let step_fields (step : Engines.sweep_step) =
+  let r = step.Engines.sw_run in
   [
-    ("bound", Json.Int step.Engine.sw_bound);
-    ("verdict", Json.Str (Report.verdict_string r.Engine.verdict));
-    ("time_s", Json.Float r.Engine.time);
-    ("decisions", Json.Int r.Engine.decisions);
-    ("conflicts", Json.Int r.Engine.conflicts);
-    ("carried_clauses", Json.Int step.Engine.sw_carried_clauses);
-    ("carried_relations", Json.Int step.Engine.sw_carried_relations);
+    ("bound", Json.Int step.Engines.sw_bound);
+    ("verdict", Json.Str (Report.verdict_string r.Engines.verdict));
+    ("time_s", Json.Float r.Engines.time);
+    ("decisions", Json.Int r.Engines.decisions);
+    ("conflicts", Json.Int r.Engines.conflicts);
+    ("carried_clauses", Json.Int step.Engines.sw_carried_clauses);
+    ("carried_relations", Json.Int step.Engines.sw_carried_relations);
   ]
 
-let session_fields ~key ~engine ~solves ~warm =
+let session_fields e ~warm =
   ( "session",
     Json.Obj
       [
-        ("key", Json.Str key);
-        ("engine", Json.Str (Engine.name_of engine));
-        ("solves", Json.Int solves);
+        ("key", Json.Str e.key);
+        ("engine", Json.Str (Engines.engine_name e.engine));
+        ("solves", Json.Int e.solves);
         ("warm", Json.Bool warm);
         ("unroll_cache", Json.Str (if warm then "hit" else "miss"));
       ] )
@@ -118,7 +114,7 @@ let ledger_append t ~instance ~engine ~req ~warm ~verdict ~wall_s ~counters =
          (Ledger.make ~subcommand:"serve"
             ~argv:(Array.to_list Sys.argv)
             ~instance
-            ~engine:(Engine.name_of engine)
+            ~engine:(Engines.engine_name engine)
             ~options:(Req.options_string req ^ Printf.sprintf ",warm=%b" warm)
             ~verdict ~wall_s ~counters ~artifacts:[] ())
      with Sys_error msg ->
@@ -130,7 +126,7 @@ let parse_engine t request =
   match str_field "engine" request with
   | None -> t.default_engine
   | Some name ->
-    (match Engine.of_name name with
+    (match Engines.engine_of_name name with
      | Some e -> e
      | None -> failwith (Printf.sprintf "unknown engine %S" name))
 
@@ -141,31 +137,25 @@ let do_solve t ~id request =
   let engine = parse_engine t request in
   let req = request_req request in
   let entry, warm = get_session t ~circuit ~prop ~engine ~req in
-  let step, key, solves =
-    match entry with
-    | E e ->
-      let module M = (val e.m) in
-      let step = M.sweep_step ~req e.sess ~bound in
-      e.solves <- e.solves + 1;
-      (step, e.key, e.solves)
-  in
-  let r = step.Engine.sw_run in
+  let step = Engines.sweep_step ~req entry.sess ~bound in
+  entry.solves <- entry.solves + 1;
+  let r = step.Engines.sw_run in
   ledger_append t
     ~instance:(Registry.instance_name ~circuit ~prop ~bound)
     ~engine ~req ~warm
-    ~verdict:(Report.verdict_string r.Engine.verdict)
-    ~wall_s:r.Engine.time
+    ~verdict:(Report.verdict_string r.Engines.verdict)
+    ~wall_s:r.Engines.time
     ~counters:
       [
-        ("decisions", r.Engine.decisions);
-        ("conflicts", r.Engine.conflicts);
-        ("carried_clauses", step.Engine.sw_carried_clauses);
-        ("carried_relations", step.Engine.sw_carried_relations);
+        ("decisions", r.Engines.decisions);
+        ("conflicts", r.Engines.conflicts);
+        ("carried_clauses", step.Engines.sw_carried_clauses);
+        ("carried_relations", step.Engines.sw_carried_relations);
       ];
   ok ~id
     (("op", Json.Str "solve")
      :: step_fields step
-     @ [ session_fields ~key ~engine ~solves ~warm ])
+     @ [ session_fields entry ~warm ])
 
 let do_sweep t ~id request =
   let circuit = require "circuit" (str_field "circuit" request) in
@@ -180,37 +170,16 @@ let do_sweep t ~id request =
   let engine = parse_engine t request in
   let req = request_req request in
   let entry, warm = get_session t ~circuit ~prop ~engine ~req in
-  let steps, key, solves =
-    match entry with
-    | E e ->
-      let module M = (val e.m) in
-      let steps =
-        List.map (fun bound -> M.sweep_step ~req e.sess ~bound) bounds
-      in
-      e.solves <- e.solves + List.length steps;
-      (steps, e.key, e.solves)
+  let steps =
+    List.map (fun bound -> Engines.sweep_step ~req entry.sess ~bound) bounds
   in
+  entry.solves <- entry.solves + List.length steps;
   let wall_s =
-    List.fold_left (fun a s -> a +. s.Engine.sw_run.Engine.time) 0.0 steps
+    List.fold_left (fun a s -> a +. s.Engines.sw_run.Engines.time) 0.0 steps
   in
-  let verdict =
-    (* first violated bound decides the sweep verdict, as in the CLI *)
-    match
-      List.find_opt (fun s -> s.Engine.sw_run.Engine.verdict = Engine.Sat)
-        steps
-    with
-    | Some s -> Report.verdict_string s.Engine.sw_run.Engine.verdict
-    | None ->
-      Report.verdict_string
-        (List.fold_left
-           (fun acc st ->
-              match st.Engine.sw_run.Engine.verdict with
-              | Engine.Unsat -> acc
-              | v -> v)
-           Engine.Unsat steps)
-  in
+  let verdict = Report.verdict_string (Engines.sweep_verdict steps) in
   let carried =
-    List.fold_left (fun a s -> max a s.Engine.sw_carried_clauses) 0 steps
+    List.fold_left (fun a s -> max a s.Engines.sw_carried_clauses) 0 steps
   in
   ledger_append t
     ~instance:(Printf.sprintf "%s_%s" circuit prop)
@@ -222,17 +191,17 @@ let do_sweep t ~id request =
       ("op", Json.Str "sweep");
       ("time_s", Json.Float wall_s);
       ("steps", Json.Arr (List.map (fun s -> Json.Obj (step_fields s)) steps));
-      session_fields ~key ~engine ~solves ~warm;
+      session_fields entry ~warm;
     ]
 
 let do_stats t ~id =
   let sessions =
     Hashtbl.fold
-      (fun _ (E e) acc ->
+      (fun _ e acc ->
          Json.Obj
            [
              ("key", Json.Str e.key);
-             ("engine", Json.Str (Engine.name_of e.engine));
+             ("engine", Json.Str (Engines.engine_name e.engine));
              ("solves", Json.Int e.solves);
            ]
          :: acc)

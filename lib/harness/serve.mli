@@ -4,10 +4,10 @@
     One request per line on the input channel, one response per line
     on the output channel, schema ["rtlsat.serve/1"] (see
     docs/OBSERVABILITY.md for the full field catalogue).  The daemon
-    keeps a pool of warm per-(circuit, prop, engine) sessions built on
-    the first-class {!Engine.S} surface: a repeated solve or sweep
-    request reuses the session's frame-incremental unroll prefix and —
-    where {!Engine.caps.supports_sessions} — its carried learned
+    keeps a pool of warm per-(circuit, prop, engine) {!Engines.session}
+    values: a repeated solve or sweep request reuses the session's
+    frame-incremental unroll prefix and — for every engine but the
+    lazy CDP, which re-solves from scratch — its carried learned
     clauses, so the second identical request answers with
     [session.warm = true], [session.unroll_cache = "hit"] and a
     non-zero [carried_clauses].  Per-request deadlines ride a fresh
@@ -25,7 +25,7 @@ val schema : string
 type t
 (** Daemon state: the warm session pool and request bookkeeping. *)
 
-val create : ?ledger:string -> ?engine:Engine.id -> unit -> t
+val create : ?ledger:string -> ?engine:Engines.engine -> unit -> t
 (** [ledger] appends one [rtlsat.run/1] record (subcommand ["serve"])
     per solve/sweep request; omit it for no ledger.  [engine] (default
     [Hdpll_sp]) serves requests that do not name one. *)

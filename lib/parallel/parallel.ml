@@ -17,7 +17,6 @@
 module Exchange = Exchange
 module E = Rtlsat_constr.Encode
 module Solver = Rtlsat_core.Solver
-module Engine = Rtlsat_harness.Engine
 module Engines = Rtlsat_harness.Engines
 module Req = Rtlsat_harness.Req
 module Obs = Rtlsat_obs.Obs
@@ -192,7 +191,7 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
      their own handle, cancel flag and exchange hook; no conflict
      graphs.  A non-hybrid engine fails here, before any work. *)
   let options ~obs ~cancel ~on_learn =
-    Engine.solver_options engine
+    Engines.solver_options engine
       { req with Req.obs; cancel; on_learn; dump_graph = None }
   in
   let obs = req.Req.obs in
@@ -217,14 +216,14 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
   (* --- probe on the main domain: a short solve that either decides
      the instance outright or warms activities and the split heap so
      [split_candidates] nominates informed cube variables --- *)
-  let enc0 = Engine.encode_instance obs inst in
+  let enc0 = Engines.encode_instance obs inst in
   let probe_deadline = Float.min deadline (t0 +. Float.max 0.1 probe_budget) in
   let sess0 = Solver.Session.create ~options:probe_options enc0 in
   let verdict_of (r : Solver.Session.solve_result) =
     match r.Solver.Session.outcome.Solver.result with
     | Solver.Unsat -> Engines.Unsat
     | Solver.Timeout -> Engines.Timeout
-    | Solver.Sat m -> Engine.replay inst (fun n -> m.(E.var enc0 n))
+    | Solver.Sat m -> Engines.replay inst (fun n -> m.(E.var enc0 n))
   in
   let probe = Solver.Session.solve ~deadline:probe_deadline sess0 in
   let probe_time = Mono.now () -. t0 in
@@ -249,7 +248,7 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
       let xchg : (int * clause) Exchange.t = Exchange.create 256 in
       let worker ~worker:w ~cancel =
         let o = worker_obs obs w in
-        let enc = Engine.encode_instance o inst in
+        let enc = Engines.encode_instance o inst in
         let on_learn cl =
           if exportable cl then Exchange.push xchg (w, cl)
         in
@@ -278,7 +277,7 @@ let cube_solve ?(req = Req.default) ?(probe_budget = 2.0) ~j ~engine inst =
               my := Engines.Timeout;
               continue := false
             | Solver.Sat m ->
-              my := Engine.replay inst (fun n -> m.(E.var enc n));
+              my := Engines.replay inst (fun n -> m.(E.var enc n));
               continue := false
           end
         done;
@@ -329,27 +328,25 @@ let sweep ?(req = Req.default) ?semantics ~j engine source ~prop ~bounds =
   if j <= 1 then
     Engines.run_sweep ~req ?semantics engine source ~prop ~bounds
   else begin
+    (* each bucket holds (position in the caller's list, bound) *)
     let buckets = Array.make j [] in
-    List.iteri (fun i b -> buckets.(i mod j) <- b :: buckets.(i mod j)) bounds;
+    List.iteri
+      (fun i b -> buckets.(i mod j) <- (i, b) :: buckets.(i mod j))
+      bounds;
     let buckets = Array.map List.rev buckets in
     let worker ~worker:w ~cancel:_ =
       let o = worker_obs req.Req.obs w in
-      Engines.run_sweep
-        ~req:{ req with Req.obs = o }
-        ?semantics engine source ~prop ~bounds:buckets.(w)
+      List.combine (List.map fst buckets.(w))
+        (Engines.run_sweep
+           ~req:{ req with Req.obs = o }
+           ?semantics engine source ~prop ~bounds:(List.map snd buckets.(w)))
     in
     let rr =
       race ~decisive:(fun _ -> false) (Array.init j (fun _ -> worker))
     in
-    let steps =
-      Array.to_list rr.entries |> List.concat_map (Option.value ~default:[])
-    in
-    (* restore the caller's bound order *)
-    let order = List.mapi (fun i b -> (b, i)) bounds in
-    List.sort
-      (fun a b ->
-         compare
-           (List.assoc a.Engines.sw_bound order)
-           (List.assoc b.Engines.sw_bound order))
-      steps
+    (* restore the caller's bound order, repeated bounds included *)
+    Array.to_list rr.entries
+    |> List.concat_map (Option.value ~default:[])
+    |> List.sort (fun (i, _) (k, _) -> compare i k)
+    |> List.map snd
   end

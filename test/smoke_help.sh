@@ -14,6 +14,8 @@
 #   6. a negative or NaN --timeout is invalid input (exit 2), and serve
 #      answers ok:false to a negative timeout_s, a non-number timeout_s
 #      and an empty sweep, then keeps serving
+#   7. solve, sweep and sat all still offer the shared flight-recorder
+#      flags (--no-flight-recorder, --flight-recorder FILE)
 # Pass the rtlsat binary as $1 (the dune rule does); standalone runs
 # build it first.
 set -eu
@@ -135,5 +137,16 @@ if ! grep -q '"id":4,"ok":true,"op":"ping"' "$out"; then
   cat "$out" >&2
   exit 1
 fi
+
+# 7. the shared flight-recorder spec rides solve, sweep and sat
+for sub in solve sweep sat; do
+  "$rtlsat" "$sub" --help=plain > "$out"
+  for flag in --no-flight-recorder --flight-recorder=FILE; do
+    if ! grep -q -- "$flag" "$out"; then
+      echo "smoke_help: '$sub --help' does not list $flag" >&2
+      exit 1
+    fi
+  done
+done
 
 echo "smoke_help: all checks passed"

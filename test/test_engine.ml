@@ -1,10 +1,10 @@
-(* First-class engine modules (Engine.S): the seed-42 equivalence
-   suite — every engine routed through the new module surface must
-   answer exactly as the pre-refactor dispatch it replaced, which is
-   reconstructed here over the raw Solver / Bitblast / Lazy_cdp APIs —
-   plus the capability-declaration consistency checks (static caps vs
-   observed behaviour) and an in-process warm-reuse check of the
-   [rtlsat serve] daemon. *)
+(* The engine layer (Engines): the seed-42 equivalence suite — every
+   engine routed through [Engines.run_instance] must answer exactly as
+   the hand-rolled dispatch reconstructed here over the raw Solver /
+   Bitblast / Lazy_cdp APIs — plus per-engine behaviour checks (which
+   phases each engine enters, who exports learned clauses, what a
+   sweep carries), the sweep-verdict rule and an in-process warm-reuse
+   check of the [rtlsat serve] daemon. *)
 
 module Bmc = Rtlsat_bmc.Bmc
 module Unroll = Rtlsat_bmc.Unroll
@@ -12,7 +12,6 @@ module E = Rtlsat_constr.Encode
 module Solver = Rtlsat_core.Solver
 module Bb = Rtlsat_baselines.Bitblast
 module Lz = Rtlsat_baselines.Lazy_cdp
-module Engine = Rtlsat_harness.Engine
 module Engines = Rtlsat_harness.Engines
 module Req = Rtlsat_harness.Req
 module Report = Rtlsat_harness.Report
@@ -31,21 +30,21 @@ let check_string = Alcotest.(check string)
 (* ---- the pre-refactor dispatch, reconstructed over the raw APIs ---- *)
 
 (* Verdicts exactly as the old variant-matching [Engines.run_instance]
-   computed them before the Engine.S refactor: hand-rolled encode +
+   computed them before engines became modules: hand-rolled encode +
    engine call + witness replay, with the old default knobs
    (split on, simplify on, inprocess off).  The module path under test
    must never disagree with this. *)
 let direct_verdict ?(timeout = 5.0) engine (inst : Bmc.instance) =
   let deadline = Mono.now () +. timeout in
-  match (engine : Engine.id) with
-  | Engine.Hdpll | Engine.Hdpll_s | Engine.Hdpll_sp | Engine.Hdpll_p ->
+  match (engine : Engines.engine) with
+  | Engines.Hdpll | Engines.Hdpll_s | Engines.Hdpll_sp | Engines.Hdpll_p ->
     let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
     E.assume_bool enc inst.Bmc.violation true;
     let base =
       match engine with
-      | Engine.Hdpll -> Solver.hdpll
-      | Engine.Hdpll_s -> Solver.hdpll_s
-      | Engine.Hdpll_sp -> Solver.hdpll_sp
+      | Engines.Hdpll -> Solver.hdpll
+      | Engines.Hdpll_s -> Solver.hdpll_s
+      | Engines.Hdpll_sp -> Solver.hdpll_sp
       | _ -> Solver.hdpll_p
     in
     let options =
@@ -57,38 +56,38 @@ let direct_verdict ?(timeout = 5.0) engine (inst : Bmc.instance) =
       }
     in
     (match (Solver.solve ~options enc).Solver.result with
-     | Solver.Unsat -> Engine.Unsat
-     | Solver.Timeout -> Engine.Timeout
+     | Solver.Unsat -> Engines.Unsat
+     | Solver.Timeout -> Engines.Timeout
      | Solver.Sat m ->
-       if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Engine.Sat
-       else Engine.Abort "witness failed replay")
-  | Engine.Bitblast ->
+       if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Engines.Sat
+       else Engines.Abort "witness failed replay")
+  | Engines.Bitblast ->
     let bb = Bb.encode (Unroll.combo inst.Bmc.unrolled) in
     Bb.assume_bool bb inst.Bmc.violation true;
     Bb.simplify ~elim:true bb;
     (match Bb.solve ~deadline bb with
-     | Bb.Unsat -> Engine.Unsat
-     | Bb.Timeout -> Engine.Timeout
+     | Bb.Unsat -> Engines.Unsat
+     | Bb.Timeout -> Engines.Timeout
      | Bb.Sat ->
-       if Bmc.witness_ok inst (Bb.node_value bb) then Engine.Sat
-       else Engine.Abort "witness failed replay")
-  | Engine.Lazy_cdp ->
+       if Bmc.witness_ok inst (Bb.node_value bb) then Engines.Sat
+       else Engines.Abort "witness failed replay")
+  | Engines.Lazy_cdp ->
     let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
     E.assume_bool enc inst.Bmc.violation true;
     (match Lz.solve ~deadline enc.E.problem with
-     | Lz.Unsat, _ -> Engine.Unsat
-     | Lz.Timeout, _ -> Engine.Timeout
+     | Lz.Unsat, _ -> Engines.Unsat
+     | Lz.Timeout, _ -> Engines.Timeout
      | Lz.Sat m, _ ->
-       if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Engine.Sat
-       else Engine.Abort "witness failed replay")
+       if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Engines.Sat
+       else Engines.Abort "witness failed replay")
 
 (* Timeouts on either side are budget noise, never a disagreement; a
    witness-replay Abort on either side always fails. *)
-let agree label (module_path : Engine.verdict) (direct : Engine.verdict) =
+let agree label (module_path : Engines.verdict) (direct : Engines.verdict) =
   match (module_path, direct) with
-  | Engine.Timeout, _ | _, Engine.Timeout -> ()
+  | Engines.Timeout, _ | _, Engines.Timeout -> ()
   | a, b ->
-    check_string label (Engine.verdict_symbol b) (Engine.verdict_symbol a)
+    check_string label (Engines.verdict_symbol b) (Engines.verdict_symbol a)
 
 (* ---- corpus equivalence, every engine ---- *)
 
@@ -114,10 +113,10 @@ let test_corpus_equivalence () =
                 id (Case.instance case)
             in
             agree
-              (file ^ " on " ^ Engine.name_of id)
+              (file ^ " on " ^ Engines.engine_name id)
               r.Engines.verdict
               (direct_verdict id (Case.instance case)))
-         Engine.all_ids)
+         Engines.all_engines)
     (corpus_cases ())
 
 (* ---- the lazy-cdp scratch-sweep arm ---- *)
@@ -130,7 +129,7 @@ let test_lazy_scratch_sweep () =
   let p = List.assoc "1" props in
   let bounds = [ 2; 4; 6 ] in
   let steps =
-    Engines.run_sweep ~req:(Req.make ~timeout:5.0 ()) Engine.Lazy_cdp source
+    Engines.run_sweep ~req:(Req.make ~timeout:5.0 ()) Engines.Lazy_cdp source
       ~prop:p ~bounds
   in
   check_int "one step per bound" (List.length bounds) (List.length steps);
@@ -145,12 +144,12 @@ let test_lazy_scratch_sweep () =
        E.assume_bool enc vnode true;
        let direct =
          match Lz.solve ~deadline:(Mono.now () +. 5.0) enc.E.problem with
-         | Lz.Unsat, _ -> Engine.Unsat
-         | Lz.Timeout, _ -> Engine.Timeout
+         | Lz.Unsat, _ -> Engines.Unsat
+         | Lz.Timeout, _ -> Engines.Timeout
          | Lz.Sat m, _ ->
            let inst = Bmc.sweep_instance sw ~bound in
-           if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Engine.Sat
-           else Engine.Abort "witness failed replay"
+           if Bmc.witness_ok inst (fun n -> m.(E.var enc n)) then Engines.Sat
+           else Engines.Abort "witness failed replay"
        in
        agree
          (Printf.sprintf "lazy-cdp sweep bound %d" bound)
@@ -178,36 +177,27 @@ let prop_module_path_equiv =
               (r.Engines.verdict,
                direct_verdict ~timeout:2.0 id (Case.instance case))
             with
-            | Engine.Timeout, _ | _, Engine.Timeout -> true
-            | Engine.Abort _, _ | _, Engine.Abort _ -> false
+            | Engines.Timeout, _ | _, Engines.Timeout -> true
+            | Engines.Abort _, _ | _, Engines.Abort _ -> false
             | a, b -> a = b)
-         Engine.all_ids)
+         Engines.all_engines)
 
-(* ---- capability declarations: registry consistency ---- *)
+(* ---- per-engine behaviour ---- *)
 
-let test_caps_registry () =
-  check_int "six engines registered" 6 (List.length Engine.all);
-  List.iter2
-    (fun id (module M : Engine.S) ->
-       let label = Engine.name_of id in
-       check_bool (label ^ ": module id matches") true (M.id = id);
-       check_string (label ^ ": module name matches") (Engine.name_of id) M.name;
-       check_bool (label ^ ": caps match caps_of") true
-         (M.caps = Engine.caps_of id);
-       check_bool (label ^ ": name round-trips") true
-         (Engine.of_name M.name = Some id))
-    Engine.all_ids Engine.all
-
-(* ---- capability declarations: observed behaviour ---- *)
+let hybrid = function
+  | Engines.Hdpll | Engines.Hdpll_s | Engines.Hdpll_sp | Engines.Hdpll_p -> true
+  | Engines.Bitblast | Engines.Lazy_cdp -> false
 
 (* b13/1 at bound 10 reaches the search loop in every configuration:
    the right instance to watch which phases an engine actually enters
-   and whether it exports learned clauses. *)
-let test_caps_behaviour () =
+   and whether it exports learned clauses.  Expected: every engine but
+   the lazy CDP enters the simplify phase; only the four hybrid engines
+   feed [on_learn]. *)
+let test_engine_behaviour () =
   List.iter
     (fun id ->
-       let label = Engine.name_of id in
-       let caps = Engine.caps_of id in
+       let label = Engines.engine_name id in
+       let simplifies = id <> Engines.Lazy_cdp in
        let obs = Obs.create () in
        let learned = ref 0 in
        let req =
@@ -215,9 +205,9 @@ let test_caps_behaviour () =
        in
        let inst =
          (* the lazy CDP cannot decide b13 in any reasonable budget;
-            its capability probes (no simplify phase, no learned-clause
-            export) hold on any instance it can finish *)
-         if id = Engine.Lazy_cdp then
+            its probes (no simplify phase, no learned-clause export)
+            hold on any instance it can finish *)
+         if id = Engines.Lazy_cdp then
            Registry.instance ~circuit:"b01" ~prop:"1" ~bound:3
          else Registry.instance ~circuit:"b13" ~prop:"1" ~bound:10
        in
@@ -234,45 +224,35 @@ let test_caps_behaviour () =
          | Some (_, _, calls) -> calls
          | None -> 0
        in
-       (* an engine that does not declare honors_simplify must never
-          enter the simplify phase; the declared ones must on an
-          instance that reaches search *)
        check_bool
-         (Printf.sprintf "%s: honors_simplify=%b consistent with %d calls"
-            label caps.Engine.honors_simplify simplify_calls)
-         caps.Engine.honors_simplify (simplify_calls > 0);
-       if not caps.Engine.exports_learned_clauses then
+         (Printf.sprintf "%s: simplifies=%b consistent with %d calls" label
+            simplifies simplify_calls)
+         simplifies (simplify_calls > 0);
+       if not (hybrid id) then
          check_int (label ^ ": on_learn never fires") 0 !learned
        else if r.Engines.conflicts > 0 then
          check_bool (label ^ ": on_learn fired on conflicts") true
            (!learned > 0);
        Obs.close obs)
-    Engine.all_ids
+    Engines.all_engines
 
-(* supports_sessions = false must mean zero carried counters across a
-   whole sweep *)
-let test_caps_sessions () =
+(* the lazy CDP re-solves every bound from scratch: zero carried
+   counters across a whole sweep *)
+let test_lazy_carries_nothing () =
   let source, props = Registry.build "b02" in
   let p = List.assoc "1" props in
+  let steps =
+    Engines.run_sweep
+      ~req:(Req.make ~timeout:30.0 ())
+      Engines.Lazy_cdp source ~prop:p ~bounds:[ 4; 8 ]
+  in
   List.iter
-    (fun id ->
-       let caps = Engine.caps_of id in
-       if not caps.Engine.supports_sessions then
-         let steps =
-           Engines.run_sweep
-             ~req:(Req.make ~timeout:30.0 ())
-             id source ~prop:p ~bounds:[ 4; 8 ]
-         in
-         List.iter
-           (fun (st : Engines.sweep_step) ->
-              check_int
-                (Engine.name_of id ^ ": sessionless carries no clauses")
-                0 st.Engines.sw_carried_clauses;
-              check_int
-                (Engine.name_of id ^ ": sessionless carries no relations")
-                0 st.Engines.sw_carried_relations)
-           steps)
-    Engine.all_ids
+    (fun (st : Engines.sweep_step) ->
+       check_int "lazy-cdp: sessionless carries no clauses" 0
+         st.Engines.sw_carried_clauses;
+       check_int "lazy-cdp: sessionless carries no relations" 0
+         st.Engines.sw_carried_relations)
+    steps
 
 (* ---- one-shot structural search pinned ----
 
@@ -285,49 +265,64 @@ let test_caps_sessions () =
 
 (* engine, circuit, property, bound, decisions, conflicts *)
 let one_shot_rows =
-  [ (Engine.Hdpll_sp, "b04", "1", 50, 4, 4);
-    (Engine.Hdpll_sp, "b13", "8", 50, 844, 35);
-    (Engine.Hdpll_sp, "b13", "2", 50, 1625, 1051);
-    (Engine.Hdpll_s, "b04", "1", 50, 4, 4);
-    (Engine.Hdpll_s, "b13", "8", 50, 1262, 37);
-    (Engine.Hdpll_s, "b13", "2", 50, 1917, 1160) ]
+  [ (Engines.Hdpll_sp, "b04", "1", 50, 4, 4);
+    (Engines.Hdpll_sp, "b13", "8", 50, 844, 35);
+    (Engines.Hdpll_sp, "b13", "2", 50, 1625, 1051);
+    (Engines.Hdpll_s, "b04", "1", 50, 4, 4);
+    (Engines.Hdpll_s, "b13", "8", 50, 1262, 37);
+    (Engines.Hdpll_s, "b13", "2", 50, 1917, 1160) ]
 
 let test_one_shot_pin () =
   let run (id, circuit, prop, bound, _, _) =
-    let (module M : Engine.S) = Engine.of_id id in
-    let req = Req.make ~timeout:120.0 () in
-    let r = M.solve ~req (M.create ~req (Registry.instance ~circuit ~prop ~bound)) in
-    Printf.sprintf "%s %s_%s(%d): %d decisions, %d conflicts" M.name circuit prop
-      bound r.Engine.decisions r.Engine.conflicts
+    let r =
+      Engines.run_instance ~req:(Req.make ~timeout:120.0 ()) id
+        (Registry.instance ~circuit ~prop ~bound)
+    in
+    Printf.sprintf "%s %s_%s(%d): %d decisions, %d conflicts"
+      (Engines.engine_name id) circuit prop bound r.Engines.decisions
+      r.Engines.conflicts
   in
   let pinned (id, circuit, prop, bound, d, c) =
     Printf.sprintf "%s %s_%s(%d): %d decisions, %d conflicts"
-      (Engine.name_of id) circuit prop bound d c
+      (Engines.engine_name id) circuit prop bound d c
   in
   Alcotest.(check (list string)) "per-row search counters"
     (List.map pinned one_shot_rows) (List.map run one_shot_rows)
 
-(* ---- mode contract: solve vs sweep_step are not interchangeable ---- *)
+(* ---- the sweep verdict rule, shared by `rtlsat sweep` and serve ---- *)
 
-let test_mode_contract () =
-  let source, props = Registry.build "b01" in
-  let p = List.assoc "1" props in
-  let inst = Registry.instance ~circuit:"b01" ~prop:"1" ~bound:3 in
-  List.iter
-    (fun (module M : Engine.S) ->
-       let req = Req.default in
-       let one = M.create ~req inst in
-       (try
-          ignore (M.sweep_step ~req one ~bound:3);
-          Alcotest.failf "%s: sweep_step on a one-shot context must raise"
-            M.name
-        with Invalid_argument _ -> ());
-       let sw = M.session ~req source ~prop:p in
-       try
-         ignore (M.solve ~req sw);
-         Alcotest.failf "%s: solve on a sweep context must raise" M.name
-       with Invalid_argument _ -> ())
-    Engine.all
+let test_sweep_verdict () =
+  let step verdict =
+    {
+      Engines.sw_bound = 1;
+      sw_run =
+        {
+          Engines.verdict;
+          time = 0.0;
+          relations = 0;
+          learn_time = 0.0;
+          decisions = 0;
+          conflicts = 0;
+          stats = None;
+          metrics = None;
+        };
+      sw_carried_clauses = 0;
+      sw_carried_relations = 0;
+    }
+  in
+  let check label verdicts expected =
+    check_string label
+      (Report.verdict_string expected)
+      (Report.verdict_string
+         (Engines.sweep_verdict (List.map step verdicts)))
+  in
+  let open Engines in
+  check "a Sat bound before an Unsat one" [ Sat; Unsat ] Sat;
+  check "Sat outranks a timeout" [ Sat; Timeout ] Sat;
+  check "Sat outranks an abort" [ Abort "x"; Sat ] Sat;
+  check "a timeout outranks an abort" [ Abort "x"; Timeout; Unsat ] Timeout;
+  check "an abort outranks Unsat" [ Unsat; Abort "x" ] (Abort "x");
+  check "all Unsat" [ Unsat; Unsat ] Unsat
 
 (* ---- serve: the second identical request hits the warm session ---- *)
 
@@ -448,15 +443,16 @@ let () =
       Qutil.qsuite "properties" [ prop_module_path_equiv ];
       ( "capabilities",
         [
-          Alcotest.test_case "registry consistency" `Quick test_caps_registry;
           Alcotest.test_case "behaviour consistency" `Quick
-            test_caps_behaviour;
+            test_engine_behaviour;
           Alcotest.test_case "sessionless carries nothing" `Quick
-            test_caps_sessions;
-          Alcotest.test_case "mode contract" `Quick test_mode_contract;
+            test_lazy_carries_nothing;
           Alcotest.test_case "one-shot structural search pinned" `Quick
             test_one_shot_pin;
         ] );
+      ( "sweep-verdict",
+        [ Alcotest.test_case "rule over hand-built steps" `Quick
+            test_sweep_verdict ] );
       ( "serve",
         [
           Alcotest.test_case "warm reuse over one pool" `Quick

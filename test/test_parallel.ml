@@ -173,22 +173,29 @@ let test_cube_conquers () =
 let test_sweep_matches () =
   let source, props = Registry.build "b01" in
   let p = List.assoc "1" props in
-  let bounds = [ 2; 4; 6; 8; 10; 12 ] in
   let req = Rtlsat_harness.Req.make ~timeout:60.0 () in
-  let seqs = Engines.run_sweep ~req Engines.Hdpll_sp source ~prop:p ~bounds in
-  let pars =
-    Parallel.sweep ~req ~j:3 Engines.Hdpll_sp source ~prop:p ~bounds
-  in
-  check_int "same step count" (List.length seqs) (List.length pars);
-  List.iter2
-    (fun (a : Engines.sweep_step) (b : Engines.sweep_step) ->
-       check_int "bound order preserved" a.Engines.sw_bound b.Engines.sw_bound;
-       check_bool
-         (Printf.sprintf "bound %d verdict" a.Engines.sw_bound)
-         true
-         (verdict_eq a.Engines.sw_run.Engines.verdict
-            b.Engines.sw_run.Engines.verdict))
-    seqs pars
+  (* the second ladder repeats a bound: each step must come back at its
+     own position, not at the first occurrence of its bound *)
+  List.iter
+    (fun (j, bounds) ->
+       let seqs =
+         Engines.run_sweep ~req Engines.Hdpll_sp source ~prop:p ~bounds
+       in
+       let pars =
+         Parallel.sweep ~req ~j Engines.Hdpll_sp source ~prop:p ~bounds
+       in
+       check_int "same step count" (List.length seqs) (List.length pars);
+       List.iter2
+         (fun (a : Engines.sweep_step) (b : Engines.sweep_step) ->
+            check_int "bound order preserved" a.Engines.sw_bound
+              b.Engines.sw_bound;
+            check_bool
+              (Printf.sprintf "bound %d verdict" a.Engines.sw_bound)
+              true
+              (verdict_eq a.Engines.sw_run.Engines.verdict
+                 b.Engines.sw_run.Engines.verdict))
+         seqs pars)
+    [ (3, [ 2; 4; 6; 8; 10; 12 ]); (2, [ 6; 2; 8; 2 ]) ]
 
 (* ---- per-worker snapshots merge ---- *)
 

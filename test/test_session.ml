@@ -166,23 +166,23 @@ let b13_2_ladder =
     [ 40; 32; 32; 3143; 463 ]; [ 150; 1098; 2; 1; 6 ]; [ 60; 41; 41; 0; 0 ] ]
 
 let test_b13_2_ladder () =
-  let module Engine = Rtlsat_harness.Engine in
   let obs = Obs.create () in
   let req = Rtlsat_harness.Req.make ~timeout:120.0 ~obs () in
   let source, props = Rtlsat_itc99.Registry.build "b13" in
-  let (module M : Engine.S) = Engine.of_id Engine.Hdpll_sp in
-  let sess = M.session ~req source ~prop:(List.assoc "2" props) in
+  let sess =
+    Engines.session ~req Engines.Hdpll_sp source ~prop:(List.assoc "2" props)
+  in
   let seen = ref (0, 0) in
   let actual =
     List.map
       (fun row ->
          let bound = List.hd row in
-         let r = (M.sweep_step ~req sess ~bound).Engine.sw_run in
+         let r = (Engines.sweep_step ~req sess ~bound).Engines.sw_run in
          let sub = Obs.counter obs "simplify.subsumed"
          and str = Obs.counter obs "simplify.strengthened" in
          let sub0, str0 = !seen in
          seen := (sub, str);
-         [ bound; r.Engine.decisions; r.Engine.conflicts; sub - sub0;
+         [ bound; r.Engines.decisions; r.Engines.conflicts; sub - sub0;
            str - str0 ])
       b13_2_ladder
   in
