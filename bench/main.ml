@@ -17,8 +17,7 @@
      wide_wrap         wrap-around corners over wide words (w61 family)
      sweep             scaling curve (CSV)
      bmc_sweep         incremental sessions vs from-scratch bound sweeps
-     simplify          pre/inprocessing on vs off, per clause database
-     parallel          -j 1 vs -j N engine portfolio (speedup rows) *)
+     simplify          pre/inprocessing on vs off, per clause database *)
 
 module Engines = Rtlsat_harness.Engines
 module Tables = Rtlsat_harness.Tables
@@ -40,7 +39,7 @@ let subcommand = ref "all"
 
 let usage =
   "main.exe [--full] \
-   [all|table1|table2|micro|ablation|extension|wide_wrap|sweep|bmc_sweep|simplify|parallel]"
+   [all|table1|table2|micro|ablation|extension|wide_wrap|sweep|bmc_sweep|simplify]"
 
 let spec =
   Arg.align
@@ -57,7 +56,7 @@ let spec =
 let anon cmd =
   match cmd with
   | "all" | "table1" | "table2" | "micro" | "ablation" | "extension"
-  | "wide_wrap" | "sweep" | "bmc_sweep" | "simplify" | "parallel" ->
+  | "wide_wrap" | "sweep" | "bmc_sweep" | "simplify" ->
     subcommand := cmd
   | _ -> raise (Arg.Bad (Printf.sprintf "unknown subcommand %S" cmd))
 
@@ -199,90 +198,6 @@ let simplify () =
      databases; the on arm's counters show the reduction):@.";
   Tables.print_simplify Format.std_formatter (Tables.run_simplify (scale ()))
 
-(* ---- parallel family: the requested engine alone vs a -j N
-   portfolio race over domains.  Cases are picked where the requested
-   engine is hopeless (times out) but another engine in the lineup is
-   fast, so even on one core — where the portfolio only time-shares —
-   first-finisher-wins cancellation turns a timeout into ≈ N x the
-   fastest engine's time.  Both cases race the lazy CDP — the engine
-   with the widest gap to the hybrids — on deep unrollings it cannot
-   finish: a Sat one (b01_1) and an Unsat one (b04_1), rescued by
-   different winners.  On multi-core hardware the race also helps when
-   the gap is small; on one core the overhead of racing N allocating
-   domains (minor-GC barriers) is far above Nx, so only
-   timeout-vs-instant gaps pay — see DESIGN.md. *)
-
-module Parallel = Rtlsat_parallel.Parallel
-
-let parallel_jobs = 4
-
-(* the requested engine solved alone ([pl_seq]) vs raced as a -j
-   [pl_j] portfolio ([pl_par]: wall clock of the whole race, the
-   winner's verdict) *)
-type parallel_row = {
-  pl_instance : string;
-  pl_engine : Engines.engine;
-  pl_j : int;
-  pl_seq : Engines.run;
-  pl_par : Engines.run;
-  pl_winner : string option;
-}
-
-let parallel_cases =
-  [
-    ("b01", "1", 100, Engines.Lazy_cdp, 10.0);
-    ("b04", "1", 300, Engines.Lazy_cdp, 10.0);
-  ]
-
-let run_parallel () =
-  List.map
-    (fun (circuit, prop, bound, engine, timeout) ->
-       let req = Rtlsat_harness.Req.make ~timeout () in
-       let seq =
-         Engines.run_instance ~req engine
-           (Registry.instance ~circuit ~prop ~bound)
-       in
-       let p =
-         Parallel.portfolio ~req ~j:parallel_jobs ~engine
-           (Registry.instance ~circuit ~prop ~bound)
-       in
-       {
-         pl_instance = Registry.instance_name ~circuit ~prop ~bound;
-         pl_engine = engine;
-         pl_j = parallel_jobs;
-         pl_seq = seq;
-         pl_par = { p.Parallel.p_run with Engines.time = p.Parallel.p_wall };
-         pl_winner = Option.map Engines.engine_name p.Parallel.p_winner;
-       })
-    parallel_cases
-
-let print_parallel rows =
-  Format.printf "%-12s %-10s %3s %9s %9s %8s  %s@." "instance" "engine" "j"
-    "seq(s)" "par(s)" "speedup" "winner";
-  List.iter
-    (fun r ->
-       let cell (run : Engines.run) =
-         match run.Engines.verdict with
-         | Engines.Timeout -> Printf.sprintf "%9s" "-to-"
-         | Engines.Abort _ -> Printf.sprintf "%9s" "-A-"
-         | _ -> Printf.sprintf "%9.2f" run.Engines.time
-       in
-       Format.printf "%-12s %-10s %3d %s %s %7.1fx  %s@." r.pl_instance
-         (Engines.engine_name r.pl_engine)
-         r.pl_j (cell r.pl_seq) (cell r.pl_par)
-         (if r.pl_par.Engines.time > 0.0 then
-            r.pl_seq.Engines.time /. r.pl_par.Engines.time
-          else 0.0)
-         (match r.pl_winner with Some w -> w | None -> "-"))
-    rows
-
-let parallel () =
-  Format.printf
-    "@.parallel family (requested engine at -j 1 vs a -j %d portfolio race \
-     with first-finisher-wins cancellation):@."
-    parallel_jobs;
-  print_parallel (run_parallel ())
-
 let wide_wrap () =
   Format.printf
     "@.wide_wrap family (wrap-around corners over wide words; every case Sat \
@@ -325,7 +240,6 @@ let () =
    | "sweep" -> sweep ()
    | "bmc_sweep" -> bmc_sweep ()
    | "simplify" -> simplify ()
-   | "parallel" -> parallel ()
    | _ ->
      table1 ();
      Format.printf "@.";
@@ -334,7 +248,6 @@ let () =
      wide_wrap ();
      bmc_sweep ();
      simplify ();
-     parallel ();
      ablation ();
      micro ());
   ledger_append ~wall_s:(Mono.now () -. t0)

@@ -31,7 +31,6 @@ module Engines = Rtlsat_harness.Engines
 module Req = Rtlsat_harness.Req
 module Serve = Rtlsat_harness.Serve
 module Report = Rtlsat_harness.Report
-module Parallel = Rtlsat_parallel.Parallel
 module Obs = Rtlsat_obs.Obs
 module Mono = Rtlsat_obs.Mono
 module Trace = Rtlsat_obs.Trace
@@ -275,9 +274,7 @@ let arm_flight obs flight =
          Format.eprintf "rtlsat: cannot dump flight recorder: %s@." msg;
          None)
   in
-  (* signal handlers run on the main domain only; never arm (or
-     re-arm) from a worker domain *)
-  if flight <> None && Domain.is_main_domain () then
+  if flight <> None then
     (try
        Sys.set_signal Sys.sigusr1
          (Sys.Signal_handle (fun _ -> ignore (dump ())))
@@ -391,23 +388,9 @@ let solve_cmd =
            ~doc:"Write the run's metrics in OpenMetrics text exposition \
                  format (see also $(b,rtlsat metrics))")
   in
-  let jobs =
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Race up to $(docv) engines as a parallel portfolio over \
-                 OCaml domains: the requested engine plus the others, first \
-                 Sat/Unsat wins and cancels the rest cooperatively.  1 \
-                 (default) solves sequentially")
-  in
-  let cube =
-    Arg.(value & flag & info [ "cube" ]
-           ~doc:"Cube-and-conquer instead of a portfolio: a short probe \
-                 warms the split heap, midpoint bisection over its \
-                 nominations yields cubes fanned over --jobs workers with \
-                 short-clause exchange.  Hybrid engines only")
-  in
   let run case_file circuit prop bound engine timeout stats_json trace_out
       dump_graph dump_graph_max progress opts flight heartbeat metrics_out
-      jobs cube ledger =
+      ledger =
     let req = req_of_opts ?dump_graph ~dump_graph_max ~timeout opts in
     let inst, label =
       match (case_file, circuit, prop, bound) with
@@ -468,68 +451,15 @@ let solve_cmd =
       else Obs.disabled
     in
     let dump_flight = arm_flight obs flight in
-    let jobs = max 1 jobs in
-    (if cube then
-       match engine with
-       | Engines.Hdpll | Engines.Hdpll_s | Engines.Hdpll_sp | Engines.Hdpll_p
-         -> ()
-       | Engines.Bitblast | Engines.Lazy_cdp ->
-         Format.eprintf
-           "rtlsat: --cube needs a hybrid engine (no split heap to cube on)@.";
-         exit 2);
-    let mode_note = ref [] in
     let req = Req.with_obs req obs in
     let r =
-      try
-        if cube then begin
-          let c = Parallel.cube_solve ~req ~j:jobs ~engine inst in
-          mode_note :=
-            [ Printf.sprintf
-                "cube-and-conquer -j %d: %d cubes over vars [%s], %d \
-                 refuted, exchange %d shared / %d imported, probe %.2fs"
-                jobs c.Parallel.c_cubes
-                (String.concat ";"
-                   (List.map string_of_int c.Parallel.c_vars))
-                c.Parallel.c_refuted c.Parallel.c_exchange_pushed
-                c.Parallel.c_exchange_taken c.Parallel.c_probe_time ];
-          {
-            Engines.verdict = c.Parallel.c_verdict;
-            time = c.Parallel.c_time;
-            relations = 0;
-            learn_time = 0.0;
-            decisions = 0;
-            conflicts = 0;
-            stats = None;
-            metrics = (if need_obs then Some c.Parallel.c_metrics else None);
-          }
-        end
-        else if jobs > 1 then begin
-          let p = Parallel.portfolio ~req ~j:jobs ~engine inst in
-          mode_note :=
-            [ Printf.sprintf "portfolio -j %d raced {%s}: %s" jobs
-                (String.concat ", "
-                   (List.map
-                      (fun (e, _) -> Engines.engine_name e)
-                      p.Parallel.p_runs))
-                (match p.Parallel.p_winner with
-                 | Some e -> "winner " ^ Engines.engine_name e
-                 | None -> "no decisive finisher") ];
-          {
-            p.Parallel.p_run with
-            Engines.time = p.Parallel.p_wall;
-            Engines.metrics =
-              (if need_obs then Some p.Parallel.p_metrics
-               else p.Parallel.p_run.Engines.metrics);
-          }
-        end
-        else Engines.run_instance ~req engine inst
+      try Engines.run_instance ~req engine inst
       with e ->
         (* post-mortem for crashes, not just timeouts *)
         ignore (dump_flight ());
         raise e
     in
     Obs.close obs;
-    List.iter (fun l -> Format.printf "%s@." l) !mode_note;
     Format.printf "%s %s: %s in %.2fs@." label
       (Engines.engine_name engine)
       (match r.Engines.verdict with
@@ -578,9 +508,8 @@ let solve_cmd =
     ledger_append ledger ~subcommand:"solve" ~instance:label
       ~engine:(Engines.engine_name engine)
       ~options:
-        (Printf.sprintf "bound=%d,split=%b,simplify=%b,inprocess=%d,j=%d%s"
-           bound opts.eo_split opts.eo_simplify opts.eo_inprocess jobs
-           (if cube then ",cube" else ""))
+        (Printf.sprintf "bound=%d,split=%b,simplify=%b,inprocess=%d" bound
+           opts.eo_split opts.eo_simplify opts.eo_inprocess)
       ~verdict:(Report.verdict_string r.Engines.verdict)
       ~wall_s:r.Engines.time
       ~counters:
@@ -610,8 +539,8 @@ let solve_cmd =
        ~doc:"Decide one BMC instance (benchmark or .rtl case file)")
     Term.(const run $ case_file $ circuit $ prop $ bound $ engine $ timeout
           $ stats_json $ trace_out $ dump_graph $ dump_graph_max $ progress
-          $ engine_opts_term $ flight_term $ heartbeat $ metrics_out $ jobs
-          $ cube $ ledger_term)
+          $ engine_opts_term $ flight_term $ heartbeat $ metrics_out
+          $ ledger_term)
 
 (* ---- check: external netlist files ---- *)
 
@@ -734,14 +663,8 @@ let sweep_cmd =
            ~doc:"Write the sweep's cumulative metrics in OpenMetrics text \
                  exposition format")
   in
-  let jobs =
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Partition the bound ladder round-robin over $(docv) worker \
-                 domains, each with its own private solver session.  \
-                 Verdicts match -j 1; carried counters become per-worker")
-  in
   let run circuit prop bounds engine timeout scratch trace_out heartbeat
-      metrics_out flight opts jobs ledger =
+      metrics_out flight opts ledger =
     let req = req_of_opts ~timeout opts in
     let source, p =
       match Registry.build circuit with
@@ -764,10 +687,9 @@ let sweep_cmd =
       else Obs.disabled
     in
     let dump_flight = arm_flight obs flight in
-    let jobs = max 1 jobs in
     let req = Req.with_obs req obs in
     let steps =
-      try Parallel.sweep ~req ~j:jobs engine source ~prop:p ~bounds
+      try Engines.run_sweep ~req engine source ~prop:p ~bounds
       with e ->
         (* post-mortem for crashes, matching solve *)
         ignore (dump_flight ());
@@ -777,14 +699,8 @@ let sweep_cmd =
      | Some path -> write_metrics path (Openmetrics.of_snapshot (Obs.snapshot obs))
      | None -> ());
     Obs.close obs;
-    if jobs > 1 then
-      Format.printf
-        "%s_%s sweep, engine %s: %d worker sessions, bounds as assumptions@."
-        circuit prop (Engines.engine_name engine) jobs
-    else
-      Format.printf
-        "%s_%s sweep, engine %s: one session, bounds as assumptions@." circuit
-        prop (Engines.engine_name engine);
+    Format.printf "%s_%s sweep, engine %s: one session, bounds as assumptions@."
+      circuit prop (Engines.engine_name engine);
     Format.printf "%5s %-4s %8s%s %12s %12s@." "bound" "rslt" "incr"
       (if scratch then "  scratch" else "")
       "carried-cls" "carried-rels";
@@ -841,9 +757,9 @@ let sweep_cmd =
       ~instance:(Printf.sprintf "%s_%s" circuit prop)
       ~engine:(Engines.engine_name engine)
       ~options:
-        (Printf.sprintf "bounds=%s,simplify=%b,inprocess=%d,j=%d"
+        (Printf.sprintf "bounds=%s,simplify=%b,inprocess=%d"
            (String.concat ";" (List.map string_of_int bounds))
-           opts.eo_simplify opts.eo_inprocess jobs)
+           opts.eo_simplify opts.eo_inprocess)
       ~verdict:(Report.verdict_string (Engines.sweep_verdict steps))
       ~wall_s:!incr_total
       ~counters:
@@ -868,7 +784,7 @@ let sweep_cmd =
              state carry from bound to bound")
     Term.(const run $ circuit $ prop $ bounds $ engine $ timeout $ scratch
           $ trace_out $ heartbeat $ metrics_out $ flight_term
-          $ engine_opts_term $ jobs $ ledger_term)
+          $ engine_opts_term $ ledger_term)
 
 (* ---- serve: JSON-lines daemon over warm solver sessions ---- *)
 

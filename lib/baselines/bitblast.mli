@@ -62,8 +62,7 @@ val solve :
     [Unsat] then means unsat under them and the solver stays usable.
     [inprocess] > 0 re-simplifies the clause database (without
     elimination) every that many conflicts.  [cancel] makes the
-    underlying CDCL loop return [Timeout] at its next step gate —
-    cooperative cancellation for the portfolio driver. *)
+    underlying CDCL loop return [Timeout] at its next step gate. *)
 
 val to_dimacs : t -> string
 (** The current CNF (including assumptions added so far) in DIMACS

@@ -28,7 +28,7 @@ val run :
     root propagation, where unit clauses have produced no events yet.
     [deadline] is compared against the monotonic clock
     ({!Rtlsat_obs.Mono.now}); [cancel] is polled at the same fuel gate
-    (every 4096 events), bounding how long a cancelled worker keeps
+    (every 4096 events), bounding how long a cancelled search keeps
     running.
     @raise Propagation_timeout when [deadline] passes or [cancel] is
     set. *)

@@ -360,8 +360,6 @@ let solve_loop ~assumptions opts s justifier learn_summary =
       State.backtrack_to s btlevel;
       State.add_clause s clause;
       s.State.n_learned <- s.State.n_learned + 1;
-      (* clause-exchange hook: only short clauses are worth shipping
-         between portfolio/cube workers, so filter at the source *)
       (match opts.on_learn with
        | Some f when Array.length clause <= 2 -> f clause
        | _ -> ());
@@ -779,48 +777,6 @@ module Session = struct
       carried_relations;
       n_solves = t.n_solves;
     }
-
-  (* split-cube export for the cube-and-conquer driver: drain the
-     split heap's live nominations first (the hottest crawling
-     intervals — exactly the variables stall-triggered splitting would
-     bisect next), then top up with the highest-activity unfixed word
-     variables.  Draining is destructive, which is fine: [pick_split]
-     clears the whole heap per nomination batch anyway, and the next
-     stall re-nominates. *)
-  let split_candidates ?(max = 4) t =
-    let s = t.s in
-    State.backtrack_to s 0;
-    let out = ref [] and n = ref 0 in
-    let seen = Hashtbl.create 16 in
-    let push v =
-      if
-        !n < max
-        && (not (Hashtbl.mem seen v))
-        && s.State.lb.(v) < s.State.ub.(v)
-      then begin
-        Hashtbl.add seen v ();
-        out := (v, s.State.lb.(v), s.State.ub.(v)) :: !out;
-        incr n
-      end
-    in
-    while !n < max && not (Heap.is_empty s.State.split_heap) do
-      push (Heap.pop s.State.split_heap s.State.activity)
-    done;
-    if !n < max then begin
-      let rest = ref [] in
-      for v = 0 to s.State.nv - 1 do
-        if
-          (not (Problem.is_bool_var s.State.prob v))
-          && (not (Hashtbl.mem seen v))
-          && s.State.lb.(v) < s.State.ub.(v)
-        then rest := v :: !rest
-      done;
-      !rest
-      |> List.sort (fun a b ->
-          compare s.State.activity.(b) s.State.activity.(a))
-      |> List.iter push
-    end;
-    List.rev !out
 end
 
 (* a one-shot solve is the first call of a fresh session *)

@@ -64,9 +64,7 @@ type options = {
                                     next step-count gate (the same
                                     gates that check [deadline]).  The
                                     default flag is shared and never
-                                    set; the parallel portfolio gives
-                                    each race one flag and sets it when
-                                    a first finisher wins *)
+                                    set *)
   on_learn : (Rtlsat_constr.Types.clause -> unit) option;
                                 (** called for every conflict-learned
                                     clause of length ≤ 2, from the
@@ -75,9 +73,8 @@ type options = {
                                     theory alone (assumptions appear
                                     negated, never resolved away), so
                                     they are valid in any solver over
-                                    the same problem — the parallel
-                                    driver ships them between workers.
-                                    Must be cheap and must not raise *)
+                                    the same problem.  Must be cheap
+                                    and must not raise *)
 }
 
 val default : options
@@ -202,13 +199,4 @@ module Session : sig
       unsat under those assumptions; the session stays usable either
       way.  [deadline] overrides the session options' deadline for
       this call only. *)
-
-  val split_candidates : ?max:int -> session -> (int * int * int) list
-  (** [(v, lo, hi)] cube candidates for cube-and-conquer, best first:
-      live split-heap nominations (stall-triggered bisection targets),
-      topped up with the highest-activity word variables whose root
-      interval is still splittable ([lo < hi], bounds at decision
-      level 0).  At most [max] (default 4).  Drains the split heap
-      destructively — harmless, the solver clears it per nomination
-      batch anyway.  Backtracks the session to level 0. *)
 end

@@ -68,7 +68,7 @@ let sweep_verdict steps =
 
 let snap obs = if obs.Obs.enabled then Some (Obs.snapshot obs) else None
 
-(* ---- helpers shared by the kernels and the parallel drivers ---- *)
+(* ---- helpers shared by the kernels ---- *)
 
 let solver_options engine (req : Req.t) =
   let base =

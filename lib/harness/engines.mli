@@ -79,10 +79,9 @@ val run_instance : ?req:Req.t -> engine -> Rtlsat_bmc.Bmc.instance -> run
     solving makes it sound) for the bit-blast baseline; the lazy CDP
     ignores it.  [req.inprocess] > 0 re-simplifies every that many
     conflicts.  [req.cancel], once set, makes the engine return
-    [Timeout] at its next step/fuel gate — the parallel portfolio uses
-    one flag per race.  [req.on_learn] (HDPLL engines only) receives
-    every conflict-learned clause of length ≤ 2 for cross-worker
-    clause exchange. *)
+    [Timeout] at its next step/fuel gate.  [req.on_learn] (HDPLL
+    engines only) receives every conflict-learned clause of length
+    ≤ 2. *)
 
 type sweep_step = {
   sw_bound : int;
@@ -152,23 +151,6 @@ val sweep_verdict : sweep_step list -> verdict
 val op_counts : Rtlsat_bmc.Bmc.instance -> int * int
 (** (arith, bool) operator counts of the unrolled instance —
     columns 3–4 of Table 2. *)
-
-(** {1 Helpers for the parallel drivers} *)
-
-val solver_options : engine -> Req.t -> Rtlsat_core.Solver.options
-(** The hybrid kernel options of a request: the engine's preset
-    ({!Rtlsat_core.Solver.hdpll} … [hdpll_p]) with the request's
-    [obs], [cancel] and solver knobs ([learn_threshold], [dump_graph],
-    [dump_graph_max], [split], [simplify], [inprocess], [on_learn]).
-    The options deadline stays [infinity]: every caller passes its
-    per-call deadline to {!Rtlsat_core.Solver.Session.solve}.
-    @raise Invalid_argument for [Bitblast] and [Lazy_cdp]. *)
-
-val encode_instance :
-  Rtlsat_obs.Obs.t -> Rtlsat_bmc.Bmc.instance -> Rtlsat_constr.Encode.t
-(** One-shot hybrid encoding of a BMC instance, under the handle's
-    Encode span: the unrolled circuit with its violation selector
-    asserted as a unit clause. *)
 
 val replay : Rtlsat_bmc.Bmc.instance -> (Rtlsat_rtl.Ir.node -> int) -> verdict
 (** Check a model by replaying its witness through the RTL simulator

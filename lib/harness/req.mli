@@ -3,8 +3,8 @@
     [Req.t] replaces the optional-argument explosion that used to ride
     every call into the engine layer ([?timeout ?learn_threshold ?obs
     ?dump_graph ?split ?simplify ?inprocess ?cancel ?on_learn]): the
-    CLI, the parallel drivers, the fuzz oracle, the bench harness and
-    the [rtlsat serve] daemon all build one record and thread it down.
+    CLI, the fuzz oracle, the bench harness and the [rtlsat serve]
+    daemon all build one record and thread it down.
 
     Deadline discipline: a request carries one relative [timeout]
     budget (seconds), applied per engine call — per bound in a sweep,
@@ -72,5 +72,5 @@ val with_obs : t -> Rtlsat_obs.Obs.t -> t
 val options_string : t -> string
 (** The ledger-facing option digest,
     ["split=<b>,simplify=<b>,inprocess=<n>"] — callers append
-    command-specific fields (bound, jobs, …) around it so ledger
+    command-specific fields (bound, warm, …) around it so ledger
     grouping keys stay stable. *)

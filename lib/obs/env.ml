@@ -38,8 +38,7 @@ let probe () =
 
 (* probed once and shared.  A plain [lazy] here raises
    CamlinternalLazy.Undefined when sibling domains force it
-   concurrently — which ledger appends from worker domains do — so the
-   memoization is guarded by a mutex instead. *)
+   concurrently, so the memoization is guarded by a mutex instead. *)
 let cache = ref None
 let cache_lock = Mutex.create ()
 

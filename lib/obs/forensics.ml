@@ -213,8 +213,7 @@ let trace_versions =
     (6, "+ simplify.pass (pre/inprocessing over the clause databases)");
     (7, "+ GC/memory telemetry on heartbeats (major_words, heap_mb, \
          compactions)");
-    (8, "+ worker-tagged events (parallel portfolio / cube-and-conquer \
-         domains carry a \"worker\" field)");
+    (8, "+ worker-tagged events (a \"worker\" field, no longer written)");
   ]
 
 let max_trace_version =

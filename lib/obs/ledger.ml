@@ -15,8 +15,9 @@ let iso8601 t =
 (* run ids sort chronologically and stay unique across concurrent
    processes AND within one: UTC second + sub-second millis + pid +
    a per-process sequence.  Without the sequence, two records made in
-   the same millisecond by the same process (live once solver domains
-   append concurrently) collide; the atomic counter is domain-safe. *)
+   the same millisecond by the same process (a bench run or a serve
+   loop appending back to back) collide; the atomic counter is
+   domain-safe. *)
 let seq = Atomic.make 0
 
 let run_id now pid =
@@ -51,8 +52,8 @@ let make ?now ?pid ~subcommand ~argv ~instance ~engine ~options ~verdict ~wall_s
 (* One record = one [single_write] of the whole rendered line on an
    [O_APPEND] fd.  The previous buffered-channel version wrote the
    record and the newline separately, so two concurrent appenders
-   (worker domains, or two processes sharing a ledger) could
-   interleave torn lines.  POSIX makes each O_APPEND write land at the
+   (two processes sharing a ledger, such as [rtlsat serve] and a CLI
+   run) could interleave torn lines.  POSIX makes each O_APPEND write land at the
    then-current end of file, so whole-line writes never interleave;
    the loop only matters for the theoretical short-write case and
    keeps retrying at the file's (moved) end. *)

@@ -64,7 +64,6 @@ type t = {
   mutable hb_context : (string * Json.t) list;
   progress : progress option;
   mutable forensics : Forensics.t option;
-  mutable worker : int;
   t0 : float;
   gc0 : Gc.stat;
   gc0_minor : float;
@@ -108,7 +107,6 @@ let make ~enabled ~trace ~recorder ~heartbeat ~progress =
     hb_context = [];
     progress;
     forensics = None;
-    worker = -1;
     t0 = now;
     gc0;
     gc0_minor = Gc.minor_words ();
@@ -257,17 +255,9 @@ let observe_backjump t d = if t.enabled then Hist.observe t.backjump d
 
 (* ---- events ---- *)
 
-let set_worker t w = if t.enabled then t.worker <- w
-
 (* every event goes to both attached sinks: the trace file (if any)
-   and the flight-recorder ring (if any).  Worker handles (parallel
-   portfolio/cube domains) tag each event with their worker id so a
-   shared trace stays attributable — trace/8. *)
+   and the flight-recorder ring (if any) *)
 let emit_to_sinks t ev fields =
-  let fields =
-    if t.worker >= 0 then fields @ [ ("worker", Json.Int t.worker) ]
-    else fields
-  in
   (match t.trace with Some tr -> Trace.emit tr ~ev fields | None -> ());
   match t.recorder with
   | Some r -> Recorder.record r ~t_rel:(Unix.gettimeofday () -. t.t0) ~ev fields
@@ -507,107 +497,6 @@ let snapshot t =
       |> List.sort (fun (a, _) (b, _) -> compare a b);
     trace_events = (match t.trace with Some tr -> Trace.events tr | None -> 0);
   }
-
-(* ---- merging worker snapshots (parallel runs) ---- *)
-
-let merge_hist (a : Hist.summary) (b : Hist.summary) : Hist.summary =
-  let n = a.Hist.n + b.Hist.n in
-  let total = a.Hist.total + b.Hist.total in
-  {
-    Hist.n;
-    total;
-    vmin =
-      (if a.Hist.n = 0 then b.Hist.vmin
-       else if b.Hist.n = 0 then a.Hist.vmin
-       else min a.Hist.vmin b.Hist.vmin);
-    vmax = max a.Hist.vmax b.Hist.vmax;
-    mean = (if n = 0 then 0.0 else float_of_int total /. float_of_int n);
-    buckets =
-      (* per-worker handles use identical bucket limits; fall back to
-         [a]'s shape if they somehow differ *)
-      (try
-         List.map2
-           (fun (k, va) (_, vb) -> (k, va + vb))
-           a.Hist.buckets b.Hist.buckets
-       with Invalid_argument _ -> a.Hist.buckets);
-  }
-
-let merge_mem a b =
-  match (a, b) with
-  | None, m | m, None -> m
-  | Some a, Some b ->
-    Some
-      {
-        minor_words = a.minor_words +. b.minor_words;
-        major_words = a.major_words +. b.major_words;
-        promoted_words = a.promoted_words +. b.promoted_words;
-        minor_collections = a.minor_collections + b.minor_collections;
-        major_collections = a.major_collections + b.major_collections;
-        compactions = max a.compactions b.compactions;
-        heap_words = max a.heap_words b.heap_words;
-        top_heap_words = max a.top_heap_words b.top_heap_words;
-      }
-
-let merge_counters a b =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) a;
-  List.iter
-    (fun (k, v) ->
-       match Hashtbl.find_opt tbl k with
-       | Some prev -> Hashtbl.replace tbl k (prev + v)
-       | None -> Hashtbl.replace tbl k v)
-    b;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let merge2 a b =
-  {
-    (* workers run concurrently: merged wall is the longest worker's,
-       not the sum (work done is visible in per-phase self seconds,
-       which do sum) *)
-    wall = Float.max a.wall b.wall;
-    phases =
-      (try
-         List.map2
-           (fun (n, s1, c1) (_, s2, c2) -> (n, s1 +. s2, c1 + c2))
-           a.phases b.phases
-       with Invalid_argument _ -> a.phases);
-    phase_alloc =
-      (try
-         List.map2 (fun (n, w1) (_, w2) -> (n, w1 +. w2)) a.phase_alloc
-           b.phase_alloc
-       with Invalid_argument _ -> a.phase_alloc);
-    histograms =
-      (try
-         List.map2
-           (fun (n, h1) (_, h2) -> (n, merge_hist h1 h2))
-           a.histograms b.histograms
-       with Invalid_argument _ -> a.histograms);
-    counter_values = merge_counters a.counter_values b.counter_values;
-    (* workers share one trace sink whose event count is global —
-       summing would double-count *)
-    trace_events = max a.trace_events b.trace_events;
-    stalls = a.stalls + b.stalls;
-    splits = a.splits + b.splits;
-    hot_constraints =
-      (let all = a.hot_constraints @ b.hot_constraints in
-       List.sort
-         (fun x y ->
-            compare y.Forensics.hc_narrows x.Forensics.hc_narrows)
-         all
-       |> List.filteri (fun i _ -> i < top_k));
-    hot_vars =
-      (let all = a.hot_vars @ b.hot_vars in
-       List.sort
-         (fun x y -> compare y.Forensics.hv_narrows x.Forensics.hv_narrows)
-         all
-       |> List.filteri (fun i _ -> i < top_k));
-    mem = merge_mem a.mem b.mem;
-  }
-
-let merge_snapshots = function
-  | [] -> snapshot disabled
-  | s :: rest -> List.fold_left merge2 s rest
 
 let mem_json = function
   | None ->

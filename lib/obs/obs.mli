@@ -60,10 +60,6 @@ type t = {
   mutable forensics : Forensics.t option;
       (** per-solve attribution table; attached by the solver via
           {!attach_forensics} when the handle is enabled *)
-  mutable worker : int;
-      (** worker id tag, [-1] on non-worker handles; when [>= 0],
-          every emitted event carries a ["worker"] field (trace/8).
-          Set with {!set_worker}. *)
   t0 : float;                      (** handle creation instant *)
   gc0 : Gc.stat;                   (** GC totals at creation; the
                                        snapshot [mem] deltas baseline *)
@@ -148,12 +144,6 @@ val event : t -> string -> (string * Json.t) list -> unit
 (** Emit to every attached sink (trace file and flight recorder).
     No-op unless {!tracing}.  Callers should avoid building the field
     list when not tracing. *)
-
-val set_worker : t -> int -> unit
-(** Tag this handle as worker [w]: every subsequent event emitted
-    through it carries [("worker", w)].  Used by the parallel driver,
-    which gives each domain its own handle sharing the parent's trace
-    and recorder sinks (both are internally locked). *)
 
 val set_context : t -> (string * Json.t) list -> unit
 (** Fields appended to every subsequent heartbeat — e.g.
@@ -263,15 +253,6 @@ type snapshot = {
 val snapshot : t -> snapshot
 (** A disabled handle yields an all-zero snapshot (every phase listed,
     zero everywhere, [mem = None]). *)
-
-val merge_snapshots : snapshot list -> snapshot
-(** Combine per-worker snapshots into one run-wide picture at join:
-    phase self-times, calls, allocation, histograms, counters, stalls
-    and splits are summed; [wall] is the maximum (workers overlap, so
-    summing would exceed real time); [trace_events] is the maximum
-    (workers share one trace sink with a global count); hot lists are
-    re-ranked top-10 across workers; GC words sum, heap sizes take the
-    maximum.  The empty list yields the all-zero snapshot. *)
 
 val snapshot_json : snapshot -> Json.t
 (** Stable schema: [{"wall_s", "phases": {name:

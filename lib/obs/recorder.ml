@@ -4,10 +4,16 @@
    JSON text is only produced at dump time, so the per-event cost is
    one array store and the field list the caller already built.
 
-   The ring is shared between the main domain (SIGUSR1 dump) and any
-   worker domains pushing events, so pushes and reads take a mutex:
-   an unguarded push concurrent with a dump can hand the dump a
-   half-updated (entry, total) pair and malform the trace. *)
+   The ring has one writer, the solving domain, and one other reader:
+   the SIGUSR1 dump, which runs on that same domain at a safepoint of
+   the interrupted code.  No lock is needed (and a mutex would be
+   wrong: OCaml mutexes are error-checking, so a handler that lands
+   inside a locked [record] and re-locks in [snapshot] fails with
+   "Resource deadlock avoided").  A [record] is consistent at every
+   safepoint because its one allocation, the entry itself, happens
+   before the ring store and the [total] increment, and those two
+   neither allocate nor poll.  A handler sees either none of the
+   event or all of it. *)
 
 type entry = {
   e_t : float;  (* seconds since the owning handle's t0 *)
@@ -18,7 +24,6 @@ type entry = {
 type t = {
   cap : int;
   ring : entry array;
-  lock : Mutex.t;
   mutable total : int;  (* events ever recorded *)
 }
 
@@ -28,28 +33,24 @@ let dummy = { e_t = 0.0; e_ev = ""; e_fields = [] }
 
 let create ?(cap = default_cap) () =
   if cap <= 0 then invalid_arg "Recorder.create: cap must be positive";
-  { cap; ring = Array.make cap dummy; lock = Mutex.create (); total = 0 }
+  { cap; ring = Array.make cap dummy; total = 0 }
 
 let record t ~t_rel ~ev fields =
-  Mutex.lock t.lock;
-  t.ring.(t.total mod t.cap) <- { e_t = t_rel; e_ev = ev; e_fields = fields };
-  t.total <- t.total + 1;
-  Mutex.unlock t.lock
+  let e = { e_t = t_rel; e_ev = ev; e_fields = fields } in
+  t.ring.(t.total mod t.cap) <- e;
+  t.total <- t.total + 1
 
 let recorded t = min t.total t.cap
 let dropped t = max 0 (t.total - t.cap)
 let is_empty t = t.total = 0
 
-(* snapshot under the lock, then run [f] outside it so callbacks that
-   re-enter the recorder (or block) cannot deadlock *)
+(* copy the ring out first, so a callback that records more events
+   cannot disturb the walk *)
 let snapshot t =
-  Mutex.lock t.lock;
-  let n = min t.total t.cap in
-  let first = t.total - n in
-  let entries = Array.init n (fun i -> t.ring.((first + i) mod t.cap)) in
   let total = t.total in
-  Mutex.unlock t.lock;
-  (entries, total)
+  let n = min total t.cap in
+  let first = total - n in
+  (Array.init n (fun i -> t.ring.((first + i) mod t.cap)), total)
 
 let iter t f =
   let entries, _ = snapshot t in

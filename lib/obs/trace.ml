@@ -10,9 +10,9 @@ type t = {
 let schema = "rtlsat.trace/8"
 
 (* [emit] renders into a per-handle scratch buffer and writes to a
-   buffered channel — both are shared mutable state, so when worker
-   domains share the main handle (parallel portfolio/cube runs) the
-   whole render+write must be one critical section or events tear. *)
+   buffered channel — both are shared mutable state, so the whole
+   render+write is one critical section: two domains sharing a handle
+   cannot tear an event. *)
 let emit t ~ev fields =
   Mutex.lock t.lock;
   Fun.protect

@@ -22,9 +22,10 @@ val schema : string
     / eliminated, probe results, database size before/after).
     Version 7 adds GC/memory telemetry to [heartbeat] events
     ([major_words], [heap_mb], [compactions] from [Gc.quick_stat]).
-    Version 8 tags every event emitted through a parallel worker's
-    handle (portfolio / cube-and-conquer domains) with a ["worker"]
-    field.  {!Forensics.trace_versions} is the dispatch table offline tooling
+    Version 8 tagged the events of parallel solver domains with a
+    ["worker"] field; nothing writes that field any more, but readers
+    still accept v8 traces that carry it.
+    {!Forensics.trace_versions} is the dispatch table offline tooling
     reads. *)
 
 val to_file : string -> t

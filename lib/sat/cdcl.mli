@@ -113,8 +113,8 @@ val solve :
 (** [deadline] is an absolute instant compared against the monotonic
     clock ({!Rtlsat_obs.Mono.now}); the solver polls it and returns
     [Timeout] when exceeded.  [cancel] is polled at the same step gate
-    (every 256 steps): the portfolio driver sets it when another
-    worker wins the race, and this solver returns [Timeout] promptly.
+    (every 256 steps); once it is set, this solver returns [Timeout]
+    promptly.
     With [assumptions], [Unsat] means unsatisfiable under them
     (assumption literals are rewritten through the substitution; an
     assumption on an eliminated variable raises [Invalid_argument]).

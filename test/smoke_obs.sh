@@ -12,6 +12,8 @@
 #   5. cross-run ledger: solves append rtlsat.run/1 records (env
 #      fingerprint included), rtlsat runs lists them, and trace-diff
 #      exits 1 on the committed w61 verdict flip
+#   6. SIGUSR1 stress: ~150 signals at 10 ms intervals during a 2 s
+#      solve each dump the flight recorder, and no dump may fail
 set -eu
 
 here=$(dirname "$0")
@@ -28,7 +30,8 @@ profile=$(mktemp /tmp/rtlsat_w61.XXXXXX.profile)
 om=$(mktemp /tmp/rtlsat_metrics.XXXXXX.om)
 flight=$(mktemp /tmp/rtlsat_w61.XXXXXX.flight)
 ledger=$(mktemp /tmp/rtlsat_ledger.XXXXXX.jsonl)
-trap 'rm -f "$out" "$trace" "$profile" "$om" "$flight" "$ledger"' EXIT
+err=$(mktemp /tmp/rtlsat_usr1.XXXXXX.err)
+trap 'rm -f "$out" "$trace" "$profile" "$om" "$flight" "$ledger" "$err"' EXIT
 
 # 1. stats schema
 "$rtlsat" solve -c b01 -p 1 -k 5 --no-ledger --stats-json "$out"
@@ -85,5 +88,39 @@ if "$rtlsat" trace-diff "$root/test/fixtures/w61_split_on.jsonl" \
   exit 1
 fi
 grep -q "first divergence at key event" "$profile"
+
+# 6. SIGUSR1 stress.  Signals sent before the handler is armed would
+#    kill the solve, so wait for SIGUSR1 (bit 0x200) in the process's
+#    caught-signal mask where /proc shows it, else give it 0.5 s.
+"$rtlsat" solve -c b13 -p 2 -k 100 --timeout 2 --no-ledger \
+  --flight-recorder "$flight" > /dev/null 2> "$err" &
+pid=$!
+if [ -r "/proc/$pid/status" ]; then
+  tries=0
+  while [ $tries -lt 200 ]; do
+    cgt=$(awk '/^SigCgt/ { print $2 }' "/proc/$pid/status" 2> /dev/null || true)
+    [ -n "$cgt" ] && [ $((0x$cgt & 0x200)) -ne 0 ] && break
+    sleep 0.01
+    tries=$((tries + 1))
+  done
+else
+  sleep 0.5
+fi
+sent=0
+while [ $sent -lt 150 ] && kill -USR1 "$pid" 2> /dev/null; do
+  sent=$((sent + 1))
+  sleep 0.01
+done
+rc=0
+wait "$pid" || rc=$?
+if [ $rc -gt 1 ]; then
+  echo "FAIL: solve under SIGUSR1 exited $rc" >&2
+  exit 1
+fi
+if grep -q "cannot dump" "$err"; then
+  echo "FAIL: $(grep -c "cannot dump" "$err") flight dumps failed under SIGUSR1" >&2
+  exit 1
+fi
+grep -q "flight recorder dumped to" "$err"
 
 echo "smoke_obs: all checks passed"

@@ -3,8 +3,9 @@
    the hand-rolled dispatch reconstructed here over the raw Solver /
    Bitblast / Lazy_cdp APIs — plus per-engine behaviour checks (which
    phases each engine enters, who exports learned clauses, what a
-   sweep carries), the sweep-verdict rule and an in-process warm-reuse
-   check of the [rtlsat serve] daemon. *)
+   sweep carries), repeated bounds in one sweep, the sweep-verdict
+   rule and an in-process warm-reuse check of the [rtlsat serve]
+   daemon. *)
 
 module Bmc = Rtlsat_bmc.Bmc
 module Unroll = Rtlsat_bmc.Unroll
@@ -155,6 +156,40 @@ let test_lazy_scratch_sweep () =
          (Printf.sprintf "lazy-cdp sweep bound %d" bound)
          step.Engines.sw_run.Engines.verdict direct)
     steps bounds
+
+(* ---- repeated bounds in one sweep ---- *)
+
+(* A ladder may name a bound twice and out of order: every step comes
+   back at its own position, and asking about a bound again (after a
+   deeper one) gives the same verdict as the first time and as a
+   one-shot solve. *)
+let test_sweep_repeated_bounds () =
+  let source, props = Registry.build "b01" in
+  let p = List.assoc "1" props in
+  let bounds = [ 6; 2; 8; 2 ] in
+  List.iter
+    (fun engine ->
+       let req = Req.make ~timeout:60.0 () in
+       let steps = Engines.run_sweep ~req engine source ~prop:p ~bounds in
+       let name = Engines.engine_name engine in
+       let verdict (r : Engines.run) = Engines.verdict_symbol r.Engines.verdict in
+       check_int (name ^ ": one step per bound") 4 (List.length steps);
+       List.iter2
+         (fun (step : Engines.sweep_step) bound ->
+            check_int (name ^ ": bound order") bound step.Engines.sw_bound;
+            check_string
+              (Printf.sprintf "%s bound %d vs one-shot" name bound)
+              (verdict
+                 (Engines.run_instance ~req engine
+                    (Registry.instance ~circuit:"b01" ~prop:"1" ~bound)))
+              (verdict step.Engines.sw_run))
+         steps bounds;
+       match steps with
+       | [ _; a; _; b ] ->
+         check_string (name ^ ": bound 2 asked twice")
+           (verdict a.Engines.sw_run) (verdict b.Engines.sw_run)
+       | _ -> ())
+    [ Engines.Hdpll_sp; Engines.Bitblast ]
 
 (* ---- seed-42 property: random circuits, all engines ---- *)
 
@@ -456,6 +491,9 @@ let () =
       ( "verdict-rule",
         [ Alcotest.test_case "rule over hand-built steps" `Quick
             test_sweep_verdict ] );
+      ( "sweep",
+        [ Alcotest.test_case "repeated bounds keep their order" `Quick
+            test_sweep_repeated_bounds ] );
       ( "serve",
         [
           Alcotest.test_case "warm reuse over one pool" `Quick

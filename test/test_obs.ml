@@ -1185,6 +1185,67 @@ let test_ledger_median_slow () =
   check_bool "of_json rejects foreign schema" true
     (Ledger.of_json (Json.Obj [ ("schema", Json.Str "other/1") ]) = None)
 
+(* Two processes may append to one ledger at once ([rtlsat serve] and
+   a CLI run, say): every line must come out whole, and run ids must
+   not repeat.  Records written by older builds, whose options carried
+   a parallel-solving digest (j=N, cube), must still load. *)
+let test_ledger_multi_process () =
+  let path = Filename.temp_file "rtlsat_ledger_procs" ".jsonl" in
+  Sys.remove path;
+  (* written in the parent, which also probes the environment
+     fingerprint once for the children it forks *)
+  let old_options = "bound=100,split=true,simplify=true,inprocess=0,j=3,cube" in
+  Ledger.append ~path (mk_run ~options:old_options 0);
+  let n_procs = 4 and n_appends = 50 in
+  let children =
+    List.init n_procs (fun p ->
+        match Unix.fork () with
+        | 0 ->
+          let code =
+            try
+              for i = 0 to n_appends - 1 do
+                Ledger.append ~path
+                  (Ledger.make ~subcommand:"test" ~argv:[ "test_obs" ]
+                     ~instance:(Printf.sprintf "p%d_i%d" p i)
+                     ~engine:"none" ~options:"" ~verdict:"ok" ~wall_s:0.0
+                     ~counters:[] ~artifacts:[] ())
+              done;
+              0
+            with _ -> 1
+          in
+          Unix._exit code
+        | pid -> pid)
+  in
+  List.iter
+    (fun pid ->
+       match Unix.waitpid [] pid with
+       | _, Unix.WEXITED 0 -> ()
+       | _ -> Alcotest.fail "an appending child failed")
+    children;
+  let total = 1 + (n_procs * n_appends) in
+  (* every raw line is complete JSON: a torn or interleaved write would
+     fail to parse *)
+  let ic = open_in path in
+  let lines = ref 0 in
+  (try
+     while true do
+       ignore (Json.of_string (input_line ic));
+       incr lines
+     done
+   with End_of_file -> ());
+  close_in ic;
+  check_int "one line per append" total !lines;
+  (* and [Ledger.load], which skips corrupt lines, must skip nothing *)
+  let records = Ledger.load ~path in
+  check_int "every record loads" total (List.length records);
+  let ids = List.map (fun r -> r.Ledger.id) records in
+  check_int "run ids are collision-free" total
+    (List.length (List.sort_uniq compare ids));
+  (match records with
+   | old :: _ -> check_string "old options still load" old_options old.Ledger.options
+   | [] -> Alcotest.fail "empty ledger");
+  Sys.remove path
+
 (* ---- trace-diff ---- *)
 
 let write_lines path lines =
@@ -1373,6 +1434,8 @@ let () =
             test_ledger_round_trip;
           Alcotest.test_case "median + slow flag" `Quick
             test_ledger_median_slow;
+          Alcotest.test_case "multi-process appends" `Quick
+            test_ledger_multi_process;
         ] );
       ( "trace-diff",
         [
