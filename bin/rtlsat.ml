@@ -53,20 +53,36 @@ let write_json path v =
   close_out oc
 
 (* Exit-code convention, shared by every subcommand that can fail:
-   0 success, 1 negative finding, 2 unreadable/invalid input. *)
+   0 success, 1 negative finding, 2 unreadable/invalid input.  A
+   command-line error is invalid input too: the evaluation at the bottom
+   of this file maps cmdliner's parse and term errors to 2 instead of
+   its own 124, and keeps its 125 for an uncaught exception. *)
+let exit_ok = Cmd.Exit.info 0 ~doc:"on success."
+
+let exit_invalid =
+  Cmd.Exit.info 2
+    ~doc:
+      "on unreadable or invalid input: unknown or malformed option or \
+       subcommand, unknown circuit/property, malformed file, unsupported \
+       trace schema, unwritable output."
+
+let exit_internal =
+  Cmd.Exit.info Cmd.Exit.internal_error
+    ~doc:"on unexpected internal errors (bugs)."
+
 let std_exits =
   [
-    Cmd.Exit.info 0 ~doc:"on success.";
+    exit_ok;
     Cmd.Exit.info 1
       ~doc:
         "on a negative finding: a timeout or abort verdict or fuzz \
          failures.";
-    Cmd.Exit.info 2
-      ~doc:
-        "on unreadable or invalid input: unknown circuit/property, \
-         malformed file, unsupported trace schema, unwritable output.";
+    exit_invalid;
+    exit_internal;
   ]
-  @ Cmd.Exit.defaults
+
+(* the commands that report no finding: list and export *)
+let input_exits = [ exit_ok; exit_invalid; exit_internal ]
 
 (* read a whole JSON file; exit 2 on I/O or parse failure *)
 let read_json_file path =
@@ -125,8 +141,7 @@ let engine_conv =
   Arg.enum (List.map (fun e -> (Engines.engine_name e, e)) Engines.all_engines)
 
 (* BMC bounds (frame counts) must be at least 1.  A smaller value is
-   invalid input, so it exits 2 per the convention above; returning a
-   conversion error instead would make cmdliner exit 124. *)
+   invalid input and exits 2 here, with a message naming the rule. *)
 let bound_conv =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -298,7 +313,9 @@ let list_cmd =
            props)
       Registry.circuits
   in
-  Cmd.v (Cmd.info "list" ~doc:"List benchmark circuits and properties")
+  Cmd.v
+    (Cmd.info "list" ~exits:input_exits
+       ~doc:"List benchmark circuits and properties")
     Term.(const run $ const ())
 
 (* ---- show ---- *)
@@ -996,7 +1013,7 @@ let export_cmd =
       Format.printf "written to %s@." path
   in
   Cmd.v
-    (Cmd.info "export"
+    (Cmd.info "export" ~exits:input_exits
        ~doc:"Export an instance as SMT-LIB 2 / DIMACS, or the circuit as text")
     Term.(const run $ circuit $ prop $ bound $ fmt_arg $ out)
 
@@ -1446,15 +1463,20 @@ let trace_diff_cmd =
 
 let () =
   let doc = "RTL satisfiability with structural search and predicate learning" in
-  let info = Cmd.info "rtlsat" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "rtlsat" ~version:"1.0.0" ~exits:std_exits ~doc in
+  let cmd =
+    Cmd.group info
+      [ list_cmd; show_cmd; solve_cmd; sweep_cmd; serve_cmd; check_cmd;
+        prove_cmd; export_cmd; sat_cmd;
+        fuzz_cmd;
+        profile_cmd;
+        top_cmd;
+        metrics_cmd;
+        runs_cmd;
+        trace_diff_cmd ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ list_cmd; show_cmd; solve_cmd; sweep_cmd; serve_cmd; check_cmd;
-            prove_cmd; export_cmd; sat_cmd;
-            fuzz_cmd;
-            profile_cmd;
-            top_cmd;
-            metrics_cmd;
-            runs_cmd;
-            trace_diff_cmd ]))
+    (match Cmd.eval_value cmd with
+     | Ok (`Ok () | `Help | `Version) -> 0
+     | Error (`Parse | `Term) -> 2
+     | Error `Exn -> Cmd.Exit.internal_error)

@@ -195,17 +195,20 @@ let encode circuit =
 
 (* incremental path mirroring [Encode.extend]: blast only the nodes
    appended to the circuit since the last encode/extend, keeping the
-   CDCL solver — and its learned clauses — intact *)
+   CDCL solver — and its learned clauses — intact.  Every encoded node
+   has at least one bit and node ids are append-only, so the length of
+   [bits] is the encoded-node watermark. *)
 let extend t =
   let c = t.circuit in
-  if c.Ir.ncount > Array.length t.bits then begin
+  let old = Array.length t.bits in
+  if c.Ir.ncount > old then begin
+    let fresh = Ir.nodes_since c old in
+    check_combinational fresh;
     let nb = Array.make c.Ir.ncount [||] in
-    Array.blit t.bits 0 nb 0 (Array.length t.bits);
-    t.bits <- nb
-  end;
-  let fresh = List.filter (fun n -> Array.length t.bits.(n.Ir.id) = 0) (Ir.nodes c) in
-  check_combinational fresh;
-  encode_nodes t fresh
+    Array.blit t.bits 0 nb 0 old;
+    t.bits <- nb;
+    encode_nodes t fresh
+  end
 
 let bool_lit t n =
   if not (Ir.is_bool n) then invalid_arg "Bitblast.bool_lit: word node";

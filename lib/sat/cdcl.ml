@@ -94,12 +94,15 @@ type t = {
   mutable reason : int array;       (* var -> clause index or -1 *)
   mutable phase : bool array;
   mutable activity : float array;
-  mutable watches : int list array; (* index l holds clauses to examine when l becomes true *)
+  mutable watches : int array array; (* l -> clauses to examine when l becomes true, newest last *)
+  mutable wlen : int array;         (* l -> live length of watches.(l) *)
+  mutable wspare : int array;       (* owned by no literal; swapped in by propagate *)
   mutable clauses : int array array;
   mutable nclauses : int;
   mutable trail : int array;
   mutable trail_len : int;
-  mutable trail_lim : int list;
+  mutable trail_lim : int array;    (* trail length where level k+1 starts *)
+  mutable nlevels : int;            (* decision level *)
   mutable qhead : int;
   mutable var_inc : float;
   mutable conflicts : int;
@@ -107,6 +110,7 @@ type t = {
   mutable unsat_root : bool;
   heap : Heap.t;
   mutable seen : bool array;
+  mutable abuf : int array;         (* analyze: learned tail, discovery order *)
   (* --- simplifier bookkeeping --- *)
   mutable repr_l : int array;       (* var -> representative literal, pos v if untouched *)
   mutable elim_v : bool array;      (* var eliminated by BVE *)
@@ -124,12 +128,15 @@ let create () =
     reason = Array.make 16 (-1);
     phase = Array.make 16 false;
     activity = Array.make 16 0.0;
-    watches = Array.make 32 [];
+    watches = Array.make 32 [||];
+    wlen = Array.make 32 0;
+    wspare = [||];
     clauses = Array.make 1024 [||];
     nclauses = 0;
     trail = Array.make 16 0;
     trail_len = 0;
-    trail_lim = [];
+    trail_lim = Array.make 16 0;
+    nlevels = 0;
     qhead = 0;
     var_inc = 1.0;
     conflicts = 0;
@@ -137,6 +144,7 @@ let create () =
     unsat_root = false;
     heap = Heap.create ();
     seen = Array.make 16 false;
+    abuf = Array.make 16 0;
     repr_l = Array.make 16 0;
     elim_v = Array.make 16 false;
     elim_stack = [];
@@ -160,7 +168,9 @@ let new_var t =
   t.phase <- grow_array t.phase t.nvars false;
   t.activity <- grow_array t.activity t.nvars 0.0;
   t.seen <- grow_array t.seen t.nvars false;
-  t.watches <- grow_array t.watches (2 * t.nvars) [];
+  t.abuf <- grow_array t.abuf t.nvars 0;
+  t.watches <- grow_array t.watches (2 * t.nvars) [||];
+  t.wlen <- grow_array t.wlen (2 * t.nvars) 0;
   t.trail <- grow_array t.trail t.nvars 0;
   t.repr_l <- grow_array t.repr_l t.nvars 0;
   t.elim_v <- grow_array t.elim_v t.nvars false;
@@ -186,28 +196,23 @@ let simp_stats t = t.simp
 
 let lit_value t l =
   let a = t.assign.(lit_var l) in
-  if a < 0 then -1 else if lit_sign l then a else 1 - a
+  if a < 0 then -1 else a lxor (l land 1)
 
-let decision_level t = List.length t.trail_lim
+let decision_level t = t.nlevels
 
 let enqueue t l reason =
   let v = lit_var l in
   assert (t.assign.(v) < 0);
   t.assign.(v) <- (if lit_sign l then 1 else 0);
-  t.level.(v) <- decision_level t;
+  t.level.(v) <- t.nlevels;
   t.reason.(v) <- reason;
   t.phase.(v) <- lit_sign l;
   t.trail.(t.trail_len) <- l;
   t.trail_len <- t.trail_len + 1
 
 let backtrack t lvl =
-  if decision_level t > lvl then begin
-    let len = decision_level t in
-    let rec nth_boundary lim n =
-      (* head corresponds to the newest level [len] *)
-      if n = lvl + 1 then List.hd lim else nth_boundary (List.tl lim) (n - 1)
-    in
-    let bound = nth_boundary t.trail_lim len in
+  if t.nlevels > lvl then begin
+    let bound = t.trail_lim.(lvl) in
     for i = t.trail_len - 1 downto bound do
       let v = lit_var t.trail.(i) in
       t.assign.(v) <- -1;
@@ -216,16 +221,26 @@ let backtrack t lvl =
     done;
     t.trail_len <- bound;
     t.qhead <- bound;
-    let rec drop lim n = if n = lvl then lim else drop (List.tl lim) (n - 1) in
-    t.trail_lim <- drop t.trail_lim len
+    t.nlevels <- lvl
   end
 
-let new_decision_level t = t.trail_lim <- t.trail_len :: t.trail_lim
+let new_decision_level t =
+  if t.nlevels = Array.length t.trail_lim then
+    t.trail_lim <- grow_array t.trail_lim (t.nlevels + 1) 0;
+  t.trail_lim.(t.nlevels) <- t.trail_len;
+  t.nlevels <- t.nlevels + 1
+
+let watch t l ci =
+  let n = t.wlen.(l) in
+  if n = Array.length t.watches.(l) then
+    t.watches.(l) <- grow_array t.watches.(l) (max 4 (n + 1)) 0;
+  t.watches.(l).(n) <- ci;
+  t.wlen.(l) <- n + 1
 
 let attach_clause t ci =
   let c = t.clauses.(ci) in
-  t.watches.(lit_not c.(0)) <- ci :: t.watches.(lit_not c.(0));
-  t.watches.(lit_not c.(1)) <- ci :: t.watches.(lit_not c.(1))
+  watch t (lit_not c.(0)) ci;
+  watch t (lit_not c.(1)) ci
 
 let add_clause_arr t c =
   if t.nclauses = Array.length t.clauses then
@@ -237,16 +252,20 @@ let add_clause_arr t c =
 
 let add_clause t lits =
   (* adding clauses invalidates any model from a previous solve *)
-  if decision_level t > 0 then backtrack t 0;
+  if t.nlevels > 0 then backtrack t 0;
   let lits = List.map (rep_lit t) lits in
   List.iter
     (fun l ->
        if t.elim_v.(lit_var l) then
          invalid_arg "Cdcl.add_clause: eliminated variable")
     lits;
-  let lits = List.sort_uniq compare lits in
-  let tauto = List.exists (fun l -> List.mem (lit_not l) lits) lits in
-  if not tauto && not (List.exists (fun l -> lit_value t l = 1) lits) then begin
+  let lits = List.sort_uniq Int.compare lits in
+  (* sorted, so a literal and its negation sit next to each other *)
+  let rec tauto = function
+    | a :: (b :: _ as rest) -> lit_var a = lit_var b || tauto rest
+    | _ -> false
+  in
+  if not (tauto lits) && not (List.exists (fun l -> lit_value t l = 1) lits) then begin
     let lits = List.filter (fun l -> lit_value t l <> 0) lits in
     match lits with
     | [] -> t.unsat_root <- true
@@ -263,65 +282,68 @@ let fold_clauses f acc t =
 
 let root_units t =
   (* the level-0 prefix of the trail *)
-  let stop =
-    match List.rev t.trail_lim with [] -> t.trail_len | b :: _ -> b
-  in
+  let stop = if t.nlevels = 0 then t.trail_len else t.trail_lim.(0) in
   List.init stop (fun i -> t.trail.(i))
 
 let root_conflict t = t.unsat_root
 
-(* propagate; returns conflicting clause index or -1 *)
+(* propagate; returns conflicting clause index or -1.  The watchers of
+   [l] are read newest-first out of their old array while the kept ones
+   are written, in visit order, into the spare array, which becomes
+   [l]'s; on a conflict the unvisited ones follow in their old order.
+   That is the order the list-based solver (test/cdcl_ref.ml) leaves,
+   and the next visit order, so the search stays identical to it. *)
 let propagate t =
   let conflict = ref (-1) in
   while !conflict < 0 && t.qhead < t.trail_len do
     let l = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
-    let ws = t.watches.(l) in
-    t.watches.(l) <- [];
-    let rec go = function
-      | [] -> ()
-      | ci :: rest ->
-        if !conflict >= 0 then
-          (* conflict found: restore remaining watchers untouched *)
-          t.watches.(l) <- ci :: (rest @ t.watches.(l))
-        else begin
-          let c = t.clauses.(ci) in
-          let falsified = lit_not l in
-          if c.(0) = falsified then begin
-            c.(0) <- c.(1);
-            c.(1) <- falsified
-          end;
-          if lit_value t c.(0) = 1 then begin
-            t.watches.(l) <- ci :: t.watches.(l);
-            go rest
-          end
-          else begin
-            let n = Array.length c in
-            let rec find i =
-              if i >= n then -1 else if lit_value t c.(i) <> 0 then i else find (i + 1)
-            in
-            let i = find 2 in
-            if i >= 0 then begin
-              c.(1) <- c.(i);
-              c.(i) <- falsified;
-              t.watches.(lit_not c.(1)) <- ci :: t.watches.(lit_not c.(1));
-              go rest
-            end
-            else begin
-              t.watches.(l) <- ci :: t.watches.(l);
-              if lit_value t c.(0) = 0 then begin
-                conflict := ci;
-                go rest
-              end
-              else begin
-                enqueue t c.(0) ci;
-                go rest
-              end
-            end
-          end
+    let falsified = lit_not l in
+    let ws = t.watches.(l) and n = t.wlen.(l) in
+    if Array.length t.wspare < n then t.wspare <- Array.make (Array.length ws) 0;
+    let kept = t.wspare in
+    t.watches.(l) <- kept;
+    t.wspare <- ws;
+    let j = ref 0 and i = ref (n - 1) in
+    while !i >= 0 do
+      let ci = ws.(!i) in
+      decr i;
+      let c = t.clauses.(ci) in
+      if c.(0) = falsified then begin
+        c.(0) <- c.(1);
+        c.(1) <- falsified
+      end;
+      if lit_value t c.(0) = 1 then begin
+        kept.(!j) <- ci;
+        incr j
+      end
+      else begin
+        let len = Array.length c in
+        let k = ref 2 in
+        while !k < len && lit_value t c.(!k) = 0 do
+          incr k
+        done;
+        if !k < len then begin
+          c.(1) <- c.(!k);
+          c.(!k) <- falsified;
+          watch t (lit_not c.(1)) ci
         end
-    in
-    go ws
+        else begin
+          kept.(!j) <- ci;
+          incr j;
+          if lit_value t c.(0) = 0 then begin
+            conflict := ci;
+            for u = 0 to !i do
+              kept.(!j + u) <- ws.(u)
+            done;
+            j := !j + !i + 1;
+            i := -1
+          end
+          else enqueue t c.(0) ci
+        end
+      end
+    done;
+    t.wlen.(l) <- !j
   done;
   !conflict
 
@@ -368,9 +390,9 @@ let simplify ?(elim = false) ?(frozen = []) ?(deadline = infinity) ?cancel t =
         Heap.insert t.heap t.activity v
       done;
       t.trail_len <- 0;
-      t.trail_lim <- [];
+      t.nlevels <- 0;
       t.qhead <- 0;
-      Array.fill t.watches 0 (Array.length t.watches) [];
+      Array.fill t.wlen 0 (Array.length t.wlen) 0;
       t.nclauses <- 0;
       List.iter
         (fun l ->
@@ -423,22 +445,22 @@ let bump_var t v =
   Heap.bumped t.heap t.activity v
 
 (* first-UIP analysis; returns (learned clause, backtrack level);
-   invariant: reason clauses keep their implied literal at index 0 *)
+   invariant: reason clauses keep their implied literal at index 0.
+   The clause is the UIP, then the lower-level literals newest-found
+   first, then a highest-level literal swapped to index 1. *)
 let analyze t confl0 =
-  let seen = t.seen in
-  let learned = ref [] in
+  let seen = t.seen and buf = t.abuf in
+  let n = ref 0 in
   let counter = ref 0 in
   let confl = ref confl0 in
-  let skip_first = ref false in
+  let start = ref 0 in
   let idx = ref (t.trail_len - 1) in
   let btlevel = ref 0 in
-  let current = decision_level t in
-  let uip = ref 0 in
-  let continue = ref true in
-  while !continue do
+  let current = t.nlevels in
+  let uip = ref (-1) in
+  while !uip < 0 do
     let c = t.clauses.(!confl) in
-    let start = if !skip_first then 1 else 0 in
-    for i = start to Array.length c - 1 do
+    for i = !start to Array.length c - 1 do
       let q = c.(i) in
       let v = lit_var q in
       if (not seen.(v)) && t.level.(v) > 0 then begin
@@ -446,47 +468,43 @@ let analyze t confl0 =
         bump_var t v;
         if t.level.(v) >= current then incr counter
         else begin
-          learned := q :: !learned;
+          buf.(!n) <- q;
+          incr n;
           if t.level.(v) > !btlevel then btlevel := t.level.(v)
         end
       end
     done;
-    let rec next () =
-      let l = t.trail.(!idx) in
-      decr idx;
-      if seen.(lit_var l) then l else next ()
-    in
-    let l = next () in
+    while not seen.(lit_var t.trail.(!idx)) do
+      decr idx
+    done;
+    let l = t.trail.(!idx) in
+    decr idx;
     seen.(lit_var l) <- false;
     decr counter;
-    if !counter = 0 then begin
-      uip := lit_not l;
-      continue := false
-    end
+    if !counter = 0 then uip := lit_not l
     else begin
       confl := t.reason.(lit_var l);
-      skip_first := true
+      start := 1
     end
   done;
-  List.iter (fun q -> seen.(lit_var q) <- false) !learned;
-  (* order: asserting literal first, then a highest-level literal second *)
-  let tail = !learned in
-  let clause =
-    match tail with
-    | [] -> [| !uip |]
-    | _ ->
-      let arr = Array.of_list (!uip :: tail) in
-      let besti = ref 1 in
-      for i = 2 to Array.length arr - 1 do
-        if t.level.(lit_var arr.(i)) > t.level.(lit_var arr.(!besti)) then besti := i
-      done;
-      let tmp = arr.(1) in
-      arr.(1) <- arr.(!besti);
-      arr.(!besti) <- tmp;
-      arr
-  in
+  let n = !n in
+  let clause = Array.make (n + 1) !uip in
+  for i = 1 to n do
+    let q = buf.(n - i) in
+    seen.(lit_var q) <- false;
+    clause.(i) <- q
+  done;
+  if n > 1 then begin
+    let besti = ref 1 in
+    for i = 2 to n do
+      if t.level.(lit_var clause.(i)) > t.level.(lit_var clause.(!besti)) then
+        besti := i
+    done;
+    let tmp = clause.(1) in
+    clause.(1) <- clause.(!besti);
+    clause.(!besti) <- tmp
+  end;
   (clause, !btlevel)
-
 
 (* Luby restart sequence, 0-indexed *)
 let luby x =
@@ -510,7 +528,7 @@ let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
   let result = ref None in
   let decisions = ref 0 in
   let assumptions =
-    ref
+    Array.of_list
       (List.map
          (fun l ->
             if t.elim_v.(lit_var l) then
@@ -528,7 +546,7 @@ let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
   let conflicts_left = ref (restart_base * luby 0) in
   let last_simp = ref t.conflicts in
   let steps = ref 0 in
-  while !result = None do
+  while Option.is_none !result do
     incr steps;
     if obs.Obs.enabled && !steps land 255 = 0 then
       Obs.heartbeat_tick obs ~decisions:!decisions ~conflicts:t.conflicts
@@ -588,51 +606,47 @@ let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
           last_simp := t.conflicts;
           simplify ~elim:false ~deadline ?cancel t;
           if t.unsat_root then result := Some Unsat
-          else assumptions := List.map (rep_lit t) !assumptions
+          else
+            Array.iteri (fun i l -> assumptions.(i) <- rep_lit t l) assumptions
         end
       end
       else begin
-        let lvl = decision_level t in
-        let next_assumption =
-          if lvl < List.length !assumptions then
-            Some (List.nth !assumptions lvl)
-          else None
-        in
-        match next_assumption with
-        | Some al ->
-          (match lit_value t al with
-           | 1 -> new_decision_level t (* hold a dummy level for this assumption *)
-           | 0 -> result := Some Unsat
-           | _ ->
-             incr decisions;
-             if Obs.tracing obs then
-               Obs.event obs "decide"
-                 [ ("kind", Json.Str "assumption");
-                   ("lvl", Json.Int (decision_level t + 1));
-                   ("var", Json.Int (lit_var al)) ];
-             new_decision_level t;
-             enqueue t al (-1))
-        | None ->
-          let rec pick () =
-            if Heap.is_empty t.heap then None
-            else begin
-              let v = Heap.pop t.heap t.activity in
-              if t.assign.(v) < 0 && (not t.elim_v.(v)) && t.repr_l.(v) = pos v
-              then Some v
-              else pick ()
-            end
-          in
-          (match pick () with
-           | None -> result := Some Sat
-           | Some v ->
-             incr decisions;
-             if Obs.tracing obs then
-               Obs.event obs "decide"
-                 [ ("kind", Json.Str "activity");
-                   ("lvl", Json.Int (decision_level t + 1));
-                   ("var", Json.Int v) ];
-             new_decision_level t;
-             enqueue t (if t.phase.(v) then pos v else neg v) (-1))
+        let lvl = t.nlevels in
+        if lvl < Array.length assumptions then begin
+          let al = assumptions.(lvl) in
+          match lit_value t al with
+          | 1 -> new_decision_level t (* hold a dummy level for this assumption *)
+          | 0 -> result := Some Unsat
+          | _ ->
+            incr decisions;
+            if Obs.tracing obs then
+              Obs.event obs "decide"
+                [ ("kind", Json.Str "assumption");
+                  ("lvl", Json.Int (decision_level t + 1));
+                  ("var", Json.Int (lit_var al)) ];
+            new_decision_level t;
+            enqueue t al (-1)
+        end
+        else begin
+          let v = ref (-1) in
+          while !v < 0 && not (Heap.is_empty t.heap) do
+            let x = Heap.pop t.heap t.activity in
+            if t.assign.(x) < 0 && (not t.elim_v.(x)) && t.repr_l.(x) = pos x
+            then v := x
+          done;
+          let v = !v in
+          if v < 0 then result := Some Sat
+          else begin
+            incr decisions;
+            if Obs.tracing obs then
+              Obs.event obs "decide"
+                [ ("kind", Json.Str "activity");
+                  ("lvl", Json.Int (decision_level t + 1));
+                  ("var", Json.Int v) ];
+            new_decision_level t;
+            enqueue t (if t.phase.(v) then pos v else neg v) (-1)
+          end
+        end
       end
     end
   done;

@@ -7,7 +7,30 @@
 
     This is the Boolean engine behind the eager bit-blasting baseline
     (the UCLID stand-in) and the propositional skeleton of the lazy
-    combined-decision-procedure baseline (the ICS stand-in). *)
+    combined-decision-procedure baseline (the ICS stand-in).
+
+    {b Implementation.}  No search operation allocates or takes time
+    proportional to the search depth, apart from the learned clause
+    itself.  The decision levels are an int-array stack of trail
+    positions with a level counter, so the decision level is O(1) and
+    a backtrack costs only the trail entries it pops.  Every literal's
+    watchers are an int array plus a length, newest watcher last.
+    Propagation reads them newest first out of the old array and
+    writes the kept ones, in visit order, into a spare array that
+    becomes the literal's; on a conflict the unvisited watchers follow
+    in their old order.  Conflict analysis fills a reusable buffer,
+    and [solve] turns the assumptions into an array once per call.
+
+    {b Search contract.}  The search is a function of the call
+    sequence alone and is exactly that of the original list-based
+    solver (watchers as [int list], levels as a list of trail
+    positions), kept as [test/cdcl_ref.ml]: the same propagation
+    order, the same learned clauses with their literals in the same
+    order, the same VSIDS and phase state, and so the same outcomes,
+    counters, models and stored clauses.  The lockstep case in
+    [test/test_sat.ml] checks these after every step of scripted
+    sessions.  A change that moves the search must say so and refresh
+    every pinned counter. *)
 
 type t
 

@@ -1,0 +1,664 @@
+(* Test-only reference: the CDCL solver as it was before the
+   allocation-free kernel (list-based watches and decision levels),
+   kept verbatim below this header for the lockstep differential case
+   in test_sat.ml. *)
+module Obs = Rtlsat_obs.Obs
+module Json = Rtlsat_obs.Json
+
+type lit = int
+
+let pos v = 2 * v
+let neg v = (2 * v) + 1
+let lit_var l = l lsr 1
+let lit_sign l = l land 1 = 0
+let lit_not l = l lxor 1
+
+(* ---- indexed max-heap over variable activities ---- *)
+
+module Heap = struct
+  type t = {
+    mutable heap : int array;   (* heap of vars *)
+    mutable index : int array;  (* var -> position, -1 if absent *)
+    mutable size : int;
+  }
+
+  let create () = { heap = Array.make 16 0; index = Array.make 16 (-1); size = 0 }
+
+  let ensure h n =
+    if n > Array.length h.index then begin
+      let cap = max n (2 * Array.length h.index) in
+      let idx = Array.make cap (-1) in
+      Array.blit h.index 0 idx 0 (Array.length h.index);
+      h.index <- idx;
+      let hp = Array.make cap 0 in
+      Array.blit h.heap 0 hp 0 h.size;
+      h.heap <- hp
+    end
+
+  let mem h v = v < Array.length h.index && h.index.(v) >= 0
+
+  let swap h i j =
+    let a = h.heap.(i) and b = h.heap.(j) in
+    h.heap.(i) <- b;
+    h.heap.(j) <- a;
+    h.index.(b) <- i;
+    h.index.(a) <- j
+
+  let rec up h act i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if act.(h.heap.(i)) > act.(h.heap.(parent)) then begin
+        swap h i parent;
+        up h act parent
+      end
+    end
+
+  let rec down h act i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let best = ref i in
+    if l < h.size && act.(h.heap.(l)) > act.(h.heap.(!best)) then best := l;
+    if r < h.size && act.(h.heap.(r)) > act.(h.heap.(!best)) then best := r;
+    if !best <> i then begin
+      swap h i !best;
+      down h act !best
+    end
+
+  let insert h act v =
+    ensure h (v + 1);
+    if not (mem h v) then begin
+      h.heap.(h.size) <- v;
+      h.index.(v) <- h.size;
+      h.size <- h.size + 1;
+      up h act (h.size - 1)
+    end
+
+  let bumped h act v = if mem h v then up h act h.index.(v)
+
+  let pop h act =
+    if h.size = 0 then invalid_arg "Heap.pop";
+    let v = h.heap.(0) in
+    h.size <- h.size - 1;
+    h.index.(v) <- -1;
+    if h.size > 0 then begin
+      h.heap.(0) <- h.heap.(h.size);
+      h.index.(h.heap.(0)) <- 0;
+      down h act 0
+    end;
+    v
+
+  let is_empty h = h.size = 0
+end
+
+module Simp = Rtlsat_simplify.Simp
+
+type t = {
+  mutable nvars : int;
+  mutable assign : int array;       (* var -> -1 unassigned / 0 false / 1 true *)
+  mutable level : int array;
+  mutable reason : int array;       (* var -> clause index or -1 *)
+  mutable phase : bool array;
+  mutable activity : float array;
+  mutable watches : int list array; (* index l holds clauses to examine when l becomes true *)
+  mutable clauses : int array array;
+  mutable nclauses : int;
+  mutable trail : int array;
+  mutable trail_len : int;
+  mutable trail_lim : int list;
+  mutable qhead : int;
+  mutable var_inc : float;
+  mutable conflicts : int;
+  mutable learned : int;            (* conflict-learned lemmas, total *)
+  mutable unsat_root : bool;
+  heap : Heap.t;
+  mutable seen : bool array;
+  (* --- simplifier bookkeeping --- *)
+  mutable repr_l : int array;       (* var -> representative literal, pos v if untouched *)
+  mutable elim_v : bool array;      (* var eliminated by BVE *)
+  mutable elim_stack : (int * int array list) list; (* most recent first *)
+  simp : Simp.stats;                (* cumulative across simplify calls *)
+}
+
+let var_decay = 1.0 /. 0.95
+
+let create () =
+  {
+    nvars = 0;
+    assign = Array.make 16 (-1);
+    level = Array.make 16 0;
+    reason = Array.make 16 (-1);
+    phase = Array.make 16 false;
+    activity = Array.make 16 0.0;
+    watches = Array.make 32 [];
+    clauses = Array.make 1024 [||];
+    nclauses = 0;
+    trail = Array.make 16 0;
+    trail_len = 0;
+    trail_lim = [];
+    qhead = 0;
+    var_inc = 1.0;
+    conflicts = 0;
+    learned = 0;
+    unsat_root = false;
+    heap = Heap.create ();
+    seen = Array.make 16 false;
+    repr_l = Array.make 16 0;
+    elim_v = Array.make 16 false;
+    elim_stack = [];
+    simp = Simp.empty_stats ();
+  }
+
+let grow_array a n dummy =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) dummy in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let new_var t =
+  let v = t.nvars in
+  t.nvars <- v + 1;
+  t.assign <- grow_array t.assign t.nvars (-1);
+  t.level <- grow_array t.level t.nvars 0;
+  t.reason <- grow_array t.reason t.nvars (-1);
+  t.phase <- grow_array t.phase t.nvars false;
+  t.activity <- grow_array t.activity t.nvars 0.0;
+  t.seen <- grow_array t.seen t.nvars false;
+  t.watches <- grow_array t.watches (2 * t.nvars) [];
+  t.trail <- grow_array t.trail t.nvars 0;
+  t.repr_l <- grow_array t.repr_l t.nvars 0;
+  t.elim_v <- grow_array t.elim_v t.nvars false;
+  t.assign.(v) <- -1;
+  t.reason.(v) <- -1;
+  t.repr_l.(v) <- pos v;
+  t.elim_v.(v) <- false;
+  Heap.insert t.heap t.activity v;
+  v
+
+let n_vars t = t.nvars
+let n_clauses t = t.nclauses
+let n_conflicts t = t.conflicts
+let n_learned t = t.learned
+
+(* rewrite a literal through the equivalent-literal substitution left
+   behind by simplify; identity while no simplification has run *)
+let rep_lit t l =
+  let r = t.repr_l.(lit_var l) in
+  if lit_sign l then r else lit_not r
+
+let simp_stats t = t.simp
+
+let lit_value t l =
+  let a = t.assign.(lit_var l) in
+  if a < 0 then -1 else if lit_sign l then a else 1 - a
+
+let decision_level t = List.length t.trail_lim
+
+let enqueue t l reason =
+  let v = lit_var l in
+  assert (t.assign.(v) < 0);
+  t.assign.(v) <- (if lit_sign l then 1 else 0);
+  t.level.(v) <- decision_level t;
+  t.reason.(v) <- reason;
+  t.phase.(v) <- lit_sign l;
+  t.trail.(t.trail_len) <- l;
+  t.trail_len <- t.trail_len + 1
+
+let backtrack t lvl =
+  if decision_level t > lvl then begin
+    let len = decision_level t in
+    let rec nth_boundary lim n =
+      (* head corresponds to the newest level [len] *)
+      if n = lvl + 1 then List.hd lim else nth_boundary (List.tl lim) (n - 1)
+    in
+    let bound = nth_boundary t.trail_lim len in
+    for i = t.trail_len - 1 downto bound do
+      let v = lit_var t.trail.(i) in
+      t.assign.(v) <- -1;
+      t.reason.(v) <- -1;
+      Heap.insert t.heap t.activity v
+    done;
+    t.trail_len <- bound;
+    t.qhead <- bound;
+    let rec drop lim n = if n = lvl then lim else drop (List.tl lim) (n - 1) in
+    t.trail_lim <- drop t.trail_lim len
+  end
+
+let new_decision_level t = t.trail_lim <- t.trail_len :: t.trail_lim
+
+let attach_clause t ci =
+  let c = t.clauses.(ci) in
+  t.watches.(lit_not c.(0)) <- ci :: t.watches.(lit_not c.(0));
+  t.watches.(lit_not c.(1)) <- ci :: t.watches.(lit_not c.(1))
+
+let add_clause_arr t c =
+  if t.nclauses = Array.length t.clauses then
+    t.clauses <- grow_array t.clauses (t.nclauses + 1) [||];
+  t.clauses.(t.nclauses) <- c;
+  t.nclauses <- t.nclauses + 1;
+  attach_clause t (t.nclauses - 1);
+  t.nclauses - 1
+
+let add_clause t lits =
+  (* adding clauses invalidates any model from a previous solve *)
+  if decision_level t > 0 then backtrack t 0;
+  let lits = List.map (rep_lit t) lits in
+  List.iter
+    (fun l ->
+       if t.elim_v.(lit_var l) then
+         invalid_arg "Cdcl.add_clause: eliminated variable")
+    lits;
+  let lits = List.sort_uniq compare lits in
+  let tauto = List.exists (fun l -> List.mem (lit_not l) lits) lits in
+  if not tauto && not (List.exists (fun l -> lit_value t l = 1) lits) then begin
+    let lits = List.filter (fun l -> lit_value t l <> 0) lits in
+    match lits with
+    | [] -> t.unsat_root <- true
+    | [ l ] -> enqueue t l (-1)
+    | _ -> ignore (add_clause_arr t (Array.of_list lits))
+  end
+
+let fold_clauses f acc t =
+  let acc = ref acc in
+  for ci = 0 to t.nclauses - 1 do
+    acc := f !acc t.clauses.(ci)
+  done;
+  !acc
+
+let root_units t =
+  (* the level-0 prefix of the trail *)
+  let stop =
+    match List.rev t.trail_lim with [] -> t.trail_len | b :: _ -> b
+  in
+  List.init stop (fun i -> t.trail.(i))
+
+let root_conflict t = t.unsat_root
+
+(* propagate; returns conflicting clause index or -1 *)
+let propagate t =
+  let conflict = ref (-1) in
+  while !conflict < 0 && t.qhead < t.trail_len do
+    let l = t.trail.(t.qhead) in
+    t.qhead <- t.qhead + 1;
+    let ws = t.watches.(l) in
+    t.watches.(l) <- [];
+    let rec go = function
+      | [] -> ()
+      | ci :: rest ->
+        if !conflict >= 0 then
+          (* conflict found: restore remaining watchers untouched *)
+          t.watches.(l) <- ci :: (rest @ t.watches.(l))
+        else begin
+          let c = t.clauses.(ci) in
+          let falsified = lit_not l in
+          if c.(0) = falsified then begin
+            c.(0) <- c.(1);
+            c.(1) <- falsified
+          end;
+          if lit_value t c.(0) = 1 then begin
+            t.watches.(l) <- ci :: t.watches.(l);
+            go rest
+          end
+          else begin
+            let n = Array.length c in
+            let rec find i =
+              if i >= n then -1 else if lit_value t c.(i) <> 0 then i else find (i + 1)
+            in
+            let i = find 2 in
+            if i >= 0 then begin
+              c.(1) <- c.(i);
+              c.(i) <- falsified;
+              t.watches.(lit_not c.(1)) <- ci :: t.watches.(lit_not c.(1));
+              go rest
+            end
+            else begin
+              t.watches.(l) <- ci :: t.watches.(l);
+              if lit_value t c.(0) = 0 then begin
+                conflict := ci;
+                go rest
+              end
+              else begin
+                enqueue t c.(0) ci;
+                go rest
+              end
+            end
+          end
+        end
+    in
+    go ws
+  done;
+  !conflict
+
+(* Run the Simp pipeline over the whole clause database (problem and
+   learned clauses alike, both are implied) and rebuild the solver from
+   the result.  VSIDS activities and saved phases survive; the trail,
+   watches and clause store are rebuilt.  [elim] enables bounded
+   variable elimination — only sound while no later [add_clause] or
+   assumption mentions an eliminated variable, so it defaults to off;
+   [frozen] additionally protects known assumption variables.  Past
+   [deadline] or once [cancel] is set, Simp cuts its remaining passes
+   short; the database it hands back is still equisatisfiable. *)
+let simplify ?(elim = false) ?(frozen = []) ?(deadline = infinity) ?cancel t =
+  backtrack t 0;
+  if (not t.unsat_root) && propagate t >= 0 then t.unsat_root <- true;
+  if not t.unsat_root then begin
+    let units = root_units t in
+    let clauses = fold_clauses (fun acc c -> Array.copy c :: acc) [] t in
+    let frozen_a = Array.make (max t.nvars 1) false in
+    List.iter (fun v -> if v < t.nvars then frozen_a.(v) <- true) frozen;
+    let stop () =
+      Rtlsat_obs.Mono.now () > deadline
+      || match cancel with Some c -> Atomic.get c | None -> false
+    in
+    let r =
+      Simp.run ~elim ~frozen:(fun v -> frozen_a.(v)) ~stop ~nvars:t.nvars
+        ~units ~clauses ()
+    in
+    Simp.add_stats t.simp r.Simp.r_stats;
+    if r.Simp.r_unsat then t.unsat_root <- true
+    else begin
+      (* compose the substitution and record eliminations *)
+      for v = 0 to t.nvars - 1 do
+        t.repr_l.(v) <- Simp.map_lit r.Simp.r_repr t.repr_l.(v)
+      done;
+      t.elim_stack <- r.Simp.r_elim @ t.elim_stack;
+      List.iter (fun (v, _) -> t.elim_v.(v) <- true) r.Simp.r_elim;
+      (* rebuild: clear trail and watches, re-enqueue the simplified
+         units, re-attach the surviving clauses *)
+      for i = t.trail_len - 1 downto 0 do
+        let v = lit_var t.trail.(i) in
+        t.assign.(v) <- -1;
+        t.reason.(v) <- -1;
+        Heap.insert t.heap t.activity v
+      done;
+      t.trail_len <- 0;
+      t.trail_lim <- [];
+      t.qhead <- 0;
+      Array.fill t.watches 0 (Array.length t.watches) [];
+      t.nclauses <- 0;
+      List.iter
+        (fun l ->
+           match lit_value t l with
+           | 1 -> ()
+           | 0 -> t.unsat_root <- true
+           | _ -> enqueue t l (-1))
+        r.Simp.r_units;
+      if not t.unsat_root then
+        List.iter (fun c -> ignore (add_clause_arr t c)) r.Simp.r_clauses;
+      if (not t.unsat_root) && propagate t >= 0 then t.unsat_root <- true
+    end
+  end
+
+(* After Sat: extend the model over representative variables to the
+   substituted and eliminated ones.  Eliminated variables are rebuilt
+   most-recent-first from their saved clauses (true iff some saved
+   positive clause has every other literal false), so each saved
+   clause only mentions variables already valued. *)
+let reconstruct t =
+  let lit_true l =
+    let l = rep_lit t l in
+    let av = t.assign.(lit_var l) = 1 in
+    if lit_sign l then av else not av
+  in
+  List.iter
+    (fun (v, saved) ->
+       let forced =
+         List.exists
+           (fun c ->
+              Array.exists (fun l -> l = pos v) c
+              && Array.for_all (fun l -> lit_var l = v || not (lit_true l)) c)
+           saved
+       in
+       t.assign.(v) <- (if forced then 1 else 0))
+    t.elim_stack;
+  for v = 0 to t.nvars - 1 do
+    if t.repr_l.(v) <> pos v then
+      t.assign.(v) <- (if lit_true (pos v) then 1 else 0)
+  done
+
+let bump_var t v =
+  t.activity.(v) <- t.activity.(v) +. t.var_inc;
+  if t.activity.(v) > 1e100 then begin
+    for i = 0 to t.nvars - 1 do
+      t.activity.(i) <- t.activity.(i) *. 1e-100
+    done;
+    t.var_inc <- t.var_inc *. 1e-100
+  end;
+  Heap.bumped t.heap t.activity v
+
+(* first-UIP analysis; returns (learned clause, backtrack level);
+   invariant: reason clauses keep their implied literal at index 0 *)
+let analyze t confl0 =
+  let seen = t.seen in
+  let learned = ref [] in
+  let counter = ref 0 in
+  let confl = ref confl0 in
+  let skip_first = ref false in
+  let idx = ref (t.trail_len - 1) in
+  let btlevel = ref 0 in
+  let current = decision_level t in
+  let uip = ref 0 in
+  let continue = ref true in
+  while !continue do
+    let c = t.clauses.(!confl) in
+    let start = if !skip_first then 1 else 0 in
+    for i = start to Array.length c - 1 do
+      let q = c.(i) in
+      let v = lit_var q in
+      if (not seen.(v)) && t.level.(v) > 0 then begin
+        seen.(v) <- true;
+        bump_var t v;
+        if t.level.(v) >= current then incr counter
+        else begin
+          learned := q :: !learned;
+          if t.level.(v) > !btlevel then btlevel := t.level.(v)
+        end
+      end
+    done;
+    let rec next () =
+      let l = t.trail.(!idx) in
+      decr idx;
+      if seen.(lit_var l) then l else next ()
+    in
+    let l = next () in
+    seen.(lit_var l) <- false;
+    decr counter;
+    if !counter = 0 then begin
+      uip := lit_not l;
+      continue := false
+    end
+    else begin
+      confl := t.reason.(lit_var l);
+      skip_first := true
+    end
+  done;
+  List.iter (fun q -> seen.(lit_var q) <- false) !learned;
+  (* order: asserting literal first, then a highest-level literal second *)
+  let tail = !learned in
+  let clause =
+    match tail with
+    | [] -> [| !uip |]
+    | _ ->
+      let arr = Array.of_list (!uip :: tail) in
+      let besti = ref 1 in
+      for i = 2 to Array.length arr - 1 do
+        if t.level.(lit_var arr.(i)) > t.level.(lit_var arr.(!besti)) then besti := i
+      done;
+      let tmp = arr.(1) in
+      arr.(1) <- arr.(!besti);
+      arr.(!besti) <- tmp;
+      arr
+  in
+  (clause, !btlevel)
+
+
+(* Luby restart sequence, 0-indexed *)
+let luby x =
+  let size = ref 1 and seq = ref 0 in
+  while !size < x + 1 do
+    incr seq;
+    size := (2 * !size) + 1
+  done;
+  let x = ref x in
+  while !size - 1 <> !x do
+    size := (!size - 1) / 2;
+    decr seq;
+    x := !x mod !size
+  done;
+  1 lsl !seq
+
+type outcome = Sat | Unsat | Timeout
+
+let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
+    ?cancel ?(obs = Obs.disabled) t =
+  let result = ref None in
+  let decisions = ref 0 in
+  let assumptions =
+    ref
+      (List.map
+         (fun l ->
+            if t.elim_v.(lit_var l) then
+              invalid_arg "Cdcl.solve: assumption on eliminated variable";
+            rep_lit t l)
+         assumptions)
+  in
+  if t.unsat_root then result := Some Unsat
+  else if propagate t >= 0 then begin
+    t.unsat_root <- true;
+    result := Some Unsat
+  end;
+  let restart_base = 100 in
+  let restart_num = ref 0 in
+  let conflicts_left = ref (restart_base * luby 0) in
+  let last_simp = ref t.conflicts in
+  let steps = ref 0 in
+  while !result = None do
+    incr steps;
+    if obs.Obs.enabled && !steps land 255 = 0 then
+      Obs.heartbeat_tick obs ~decisions:!decisions ~conflicts:t.conflicts
+        ~propagations:0 ~splits:0 ~lvl:(decision_level t);
+    if
+      !steps land 255 = 0
+      && (Rtlsat_obs.Mono.now () > deadline
+          || match cancel with Some c -> Atomic.get c | None -> false)
+    then begin
+      backtrack t 0;
+      result := Some Timeout
+    end
+    else begin
+      let confl = propagate t in
+      if confl >= 0 then begin
+        t.conflicts <- t.conflicts + 1;
+        if Obs.tracing obs then
+          Obs.event obs "conflict" [ ("lvl", Json.Int (decision_level t)) ];
+        decr conflicts_left;
+        if decision_level t = 0 then begin
+          t.unsat_root <- true;
+          result := Some Unsat
+        end
+        else begin
+          let clause, btlevel = analyze t confl in
+          backtrack t btlevel;
+          t.var_inc <- t.var_inc *. var_decay;
+          t.learned <- t.learned + 1;
+          if Array.length clause = 1 then begin
+            backtrack t 0;
+            match lit_value t clause.(0) with
+            | -1 -> enqueue t clause.(0) (-1)
+            | 0 ->
+              t.unsat_root <- true;
+              result := Some Unsat
+            | _ -> ()
+          end
+          else begin
+            let ci = add_clause_arr t clause in
+            if lit_value t clause.(0) = -1 then enqueue t clause.(0) ci
+          end
+        end
+      end
+      else if !conflicts_left <= 0 then begin
+        incr restart_num;
+        conflicts_left := restart_base * luby !restart_num;
+        if Obs.tracing obs then
+          Obs.event obs "restart"
+            [ ("num", Json.Int !restart_num);
+              ("conflicts", Json.Int t.conflicts) ];
+        backtrack t 0;
+        (* inprocessing at restart boundaries: the trail is back at
+           level 0, so the whole database can be rewritten; variable
+           elimination stays off because assumptions and learned units
+           must keep their variables addressable *)
+        if inprocess > 0 && t.conflicts - !last_simp >= inprocess then begin
+          last_simp := t.conflicts;
+          simplify ~elim:false ~deadline ?cancel t;
+          if t.unsat_root then result := Some Unsat
+          else assumptions := List.map (rep_lit t) !assumptions
+        end
+      end
+      else begin
+        let lvl = decision_level t in
+        let next_assumption =
+          if lvl < List.length !assumptions then
+            Some (List.nth !assumptions lvl)
+          else None
+        in
+        match next_assumption with
+        | Some al ->
+          (match lit_value t al with
+           | 1 -> new_decision_level t (* hold a dummy level for this assumption *)
+           | 0 -> result := Some Unsat
+           | _ ->
+             incr decisions;
+             if Obs.tracing obs then
+               Obs.event obs "decide"
+                 [ ("kind", Json.Str "assumption");
+                   ("lvl", Json.Int (decision_level t + 1));
+                   ("var", Json.Int (lit_var al)) ];
+             new_decision_level t;
+             enqueue t al (-1))
+        | None ->
+          let rec pick () =
+            if Heap.is_empty t.heap then None
+            else begin
+              let v = Heap.pop t.heap t.activity in
+              if t.assign.(v) < 0 && (not t.elim_v.(v)) && t.repr_l.(v) = pos v
+              then Some v
+              else pick ()
+            end
+          in
+          (match pick () with
+           | None -> result := Some Sat
+           | Some v ->
+             incr decisions;
+             if Obs.tracing obs then
+               Obs.event obs "decide"
+                 [ ("kind", Json.Str "activity");
+                   ("lvl", Json.Int (decision_level t + 1));
+                   ("var", Json.Int v) ];
+             new_decision_level t;
+             enqueue t (if t.phase.(v) then pos v else neg v) (-1))
+      end
+    end
+  done;
+  if Obs.tracing obs then
+    Obs.event obs "done"
+      [
+        ( "result",
+          Json.Str
+            (match !result with
+             | Some Sat -> "sat"
+             | Some Unsat -> "unsat"
+             | _ -> "timeout") );
+        ("conflicts", Json.Int t.conflicts);
+        ("decisions", Json.Int !decisions);
+      ];
+  match !result with
+  | Some Sat ->
+    reconstruct t;
+    Sat
+  | Some r -> r
+  | None -> assert false
+
+let value t v = t.assign.(v) = 1
+
+let model t = Array.init t.nvars (fun v -> t.assign.(v) = 1)

@@ -16,6 +16,9 @@
 #      and an empty sweep, then keeps serving
 #   7. solve, sweep and sat all still offer the shared flight-recorder
 #      flags (--no-flight-recorder, --flight-recorder FILE)
+#   8. command-line errors are invalid input too: an unknown option, an
+#      unknown subcommand and a non-integer bound exit 2, not
+#      cmdliner's 124
 # Pass the rtlsat binary as $1 (the dune rule does); standalone runs
 # build it first.
 set -eu
@@ -147,6 +150,19 @@ for sub in solve sweep sat; do
       exit 1
     fi
   done
+done
+
+# 8. command-line errors exit 2
+for args in "solve -c b01 -p 1 -k 5 --no-such-flag" "no-such-command" \
+            "solve -c b01 -p 1 -k abc"; do
+  status=0
+  # shellcheck disable=SC2086
+  "$rtlsat" $args > "$out" 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "smoke_help: '$args' exited $status, expected 2" >&2
+    cat "$out" >&2
+    exit 1
+  fi
 done
 
 echo "smoke_help: all checks passed"

@@ -324,6 +324,27 @@ let test_one_shot_pin () =
   Alcotest.(check (list string)) "per-row search counters"
     (List.map pinned one_shot_rows) (List.map run one_shot_rows)
 
+(* ---- the bit-blast ladder pinned ----
+
+   [Bitblast.extend] blasts only the nodes appended since the last
+   bound; the b13_1 ladder 10..60 must keep the verdicts and carried
+   clauses of the full-circuit walk it replaced. *)
+let test_bitblast_ladder_pin () =
+  let source, props = Registry.build "b13" in
+  let steps =
+    Engines.run_sweep ~req:(Req.make ~timeout:60.0 ()) Engines.Bitblast source
+      ~prop:(List.assoc "1" props) ~bounds:[ 10; 20; 30; 40; 50; 60 ]
+  in
+  let row (st : Engines.sweep_step) =
+    Printf.sprintf "%d %s carried %d" st.Engines.sw_bound
+      (Report.verdict_string st.Engines.sw_run.Engines.verdict)
+      st.Engines.sw_carried_clauses
+  in
+  let pinned (bound, carried) = Printf.sprintf "%d unsat carried %d" bound carried in
+  Alcotest.(check (list string)) "b13_1 bitblast ladder"
+    (List.map pinned [ (10, 0); (20, 12); (30, 69); (40, 172); (50, 307); (60, 475) ])
+    (List.map row steps)
+
 (* ---- the sweep verdict rule, shared by `rtlsat sweep` and serve ---- *)
 
 let test_sweep_verdict () =
@@ -493,7 +514,9 @@ let () =
             test_sweep_verdict ] );
       ( "sweep",
         [ Alcotest.test_case "repeated bounds keep their order" `Quick
-            test_sweep_repeated_bounds ] );
+            test_sweep_repeated_bounds;
+          Alcotest.test_case "bitblast b13_1 ladder pinned" `Quick
+            test_bitblast_ladder_pin ] );
       ( "serve",
         [
           Alcotest.test_case "warm reuse over one pool" `Quick

@@ -214,6 +214,107 @@ let prop_assumptions_sound =
        let r2 = is_sat (C.solve s2) in
        r1 = r2)
 
+(* ---- lockstep against the list-based kernel ---- *)
+
+(* [Cdcl_ref] is a frozen copy of the solver before its allocation-free
+   rewrite; both must run the same search, so every counter, model and
+   stored clause (literal order included) must agree after every step *)
+module R = Cdcl_ref
+
+let outcome_c = function C.Sat -> "sat" | C.Unsat -> "unsat" | C.Timeout -> "timeout"
+let outcome_r = function R.Sat -> "sat" | R.Unsat -> "unsat" | R.Timeout -> "timeout"
+
+let same_state msg s r =
+  let ctx what = Printf.sprintf "%s: %s" msg what in
+  Alcotest.(check int) (ctx "conflicts") (R.n_conflicts r) (C.n_conflicts s);
+  Alcotest.(check int) (ctx "learned") (R.n_learned r) (C.n_learned s);
+  Alcotest.(check (array bool)) (ctx "model") (R.model r) (C.model s);
+  Alcotest.(check (list int)) (ctx "root units") (R.root_units r) (C.root_units s);
+  let clauses fold x = List.rev (fold (fun acc c -> Array.to_list c :: acc) [] x) in
+  Alcotest.(check (list (list int))) (ctx "clauses")
+    (clauses R.fold_clauses r) (clauses C.fold_clauses s)
+
+(* 3-CNF near the threshold plus a few long clauses *)
+let random_cnf st n =
+  let lit () =
+    let v = Random.State.int st n in
+    if Random.State.bool st then C.pos v else C.neg v
+  in
+  let m = (426 * n / 100) + Random.State.int st 8 - 4 in
+  List.init m (fun _ -> List.init 3 (fun _ -> lit ()))
+  @ List.init (1 + (n / 10)) (fun _ ->
+      List.init (5 + Random.State.int st 8) (fun _ -> lit ()))
+
+let lockstep_script seed =
+  let st = Random.State.make [| seed |] in
+  let n = 20 + Random.State.int st 60 in
+  let cnf = random_cnf st n in
+  let first, later = List.partition (fun _ -> Random.State.int st 10 < 7) cnf in
+  let s = C.create () and r = R.create () in
+  for _ = 1 to n do
+    ignore (C.new_var s);
+    ignore (R.new_var r)
+  done;
+  let msg step = Printf.sprintf "seed %d, %s" seed step in
+  let add cls =
+    List.iter (fun c -> C.add_clause s c; R.add_clause r c) cls
+  in
+  let solve ?assumptions ?inprocess step =
+    Alcotest.(check string) (msg step)
+      (outcome_r (R.solve ?assumptions ?inprocess r))
+      (outcome_c (C.solve ?assumptions ?inprocess s));
+    same_state (msg step) s r
+  in
+  add first;
+  same_state (msg "add") s r;
+  solve "solve";
+  let assumptions =
+    List.init 3 (fun _ ->
+        let v = Random.State.int st n in
+        if Random.State.bool st then C.pos v else C.neg v)
+  in
+  solve ~assumptions "assumptions";
+  add later;
+  same_state (msg "add more") s r;
+  solve "solve again";
+  C.simplify ~elim:false s;
+  R.simplify ~elim:false r;
+  same_state (msg "simplify") s r;
+  solve ~inprocess:20 "inprocess"
+
+let test_lockstep_random () =
+  for seed = 1 to 300 do
+    lockstep_script seed
+  done
+
+module Bb = Rtlsat_baselines.Bitblast
+module Registry = Rtlsat_itc99.Registry
+
+(* the bit-blast CNF of an ITC'99 row, loaded into both kernels, then
+   one-shot simplified and solved as the bitblast engine does *)
+let test_lockstep_bitblast () =
+  List.iter
+    (fun (circuit, prop) ->
+       let inst = Registry.instance ~circuit ~prop ~bound:30 in
+       let bb = Bb.encode (Rtlsat_bmc.Unroll.combo inst.Rtlsat_bmc.Bmc.unrolled) in
+       Bb.assume_bool bb inst.Rtlsat_bmc.Bmc.violation true;
+       let src = Bb.solver bb in
+       let s = C.create () and r = R.create () in
+       for _ = 1 to C.n_vars src do
+         ignore (C.new_var s);
+         ignore (R.new_var r)
+       done;
+       let load c = C.add_clause s c; R.add_clause r c in
+       List.iter (fun l -> load [ l ]) (C.root_units src);
+       C.fold_clauses (fun () c -> load (Array.to_list c)) () src;
+       C.simplify ~elim:true s;
+       R.simplify ~elim:true r;
+       let row = Printf.sprintf "%s_%s(30)" circuit prop in
+       Alcotest.(check string) row (outcome_r (R.solve r)) (outcome_c (C.solve s));
+       check_bool (row ^ " searched") true (C.n_conflicts s > 0);
+       same_state row s r)
+    [ ("b13", "1"); ("b13", "8") ]
+
 let qsuite = Qutil.qsuite
 
 let () =
@@ -241,4 +342,9 @@ let () =
           Alcotest.test_case "solve & print" `Quick test_dimacs_solve;
         ] );
       qsuite "props" [ prop_matches_brute_force; prop_assumptions_sound ];
+      ( "lockstep",
+        [
+          Alcotest.test_case "random scripts" `Quick test_lockstep_random;
+          Alcotest.test_case "bitblast b13 rows" `Quick test_lockstep_bitblast;
+        ] );
     ]
