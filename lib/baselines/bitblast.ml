@@ -15,44 +15,78 @@ let solver t = t.sat
 
 let fresh t = C.pos (C.new_var t.sat)
 
+let lfalse t = C.lit_not t.ltrue
+
+(* Each gate folds a constant, repeated or complementary input to an
+   existing literal, with no variable and no clause (the contract in
+   bitblast.mli); only a gate over two unrelated literals gets a fresh
+   output and its Tseitin clauses. *)
+
 let mk_and2 t a b =
-  let z = fresh t in
-  C.add_clause t.sat [ C.lit_not z; a ];
-  C.add_clause t.sat [ C.lit_not z; b ];
-  C.add_clause t.sat [ z; C.lit_not a; C.lit_not b ];
-  z
+  let f = lfalse t in
+  if a = f || b = f || a = C.lit_not b then f
+  else if a = t.ltrue || a = b then b
+  else if b = t.ltrue then a
+  else begin
+    let z = fresh t in
+    C.add_clause t.sat [ C.lit_not z; a ];
+    C.add_clause t.sat [ C.lit_not z; b ];
+    C.add_clause t.sat [ z; C.lit_not a; C.lit_not b ];
+    z
+  end
 
 let mk_or2 t a b =
-  let z = fresh t in
-  C.add_clause t.sat [ z; C.lit_not a ];
-  C.add_clause t.sat [ z; C.lit_not b ];
-  C.add_clause t.sat [ C.lit_not z; a; b ];
-  z
+  let f = lfalse t in
+  if a = t.ltrue || b = t.ltrue || a = C.lit_not b then t.ltrue
+  else if a = f || a = b then b
+  else if b = f then a
+  else begin
+    let z = fresh t in
+    C.add_clause t.sat [ z; C.lit_not a ];
+    C.add_clause t.sat [ z; C.lit_not b ];
+    C.add_clause t.sat [ C.lit_not z; a; b ];
+    z
+  end
 
 let mk_xor2 t a b =
-  let z = fresh t in
-  C.add_clause t.sat [ C.lit_not z; a; b ];
-  C.add_clause t.sat [ C.lit_not z; C.lit_not a; C.lit_not b ];
-  C.add_clause t.sat [ z; a; C.lit_not b ];
-  C.add_clause t.sat [ z; C.lit_not a; b ];
-  z
+  let f = lfalse t in
+  if a = b then f
+  else if a = C.lit_not b then t.ltrue
+  else if a = f then b
+  else if b = f then a
+  else if a = t.ltrue then C.lit_not b
+  else if b = t.ltrue then C.lit_not a
+  else begin
+    let z = fresh t in
+    C.add_clause t.sat [ C.lit_not z; a; b ];
+    C.add_clause t.sat [ C.lit_not z; C.lit_not a; C.lit_not b ];
+    C.add_clause t.sat [ z; a; C.lit_not b ];
+    C.add_clause t.sat [ z; C.lit_not a; b ];
+    z
+  end
 
 let mk_and t = function
   | [] -> t.ltrue
   | l :: rest -> List.fold_left (mk_and2 t) l rest
 
 let mk_or t = function
-  | [] -> C.lit_not t.ltrue
+  | [] -> lfalse t
   | l :: rest -> List.fold_left (mk_or2 t) l rest
 
 let mk_mux t ~sel ~th ~el =
   (* sel ? th : el *)
-  let z = fresh t in
-  C.add_clause t.sat [ C.lit_not sel; C.lit_not th; z ];
-  C.add_clause t.sat [ C.lit_not sel; th; C.lit_not z ];
-  C.add_clause t.sat [ sel; C.lit_not el; z ];
-  C.add_clause t.sat [ sel; el; C.lit_not z ];
-  z
+  if sel = t.ltrue || th = el then th
+  else if sel = lfalse t then el
+  else if th = t.ltrue && el = lfalse t then sel
+  else if th = lfalse t && el = t.ltrue then C.lit_not sel
+  else begin
+    let z = fresh t in
+    C.add_clause t.sat [ C.lit_not sel; C.lit_not th; z ];
+    C.add_clause t.sat [ C.lit_not sel; th; C.lit_not z ];
+    C.add_clause t.sat [ sel; C.lit_not el; z ];
+    C.add_clause t.sat [ sel; el; C.lit_not z ];
+    z
+  end
 
 let full_adder t a b cin =
   let sum = mk_xor2 t (mk_xor2 t a b) cin in
@@ -70,8 +104,6 @@ let ripple_add t av bv cin =
     carry := c
   done;
   (out, !carry)
-
-let lfalse t = C.lit_not t.ltrue
 
 let zext_bits t bv w =
   let cur = Array.length bv in

@@ -6,7 +6,23 @@
     for UCLID's eager SAT-based approach in Table 2 — everything,
     including the data-path, is pushed into a Boolean SAT solver
     through ripple-carry adders, borrow-chain comparators and per-bit
-    multiplexers. *)
+    multiplexers.
+
+    {b Constant folding.}  A gate with a constant, repeated or
+    complementary input creates no variable and no clause: it returns
+    an existing literal, or the literal of the constant-true variable
+    or its negation.  [and2] with a false input or [a = ¬b] is false,
+    with a true input it is the other input, and [and2 a a] is [a];
+    [or2] is the dual.  [xor2] with a false input is the other input,
+    with a true input its negation, [xor2 a a] is false and
+    [xor2 a ¬a] true.  A mux with a constant select is that arm, a
+    mux with equal arms is that arm, and [sel ? 1 : 0] is [sel]
+    ([sel ? 0 : 1] is [¬sel]).  Every word operator is built from
+    these gates and inherits the folding, so [x + 0], [x - 0],
+    multiplication by a power of two, [x = x], [x < 0] and an
+    interval on a constant node add nothing beyond their inputs.
+    Only a gate over two unrelated literals gets a fresh variable and
+    its Tseitin clauses. *)
 
 open Rtlsat_rtl
 

@@ -10,6 +10,7 @@ module P = Rtlsat_constr.Problem
 module I = Rtlsat_interval.Interval
 module Solver = Rtlsat_core.Solver
 module BB = Rtlsat_baselines.Bitblast
+module C = Rtlsat_sat.Cdcl
 module Lazy_cdp = Rtlsat_baselines.Lazy_cdp
 
 let check_bool = Alcotest.(check bool)
@@ -17,9 +18,40 @@ let check_int = Alcotest.(check int)
 
 (* ---- bit-blasting ---- *)
 
+(* every node agrees with the simulator under every assignment of the
+   circuit's inputs: each assignment is pinned with point intervals and
+   the node values are read from the SAT model *)
+let check_sim c nodes =
+  let rec assignments = function
+    | [] -> [ [] ]
+    | n :: rest ->
+      let tails = assignments rest in
+      List.concat_map
+        (fun v -> List.map (fun tl -> (n, v) :: tl) tails)
+        (List.init (1 lsl n.Ir.width) Fun.id)
+  in
+  List.iter
+    (fun inputs ->
+       let bb = BB.encode c in
+       List.iter (fun (n, v) -> BB.assume_interval bb n (I.point v)) inputs;
+       match BB.solve bb with
+       | BB.Sat ->
+         let vals = Sim.eval c (Sim.initial_state c) ~inputs in
+         let at =
+           String.concat " "
+             (List.map (fun (n, v) -> Printf.sprintf "%s=%d" (Ir.node_name n) v) inputs)
+         in
+         List.iter
+           (fun n ->
+              check_int
+                (Printf.sprintf "node %s %s" (Ir.node_name n) at)
+                (Sim.value vals n) (BB.node_value bb n))
+           nodes
+       | _ -> Alcotest.fail "point assignment must be sat")
+    (assignments (Ir.inputs c))
+
 let test_bb_ops_exhaustive () =
-  (* every word operator agrees with the simulator, via SAT models:
-     constrain inputs to concrete values and read the outputs *)
+  (* every word operator agrees with the simulator *)
   let c = N.create "ops" in
   let a = N.input c ~name:"a" 3 in
   let b = N.input c ~name:"b" 3 in
@@ -35,24 +67,7 @@ let test_bb_ops_exhaustive () =
   let mux =
     N.mux c ~sel:(List.hd cmps) ~t:a ~e:b ()
   in
-  let all = (mux :: nodes) @ cmps in
-  for av = 0 to 7 do
-    for bv = 0 to 7 do
-      let bb = BB.encode c in
-      BB.assume_interval bb a (I.point av);
-      BB.assume_interval bb b (I.point bv);
-      (match BB.solve bb with
-       | BB.Sat ->
-         let vals = Sim.eval c (Sim.initial_state c) ~inputs:[ (a, av); (b, bv) ] in
-         List.iter
-           (fun n ->
-              check_int
-                (Printf.sprintf "node %s a=%d b=%d" (Ir.node_name n) av bv)
-                (Sim.value vals n) (BB.node_value bb n))
-           all
-       | _ -> Alcotest.fail "point assignment must be sat")
-    done
-  done
+  check_sim c ((mux :: nodes) @ cmps)
 
 let test_bb_unsat () =
   let c = N.create "unsat" in
@@ -79,6 +94,81 @@ let test_bb_interval_assumption () =
   BB.assume_interval bb2 a (I.make 5 9);
   BB.assume_interval bb2 a (I.make 10 12);
   check_bool "disjoint ranges unsat" true (BB.solve bb2 = BB.Unsat)
+
+(* ---- constant folding ----
+
+   A gate with a constant, repeated or complementary input returns an
+   existing literal and creates no variable and no clause.  Each case
+   is encoded with [BB.extend] on top of its inputs, so the solver's
+   sizes before and after show what the gate cost. *)
+
+let sizes bb = (C.n_vars (BB.solver bb), C.n_clauses (BB.solver bb))
+
+let test_fold_gates () =
+  let c = N.create "fold" in
+  let x = N.input c ~name:"x" 1 and s = N.input c ~name:"s" 1 in
+  let tt = N.ctrue c and ff = N.cfalse c in
+  let nx = N.not_ c x and ns = N.not_ c s in
+  let bb = BB.encode c in
+  let before = sizes bb in
+  let lit = BB.bool_lit bb in
+  let cases =
+    [
+      ("and x 1", N.and_ c [ x; tt ], lit x);
+      ("and 1 x", N.and_ c [ tt; x ], lit x);
+      ("and x 0", N.and_ c [ x; ff ], lit ff);
+      ("and x x", N.and_ c [ x; x ], lit x);
+      ("and x ~x", N.and_ c [ x; nx ], lit ff);
+      ("and x 1 x", N.and_ c [ x; tt; x ], lit x);
+      ("or x 0", N.or_ c [ x; ff ], lit x);
+      ("or 0 x", N.or_ c [ ff; x ], lit x);
+      ("or x 1", N.or_ c [ x; tt ], lit tt);
+      ("or x x", N.or_ c [ x; x ], lit x);
+      ("or ~x x", N.or_ c [ nx; x ], lit tt);
+      ("xor x 0", N.xor_ c x ff, lit x);
+      ("xor 1 x", N.xor_ c tt x, lit nx);
+      ("xor x x", N.xor_ c x x, lit ff);
+      ("xor x ~x", N.xor_ c x nx, lit tt);
+      ("mux 1 x s", N.mux c ~sel:tt ~t:x ~e:s (), lit x);
+      ("mux 0 x s", N.mux c ~sel:ff ~t:x ~e:s (), lit s);
+      ("mux s x x", N.mux c ~sel:s ~t:x ~e:x (), lit x);
+      ("mux s 1 0", N.mux c ~sel:s ~t:tt ~e:ff (), lit s);
+      ("mux s 0 1", N.mux c ~sel:s ~t:ff ~e:tt (), lit ns);
+    ]
+  in
+  BB.extend bb;
+  List.iter (fun (name, n, expected) -> check_int name expected (BB.bool_lit bb n)) cases;
+  Alcotest.(check (pair int int)) "no variable and no clause" before (sizes bb);
+  check_sim c (List.map (fun (_, n, _) -> n) cases)
+
+let test_fold_words () =
+  let c = N.create "foldw" in
+  let x = N.input c ~name:"x" 4 in
+  let zero = N.const c ~width:4 0 and five = N.const c ~width:4 5 in
+  let bb = BB.encode c in
+  let inputs_only = (1 + 4, snd (sizes bb)) in
+  let nodes =
+    [
+      N.add c x zero; N.add_ext c x zero; N.sub c x zero;
+      N.mul_const c 1 x; N.mul_const c 2 x; N.mul_const c 8 x;
+      N.eq c x x; N.ge c x x; N.lt c x zero; N.le c zero x;
+      N.shl c x 2; N.shr c x 1; N.zext c x ~width:6;
+      N.mux c ~sel:(N.ctrue c) ~t:x ~e:five ();
+    ]
+  in
+  BB.extend bb;
+  Alcotest.(check (pair int int)) "the true variable and the input bits only"
+    inputs_only (sizes bb);
+  check_sim c nodes;
+  (* a point on a constant node is decided by folding alone *)
+  let point v =
+    let bb = BB.encode c in
+    BB.assume_interval bb five (I.point v);
+    Alcotest.(check (pair int int)) "point on a constant" inputs_only (sizes bb);
+    BB.solve bb
+  in
+  check_bool "the constant's own value" true (point 5 = BB.Sat);
+  check_bool "another value" true (point 6 = BB.Unsat)
 
 (* ---- lazy CDP ---- *)
 
@@ -193,6 +283,8 @@ let () =
           Alcotest.test_case "ops exhaustive" `Slow test_bb_ops_exhaustive;
           Alcotest.test_case "unsat" `Quick test_bb_unsat;
           Alcotest.test_case "interval assumptions" `Quick test_bb_interval_assumption;
+          Alcotest.test_case "folded gates" `Quick test_fold_gates;
+          Alcotest.test_case "folded word operators" `Quick test_fold_words;
         ] );
       ( "lazy-cdp",
         [
