@@ -16,7 +16,21 @@ type fingerprint = {
 }
 
 val fingerprint : unit -> fingerprint
-(** Probed once per process (two [git] subprocesses), then cached. *)
+(** {!probe} once per process, then cached. *)
+
+val probe : unit -> fingerprint
+(** The uncached probe.  Inside a checkout (a [.git] entry in the
+    working directory or above it, or a non-empty [GIT_DIR]) it runs
+    one [git --no-optional-locks status --porcelain=v2 --branch] exec —
+    no shell, and no [.git/index.lock] taken; outside one it starts
+    no process and answers ["unknown"] / [false]. *)
+
+val parse_porcelain_v2 : string -> string * bool
+(** [(git_rev, git_dirty)] from the output of
+    [git status --porcelain=v2 --branch]: the first 12 characters of
+    the [# branch.oid] header (["unknown"] when it is missing or reads
+    [(initial)]), and whether any line is not a [#] header — a
+    changed, unmerged or untracked path. *)
 
 val fingerprint_json : unit -> Json.t
 (** [{"git_rev", "git_dirty", "hostname", "ocaml_version",

@@ -155,21 +155,43 @@ type hot_var = {
   hv_shaved : int;
 }
 
-let top_k ~k ~score ~active n =
-  let ids = ref [] in
-  for i = n - 1 downto 0 do
-    if active i then ids := i :: !ids
+(* The [k] best active ids of [0, n) under [cmp] ([cmp a b > 0]: [a]
+   ranks above [b]), best first, ties to the lower id — the order a
+   stable sort of the active ids by descending score gives.  One pass
+   keeps the best so far in a buffer of [min k active] slots and
+   insertion-sorts each newcomer into it: O(n·k), allocating only the
+   buffer and the result. *)
+let top_k ~k ~cmp ~active n =
+  let n_active = ref 0 in
+  for i = 0 to n - 1 do
+    if active i then incr n_active
   done;
-  let sorted = List.sort (fun a b -> compare (score b) (score a)) !ids in
-  let rec take k = function
-    | x :: rest when k > 0 -> x :: take (k - 1) rest
-    | _ -> []
-  in
-  take k sorted
+  let m = max 0 (min k !n_active) in
+  let buf = Array.make m 0 in
+  let len = ref 0 in
+  for i = 0 to n - 1 do
+    if m > 0 && active i && (!len < m || cmp i buf.(m - 1) > 0) then begin
+      (* ids arrive in increasing order, so [i] goes after every entry
+         it merely ties with *)
+      let pos = ref (if !len < m then !len else m - 1) in
+      while !pos > 0 && cmp i buf.(!pos - 1) > 0 do
+        buf.(!pos) <- buf.(!pos - 1);
+        decr pos
+      done;
+      buf.(!pos) <- i;
+      if !len < m then incr len
+    end
+  done;
+  Array.to_list buf
 
 let top_constraints t ~k =
   top_k ~k
-    ~score:(fun ci -> (t.c_time.(ci), t.c_narrows.(ci), t.c_shaved.(ci)))
+    ~cmp:(fun a b ->
+        let c = Float.compare t.c_time.(a) t.c_time.(b) in
+        if c <> 0 then c
+        else
+          let c = Int.compare t.c_narrows.(a) t.c_narrows.(b) in
+          if c <> 0 then c else Int.compare t.c_shaved.(a) t.c_shaved.(b))
     ~active:(fun ci -> t.c_narrows.(ci) > 0 || t.c_wakeups.(ci) > 0)
     (Array.length t.c_wakeups)
   |> List.map (fun ci ->
@@ -184,7 +206,9 @@ let top_constraints t ~k =
 
 let top_vars t ~k =
   top_k ~k
-    ~score:(fun v -> (t.v_narrows.(v), t.v_shaved.(v)))
+    ~cmp:(fun a b ->
+        let c = Int.compare t.v_narrows.(a) t.v_narrows.(b) in
+        if c <> 0 then c else Int.compare t.v_shaved.(a) t.v_shaved.(b))
     ~active:(fun v -> t.v_narrows.(v) > 0)
     (Array.length t.v_narrows)
   |> List.map (fun v ->

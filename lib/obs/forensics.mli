@@ -124,6 +124,14 @@ val top_constraints : t -> k:int -> hot_constr list
 val top_vars : t -> k:int -> hot_var list
 (** The [k] most-narrowed word variables. *)
 
+val top_k :
+  k:int -> cmp:(int -> int -> int) -> active:(int -> bool) -> int -> int list
+(** [top_k ~k ~cmp ~active n]: the (at most) [k] ids [i < n] with
+    [active i] that rank highest under [cmp] ([cmp a b > 0] when [a]
+    ranks above [b]), best first, ties to the lower id.  One bounded
+    selection pass, O(n·k); {!top_constraints} and {!top_vars} are
+    built on it. *)
+
 (* ---- offline analysis: the trace-replay profiler ---- *)
 
 val trace_versions : (int * string) list

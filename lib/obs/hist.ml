@@ -2,7 +2,10 @@ type t = {
   limits : int array;
   counts : int array; (* length limits + 1; last is overflow *)
   mutable n : int;
-  mutable total : int;
+  mutable total : int; (* saturates at max_int *)
+  sum : float array;
+      (* one cell: the float sum for the mean, which a saturated [total]
+         cannot give; a flat float cell, so an update allocates nothing *)
   mutable vmin : int;
   mutable vmax : int;
 }
@@ -16,6 +19,7 @@ let create limits =
     counts = Array.make (Array.length limits + 1) 0;
     n = 0;
     total = 0;
+    sum = [| 0.0 |];
     vmin = max_int;
     vmax = min_int;
   }
@@ -26,7 +30,9 @@ let observe h x =
   let b = bucket 0 in
   h.counts.(b) <- h.counts.(b) + 1;
   h.n <- h.n + 1;
-  h.total <- h.total + x;
+  (* interval widths reach 2^61, so a few of them overflow an int sum *)
+  h.total <- (if x > 0 && h.total > max_int - x then max_int else h.total + x);
+  h.sum.(0) <- h.sum.(0) +. float_of_int x;
   if x < h.vmin then h.vmin <- x;
   if x > h.vmax then h.vmax <- x
 
@@ -56,7 +62,7 @@ let summary h =
     total = h.total;
     vmin = (if h.n = 0 then 0 else h.vmin);
     vmax = (if h.n = 0 then 0 else h.vmax);
-    mean = (if h.n = 0 then 0.0 else float_of_int h.total /. float_of_int h.n);
+    mean = (if h.n = 0 then 0.0 else h.sum.(0) /. float_of_int h.n);
     buckets;
   }
 

@@ -15,10 +15,14 @@ val count : t -> int
 
 type summary = {
   n : int;            (** observations *)
-  total : int;        (** sum of observed values *)
+  total : int;
+      (** sum of observed values, saturating at [max_int] (a handful of
+          2{^61}-wide interval widths would otherwise wrap it) *)
   vmin : int;         (** 0 when empty *)
   vmax : int;
-  mean : float;       (** 0.0 when empty *)
+  mean : float;
+      (** from a float sum, so it stays right when [total] saturates;
+          0.0 when empty *)
   buckets : (string * int) list;
       (** bucket label (["<=k"] / [">k"]) → count, in bound order *)
 }

@@ -16,17 +16,17 @@ let iso8601 t =
    processes AND within one: UTC second + sub-second millis + pid +
    a per-process sequence.  Without the sequence, two records made in
    the same millisecond by the same process (a bench run or a serve
-   loop appending back to back) collide; the atomic counter is
-   domain-safe. *)
-let seq = Atomic.make 0
+   loop appending back to back) collide. *)
+let seq = ref 0
 
 let run_id now pid =
+  let n = !seq in
+  incr seq;
   let tm = Unix.gmtime now in
   let ms = int_of_float ((now -. Float.of_int (int_of_float now)) *. 1000.0) in
   Printf.sprintf "%04d%02d%02dT%02d%02d%02d.%03d-%d.%d" (tm.Unix.tm_year + 1900)
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-    tm.Unix.tm_sec (max 0 (min 999 ms)) pid
-    (Atomic.fetch_and_add seq 1)
+    tm.Unix.tm_sec (max 0 (min 999 ms)) pid n
 
 let make ?now ?pid ~subcommand ~argv ~instance ~engine ~options ~verdict ~wall_s
     ~counters ~artifacts () =

@@ -10,20 +10,13 @@
    backwards process-wide.  A forward step still passes through (the
    clock jumps ahead once and stays monotonic from there) — the
    failure mode left is a too-early timeout after a large forward
-   step, which is benign next to a deadline that never fires.
+   step, which is benign next to a deadline that never fires. *)
 
-   The cell is an [Atomic.t] so concurrent solver domains share one
-   clamp: [compare_and_set] on the boxed float compares the physical
-   box we just read, so a lost race simply retries against the newer
-   (larger) value. *)
-
-let last = Atomic.make 0.0
+let last = ref 0.0
 
 let now () =
   let t = Unix.gettimeofday () in
-  let rec clamp () =
-    let prev = Atomic.get last in
-    if t >= prev then if Atomic.compare_and_set last prev t then t else clamp ()
-    else prev
-  in
-  clamp ()
+  if t >= !last then (
+    last := t;
+    t)
+  else !last

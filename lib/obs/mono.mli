@@ -4,9 +4,9 @@
     [Unix.gettimeofday] follows NTP steps, so an absolute deadline
     computed from it can fire spuriously (step forward) or never (step
     back) mid-solve.  {!now} reads the wall clock and clamps it to the
-    largest instant ever observed in this process (shared across
-    domains), so differences of two readings are never negative and
-    deadlines compare monotonically.
+    largest instant ever observed in this process, so differences of
+    two readings are never negative and deadlines compare
+    monotonically.
 
     Use this for every [deadline]/[elapsed] computation; keep
     [Unix.gettimeofday] for ledger and trace {e timestamps}, which
@@ -14,4 +14,4 @@
 
 val now : unit -> float
 (** Current time, seconds since the epoch, clamped to never decrease
-    within this process.  Thread/domain-safe. *)
+    within this process. *)

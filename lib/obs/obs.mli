@@ -6,8 +6,7 @@
     final check); hot paths guard every instrumentation site with the
     [enabled] flag, so a disabled handle ({!disabled}) costs one load
     and one branch per site.  A disabled handle is never mutated —
-    the shared {!disabled} instance is safe to use everywhere
-    concurrently.
+    the shared {!disabled} instance is safe to pass everywhere.
 
     Enabling observability must not change solver behaviour: the
     instrumentation only reads search state, so results, learned

@@ -2,7 +2,6 @@ type t = {
   oc : out_channel;
   buf : Buffer.t;
   t0 : float;
-  lock : Mutex.t;
   mutable n_events : int;
   mutable closed : bool;
 }
@@ -10,23 +9,19 @@ type t = {
 let schema = "rtlsat.trace/8"
 
 (* [emit] renders into a per-handle scratch buffer and writes to a
-   buffered channel — both are shared mutable state, so the whole
-   render+write is one critical section: two domains sharing a handle
-   cannot tear an event. *)
+   buffered channel.  Only the solving code emits: the SIGUSR1 handler
+   dumps the flight recorder and never touches a trace sink, so no
+   event can interleave with another. *)
 let emit t ~ev fields =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-       if not t.closed then begin
-         let rel = Unix.gettimeofday () -. t.t0 in
-         Buffer.clear t.buf;
-         Json.to_buffer t.buf
-           (Json.Obj (("ev", Json.Str ev) :: ("t", Json.Float rel) :: fields));
-         Buffer.add_char t.buf '\n';
-         Buffer.output_buffer t.oc t.buf;
-         t.n_events <- t.n_events + 1
-       end)
+  if not t.closed then begin
+    let rel = Unix.gettimeofday () -. t.t0 in
+    Buffer.clear t.buf;
+    Json.to_buffer t.buf
+      (Json.Obj (("ev", Json.Str ev) :: ("t", Json.Float rel) :: fields));
+    Buffer.add_char t.buf '\n';
+    Buffer.output_buffer t.oc t.buf;
+    t.n_events <- t.n_events + 1
+  end
 
 let to_file path =
   let t =
@@ -34,7 +29,6 @@ let to_file path =
       oc = open_out path;
       buf = Buffer.create 256;
       t0 = Unix.gettimeofday ();
-      lock = Mutex.create ();
       n_events = 0;
       closed = false;
     }
@@ -47,12 +41,8 @@ let to_file path =
 let events t = t.n_events
 
 let close t =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-       if not t.closed then begin
-         t.closed <- true;
-         flush t.oc;
-         close_out t.oc
-       end)
+  if not t.closed then begin
+    t.closed <- true;
+    flush t.oc;
+    close_out t.oc
+  end

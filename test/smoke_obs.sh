@@ -10,8 +10,9 @@
 #   4. flight-recorder round trip: a --no-split timeout with no --trace
 #      must still leave a dump that rtlsat profile diagnoses
 #   5. cross-run ledger: solves append rtlsat.run/1 records (env
-#      fingerprint included), rtlsat runs lists them, and trace-diff
-#      exits 1 on the committed w61 verdict flip
+#      fingerprint included, "unknown"/clean outside a checkout),
+#      rtlsat runs lists them, and trace-diff exits 1 on the committed
+#      w61 verdict flip
 #   6. SIGUSR1 stress: ~150 signals at 10 ms intervals during a 2 s
 #      solve each dump the flight recorder, and no dump may fail
 set -eu
@@ -31,7 +32,8 @@ om=$(mktemp /tmp/rtlsat_metrics.XXXXXX.om)
 flight=$(mktemp /tmp/rtlsat_w61.XXXXXX.flight)
 ledger=$(mktemp /tmp/rtlsat_ledger.XXXXXX.jsonl)
 err=$(mktemp /tmp/rtlsat_usr1.XXXXXX.err)
-trap 'rm -f "$out" "$trace" "$profile" "$om" "$flight" "$ledger" "$err"' EXIT
+nogit=$(mktemp -d /tmp/rtlsat_nogit.XXXXXX)
+trap 'rm -f "$out" "$trace" "$profile" "$om" "$flight" "$ledger" "$err"; rm -rf "$nogit"' EXIT
 
 # 1. stats schema
 "$rtlsat" solve -c b01 -p 1 -k 5 --no-ledger --stats-json "$out"
@@ -69,9 +71,10 @@ grep -q "heartbeat" "$profile"
 
 # 5. cross-run ledger round trip: two solves append two parseable
 #    rtlsat.run/1 records with the environment fingerprint, rtlsat
-#    runs reproduces them (text and rtlsat.runs/1 JSON), and
-#    trace-diff on the committed divergent w61 traces names the first
-#    divergent key event and exits 1 on the verdict flip
+#    runs reproduces them (text and rtlsat.runs/1 JSON), a solve run
+#    outside any checkout records git_rev "unknown" and a clean tree,
+#    and trace-diff on the committed divergent w61 traces names the
+#    first divergent key event and exits 1 on the verdict flip
 rm -f "$ledger"
 "$rtlsat" solve -c b01 -p 1 -k 5 --ledger "$ledger" > /dev/null
 "$rtlsat" solve -c b01 -p 1 -k 5 --ledger "$ledger" > /dev/null
@@ -82,6 +85,9 @@ grep -q '"git_rev"' "$ledger"
 "$rtlsat" runs --ledger "$ledger" --json | grep -q '"schema":"rtlsat.runs/1"'
 "$rtlsat" runs --ledger "$ledger" --engine hdpll+s+p --last 1 --json \
   | grep -q '"engine":"hdpll+s+p"'
+(cd "$nogit" && env -u GIT_DIR "$rtlsat" solve -c b01 -p 1 -k 5 \
+  --ledger "$nogit/ledger.jsonl" > /dev/null)
+grep -q '"git_rev":"unknown","git_dirty":false' "$nogit/ledger.jsonl"
 if "$rtlsat" trace-diff "$root/test/fixtures/w61_split_on.jsonl" \
   "$root/test/fixtures/w61_split_off.jsonl" > "$profile"; then
   echo "FAIL: trace-diff did not exit 1 on the verdict flip" >&2

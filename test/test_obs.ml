@@ -111,6 +111,25 @@ let test_hist_empty () =
   check_int "vmin" 0 s.Hist.vmin;
   Alcotest.(check (float 0.0)) "mean" 0.0 s.Hist.mean
 
+(* interval widths on the w61 corner reach 2^61 - 2: the int total
+   saturates instead of wrapping, and the mean comes from a float sum *)
+let test_hist_saturates () =
+  let h = Hist.create [| 65535 |] in
+  let w = (1 lsl 61) - 2 in
+  for _ = 1 to 4 do
+    Hist.observe h w
+  done;
+  Hist.observe h 0;
+  let s = Hist.summary h in
+  check_int "n" 5 s.Hist.n;
+  check_int "total saturates" max_int s.Hist.total;
+  check_int "vmax" w s.Hist.vmax;
+  Alcotest.(check (float 1e3)) "mean" (4.0 *. float_of_int w /. 5.0) s.Hist.mean;
+  let small = Hist.create [| 1 |] in
+  List.iter (Hist.observe small) [ max_int - 1; 1 ];
+  check_int "max_int itself is reached, not passed" max_int
+    (Hist.summary small).Hist.total
+
 let test_hist_bad_limits () =
   check_bool "non-increasing limits rejected" true
     (match Hist.create [| 2; 2 |] with
@@ -460,6 +479,58 @@ let test_forensics_attribution () =
      check_int "its narrows" ((3 * p) + 1) v.Forensics.hv_narrows;
      check_int "its shaved" ((15 * p) + 2) v.Forensics.hv_shaved
    | l -> Alcotest.failf "expected 1 hot var, got %d" (List.length l))
+
+(* [Forensics.top_k]'s bounded selection against the list sort it
+   replaced, kept verbatim: random score tables with many ties, NaN
+   times and inactive ids, at k = 0, 1, 10, n - 1, n and max_int *)
+let test_top_k_matches_sort () =
+  let ref_top_k ~k ~score ~active n =
+    let ids = ref [] in
+    for i = n - 1 downto 0 do
+      if active i then ids := i :: !ids
+    done;
+    let sorted = List.sort (fun a b -> compare (score b) (score a)) !ids in
+    let rec take k = function
+      | x :: rest when k > 0 -> x :: take (k - 1) rest
+      | _ -> []
+    in
+    take k sorted
+  in
+  let rng = Random.State.make [| 7 |] in
+  let times = [| 0.0; 0.5; 1.0; 2.5; Float.nan |] in
+  List.iter
+    (fun n ->
+       for _ = 1 to 20 do
+         let time = Array.init n (fun _ -> times.(Random.State.int rng 5)) in
+         let narrows = Array.init n (fun _ -> Random.State.int rng 3) in
+         let shaved = Array.init n (fun _ -> Random.State.int rng 3) in
+         let active i = narrows.(i) > 0 || shaved.(i) > 0 in
+         let cmp3 a b =
+           let c = Float.compare time.(a) time.(b) in
+           if c <> 0 then c
+           else
+             let c = Int.compare narrows.(a) narrows.(b) in
+             if c <> 0 then c else Int.compare shaved.(a) shaved.(b)
+         in
+         let cmp2 a b =
+           let c = Int.compare narrows.(a) narrows.(b) in
+           if c <> 0 then c else Int.compare shaved.(a) shaved.(b)
+         in
+         List.iter
+           (fun k ->
+              let name what = Printf.sprintf "%s n=%d k=%d" what n k in
+              Alcotest.(check (list int))
+                (name "3-field score")
+                (ref_top_k ~k ~active n ~score:(fun i ->
+                     (time.(i), narrows.(i), shaved.(i))))
+                (Forensics.top_k ~k ~cmp:cmp3 ~active n);
+              Alcotest.(check (list int))
+                (name "2-field score")
+                (ref_top_k ~k ~active n ~score:(fun i -> (narrows.(i), shaved.(i))))
+                (Forensics.top_k ~k ~cmp:cmp2 ~active n))
+           [ 0; 1; 10; n - 1; n; max_int ]
+       done)
+    [ 0; 1; 2; 7; 40; 300 ]
 
 (* attribution totals are pure functions of the search, so two
    instrumented runs of the same instance agree exactly (times aside) *)
@@ -1098,6 +1169,70 @@ let test_env_fingerprint () =
        check_bool (key ^ " in json") true (Json.member key j <> None))
     [ "git_rev"; "git_dirty"; "hostname"; "ocaml_version"; "word_size" ]
 
+let test_porcelain_parse () =
+  let oid = "0123456789abcdef0123456789abcdef01234567" in
+  let clean = "# branch.oid " ^ oid ^ "\n# branch.head main\n" in
+  let check name want out =
+    Alcotest.(check (pair string bool)) name want (Env.parse_porcelain_v2 out)
+  in
+  check "clean" ("0123456789ab", false) clean;
+  check "modified file" ("0123456789ab", true)
+    (clean ^ "1 .M N... 100644 100644 100644 " ^ oid ^ " " ^ oid ^ " lib/a.ml\n");
+  check "untracked" ("0123456789ab", true) (clean ^ "? scratch.txt\n");
+  check "no commit yet" ("unknown", false)
+    "# branch.oid (initial)\n# branch.head main\n";
+  check "no commit yet, untracked" ("unknown", true)
+    "# branch.oid (initial)\n# branch.head main\n? a\n";
+  check "ahead/behind header is not a change" ("0123456789ab", false)
+    (clean ^ "# branch.upstream origin/main\n# branch.ab +? -?\n");
+  check "no output" ("unknown", false) ""
+
+(* [Env.probe] with a stand-in [git] first on PATH that logs its argv:
+   outside any checkout it must not be started at all; inside one it is
+   started once, and its porcelain output is what the probe reports *)
+let test_env_probe_spawns () =
+  let dir = Filename.temp_dir "rtlsat_env" "" in
+  let bin = Filename.concat dir "bin" and log = Filename.concat dir "git.log" in
+  Unix.mkdir bin 0o755;
+  let git = Filename.concat bin "git" in
+  Out_channel.with_open_text git (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh\necho \"$*\" >> %s\necho '# branch.oid %s'\necho '? new'\n"
+        (Filename.quote log) (String.make 40 'a'));
+  Unix.chmod git 0o755;
+  let outside = Filename.concat dir "plain" and repo = Filename.concat dir "repo" in
+  Unix.mkdir outside 0o755;
+  Unix.mkdir repo 0o755;
+  Unix.mkdir (Filename.concat repo ".git") 0o755;
+  let saved_cwd = Sys.getcwd () and saved_path = Sys.getenv_opt "PATH" in
+  let saved_git_dir = Sys.getenv_opt "GIT_DIR" in
+  Fun.protect
+    ~finally:(fun () ->
+        Sys.chdir saved_cwd;
+        Unix.putenv "PATH" (Option.value saved_path ~default:"");
+        Option.iter (Unix.putenv "GIT_DIR") saved_git_dir;
+        if Sys.file_exists log then Sys.remove log;
+        Sys.remove git;
+        List.iter Sys.rmdir
+          [ bin; outside; Filename.concat repo ".git"; repo; dir ])
+    (fun () ->
+       (* OCaml cannot unset a variable; an empty GIT_DIR reads as unset *)
+       if saved_git_dir <> None then Unix.putenv "GIT_DIR" "";
+       Unix.putenv "PATH" bin;
+       Sys.chdir outside;
+       let fp = Env.probe () in
+       check_string "outside: rev" "unknown" fp.Env.git_rev;
+       check_bool "outside: clean" false fp.Env.git_dirty;
+       check_bool "outside: git never started" false (Sys.file_exists log);
+       Sys.chdir (Filename.concat repo ".git");
+       let fp = Env.probe () in
+       check_string "inside: rev" (String.make 12 'a') fp.Env.git_rev;
+       check_bool "inside: dirty" true fp.Env.git_dirty;
+       Alcotest.(check (list string))
+         "one exec, no optional locks"
+         [ "--no-optional-locks status --porcelain=v2 --branch --no-ahead-behind" ]
+         (In_channel.with_open_text log In_channel.input_lines))
+
 (* ---- the cross-run ledger ---- *)
 
 let mk_run ?(instance = "b13_1(10)") ?(engine = "hdpll")
@@ -1361,6 +1496,7 @@ let () =
           Alcotest.test_case "buckets" `Quick test_hist_buckets;
           Alcotest.test_case "empty" `Quick test_hist_empty;
           Alcotest.test_case "bad limits" `Quick test_hist_bad_limits;
+          Alcotest.test_case "total saturates" `Quick test_hist_saturates;
         ] );
       ( "obs",
         [
@@ -1379,6 +1515,8 @@ let () =
           Alcotest.test_case "stall preconditions" `Quick
             test_stall_needs_wide_domain_and_tiny_shave;
           Alcotest.test_case "attribution" `Quick test_forensics_attribution;
+          Alcotest.test_case "top_k matches stable sort" `Quick
+            test_top_k_matches_sort;
           Alcotest.test_case "attribution stable across runs" `Quick
             test_attribution_stable_across_runs;
           Alcotest.test_case "w61 stall + profile (splits off)" `Quick
@@ -1427,7 +1565,12 @@ let () =
             test_openmetrics_gc_gauges;
         ] );
       ( "env",
-        [ Alcotest.test_case "fingerprint" `Quick test_env_fingerprint ] );
+        [
+          Alcotest.test_case "fingerprint" `Quick test_env_fingerprint;
+          Alcotest.test_case "porcelain v2 parse" `Quick test_porcelain_parse;
+          Alcotest.test_case "probe spawns only in a checkout" `Quick
+            test_env_probe_spawns;
+        ] );
       ( "ledger",
         [
           Alcotest.test_case "round trip + torn tail" `Quick
