@@ -11,9 +11,7 @@
      export             an instance as SMT-LIB 2 / DIMACS, or the circuit as text
      sat                a DIMACS CNF file through the CDCL engine
      fuzz               differential fuzzing of all engines
-     profile            replay a --trace file and diagnose the run
-     top                live (or post-hoc) monitor over a heartbeat trace
-     metrics            OpenMetrics text exposition of a stats/metrics JSON
+     profile            replay a trace or flight dump: diagnosis, last heartbeat
      runs               list and filter the cross-run ledger
      trace-diff         first divergence between two traces of one instance
 
@@ -36,8 +34,6 @@ module Mono = Rtlsat_obs.Mono
 module Trace = Rtlsat_obs.Trace
 module Forensics = Rtlsat_obs.Forensics
 module Recorder = Rtlsat_obs.Recorder
-module Heartbeat = Rtlsat_obs.Heartbeat
-module Openmetrics = Rtlsat_obs.Openmetrics
 module Json = Rtlsat_obs.Json
 module Ledger = Rtlsat_obs.Ledger
 module Trace_diff = Rtlsat_obs.Trace_diff
@@ -83,22 +79,6 @@ let std_exits =
 
 (* the commands that report no finding: list and export *)
 let input_exits = [ exit_ok; exit_invalid; exit_internal ]
-
-(* read a whole JSON file; exit 2 on I/O or parse failure *)
-let read_json_file path =
-  match
-    let ic = open_in_bin path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Json.of_string (String.trim text)
-  with
-  | j -> j
-  | exception Sys_error msg ->
-    Format.eprintf "rtlsat: %s@." msg;
-    exit 2
-  | exception Json.Parse_error msg ->
-    Format.eprintf "rtlsat: %s: malformed JSON: %s@." path msg;
-    exit 2
 
 (* ---- the cross-run ledger (solve / sweep / sat / fuzz append;
    [rtlsat runs] reads) ---- *)
@@ -233,17 +213,6 @@ let open_trace =
         Format.eprintf "rtlsat: cannot write trace file: %s@." msg;
         exit 2)
 
-(* write a --metrics-out exposition; an unwritable path is invalid input *)
-let write_metrics path text =
-  try
-    let oc = open_out path in
-    output_string oc text;
-    close_out oc;
-    Format.printf "metrics written to %s@." path
-  with Sys_error msg ->
-    Format.eprintf "rtlsat: cannot write metrics file: %s@." msg;
-    exit 2
-
 (* ---- the flight recorder (solve / sweep / sat) ---- *)
 
 (* [Some file] = armed, dumping to [file]; [None] = --no-flight-recorder *)
@@ -376,7 +345,7 @@ let solve_cmd =
   let trace_out =
     trace_term
       ~doc:"Write a JSON-lines event trace (decisions, conflicts, restarts, \
-            learned clauses, J-frontier sizes, ICP stalls); replay it with \
+            learned clauses, heartbeats, ICP stalls); replay it with \
             $(b,rtlsat profile)"
   in
   let dump_graph =
@@ -397,17 +366,11 @@ let solve_cmd =
   let heartbeat =
     Arg.(value & opt float 1.0 & info [ "heartbeat" ] ~docv:"SECONDS"
            ~doc:"Interval between heartbeat trace events (progress totals \
-                 and per-second rates, consumed by $(b,rtlsat top)); 0 \
-                 disables them")
-  in
-  let metrics_out =
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Write the run's metrics in OpenMetrics text exposition \
-                 format (see also $(b,rtlsat metrics))")
+                 and per-second rates; $(b,rtlsat profile) prints the \
+                 last one); 0 disables them")
   in
   let run case_file circuit prop bound engine timeout stats_json trace_out
-      dump_graph dump_graph_max progress opts flight heartbeat metrics_out
-      ledger =
+      dump_graph dump_graph_max progress opts flight heartbeat ledger =
     let req = req_of_opts ?dump_graph ~dump_graph_max ~timeout opts in
     let inst, label =
       match (case_file, circuit, prop, bound) with
@@ -456,7 +419,6 @@ let solve_cmd =
      | None -> ());
     let need_obs =
       stats_json <> None || trace_out <> None || progress || flight <> None
-      || metrics_out <> None
     in
     let obs =
       if need_obs then
@@ -512,11 +474,6 @@ let solve_cmd =
     (match dump_graph with
      | Some dir -> Format.printf "conflict graphs written to %s@." dir
      | None -> ());
-    (match metrics_out with
-     | Some path ->
-       write_metrics path
-         (Openmetrics.of_json (Report.solve_json ~instance:label ~bound engine r))
-     | None -> ());
     let dumped =
       match r.Engines.verdict with
       | Engines.Timeout | Engines.Abort _ -> dump_flight ()
@@ -544,7 +501,6 @@ let solve_cmd =
            [
              (match trace_out with Some p -> [ ("trace", p) ] | None -> []);
              (match stats_json with Some p -> [ ("stats", p) ] | None -> []);
-             (match metrics_out with Some p -> [ ("metrics", p) ] | None -> []);
              flight_artifact dumped;
            ]);
     match r.Engines.verdict with
@@ -556,8 +512,7 @@ let solve_cmd =
        ~doc:"Decide one BMC instance (benchmark or .rtl case file)")
     Term.(const run $ case_file $ circuit $ prop $ bound $ engine $ timeout
           $ stats_json $ trace_out $ dump_graph $ dump_graph_max $ progress
-          $ engine_opts_term $ flight_term $ heartbeat $ metrics_out
-          $ ledger_term)
+          $ engine_opts_term $ flight_term $ heartbeat $ ledger_term)
 
 (* ---- check: external netlist files ---- *)
 
@@ -668,20 +623,16 @@ let sweep_cmd =
       ~doc:"Write a JSON-lines event trace, including the session \
             lifecycle events (session.create, solve.begin with carried \
             counters) and the per-bound sweep.bound / sweep.result \
-            progress events; follow it live with $(b,rtlsat top)"
+            progress events; re-run $(b,rtlsat profile) on it while it \
+            grows to see the bound in progress"
   in
   let heartbeat =
     Arg.(value & opt float 1.0 & info [ "heartbeat" ] ~docv:"SECONDS"
            ~doc:"Interval between heartbeat trace events (each tagged with \
                  the bound being solved); 0 disables them")
   in
-  let metrics_out =
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE"
-           ~doc:"Write the sweep's cumulative metrics in OpenMetrics text \
-                 exposition format")
-  in
   let run circuit prop bounds engine timeout scratch trace_out heartbeat
-      metrics_out flight opts ledger =
+      flight opts ledger =
     let req = req_of_opts ~timeout opts in
     let source, p =
       match Registry.build circuit with
@@ -696,7 +647,7 @@ let sweep_cmd =
         exit 2
     in
     let obs =
-      if trace_out <> None || metrics_out <> None || flight <> None then
+      if trace_out <> None || flight <> None then
         Obs.create ?trace:(open_trace trace_out)
           ?recorder:(Option.map (fun _ -> Recorder.create ()) flight)
           ?heartbeat_every:(if heartbeat > 0.0 then Some heartbeat else None)
@@ -712,9 +663,6 @@ let sweep_cmd =
         ignore (dump_flight ());
         raise e
     in
-    (match metrics_out with
-     | Some path -> write_metrics path (Openmetrics.of_snapshot (Obs.snapshot obs))
-     | None -> ());
     Obs.close obs;
     Format.printf "%s_%s sweep, engine %s: one session, bounds as assumptions@."
       circuit prop (Engines.engine_name engine);
@@ -789,7 +737,6 @@ let sweep_cmd =
         (List.concat
            [
              (match trace_out with Some p -> [ ("trace", p) ] | None -> []);
-             (match metrics_out with Some p -> [ ("metrics", p) ] | None -> []);
              flight_artifact dumped;
            ]);
     if bad then exit 1
@@ -800,7 +747,7 @@ let sweep_cmd =
              session: learned clauses, predicate relations and heuristic \
              state carry from bound to bound")
     Term.(const run $ circuit $ prop $ bounds $ engine $ timeout $ scratch
-          $ trace_out $ heartbeat $ metrics_out $ flight_term
+          $ trace_out $ heartbeat $ flight_term
           $ engine_opts_term $ ledger_term)
 
 (* ---- serve: JSON-lines daemon over warm solver sessions ---- *)
@@ -1168,191 +1115,19 @@ let profile_cmd =
     | exception Sys_error msg ->
       Format.eprintf "rtlsat: %s@." msg;
       exit 2
-    | exception Forensics.Unsupported_schema msg ->
-      Format.eprintf "rtlsat: %s@." msg;
+    | exception Trace.Unsupported_schema msg ->
+      Format.eprintf "rtlsat: %s: %s@." file msg;
       exit 2
   in
   Cmd.v
     (Cmd.info "profile" ~exits:std_exits
        ~doc:
-         (Printf.sprintf
-            "Replay a --trace file or flight-recorder dump offline: event \
-             statistics, conflict locality, phase times, ICP-stall \
-             forensics and a diagnosis.  Reads every trace schema from \
-             rtlsat.trace/1 through rtlsat.trace/%d"
-            Forensics.max_trace_version))
+         "Replay a --trace file or flight-recorder dump offline: event \
+          statistics, conflict locality, phase times, ICP-stall forensics, \
+          the last heartbeat's totals, rates and heap, sweep progress and a \
+          diagnosis.  Re-run it on a growing trace or a SIGUSR1 dump to see \
+          a live run.  Reads rtlsat.trace/7 and rtlsat.trace/8 only")
     Term.(const run $ file)
-
-(* ---- top: heartbeat monitor ---- *)
-
-let top_cmd =
-  let file =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE"
-           ~doc:"A JSON-lines trace carrying heartbeat events (written by \
-                 $(b,rtlsat solve --trace) / $(b,rtlsat sweep --trace))")
-  in
-  let follow =
-    Arg.(value & flag & info [ "f"; "follow" ]
-           ~doc:"Keep tailing the trace and re-render until the run's \
-                 $(b,done) event arrives")
-  in
-  let interval =
-    Arg.(value & opt float 0.5 & info [ "interval" ] ~docv:"SECONDS"
-           ~doc:"Refresh period in follow mode")
-  in
-  let render fmt (v : Heartbeat.view) =
-    Format.fprintf fmt "rtlsat top — %s  (%d events, t=%.1fs)@."
-      (match v.Heartbeat.v_schema with
-       | Some s -> s
-       | None -> "headerless trace")
-      v.Heartbeat.v_events v.Heartbeat.v_t;
-    (match (v.Heartbeat.v_bound, v.Heartbeat.v_bound_index,
-            v.Heartbeat.v_bounds_total)
-     with
-     | Some b, Some i, Some n ->
-       Format.fprintf fmt "sweep: bound %d (%d of %d)@." b (i + 1) n
-     | Some b, _, _ -> Format.fprintf fmt "sweep: bound %d@." b
-     | None, _, _ -> ());
-    Format.fprintf fmt "  decisions    %12d  %10.0f/s@." v.Heartbeat.v_decisions
-      v.Heartbeat.v_dps;
-    Format.fprintf fmt "  conflicts    %12d  %10.0f/s@." v.Heartbeat.v_conflicts
-      v.Heartbeat.v_cps;
-    Format.fprintf fmt "  propagations %12d  %10.0f/s@."
-      v.Heartbeat.v_propagations v.Heartbeat.v_pps;
-    (* trace/7 GC fields; pre-v7 traces leave the column at zero *)
-    if v.Heartbeat.v_heap_mb > 0.0 then
-      Format.fprintf fmt "  heap         %10.1f MB  (major %.2e words, %d compaction%s)@."
-        v.Heartbeat.v_heap_mb v.Heartbeat.v_major_words
-        v.Heartbeat.v_compactions
-        (if v.Heartbeat.v_compactions = 1 then "" else "s");
-    Format.fprintf fmt "  splits %d, stalls %d, width shaved %d, level %d@."
-      v.Heartbeat.v_splits v.Heartbeat.v_stalls v.Heartbeat.v_shaved
-      v.Heartbeat.v_lvl;
-    (match v.Heartbeat.v_last_stall with
-     | Some name ->
-       Format.fprintf fmt "  last ICP stall: %s (%d report%s)@." name
-         v.Heartbeat.v_stall_events
-         (if v.Heartbeat.v_stall_events = 1 then "" else "s")
-     | None -> ());
-    (match List.rev v.Heartbeat.v_bound_results with
-     | [] -> ()
-     | results ->
-       Format.fprintf fmt "bounds done:@.";
-       List.iter
-         (fun (r : Heartbeat.bound_result) ->
-            Format.fprintf fmt "  %5d  %-8s %8.2fs@." r.Heartbeat.b_bound
-              r.Heartbeat.b_verdict r.Heartbeat.b_time)
-         results);
-    match v.Heartbeat.v_result with
-    | Some r -> Format.fprintf fmt "result: %s@." r
-    | None -> Format.fprintf fmt "running…@."
-  in
-  let run file follow interval =
-    let ic =
-      try open_in_bin file
-      with Sys_error msg ->
-        Format.eprintf "rtlsat: %s@." msg;
-        exit 2
-    in
-    let v = Heartbeat.view () in
-    let pending = Buffer.create 1024 in
-    let pos = ref 0 in
-    let feed_line line =
-      if String.trim line <> "" then
-        match Json.of_string line with
-        | j -> Heartbeat.view_update v j
-        | exception Json.Parse_error _ -> ()
-    in
-    (* byte-offset tailing: only complete lines are parsed, so a
-       half-written event at the live end never corrupts the view *)
-    let pump () =
-      let len = in_channel_length ic in
-      if len > !pos then begin
-        seek_in ic !pos;
-        let chunk = really_input_string ic (len - !pos) in
-        pos := len;
-        Buffer.add_string pending chunk;
-        let s = Buffer.contents pending in
-        Buffer.clear pending;
-        let n = String.length s in
-        let start = ref 0 in
-        for i = 0 to n - 1 do
-          if s.[i] = '\n' then begin
-            feed_line (String.sub s !start (i - !start));
-            start := i + 1
-          end
-        done;
-        if !start < n then
-          Buffer.add_string pending (String.sub s !start (n - !start))
-      end
-    in
-    pump ();
-    if not follow then render Format.std_formatter v
-    else begin
-      let running = ref true in
-      while !running do
-        print_string "\027[2J\027[H";
-        render Format.std_formatter v;
-        Format.print_flush ();
-        if v.Heartbeat.v_result <> None then running := false
-        else begin
-          Unix.sleepf (Float.max interval 0.05);
-          pump ()
-        end
-      done
-    end;
-    close_in ic
-  in
-  Cmd.v
-    (Cmd.info "top" ~exits:std_exits
-       ~doc:"Monitor a solve or sweep through its heartbeat trace: latest \
-             rates, stall/split activity, per-bound sweep progress; with \
-             --follow, a live-updating display over a growing trace")
-    Term.(const run $ file $ follow $ interval)
-
-(* ---- metrics: OpenMetrics exposition ---- *)
-
-let metrics_cmd =
-  let file =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"STATS.json"
-           ~doc:"A $(b,rtlsat solve --stats-json) report (rtlsat.solve/1) or \
-                 a bare Obs snapshot object")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write the exposition to FILE instead of stdout")
-  in
-  let run file out =
-    let j = read_json_file file in
-    let recognizable =
-      match Json.member "schema" j with
-      | Some s -> Json.get_string s = Some "rtlsat.solve/1"
-      | None -> Json.member "wall_s" j <> None
-    in
-    if not recognizable then begin
-      Format.eprintf
-        "rtlsat: %s: neither a rtlsat.solve/1 report nor an Obs snapshot@."
-        file;
-      exit 2
-    end;
-    let text = Openmetrics.of_json j in
-    match out with
-    | None -> print_string text
-    | Some path ->
-      (try
-         let oc = open_out path in
-         output_string oc text;
-         close_out oc;
-         Format.printf "metrics written to %s@." path
-       with Sys_error msg ->
-         Format.eprintf "rtlsat: %s@." msg;
-         exit 2)
-  in
-  Cmd.v
-    (Cmd.info "metrics" ~exits:std_exits
-       ~doc:"Convert a stats/metrics JSON report into the OpenMetrics text \
-             exposition format (Prometheus-compatible, trailing # EOF)")
-    Term.(const run $ file $ out)
 
 (* ---- runs: list and filter the cross-run ledger ---- *)
 
@@ -1453,12 +1228,16 @@ let trace_diff_cmd =
     | exception Sys_error msg ->
       Format.eprintf "rtlsat: %s@." msg;
       exit 2
+    | exception Trace.Unsupported_schema msg ->
+      Format.eprintf "rtlsat: %s@." msg;
+      exit 2
   in
   Cmd.v
     (Cmd.info "trace-diff" ~exits:std_exits
        ~doc:"Align two --trace files of the same instance, name the first \
              divergent decision/split/conflict and report per-phase time and \
-             counter deltas; exits 1 when the verdicts diverge")
+             counter deltas; exits 1 when the verdicts diverge.  Reads \
+             rtlsat.trace/7 and rtlsat.trace/8 only")
     Term.(const run $ old_file $ new_file)
 
 let () =
@@ -1470,8 +1249,6 @@ let () =
         prove_cmd; export_cmd; sat_cmd;
         fuzz_cmd;
         profile_cmd;
-        top_cmd;
-        metrics_cmd;
         runs_cmd;
         trace_diff_cmd ]
   in

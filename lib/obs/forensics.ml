@@ -221,49 +221,9 @@ let top_vars t ~k =
 
 (* ---- offline analysis ---- *)
 
-(* The profiler reads every trace version this repo has ever written;
-   the dispatch table is the single place a new version is declared.
-   An unknown future version is a hard, explicit error — silently
-   misreading a v9 trace as v5 would fabricate diagnoses. *)
-let trace_versions =
-  [
-    (1, "headerless: decide/conflict/learn/restart/done");
-    (2, "header + forensics events (icp_stall, hot_constraints, hot_vars, \
-         phases)");
-    (3, "+ split events and the \"split\" decide kind");
-    (4, "+ session lifecycle (session.create, solve.begin, \"assumption\" \
-         decides)");
-    (5, "+ live telemetry (heartbeat, recorder, sweep.bound/sweep.result)");
-    (6, "+ simplify.pass (pre/inprocessing over the clause databases)");
-    (7, "+ GC/memory telemetry on heartbeats (major_words, heap_mb, \
-         compactions)");
-    (8, "+ worker-tagged events (a \"worker\" field, no longer written)");
-  ]
-
-let max_trace_version =
-  List.fold_left (fun acc (v, _) -> max acc v) 0 trace_versions
-
-exception Unsupported_schema of string
-
-let schema_version tag =
-  let prefix = "rtlsat.trace/" in
-  let plen = String.length prefix in
-  if String.length tag > plen && String.sub tag 0 plen = prefix then
-    int_of_string_opt (String.sub tag plen (String.length tag - plen))
-  else None
-
-(* [Some v] for a known version, raises for a recognizably
-   versioned-but-unknown tag or a foreign schema string *)
-let check_schema tag =
-  match schema_version tag with
-  | Some v when List.mem_assoc v trace_versions -> v
-  | _ ->
-    raise
-      (Unsupported_schema
-         (Printf.sprintf
-            "unsupported trace schema %S: this build reads rtlsat.trace/1 \
-             through rtlsat.trace/%d"
-            tag max_trace_version))
+(* Which schemas a trace may carry is [Trace]'s decision: the profiler
+   reads through [Trace.reader], which rejects anything but
+   rtlsat.trace/7 and /8 before a single event reaches the fold. *)
 
 type stall_info = {
   si_var : int;
@@ -274,9 +234,33 @@ type stall_info = {
   si_last_width : int;
 }
 
+type heartbeat = {
+  hb_t : float;
+  hb_decisions : int;
+  hb_dps : float;
+  hb_conflicts : int;
+  hb_cps : float;
+  hb_propagations : int;
+  hb_pps : float;
+  hb_splits : int;
+  hb_stalls : int;
+  hb_shaved : int;
+  hb_lvl : int;
+  hb_heap_mb : float;
+  hb_major_words : float;
+  hb_compactions : int;
+}
+
+type sweep_bound = {
+  sb_bound : int;
+  sb_index : int option;
+  sb_total : int option;
+}
+
+type bound_result = { br_bound : int; br_verdict : string; br_time : float }
+
 type profile = {
   pf_schema : string option;
-  pf_version : int;
   pf_warnings : string list;
   pf_events : (string * int) list;
   pf_wall : float;
@@ -291,6 +275,9 @@ type profile = {
   pf_split_vars : int;
   pf_split_stalled : int;
   pf_heartbeats : int;
+  pf_last_heartbeat : heartbeat option;
+  pf_sweep_bound : sweep_bound option;
+  pf_bound_results : bound_result list;
   pf_stalls : stall_info list;
   pf_hot_constraints : hot_constr list;
   pf_hot_vars : hot_var list;
@@ -406,14 +393,35 @@ let diagnose ~result ~stalls ~phases ~conflicts ~local ~bt_mean ~restarts
           backjump normally.";
   List.rev !out
 
-let profile_string text =
+let heartbeat_of_json j =
+  let int name = Option.value (field_int j name) ~default:0 in
+  let float name = Option.value (field_float j name) ~default:0.0 in
+  {
+    hb_t = float "t";
+    hb_decisions = int "decisions";
+    hb_dps = float "dps";
+    hb_conflicts = int "conflicts";
+    hb_cps = float "cps";
+    hb_propagations = int "propagations";
+    hb_pps = float "pps";
+    hb_splits = int "splits";
+    hb_stalls = int "stalls";
+    hb_shaved = int "shaved";
+    hb_lvl = int "lvl";
+    hb_heap_mb = float "heap_mb";
+    hb_major_words = float "major_words";
+    hb_compactions = int "compactions";
+  }
+
+let profile_with ?(tap = ignore) read =
   let warnings = ref [] in
   let warn fmt = Printf.ksprintf (fun m -> warnings := m :: !warnings) fmt in
   let events = Hashtbl.create 16 in
   let decisions = Hashtbl.create 4 in
-  let schema = ref None in
-  let version = ref 1 in
   let heartbeats = ref 0 in
+  let last_heartbeat = ref None in
+  let sweep_bound = ref None in
+  let bound_results = ref [] in
   let wall = ref 0.0 in
   let result = ref None in
   let conflicts = ref 0 in
@@ -428,109 +436,120 @@ let profile_string text =
   let hot_constraints = ref [] in
   let hot_vars = ref [] in
   let phases = ref [] in
-  let first = ref true in
-  let n_bad = ref 0 in
-  let handle line =
-    match Json.of_string line with
-    | exception Json.Parse_error _ -> incr n_bad
-    | j ->
-      let ev = Option.value (field_str j "ev") ~default:"?" in
-      tally events ev;
-      (match field_float j "t" with Some t when t > !wall -> wall := t | _ -> ());
-      if !first then begin
-        first := false;
-        match ev with
-        | "header" ->
-          (match field_str j "schema" with
-           | Some tag ->
-             version := check_schema tag;
-             schema := Some tag
-           | None ->
-             warn "trace header carries no schema tag; assuming the current \
-                   version")
-        | _ ->
-          warn
-            "no trace header: treating this as a v1 (rtlsat.trace/1) trace — \
-             stall and attribution events were not emitted by that version"
-      end;
-      (match ev with
-       | "decide" ->
-         incr n_decisions;
-         tally decisions (Option.value (field_str j "kind") ~default:"?")
-       | "conflict" ->
-         incr conflicts;
-         (match field_int j "len" with Some l -> len_sum := !len_sum + l | None -> ());
-         (match (field_int j "lvl", field_int j "bt") with
-          | Some lvl, Some bt ->
-            let d = lvl - bt in
-            bt_sum := !bt_sum + d;
-            if d <= 2 then incr local
-          | _ -> ())
-       | "restart" -> incr restarts
-       | "done" -> result := field_str j "result"
-       | "heartbeat" -> incr heartbeats
-       | "recorder" ->
-         (match field_int j "dropped" with
-          | Some d when d > 0 ->
-            warn
-              "flight-recorder dump: %d event(s) dropped (ring capacity %d) — \
-               the earliest part of the run is missing"
-              d
-              (Option.value (field_int j "cap") ~default:0)
-          | _ -> ())
-       | "icp_stall" ->
-         let v = Option.value (field_int j "var") ~default:(-1) in
-         let info =
-           match Hashtbl.find_opt stall_tbl v with
-           | Some i ->
-             {
-               i with
-               si_reports = i.si_reports + 1;
-               si_max_streak =
-                 max i.si_max_streak
-                   (Option.value (field_int j "streak") ~default:0);
-               si_last_width = Option.value (field_int j "width") ~default:0;
-             }
-           | None ->
-             {
-               si_var = v;
-               si_name = Option.value (field_str j "name")
-                   ~default:(Printf.sprintf "v%d" v);
-               si_desc = Option.value (field_str j "desc")
-                   ~default:"(unknown constraint)";
-               si_reports = 1;
-               si_max_streak = Option.value (field_int j "streak") ~default:0;
-               si_last_width = Option.value (field_int j "width") ~default:0;
-             }
-         in
-         Hashtbl.replace stall_tbl v info
-       | "split" ->
-         incr n_splits;
-         let v = Option.value (field_int j "var") ~default:(-1) in
-         Hashtbl.replace split_tbl v
-           (1 + Option.value (Hashtbl.find_opt split_tbl v) ~default:0)
-       | "hot_constraints" ->
-         (match Option.bind (Json.member "top" j) Json.get_list with
-          | Some l -> hot_constraints := List.map hot_constr_of_json l
-          | None -> ())
-       | "hot_vars" ->
-         (match Option.bind (Json.member "top" j) Json.get_list with
-          | Some l -> hot_vars := List.map hot_var_of_json l
-          | None -> ())
-       | "phases" ->
-         (match Json.get_obj (Option.value (Json.member "self_s" j) ~default:Json.Null) with
-          | Some fields ->
-            phases :=
-              List.filter_map
-                (fun (n, v) -> Option.map (fun f -> (n, f)) (Json.get_float v))
-                fields
-          | None -> ())
-       | _ -> ())
+  let set_bound j ~index ~total =
+    match field_int j "bound" with
+    | Some b ->
+      sweep_bound :=
+        Some
+          { sb_bound = b; sb_index = field_int j index;
+            sb_total = field_int j total }
+    | None -> ()
   in
-  String.split_on_char '\n' text
-  |> List.iter (fun line -> if String.trim line <> "" then handle line);
-  if !n_bad > 0 then warn "%d malformed line(s) skipped" !n_bad;
-  if !first then warn "trace is empty";
+  let handle j =
+    tap j;
+    let ev = Option.value (field_str j "ev") ~default:"?" in
+    tally events ev;
+    (match field_float j "t" with Some t when t > !wall -> wall := t | _ -> ());
+    match ev with
+    | "decide" ->
+      incr n_decisions;
+      tally decisions (Option.value (field_str j "kind") ~default:"?")
+    | "conflict" ->
+      incr conflicts;
+      (match field_int j "len" with Some l -> len_sum := !len_sum + l | None -> ());
+      (match (field_int j "lvl", field_int j "bt") with
+       | Some lvl, Some bt ->
+         let d = lvl - bt in
+         bt_sum := !bt_sum + d;
+         if d <= 2 then incr local
+       | _ -> ())
+    | "restart" -> incr restarts
+    | "done" -> result := field_str j "result"
+    | "heartbeat" ->
+      incr heartbeats;
+      last_heartbeat := Some j;
+      (* a flight dump may have lost the sweep.bound event; the beat's
+         sweep context still names the bound *)
+      set_bound j ~index:"bound_index" ~total:"bounds_total"
+    | "sweep.bound" -> set_bound j ~index:"index" ~total:"total"
+    | "sweep.result" ->
+      (match (field_int j "bound", field_str j "verdict") with
+       | Some b, Some verdict ->
+         bound_results :=
+           {
+             br_bound = b;
+             br_verdict = verdict;
+             br_time = Option.value (field_float j "time_s") ~default:0.0;
+           }
+           :: !bound_results
+       | _ -> ())
+    | "recorder" ->
+      (match field_int j "dropped" with
+       | Some d when d > 0 ->
+         warn
+           "flight-recorder dump: %d event(s) dropped (ring capacity %d) — \
+            the earliest part of the run is missing"
+           d
+           (Option.value (field_int j "cap") ~default:0)
+       | _ -> ())
+    | "icp_stall" ->
+      let v = Option.value (field_int j "var") ~default:(-1) in
+      let info =
+        match Hashtbl.find_opt stall_tbl v with
+        | Some i ->
+          {
+            i with
+            si_reports = i.si_reports + 1;
+            si_max_streak =
+              max i.si_max_streak
+                (Option.value (field_int j "streak") ~default:0);
+            si_last_width = Option.value (field_int j "width") ~default:0;
+          }
+        | None ->
+          {
+            si_var = v;
+            si_name = Option.value (field_str j "name")
+                ~default:(Printf.sprintf "v%d" v);
+            si_desc = Option.value (field_str j "desc")
+                ~default:"(unknown constraint)";
+            si_reports = 1;
+            si_max_streak = Option.value (field_int j "streak") ~default:0;
+            si_last_width = Option.value (field_int j "width") ~default:0;
+          }
+      in
+      Hashtbl.replace stall_tbl v info
+    | "split" ->
+      incr n_splits;
+      let v = Option.value (field_int j "var") ~default:(-1) in
+      Hashtbl.replace split_tbl v
+        (1 + Option.value (Hashtbl.find_opt split_tbl v) ~default:0)
+    | "hot_constraints" ->
+      (match Option.bind (Json.member "top" j) Json.get_list with
+       | Some l -> hot_constraints := List.map hot_constr_of_json l
+       | None -> ())
+    | "hot_vars" ->
+      (match Option.bind (Json.member "top" j) Json.get_list with
+       | Some l -> hot_vars := List.map hot_var_of_json l
+       | None -> ())
+    | "phases" ->
+      (match Json.get_obj (Option.value (Json.member "self_s" j) ~default:Json.Null) with
+       | Some fields ->
+         phases :=
+           List.filter_map
+             (fun (n, v) -> Option.map (fun f -> (n, f)) (Json.get_float v))
+             fields
+       | None -> ())
+    | _ -> ()
+  in
+  let r = Trace.reader handle in
+  read r;
+  if Trace.malformed r > 0 then
+    warn "%d malformed line(s) skipped" (Trace.malformed r);
+  if Trace.pending r then
+    warn
+      "the last line is incomplete (the run is still writing, or was killed \
+       mid-line) and was not read";
+  if Trace.header r = None then warn "trace is empty";
   let stalls =
     Hashtbl.fold (fun _ i acc -> i :: acc) stall_tbl []
     |> List.sort (fun a b -> compare b.si_max_streak a.si_max_streak)
@@ -541,9 +560,9 @@ let profile_string text =
       (fun v _ acc -> if Hashtbl.mem stall_tbl v then acc + 1 else acc)
       split_tbl 0
   in
+  let bound_results = List.rev !bound_results in
   {
-    pf_schema = !schema;
-    pf_version = !version;
+    pf_schema = Trace.header r;
     pf_warnings = List.rev !warnings;
     pf_events = sorted_counts events;
     pf_wall = !wall;
@@ -558,6 +577,14 @@ let profile_string text =
     pf_split_vars = Hashtbl.length split_tbl;
     pf_split_stalled = split_stalled;
     pf_heartbeats = !heartbeats;
+    pf_last_heartbeat = Option.map heartbeat_of_json !last_heartbeat;
+    pf_sweep_bound =
+      (* a bound with a result is finished, not in progress *)
+      Option.bind !sweep_bound (fun b ->
+          if List.exists (fun r -> r.br_bound = b.sb_bound) bound_results
+          then None
+          else Some b);
+    pf_bound_results = bound_results;
     pf_stalls = stalls;
     pf_hot_constraints = !hot_constraints;
     pf_hot_vars = !hot_vars;
@@ -569,24 +596,49 @@ let profile_string text =
         ~split_vars:(Hashtbl.length split_tbl) ~split_stalled;
   }
 
-let profile_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> profile_string (really_input_string ic (in_channel_length ic)))
+let profile_file path = profile_with (fun r -> Trace.read_file r path)
 
 let print_profile fmt p =
   let section name = Format.fprintf fmt "@.%s@." name in
+  let plural n = if n = 1 then "" else "s" in
   Format.fprintf fmt "trace profile (%s)@."
-    (match p.pf_schema with
-     | Some s -> s
-     | None -> "headerless; assuming rtlsat.trace/1");
+    (Option.value p.pf_schema ~default:"empty trace");
   List.iter (fun w -> Format.fprintf fmt "warning: %s@." w) p.pf_warnings;
   Format.fprintf fmt "wall clock covered: %.3fs   result: %s@." p.pf_wall
     (Option.value p.pf_result ~default:"(no done event)");
-  if p.pf_heartbeats > 0 then
-    Format.fprintf fmt "telemetry: %d heartbeat(s) over %.3fs@."
-      p.pf_heartbeats p.pf_wall;
+  (match p.pf_last_heartbeat with
+   | None -> ()
+   | Some h ->
+     section
+       (Printf.sprintf "telemetry: %d heartbeat(s); the last one, at %.3fs:"
+          p.pf_heartbeats h.hb_t);
+     Format.fprintf fmt "  decisions    %12d  %10.0f/s@." h.hb_decisions
+       h.hb_dps;
+     Format.fprintf fmt "  conflicts    %12d  %10.0f/s@." h.hb_conflicts
+       h.hb_cps;
+     Format.fprintf fmt "  propagations %12d  %10.0f/s@." h.hb_propagations
+       h.hb_pps;
+     Format.fprintf fmt
+       "  heap         %10.1f MB  (major %.2e words, %d compaction%s)@."
+       h.hb_heap_mb h.hb_major_words h.hb_compactions
+       (plural h.hb_compactions);
+     Format.fprintf fmt "  splits %d, stalls %d, width shaved %d, level %d@."
+       h.hb_splits h.hb_stalls h.hb_shaved h.hb_lvl);
+  if p.pf_bound_results <> [] || p.pf_sweep_bound <> None then begin
+    section "sweep bounds:";
+    List.iter
+      (fun r ->
+         Format.fprintf fmt "  %5d  %-8s %8.2fs@." r.br_bound r.br_verdict
+           r.br_time)
+      p.pf_bound_results;
+    match p.pf_sweep_bound with
+    | None -> ()
+    | Some b ->
+      Format.fprintf fmt "  %5d  running%s@." b.sb_bound
+        (match (b.sb_index, b.sb_total) with
+         | Some i, Some n -> Printf.sprintf " (bound %d of %d)" (i + 1) n
+         | _ -> "")
+  end;
   section "events:";
   List.iter
     (fun (ev, n) -> Format.fprintf fmt "  %-18s %8d@." ev n)

@@ -13,8 +13,10 @@
     diagnoses itself instead of timing out silently.
 
     {b Offline analysis} — a replay profiler for [--trace] JSON-lines
-    files ([rtlsat profile]): event statistics, conflict locality,
-    restart efficacy, detected stalls and a human-readable diagnosis.
+    files and flight-recorder dumps ([rtlsat profile]): event
+    statistics, conflict locality, restart efficacy, detected stalls,
+    the last heartbeat, sweep progress and a human-readable
+    diagnosis.
 
     The online half is only ever reached behind an [Obs.enabled]
     check, so the disabled-observability overhead contract
@@ -134,22 +136,6 @@ val top_k :
 
 (* ---- offline analysis: the trace-replay profiler ---- *)
 
-val trace_versions : (int * string) list
-(** Every trace schema version this build reads, with a one-line
-    description of what each added — the profiler's dispatch table. *)
-
-val max_trace_version : int
-
-exception Unsupported_schema of string
-(** Raised by {!profile_string} / {!profile_file} when the trace
-    header carries a schema tag this build does not know (a future
-    [rtlsat.trace/N] or a foreign format); the message names the
-    supported range. *)
-
-val schema_version : string -> int option
-(** Parse ["rtlsat.trace/N"] into [Some N]; [None] for anything
-    else. *)
-
 type stall_info = {
   si_var : int;
   si_name : string;
@@ -159,9 +145,36 @@ type stall_info = {
   si_last_width : int;
 }
 
+(** The last [heartbeat] event of a trace: running totals, per-second
+    rates over the beat before it, and the GC picture. *)
+type heartbeat = {
+  hb_t : float;
+  hb_decisions : int;
+  hb_dps : float;
+  hb_conflicts : int;
+  hb_cps : float;
+  hb_propagations : int;
+  hb_pps : float;
+  hb_splits : int;
+  hb_stalls : int;
+  hb_shaved : int;   (** total interval width shaved *)
+  hb_lvl : int;      (** decision level *)
+  hb_heap_mb : float;
+  hb_major_words : float;
+  hb_compactions : int;
+}
+
+(** A sweep bound: [sb_index] is 0-based among [sb_total] bounds. *)
+type sweep_bound = {
+  sb_bound : int;
+  sb_index : int option;
+  sb_total : int option;
+}
+
+type bound_result = { br_bound : int; br_verdict : string; br_time : float }
+
 type profile = {
-  pf_schema : string option;  (** [None]: headerless (v1) trace *)
-  pf_version : int;           (** dispatched schema version; 1 when headerless *)
+  pf_schema : string option;  (** header tag; [None]: empty trace *)
   pf_warnings : string list;
   pf_events : (string * int) list;  (** event name -> count, by count *)
   pf_wall : float;                  (** t of the last event *)
@@ -175,7 +188,12 @@ type profile = {
   pf_splits : int;             (** interval-split decisions ([split] events) *)
   pf_split_vars : int;         (** distinct variables split *)
   pf_split_stalled : int;      (** split variables also reported stalled *)
-  pf_heartbeats : int;         (** [heartbeat] telemetry events (v5) *)
+  pf_heartbeats : int;         (** [heartbeat] telemetry events *)
+  pf_last_heartbeat : heartbeat option;
+  pf_sweep_bound : sweep_bound option;
+      (** the sweep bound still running: the last [sweep.bound] or
+          heartbeat sweep context, unless a [sweep.result] closed it *)
+  pf_bound_results : bound_result list;  (** [sweep.result]s, in order *)
   pf_stalls : stall_info list;
   pf_hot_constraints : hot_constr list;  (** from [hot_constraints] *)
   pf_hot_vars : hot_var list;            (** from [hot_vars] *)
@@ -184,14 +202,19 @@ type profile = {
       (** ordered findings, dominant behaviour first *)
 }
 
-val profile_string : string -> profile
-(** Analyze a whole trace given as one string (JSON object per line).
-    Never raises on malformed events — they become warnings.
-    @raise Unsupported_schema on an unknown header schema tag. *)
+val profile_with : ?tap:(Json.t -> unit) -> (Trace.reader -> unit) -> profile
+(** [profile_with read] folds every event [read] feeds to the reader it
+    is given ({!Trace.feed} or {!Trace.read_file}) into a profile;
+    [tap] sees each event first.
+    Malformed lines and an incomplete last line become warnings.  Any
+    split of the same bytes into chunks gives the same profile, so a
+    growing trace can be profiled again at any time.
+    @raise Trace.Unsupported_schema as {!Trace.feed}. *)
 
 val profile_file : string -> profile
 (** @raise Sys_error when the file cannot be read.
-    @raise Unsupported_schema on an unknown header schema tag. *)
+    @raise Trace.Unsupported_schema unless the trace is rtlsat.trace/7
+    or /8. *)
 
 val print_profile : Format.formatter -> profile -> unit
 (** The [rtlsat profile] report. *)

@@ -1,14 +1,9 @@
 (* Heartbeats: periodic in-flight progress events.
 
-   The emitting half is a tiny state machine owned by [Obs.t]: the
-   solver's existing step-count gates call [due] (one clock read) and,
-   at most once per interval, [beat] renders a [heartbeat] event with
-   totals and per-second deltas.
-
-   The consuming half is a [view] — a fold over parsed trace events
-   that keeps the latest rates, stall/split activity and sweep
-   progress, used by [rtlsat top] to render a live one-screen
-   monitor. *)
+   A tiny state machine owned by [Obs.t]: the solver's existing
+   step-count gates call [due] (one clock read) and, at most once per
+   interval, [beat] renders a [heartbeat] event with totals and
+   per-second deltas.  [rtlsat profile] reads the last one back. *)
 
 type t = {
   interval : float;
@@ -76,116 +71,3 @@ let beat t ~now ~now_rel ~decisions ~conflicts ~propagations ~splits ~stalls
   in
   t.next_due <- now +. t.interval;
   fields
-
-(* ---- the monitor view ---- *)
-
-type bound_result = {
-  b_bound : int;
-  b_verdict : string;
-  b_time : float;
-}
-
-type view = {
-  mutable v_schema : string option;
-  mutable v_events : int;
-  mutable v_t : float;              (* t of the last event seen *)
-  mutable v_seq : int;
-  mutable v_decisions : int;
-  mutable v_conflicts : int;
-  mutable v_propagations : int;
-  mutable v_splits : int;
-  mutable v_stalls : int;
-  mutable v_shaved : int;
-  mutable v_lvl : int;
-  mutable v_dps : float;
-  mutable v_cps : float;
-  mutable v_pps : float;
-  mutable v_heap_mb : float;             (* trace/7 GC fields *)
-  mutable v_major_words : float;
-  mutable v_compactions : int;
-  mutable v_bound : int option;          (* from heartbeat context *)
-  mutable v_bound_index : int option;
-  mutable v_bounds_total : int option;
-  mutable v_stall_events : int;
-  mutable v_last_stall : string option;  (* variable name *)
-  mutable v_bound_results : bound_result list;  (* newest first *)
-  mutable v_result : string option;      (* from the done event *)
-}
-
-let view () =
-  {
-    v_schema = None;
-    v_events = 0;
-    v_t = 0.0;
-    v_seq = 0;
-    v_decisions = 0;
-    v_conflicts = 0;
-    v_propagations = 0;
-    v_splits = 0;
-    v_stalls = 0;
-    v_shaved = 0;
-    v_lvl = 0;
-    v_dps = 0.0;
-    v_cps = 0.0;
-    v_pps = 0.0;
-    v_heap_mb = 0.0;
-    v_major_words = 0.0;
-    v_compactions = 0;
-    v_bound = None;
-    v_bound_index = None;
-    v_bounds_total = None;
-    v_stall_events = 0;
-    v_last_stall = None;
-    v_bound_results = [];
-    v_result = None;
-  }
-
-let fint j name = Option.bind (Json.member name j) Json.get_int
-let ffloat j name = Option.bind (Json.member name j) Json.get_float
-let fstr j name = Option.bind (Json.member name j) Json.get_string
-
-let view_update v j =
-  v.v_events <- v.v_events + 1;
-  (match ffloat j "t" with Some t when t > v.v_t -> v.v_t <- t | _ -> ());
-  match fstr j "ev" with
-  | Some "header" -> v.v_schema <- fstr j "schema"
-  | Some "heartbeat" ->
-    let set get store = match get with Some x -> store x | None -> () in
-    set (fint j "seq") (fun x -> v.v_seq <- x);
-    set (fint j "decisions") (fun x -> v.v_decisions <- x);
-    set (fint j "conflicts") (fun x -> v.v_conflicts <- x);
-    set (fint j "propagations") (fun x -> v.v_propagations <- x);
-    set (fint j "splits") (fun x -> v.v_splits <- x);
-    set (fint j "stalls") (fun x -> v.v_stalls <- x);
-    set (fint j "shaved") (fun x -> v.v_shaved <- x);
-    set (fint j "lvl") (fun x -> v.v_lvl <- x);
-    set (ffloat j "dps") (fun x -> v.v_dps <- x);
-    set (ffloat j "cps") (fun x -> v.v_cps <- x);
-    set (ffloat j "pps") (fun x -> v.v_pps <- x);
-    (* pre-trace/7 heartbeats simply leave the GC columns at zero *)
-    set (ffloat j "heap_mb") (fun x -> v.v_heap_mb <- x);
-    set (ffloat j "major_words") (fun x -> v.v_major_words <- x);
-    set (fint j "compactions") (fun x -> v.v_compactions <- x);
-    v.v_bound <- fint j "bound";
-    v.v_bound_index <- fint j "bound_index";
-    v.v_bounds_total <- fint j "bounds_total"
-  | Some "icp_stall" ->
-    v.v_stall_events <- v.v_stall_events + 1;
-    v.v_last_stall <- fstr j "name"
-  | Some "sweep.bound" ->
-    v.v_bound <- fint j "bound";
-    v.v_bound_index <- fint j "index";
-    v.v_bounds_total <- fint j "total"
-  | Some "sweep.result" ->
-    (match (fint j "bound", fstr j "verdict") with
-     | Some b, Some verdict ->
-       v.v_bound_results <-
-         {
-           b_bound = b;
-           b_verdict = verdict;
-           b_time = Option.value (ffloat j "time_s") ~default:0.0;
-         }
-         :: v.v_bound_results
-     | _ -> ())
-  | Some "done" -> v.v_result <- fstr j "result"
-  | _ -> ()

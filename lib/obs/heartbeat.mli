@@ -1,16 +1,12 @@
-(** Periodic in-flight progress telemetry.
-
-    {b Emitting} — a rate-limiter plus delta tracker owned by an
-    enabled {!Obs.t}.  The solver's existing step-count gates ask
-    {!due} (one clock read); at most once per interval {!beat}
+(** Periodic in-flight progress telemetry: a rate-limiter plus delta
+    tracker owned by an enabled {!Obs.t}.  The solver's existing
+    step-count gates ask {!due} (one clock read); at most once per
+    interval {!beat}
     produces the field list of one [heartbeat] trace event: running
     totals (decisions, conflicts, propagations, splits, stalls, total
     interval width shaved, current decision level) and per-second
     rates over the previous beat ([dps]/[cps]/[pps]).
-
-    {b Consuming} — a {!view} folds parsed trace events (live tail or
-    completed file) into the latest rates, stall/split activity and
-    per-bound sweep progress; [rtlsat top] renders it. *)
+    [rtlsat profile] prints the last beat of a trace or flight dump. *)
 
 type t
 
@@ -41,41 +37,3 @@ val beat :
     delta baseline and re-emits the previous rates instead of
     producing negative or infinite [dps]/[cps]/[pps]; totals still
     carry forward. *)
-
-(* ---- the monitor view (rtlsat top) ---- *)
-
-type bound_result = { b_bound : int; b_verdict : string; b_time : float }
-
-type view = {
-  mutable v_schema : string option;
-  mutable v_events : int;
-  mutable v_t : float;
-  mutable v_seq : int;
-  mutable v_decisions : int;
-  mutable v_conflicts : int;
-  mutable v_propagations : int;
-  mutable v_splits : int;
-  mutable v_stalls : int;
-  mutable v_shaved : int;
-  mutable v_lvl : int;
-  mutable v_dps : float;
-  mutable v_cps : float;
-  mutable v_pps : float;
-  mutable v_heap_mb : float;        (** trace/7 GC fields; 0 on older traces *)
-  mutable v_major_words : float;
-  mutable v_compactions : int;
-  mutable v_bound : int option;
-  mutable v_bound_index : int option;
-  mutable v_bounds_total : int option;
-  mutable v_stall_events : int;
-  mutable v_last_stall : string option;
-  mutable v_bound_results : bound_result list;  (** newest first *)
-  mutable v_result : string option;
-}
-
-val view : unit -> view
-(** A fresh all-zero view. *)
-
-val view_update : view -> Json.t -> unit
-(** Fold one parsed trace event into the view.  Unknown events only
-    bump the event count — a view over any trace version is safe. *)

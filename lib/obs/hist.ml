@@ -36,8 +36,6 @@ let observe h x =
   if x < h.vmin then h.vmin <- x;
   if x > h.vmax then h.vmax <- x
 
-let count h = h.n
-
 type summary = {
   n : int;
   total : int;

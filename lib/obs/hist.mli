@@ -11,7 +11,6 @@ val create : int array -> t
     the rest.  [limits] must be strictly increasing. *)
 
 val observe : t -> int -> unit
-val count : t -> int
 
 type summary = {
   n : int;            (** observations *)

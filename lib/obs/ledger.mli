@@ -6,8 +6,8 @@
     The ledger lives at {!default_path} unless overridden
     ([--ledger FILE] / [RTLSAT_LEDGER]); [--no-ledger] disables the
     append.  Reading tolerates a torn final line (a record cut short
-    by a crash mid-append) and skips corrupt lines, mirroring the
-    tailing discipline of [rtlsat top]. *)
+    by a crash mid-append) and skips corrupt lines, as {!Trace.reader}
+    does for traces. *)
 
 val schema : string
 (** ["rtlsat.run/1"] — one ledger record. *)

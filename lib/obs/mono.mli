@@ -8,9 +8,9 @@
     two readings are never negative and deadlines compare
     monotonically.
 
-    Use this for every [deadline]/[elapsed] computation; keep
-    [Unix.gettimeofday] for ledger and trace {e timestamps}, which
-    should reflect civil time. *)
+    Use this for every [deadline]/[elapsed] computation, trace and
+    flight-recorder [t] stamps included; keep [Unix.gettimeofday] for
+    the ledger's civil timestamps. *)
 
 val now : unit -> float
 (** Current time, seconds since the epoch, clamped to never decrease

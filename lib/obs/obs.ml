@@ -260,7 +260,7 @@ let observe_backjump t d = if t.enabled then Hist.observe t.backjump d
 let emit_to_sinks t ev fields =
   (match t.trace with Some tr -> Trace.emit tr ~ev fields | None -> ());
   match t.recorder with
-  | Some r -> Recorder.record r ~t_rel:(Unix.gettimeofday () -. t.t0) ~ev fields
+  | Some r -> Recorder.record r ~t_rel:(Mono.now () -. t.t0) ~ev fields
   | None -> ()
 
 let event t ev fields = if t.enabled then emit_to_sinks t ev fields

@@ -15,11 +15,9 @@ type entry = {
 
 type t
 
-val default_cap : int
-(** 4096 events. *)
-
 val create : ?cap:int -> unit -> t
-(** @raise Invalid_argument when [cap <= 0]. *)
+(** A ring of [cap] events (default 4096).
+    @raise Invalid_argument when [cap <= 0]. *)
 
 val record : t -> t_rel:float -> ev:string -> (string * Json.t) list -> unit
 (** Append one event ([t_rel] seconds since the owning handle's

@@ -48,78 +48,45 @@ let render_key ev j =
   Buffer.add_char b ')';
   Buffer.contents b
 
+(* the profiler's fold gives the schema, verdict, phases and event
+   counts; the tap adds the key sequence and the [done] totals *)
 let load_side file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-       let schema = ref None in
-       let verdict = ref None in
-       let keys = ref [] in
-       let nkeys = ref 0 in
-       let phases = ref [] in
-       let done_counters = ref [] in
-       let bump tbl k = Hashtbl.replace tbl k (1 + try Hashtbl.find tbl k with Not_found -> 0) in
-       let ev_counts = Hashtbl.create 8 in
-       (try
-          while true do
-            let line = input_line ic in
-            if String.trim line <> "" then
-              match Json.of_string line with
-              | exception Json.Parse_error _ -> () (* torn tail of a killed run *)
-              | j ->
-                (match Json.member "schema" j with
-                 | Some (Json.Str s) when !schema = None -> schema := Some s
-                 | _ -> ());
-                (match Json.member "ev" j with
-                 | Some (Json.Str ev) ->
-                   bump ev_counts ev;
-                   (match ev with
-                    | "decide" | "split" | "conflict" ->
-                      keys := render_key ev j :: !keys;
-                      incr nkeys
-                    | "done" ->
-                      (match Json.member "result" j with
-                       | Some (Json.Str r) -> verdict := Some r
-                       | _ -> ());
-                      List.iter
-                        (fun name ->
-                           match Json.member name j with
-                           | Some (Json.Int n) -> done_counters := (name, n) :: !done_counters
-                           | _ -> ())
-                        [ "conflicts"; "decisions" ]
-                    | "phases" ->
-                      (match Json.member "self_s" j with
-                       | Some (Json.Obj fields) ->
-                         phases :=
-                           List.filter_map
-                             (fun (name, v) ->
-                                Option.map (fun f -> (name, f)) (Json.get_float v))
-                             fields
-                       | _ -> ())
-                    | _ -> ())
-                 | _ -> ())
-          done
-        with End_of_file -> ());
-       let counters =
-         List.rev !done_counters
-         @ List.sort compare
-             (Hashtbl.fold
-                (fun ev n acc ->
-                   match ev with
-                   | "decide" | "split" | "conflict" | "restart" | "icp_stall" ->
-                     ("ev." ^ ev, n) :: acc
-                   | _ -> acc)
-                ev_counts [])
-       in
-       {
-         file;
-         schema = !schema;
-         verdict = !verdict;
-         keys = Array.of_list (List.rev !keys);
-         phases = !phases;
-         counters;
-       })
+  let keys = ref [] in
+  let done_counters = ref [] in
+  let tap j =
+    match Json.member "ev" j with
+    | Some (Json.Str (("decide" | "split" | "conflict") as ev)) ->
+      keys := render_key ev j :: !keys
+    | Some (Json.Str "done") ->
+      done_counters :=
+        List.filter_map
+          (fun name ->
+             match Json.member name j with
+             | Some (Json.Int n) -> Some (name, n)
+             | _ -> None)
+          [ "conflicts"; "decisions" ]
+    | _ -> ()
+  in
+  let p = Forensics.profile_with ~tap (fun r -> Trace.read_file r file) in
+  let counters =
+    !done_counters
+    @ List.sort compare
+        (List.filter_map
+           (fun (ev, n) ->
+              match ev with
+              | "decide" | "split" | "conflict" | "restart" | "icp_stall" ->
+                Some ("ev." ^ ev, n)
+              | _ -> None)
+           p.Forensics.pf_events)
+  in
+  {
+    file;
+    schema = p.Forensics.pf_schema;
+    verdict = p.Forensics.pf_result;
+    keys = Array.of_list (List.rev !keys);
+    phases = p.Forensics.pf_phases;
+    counters;
+  }
 
 let first_divergence a b =
   let na = Array.length a.keys and nb = Array.length b.keys in
@@ -171,38 +138,22 @@ let print fmt d =
        (match dv.older with Some k -> k | None -> "(trace ends)");
      Format.fprintf fmt "    new: %s@."
        (match dv.newer with Some k -> k | None -> "(trace ends)"));
-  let phase_names =
-    List.sort_uniq compare (List.map fst o.phases @ List.map fst n.phases)
+  (* the names whose values differ between the two sides, a missing
+     name reading as [zero] *)
+  let deltas title ~zero ~differ ~row a b =
+    let get l k = Option.value (List.assoc_opt k l) ~default:zero in
+    let names = List.sort_uniq compare (List.map fst a @ List.map fst b) in
+    match List.filter (fun k -> differ (get a k) (get b k)) names with
+    | [] -> ()
+    | names ->
+      Format.fprintf fmt "  %s:@." title;
+      List.iter (fun k -> row k (get a k) (get b k)) names
   in
-  let lookup l k d = match List.assoc_opt k l with Some v -> v | None -> d in
-  let phase_rows =
-    List.filter_map
-      (fun name ->
-         let a = lookup o.phases name 0.0 and b = lookup n.phases name 0.0 in
-         if Float.abs (b -. a) > 1e-9 then Some (name, a, b) else None)
-      phase_names
-  in
-  if phase_rows <> [] then begin
-    Format.fprintf fmt "  phase deltas (self_s, new-old):@.";
-    List.iter
-      (fun (name, a, b) ->
-         Format.fprintf fmt "    %-18s %+10.4f  (%.4f -> %.4f)@." name (b -. a) a b)
-      phase_rows
-  end;
-  let counter_names =
-    List.sort_uniq compare (List.map fst o.counters @ List.map fst n.counters)
-  in
-  let counter_rows =
-    List.filter_map
-      (fun name ->
-         let a = lookup o.counters name 0 and b = lookup n.counters name 0 in
-         if a <> b then Some (name, a, b) else None)
-      counter_names
-  in
-  if counter_rows <> [] then begin
-    Format.fprintf fmt "  counter deltas (new-old):@.";
-    List.iter
-      (fun (name, a, b) ->
-         Format.fprintf fmt "    %-18s %+10d  (%d -> %d)@." name (b - a) a b)
-      counter_rows
-  end
+  deltas "phase deltas (self_s, new-old)" o.phases n.phases ~zero:0.0
+    ~differ:(fun a b -> Float.abs (b -. a) > 1e-9)
+    ~row:(fun name a b ->
+        Format.fprintf fmt "    %-18s %+10.4f  (%.4f -> %.4f)@." name (b -. a)
+          a b);
+  deltas "counter deltas (new-old)" o.counters n.counters ~zero:0 ~differ:( <> )
+    ~row:(fun name a b ->
+        Format.fprintf fmt "    %-18s %+10d  (%d -> %d)@." name (b - a) a b)

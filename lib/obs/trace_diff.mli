@@ -33,11 +33,14 @@ type t = {
   verdict_diverged : bool;
 }
 
-val load_side : string -> side
-(** Parse one trace; corrupt lines are skipped (torn tails happen on
-    killed runs).  @raise Sys_error when the file cannot be read. *)
-
 val diff : old_file:string -> new_file:string -> t
+(** Reads both traces through {!Forensics.profile_with}: malformed
+    lines and an incomplete last line (the torn tail of a killed run)
+    are skipped.  When a trace has several [done] events (one per
+    session call), the last one's verdict and totals count.
+    @raise Sys_error when a file cannot be read.
+    @raise Trace.Unsupported_schema unless both traces are
+    rtlsat.trace/7 or /8. *)
 
 val print : Format.formatter -> t -> unit
 (** Schemas, verdicts, the first divergent key event (old vs new

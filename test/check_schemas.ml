@@ -1,14 +1,14 @@
 (* Schema sweep over the committed trace fixtures: each
-   fixtures/trace_v<N>.jsonl must replay through the profiler at
-   exactly the version its filename declares — fixtures named
+   fixtures/trace_v<N>.jsonl must read through Trace.reader with a
+   header of exactly the version its filename declares — fixtures named
    *unsupported* must instead be rejected.  Run by the runtest alias so
    a schema bump that forgets a committed fixture fails the build. *)
 
-module Forensics = Rtlsat_obs.Forensics
+module Trace = Rtlsat_obs.Trace
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("FAIL: " ^ m); exit 1) fmt
 
-(* "trace_v5.jsonl" -> Some 5 *)
+(* "trace_v7.jsonl" -> Some 7 *)
 let declared_version path =
   let base = Filename.remove_extension (Filename.basename path) in
   let prefix = "trace_v" in
@@ -35,17 +35,22 @@ let check_trace path =
     | Some v -> v
     | None -> fail "%s: cannot read a trace version from the filename" path
   in
+  let r = Trace.reader ignore in
   if contains_sub (Filename.basename path) "unsupported" then
-    match Forensics.profile_file path with
-    | _ -> fail "%s: unsupported schema version %d accepted" path version
-    | exception Forensics.Unsupported_schema _ ->
+    match Trace.read_file r path with
+    | () -> fail "%s: unsupported schema version %d accepted" path version
+    | exception Trace.Unsupported_schema _ ->
       Printf.printf "OK: %s (v%d rejected as unsupported)\n" path version
-  else
-    let p = Forensics.profile_file path in
-    if p.Forensics.pf_version <> version then
-      fail "%s: filename says v%d, profiler dispatched v%d" path version
-        p.Forensics.pf_version;
+  else begin
+    Trace.read_file r path;
+    let read = Option.bind (Trace.header r) Trace.schema_version in
+    if read <> Some version then
+      fail "%s: filename says v%d, header says %s" path version
+        (Option.value (Trace.header r) ~default:"nothing");
+    if Trace.malformed r > 0 || Trace.pending r then
+      fail "%s: malformed or unterminated lines" path;
     Printf.printf "OK: %s (rtlsat.trace/%d)\n" path version
+  end
 
 let () =
   let files = List.tl (Array.to_list Sys.argv) in

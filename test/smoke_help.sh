@@ -19,6 +19,9 @@
 #   8. command-line errors are invalid input too: an unknown option, an
 #      unknown subcommand and a non-integer bound exit 2, not
 #      cmdliner's 124
+#   9. profile and trace-diff read rtlsat.trace/7 and /8 only: a v9, a
+#      v6 or a headerless trace exits 2 with a message naming
+#      rtlsat.trace/8
 # Pass the rtlsat binary as $1 (the dune rule does); standalone runs
 # build it first.
 set -eu
@@ -36,7 +39,8 @@ fi
 out=$(mktemp /tmp/rtlsat_help.XXXXXX.out)
 net=$(mktemp /tmp/rtlsat_help.XXXXXX.rtl)
 cnf=$(mktemp /tmp/rtlsat_help.XXXXXX.cnf)
-trap 'rm -f "$out" "$net" "$cnf"' EXIT
+trace=$(mktemp /tmp/rtlsat_help.XXXXXX.jsonl)
+trap 'rm -f "$out" "$net" "$cnf" "$trace"' EXIT
 
 # 1. every subcommand answers --help
 "$rtlsat" --help=plain > "$out"
@@ -44,14 +48,14 @@ grep -q "COMMANDS" "$out"
 grep -q "serve" "$out"
 
 for sub in list show solve sweep serve check prove export sat fuzz \
-           profile top metrics runs trace-diff; do
+           profile runs trace-diff; do
   "$rtlsat" "$sub" --help=plain > "$out"
 done
 
 # 2. the 0/1/2 exit-code convention is documented on the commands that
 #    share it
-for sub in show solve sweep serve check prove sat fuzz profile top \
-           metrics runs trace-diff; do
+for sub in show solve sweep serve check prove sat fuzz profile runs \
+           trace-diff; do
   "$rtlsat" "$sub" --help=plain > "$out"
   grep -q "on a negative finding" "$out"
   grep -q "on unreadable or invalid input" "$out"
@@ -164,5 +168,29 @@ for args in "solve -c b01 -p 1 -k 5 --no-such-flag" "no-such-command" \
     exit 1
   fi
 done
+
+# 9. only trace/7 and /8 are read, by every trace reader
+fixtures="$here/fixtures"
+expect_unsupported() {
+  status=0
+  "$rtlsat" "$@" > "$out" 2>&1 || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q "rtlsat.trace/8" "$out"; then
+    echo "smoke_help: '$*' exited $status, expected 2 naming rtlsat.trace/8" >&2
+    cat "$out" >&2
+    exit 1
+  fi
+}
+v9="$fixtures/trace_v9_unsupported.jsonl"
+v8="$fixtures/trace_v8.jsonl"
+expect_unsupported trace-diff "$v9" "$v8"
+expect_unsupported trace-diff "$v8" "$v9"
+expect_unsupported profile "$v9"
+printf '%s\n' '{"ev":"header","t":0,"schema":"rtlsat.trace/6"}' \
+  '{"ev":"done","t":0.1,"result":"unsat","conflicts":0,"decisions":0}' > "$trace"
+expect_unsupported profile "$trace"
+printf '%s\n' '{"ev":"decide","t":0.1,"kind":"activity","lvl":1,"var":3}' \
+  '{"ev":"done","t":0.2,"result":"sat","conflicts":0,"decisions":1}' > "$trace"
+expect_unsupported profile "$trace"
+expect_unsupported trace-diff "$trace" "$v8"
 
 echo "smoke_help: all checks passed"

@@ -17,7 +17,6 @@ module Report = Rtlsat_harness.Report
 module Forensics = Rtlsat_obs.Forensics
 module Recorder = Rtlsat_obs.Recorder
 module Heartbeat = Rtlsat_obs.Heartbeat
-module Openmetrics = Rtlsat_obs.Openmetrics
 module Env = Rtlsat_obs.Env
 module Ledger = Rtlsat_obs.Ledger
 module Trace_diff = Rtlsat_obs.Trace_diff
@@ -728,16 +727,38 @@ let test_split_determinism_and_off () =
     on_observed.Solver.stats.Solver.splits;
   check_int "no splits when disabled" 0 off.Solver.stats.Solver.splits
 
-let test_profile_v1_warning () =
-  (* a headerless (v1) trace still profiles, with a warning *)
-  let p =
-    Forensics.profile_string
-      "{\"ev\":\"decide\",\"t\":0.1,\"kind\":\"activity\",\"lvl\":1,\"var\":3}\n\
-       {\"ev\":\"done\",\"t\":0.2,\"result\":\"sat\",\"conflicts\":0,\"decisions\":1}\n"
+let profile_of_chunks chunks =
+  Forensics.profile_with (fun r -> List.iter (Trace.feed r) chunks)
+
+let contains part s =
+  let n = String.length s and k = String.length part in
+  let rec find i = i + k <= n && (String.sub s i k = part || find (i + 1)) in
+  find 0
+
+let test_profile_headerless_rejected () =
+  (* a headerless (v1) trace, or a header older than v7, is refused
+     before any event is read *)
+  let decide =
+    "{\"ev\":\"decide\",\"t\":0.1,\"kind\":\"activity\",\"lvl\":1,\"var\":3}\n"
   in
-  check_bool "no schema" true (p.Forensics.pf_schema = None);
-  check_bool "warned" true (p.Forensics.pf_warnings <> []);
-  check_bool "result still parsed" true (p.Forensics.pf_result = Some "sat")
+  List.iter
+    (fun (what, text) ->
+       match profile_of_chunks [ text ] with
+       | _ -> Alcotest.fail (what ^ " accepted")
+       | exception Trace.Unsupported_schema msg ->
+         check_bool (what ^ ": message names rtlsat.trace/7") true
+           (contains "rtlsat.trace/7" msg))
+    [
+      ("headerless", decide);
+      ("v6 header", "{\"ev\":\"header\",\"t\":0,\"schema\":\"rtlsat.trace/6\"}\n" ^ decide);
+      ("header without a tag", "{\"ev\":\"header\",\"t\":0}\n" ^ decide);
+      ("first line not JSON", "rtlsat\n" ^ decide);
+    ];
+  (* nothing read yet is an empty trace, not a rejected one *)
+  let p = profile_of_chunks [ "" ] in
+  check_bool "empty: no schema" true (p.Forensics.pf_schema = None);
+  check_bool "empty: warned" true
+    (List.exists (contains "empty") p.Forensics.pf_warnings)
 
 (* ---- the report serializers ---- *)
 
@@ -805,27 +826,41 @@ let test_heartbeat_rates () =
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "zero interval accepted")
 
+(* the profile's fold over a sweep trace: the last heartbeat's totals
+   and rates, the bound in progress and the per-bound results *)
 let test_heartbeat_view () =
-  let v = Heartbeat.view () in
-  let feed line = Heartbeat.view_update v (Json.of_string line) in
-  let ic = open_in (fixture_file "trace_v5.jsonl") in
-  (try
-     while true do
-       feed (input_line ic)
-     done
-   with End_of_file -> close_in ic);
-  check_bool "schema" true (v.Heartbeat.v_schema = Some "rtlsat.trace/5");
-  check_int "decisions" 100 v.Heartbeat.v_decisions;
-  check_bool "dps" true (v.Heartbeat.v_dps = 200.0);
-  check_bool "bound from heartbeat" true (v.Heartbeat.v_bound = Some 10);
-  check_bool "bounds total" true (v.Heartbeat.v_bounds_total = Some 2);
-  (match v.Heartbeat.v_bound_results with
+  let p = Forensics.profile_file (fixture_file "trace_v7.jsonl") in
+  check_bool "schema" true (p.Forensics.pf_schema = Some "rtlsat.trace/7");
+  (match p.Forensics.pf_last_heartbeat with
+   | Some h ->
+     check_int "decisions" 100 h.Forensics.hb_decisions;
+     check_bool "dps" true (h.Forensics.hb_dps = 200.0);
+     check_int "propagations" 5000 h.Forensics.hb_propagations;
+     check_int "level" 3 h.Forensics.hb_lvl
+   | None -> Alcotest.fail "no heartbeat");
+  (match p.Forensics.pf_bound_results with
    | [ r ] ->
-     check_int "result bound" 10 r.Heartbeat.b_bound;
-     check_string "result verdict" "unsat" r.Heartbeat.b_verdict
+     check_int "result bound" 10 r.Forensics.br_bound;
+     check_string "result verdict" "unsat" r.Forensics.br_verdict
    | l -> Alcotest.fail (Printf.sprintf "%d bound results" (List.length l)));
-  check_bool "done" true (v.Heartbeat.v_result = Some "unsat");
-  check_int "events" 5 v.Heartbeat.v_events
+  check_bool "bound 10 finished, none in progress" true
+    (p.Forensics.pf_sweep_bound = None);
+  check_bool "done" true (p.Forensics.pf_result = Some "unsat");
+  check_int "events" 6
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 p.Forensics.pf_events);
+  (* cut before the sweep.result: bound 10 of 2 is still running *)
+  let text = In_channel.with_open_bin (fixture_file "trace_v7.jsonl") In_channel.input_all in
+  let upto = String.concat "\n" (List.filteri (fun i _ -> i < 4) (String.split_on_char '\n' text)) ^ "\n" in
+  let live = profile_of_chunks [ upto ] in
+  (match live.Forensics.pf_sweep_bound with
+   | Some b ->
+     check_int "bound in progress" 10 b.Forensics.sb_bound;
+     check_bool "bounds total" true (b.Forensics.sb_total = Some 2)
+   | None -> Alcotest.fail "no bound in progress");
+  let report = Format.asprintf "%a" Forensics.print_profile live in
+  List.iter
+    (fun part -> check_bool ("report shows " ^ part) true (contains part report))
+    [ "the last one, at 0.500s"; "17.5 MB"; "running (bound 1 of 2)" ]
 
 let test_recorder_ring () =
   let r = Recorder.create ~cap:4 () in
@@ -856,7 +891,7 @@ let test_recorder_dump_roundtrip () =
   let p = Forensics.profile_file path in
   Sys.remove path;
   check_bool "dump replays at the current version" true
-    (p.Forensics.pf_version = Forensics.max_trace_version);
+    (p.Forensics.pf_schema = Some Trace.schema);
   check_bool "decide events survive" true
     (List.assoc_opt "decide" p.Forensics.pf_events = Some 3);
   (* 2 of 5 events fell off the ring: the profiler must say so *)
@@ -945,70 +980,14 @@ let test_overhead_guard_cli_default () =
     true
     (!on_ <= (!off *. 1.35) +. 0.03)
 
-let test_openmetrics_exposition () =
-  let obs = Obs.create () in
-  Obs.span obs Obs.Icp (fun () -> ());
-  Obs.incr obs "fme.calls";
-  Obs.observe_learned_len obs 3;
-  let text = Openmetrics.of_snapshot (Obs.snapshot obs) in
-  let contains part =
-    let n = String.length text and k = String.length part in
-    let rec find i = i + k <= n && (String.sub text i k = part || find (i + 1)) in
-    find 0
-  in
-  check_bool "wall gauge" true (contains "# TYPE rtlsat_wall_seconds gauge");
-  check_bool "counter sanitized + _total" true
-    (contains "rtlsat_fme_calls_total 1");
-  check_bool "phase label" true
-    (contains "rtlsat_phase_self_seconds{phase=\"icp\"}");
-  check_bool "histogram +Inf bucket" true
-    (contains "rtlsat_learned_clause_len_bucket{le=\"+Inf\"} 1");
-  check_bool "histogram sum" true (contains "rtlsat_learned_clause_len_sum 3");
-  check_bool "ends with EOF" true
-    (String.length text >= 6
-     && String.sub text (String.length text - 6) 6 = "# EOF\n")
-
-let test_openmetrics_solve_report () =
-  let j =
-    Json.Obj
-      [
-        ("schema", Json.Str "rtlsat.solve/1");
-        ("instance", Json.Str "b01_1(5)\"quoted\\");
-        ("engine", Json.Str "hdpll");
-        ("verdict", Json.Str "unsat");
-        ("time_s", Json.Float 0.25);
-        ("decisions", Json.Int 12);
-        ("conflicts", Json.Int 3);
-      ]
-  in
-  let text = Openmetrics.of_json j in
-  let contains part =
-    let n = String.length text and k = String.length part in
-    let rec find i = i + k <= n && (String.sub text i k = part || find (i + 1)) in
-    find 0
-  in
-  check_bool "info metric with escaped labels" true
-    (contains "instance=\"b01_1(5)\\\"quoted\\\\\"");
-  check_bool "verdict label" true (contains "verdict=\"unsat\"");
-  check_bool "decisions counter" true
-    (contains "rtlsat_solver_decisions_total 12");
-  check_string "sanitize" "fme_calls_2" (Openmetrics.sanitize "fme.calls-2")
-
 (* ---- trace version dispatch ---- *)
 
 let test_trace_version_table () =
-  check_int "max version" 8 Forensics.max_trace_version;
-  List.iter
-    (fun v ->
-       check_bool
-         (Printf.sprintf "version %d in table" v)
-         true
-         (List.mem_assoc v Forensics.trace_versions))
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  check_bool "reads v7 and v8 only" true (Trace.versions = [ 7; 8 ]);
   check_bool "current schema parses" true
-    (Forensics.schema_version Trace.schema = Some Forensics.max_trace_version);
+    (Trace.schema_version Trace.schema = Some 8);
   check_bool "foreign tag rejected" true
-    (Forensics.schema_version "somebody.else/3" = None)
+    (Trace.schema_version "somebody.else/3" = None)
 
 let test_profile_every_version () =
   List.iter
@@ -1017,24 +996,62 @@ let test_profile_every_version () =
          Forensics.profile_file
            (fixture_file (Printf.sprintf "trace_v%d.jsonl" v))
        in
-       check_int (Printf.sprintf "v%d dispatched" v) v p.Forensics.pf_version;
+       check_bool (Printf.sprintf "v%d header read" v) true
+         (p.Forensics.pf_schema = Some (Printf.sprintf "rtlsat.trace/%d" v));
        check_bool
          (Printf.sprintf "v%d result parsed" v)
          true
          (p.Forensics.pf_result <> None))
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+    [ 7; 8 ]
 
 let test_profile_unsupported_version () =
-  match Forensics.profile_file (fixture_file "trace_v9_unsupported.jsonl") with
-  | _ -> Alcotest.fail "future schema accepted"
-  | exception Forensics.Unsupported_schema msg ->
-    check_bool "message names the supported range" true
-      (let part =
-         Printf.sprintf "rtlsat.trace/%d" Forensics.max_trace_version
+  let v9 = fixture_file "trace_v9_unsupported.jsonl" in
+  (match Forensics.profile_file v9 with
+   | _ -> Alcotest.fail "future schema accepted by profile"
+   | exception Trace.Unsupported_schema msg ->
+     check_bool "message names rtlsat.trace/8" true
+       (contains "rtlsat.trace/8" msg));
+  match Trace_diff.diff ~old_file:v9 ~new_file:(fixture_file "trace_v8.jsonl") with
+  | _ -> Alcotest.fail "future schema accepted by trace-diff"
+  | exception Trace.Unsupported_schema _ -> ()
+
+(* ---- the one trace reader: chunked reads, torn tails ---- *)
+
+let reader_fixtures =
+  List.map
+    (fun name -> In_channel.with_open_bin (fixture_file name) In_channel.input_all)
+    [ "trace_v7.jsonl"; "trace_v8.jsonl"; "w61_split_on.jsonl";
+      "w61_split_off.jsonl" ]
+
+(* a live tail sees the trace in arbitrary pieces: any split must give
+   the profile of the whole file *)
+let prop_reader_chunks =
+  QCheck.Test.make ~count:300 ~name:"chunk splits give the whole-trace profile"
+    QCheck.(pair (int_bound 3) (small_list (int_bound 1_000_000)))
+    (fun (i, cuts) ->
+       let text = List.nth reader_fixtures i in
+       let n = String.length text in
+       let cuts = List.sort_uniq compare (List.map (fun c -> c mod (n + 1)) cuts) in
+       let chunks, last =
+         List.fold_left
+           (fun (acc, from) c -> (String.sub text from (c - from) :: acc, c))
+           ([], 0) cuts
        in
-       let n = String.length msg and k = String.length part in
-       let rec find i = i + k <= n && (String.sub msg i k = part || find (i + 1)) in
-       find 0)
+       let chunks = List.rev (String.sub text last (n - last) :: chunks) in
+       profile_of_chunks chunks = profile_of_chunks [ text ])
+
+(* a run killed mid-write leaves a partial last line: it is pending,
+   never malformed, and warned about exactly when it is there *)
+let prop_reader_torn_tail =
+  QCheck.Test.make ~count:300 ~name:"torn last line is pending, not malformed"
+    QCheck.(pair (int_bound 3) (int_bound 1_000_000))
+    (fun (i, k) ->
+       let text = List.nth reader_fixtures i in
+       let k = k mod (String.length text + 1) in
+       let p = profile_of_chunks [ String.sub text 0 k ] in
+       let warned part = List.exists (contains part) p.Forensics.pf_warnings in
+       (not (warned "malformed"))
+       && warned "incomplete" = (k > 0 && text.[k - 1] <> '\n'))
 
 (* ---- GC/memory telemetry ---- *)
 
@@ -1131,29 +1148,14 @@ let test_heartbeat_dt_guard () =
   check_bool "recovered pps" true (getf f4 "pps" = Some 10000.0)
 
 let test_heartbeat_view_v7 () =
-  let v = Heartbeat.view () in
-  let ic = open_in (fixture_file "trace_v7.jsonl") in
-  (try
-     while true do
-       Heartbeat.view_update v (Json.of_string (input_line ic))
-     done
-   with End_of_file -> close_in ic);
-  check_bool "schema" true (v.Heartbeat.v_schema = Some "rtlsat.trace/7");
-  check_bool "heap gauge" true (v.Heartbeat.v_heap_mb = 17.5);
-  check_bool "major words" true (v.Heartbeat.v_major_words = 123456.0);
-  check_int "compactions" 1 v.Heartbeat.v_compactions
-
-let test_openmetrics_gc_gauges () =
-  let obs = Obs.create () in
-  Obs.span obs Obs.Icp (fun () -> ignore (Sys.opaque_identity (Array.make 1000 0)));
-  let text = Openmetrics.of_snapshot (Obs.snapshot obs) in
-  let contains part =
-    let n = String.length text and k = String.length part in
-    let rec find i = i + k <= n && (String.sub text i k = part || find (i + 1)) in
-    find 0
-  in
-  check_bool "heap gauge exported" true (contains "rtlsat_gc_heap_mb");
-  check_bool "minor words exported" true (contains "rtlsat_gc_minor_words")
+  let p = Forensics.profile_file (fixture_file "trace_v7.jsonl") in
+  check_bool "schema" true (p.Forensics.pf_schema = Some "rtlsat.trace/7");
+  match p.Forensics.pf_last_heartbeat with
+  | Some h ->
+    check_bool "heap gauge" true (h.Forensics.hb_heap_mb = 17.5);
+    check_bool "major words" true (h.Forensics.hb_major_words = 123456.0);
+    check_int "compactions" 1 h.Forensics.hb_compactions
+  | None -> Alcotest.fail "no heartbeat"
 
 (* ---- environment fingerprint ---- *)
 
@@ -1526,7 +1528,8 @@ let () =
           Alcotest.test_case "split decisions" `Quick test_split_decisions_unit;
           Alcotest.test_case "split determinism + off-switch" `Quick
             test_split_determinism_and_off;
-          Alcotest.test_case "profile v1 warning" `Quick test_profile_v1_warning;
+          Alcotest.test_case "profile headerless rejected" `Quick
+            test_profile_headerless_rejected;
         ] );
       ( "integration",
         [
@@ -1550,10 +1553,6 @@ let () =
           Alcotest.test_case "overhead guard" `Slow test_overhead_guard;
           Alcotest.test_case "overhead guard, CLI default on b13_2(50)" `Slow
             test_overhead_guard_cli_default;
-          Alcotest.test_case "openmetrics exposition" `Quick
-            test_openmetrics_exposition;
-          Alcotest.test_case "openmetrics solve report" `Quick
-            test_openmetrics_solve_report;
         ] );
       ( "gc-telemetry",
         [
@@ -1561,8 +1560,6 @@ let () =
             test_snapshot_mem;
           Alcotest.test_case "heartbeat gc fields" `Quick
             test_heartbeat_gc_fields;
-          Alcotest.test_case "openmetrics gc gauges" `Quick
-            test_openmetrics_gc_gauges;
         ] );
       ( "env",
         [
@@ -1590,9 +1587,10 @@ let () =
       ( "trace-versions",
         [
           Alcotest.test_case "dispatch table" `Quick test_trace_version_table;
-          Alcotest.test_case "profile v1..v8 fixtures" `Quick
+          Alcotest.test_case "profile v7..v8 fixtures" `Quick
             test_profile_every_version;
           Alcotest.test_case "unsupported version rejected" `Quick
             test_profile_unsupported_version;
         ] );
+      Qutil.qsuite "trace-reader" [ prop_reader_chunks; prop_reader_torn_tail ];
     ]
