@@ -291,35 +291,41 @@ let test_lazy_carries_nothing () =
 
 (* ---- one-shot structural search pinned ----
 
-   Per-row decisions and conflicts of the structural engines on three
-   Table 2 rows, one fresh context each (the path of `rtlsat solve`).
-   The b13_2 ladder in test_session.ml pins the warm session path;
-   this pins the one-shot path.  The figures are the search as it
-   stands; a change that moves the structural decisions must update
+   Per-row decisions, conflicts, propagations and learned clauses of
+   the structural engines on three Table 2 rows, one fresh context
+   each (the path of `rtlsat solve`).  The b13_2 ladder in
+   test_session.ml pins the warm session path; this pins the one-shot
+   path.  Propagations and learned clauses catch a reordered clause
+   scan or reason that leaves the decisions alone.  The figures are
+   the search as it stands; a change that moves the search must update
    them deliberately. *)
 
-(* engine, circuit, property, bound, decisions, conflicts *)
+(* engine, circuit, property, bound, decisions, conflicts,
+   propagations, learned *)
 let one_shot_rows =
-  [ (Engines.Hdpll_sp, "b04", "1", 50, 4, 4);
-    (Engines.Hdpll_sp, "b13", "8", 50, 844, 35);
-    (Engines.Hdpll_sp, "b13", "2", 50, 1625, 1051);
-    (Engines.Hdpll_s, "b04", "1", 50, 4, 4);
-    (Engines.Hdpll_s, "b13", "8", 50, 1262, 37);
-    (Engines.Hdpll_s, "b13", "2", 50, 1917, 1160) ]
+  [ (Engines.Hdpll_sp, "b04", "1", 50, 4, 4, 8411, 454);
+    (Engines.Hdpll_sp, "b13", "8", 50, 844, 35, 52946, 1235);
+    (Engines.Hdpll_sp, "b13", "2", 50, 1625, 1051, 214399, 2251);
+    (Engines.Hdpll_s, "b04", "1", 50, 4, 4, 7833, 4);
+    (Engines.Hdpll_s, "b13", "8", 50, 1262, 37, 67169, 37);
+    (Engines.Hdpll_s, "b13", "2", 50, 1917, 1160, 236836, 1160) ]
+
+let pin_line id circuit prop bound d c p l =
+  Printf.sprintf "%s %s_%s(%d): %d decisions, %d conflicts, %d propagations, %d learned"
+    (Engines.engine_name id) circuit prop bound d c p l
 
 let test_one_shot_pin () =
-  let run (id, circuit, prop, bound, _, _) =
+  let run (id, circuit, prop, bound, _, _, _, _) =
     let r =
       Engines.run_instance ~req:(Req.make ~timeout:120.0 ()) id
         (Registry.instance ~circuit ~prop ~bound)
     in
-    Printf.sprintf "%s %s_%s(%d): %d decisions, %d conflicts"
-      (Engines.engine_name id) circuit prop bound r.Engines.decisions
-      r.Engines.conflicts
+    let st = Option.get r.Engines.stats in
+    pin_line id circuit prop bound r.Engines.decisions r.Engines.conflicts
+      st.Solver.propagations st.Solver.learned
   in
-  let pinned (id, circuit, prop, bound, d, c) =
-    Printf.sprintf "%s %s_%s(%d): %d decisions, %d conflicts"
-      (Engines.engine_name id) circuit prop bound d c
+  let pinned (id, circuit, prop, bound, d, c, p, l) =
+    pin_line id circuit prop bound d c p l
   in
   Alcotest.(check (list string)) "per-row search counters"
     (List.map pinned one_shot_rows) (List.map run one_shot_rows)

@@ -152,18 +152,20 @@ let test_session_obs_counters () =
 
 (* ---- a warm b13_2 ladder pins the search ----
 
-   Per-call decisions and conflicts, and the per-call Hsimp counters,
-   of one warm hdpll+s+p session over a random-access bound ladder.
+   Per-call decisions, conflicts, propagations and learned clauses,
+   and the per-call Hsimp counters, of one warm hdpll+s+p session over a random-access bound ladder.
    The bounds revisit the clause database after a deep call (200), so
    every call but the first runs Hsimp over carried lemmas, grown
    frames and predicate relations.  The figures are the search as it
    stands; a change that moves it must update them deliberately. *)
 
-(* per call: bound, decisions, conflicts, simplify.subsumed,
-   simplify.strengthened *)
+(* per call: bound, decisions, conflicts, propagations, learned,
+   simplify.subsumed, simplify.strengthened *)
 let b13_2_ladder =
-  [ [ 20; 60; 43; 43; 41 ]; [ 200; 24428; 5016; 52; 30 ];
-    [ 40; 32; 32; 3143; 463 ]; [ 150; 1098; 2; 1; 6 ]; [ 60; 41; 41; 0; 0 ] ]
+  [ [ 20; 60; 43; 11707; 523; 43; 41 ];
+    [ 200; 24428; 5016; 3118641; 5016; 52; 30 ];
+    [ 40; 32; 32; 31618; 32; 3143; 463 ]; [ 150; 1098; 2; 24529; 2; 1; 6 ];
+    [ 60; 41; 41; 68812; 41; 0; 0 ] ]
 
 let test_b13_2_ladder () =
   let obs = Obs.create () in
@@ -182,8 +184,10 @@ let test_b13_2_ladder () =
          and str = Obs.counter obs "simplify.strengthened" in
          let sub0, str0 = !seen in
          seen := (sub, str);
-         [ bound; r.Engines.decisions; r.Engines.conflicts; sub - sub0;
-           str - str0 ])
+         let st = Option.get r.Engines.stats in
+         [ bound; r.Engines.decisions; r.Engines.conflicts;
+           st.Rtlsat_core.Solver.propagations; st.Rtlsat_core.Solver.learned;
+           sub - sub0; str - str0 ])
       b13_2_ladder
   in
   Obs.close obs;
