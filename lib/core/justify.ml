@@ -297,7 +297,7 @@ let rec scan ?mux_pref t s len =
   end
 
 let decide ?mux_pref t s =
-  let len = Vec.length s.State.trail in
+  let len = State.trail_length s in
   if t.seen >= 0 then begin
     (* retirements made on trail entries popped since the last decide *)
     let low = s.State.low_water in
@@ -308,7 +308,7 @@ let decide ?mux_pref t s =
     (* trail events since the last decide (all of them sit at or
        above the low-water mark) *)
     for i = low to len - 1 do
-      let v = atom_var (Vec.get s.State.trail i).State.eatom in
+      let v = State.trail_var s i in
       if v < Array.length t.trig then wake_all t t.trig.(v)
     done
   end;

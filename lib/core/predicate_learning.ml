@@ -35,9 +35,8 @@ let ways_of enc n value =
 (* Boolean atoms pushed on the trail above position [from] *)
 let bool_atoms_above s from =
   let out = ref [] in
-  for i = from to Vec.length s.State.trail - 1 do
-    let e = Vec.get s.State.trail i in
-    match e.State.eatom with
+  for i = from to State.trail_length s - 1 do
+    match State.trail_atom s i with
     | (Pos _ | Neg _) as a -> out := a :: !out
     | Ge _ | Le _ -> ()
   done;
@@ -69,7 +68,7 @@ let run ?threshold ?(depth = 1) ?(deadline = infinity) s (enc : Encode.t) =
      return the Boolean implications, recursing on nested gates when
      depth allows; None when the assumption is infeasible *)
   let rec probe_way atoms d =
-    let base = Vec.length s.State.trail in
+    let base = State.trail_length s in
     let level = State.decision_level s in
     State.new_level s;
     incr probes;

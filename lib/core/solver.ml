@@ -367,16 +367,10 @@ let solve_loop ~assumptions opts s justifier learn_summary =
       (* the learned clause is asserting at the backjump level *)
       let uip = clause.(0) in
       if not (State.entailed s uip) then begin
-        let reason =
-          Array.of_list
-            (List.filter_map
-               (fun a -> if a == uip then None else Some (negate_atom a))
-               (Array.to_list clause))
-        in
         (* asserting cannot conflict at the backjump level (its bounds
            are a prefix of the state in which the UIP held), but guard
            anyway: a follow-up conflict re-enters the analysis *)
-        try State.assert_atom s uip (Some reason)
+        try State.assert_unit s clause 0
         with State.Conflict c ->
           if State.decision_level s = 0 then result := Some Unsat
           else handle_conflict c
@@ -479,7 +473,7 @@ let solve_loop ~assumptions opts s justifier learn_summary =
                 else handle_conflict ~kind:"final_check" atoms
             end
           | None ->
-          if s.State.qhead < Vec.length s.State.trail then
+          if s.State.qhead < State.trail_length s then
             (* the split heap drained to stale entries while the
                propagation queue is still pending: loop back into
                Propagate to resume the fixpoint before deciding *)
@@ -717,7 +711,7 @@ module Session = struct
              nomination) would make every learning probe return
              immediately; skip learning and retry on the next call,
              letting the main loop split and finish the fixpoint *)
-          let suspended = t.s.State.qhead < Vec.length t.s.State.trail in
+          let suspended = t.s.State.qhead < State.trail_length t.s in
           if not suspended then begin
             (match t.enc with
              | Some enc ->

@@ -7,20 +7,35 @@
     an explanation (the antecedent atoms that implied it).  Boolean
     assignments are the singleton bounds [⟨1,1⟩]/[⟨0,0⟩], so the whole
     trail is uniform and conflict analysis works over one atom
-    vocabulary. *)
+    vocabulary.
+
+    {2 Layout}
+
+    Nothing on the propagation path allocates.
+    - The trail is a struct of int arrays ([tr_*] below), one slot per
+      bound event: variable and side, the new bound, the bound it
+      replaced, the variable's previous event on the same side, the
+      decision level and a reason slice.  The entry's atom is
+      [mk_lo v bound] or [mk_hi v bound] ({!trail_atom}).
+    - Each variable's events on one side form a chain, newest first:
+      [last_lo]/[last_hi] name the newest entry and [tr_prev] links to
+      the one before.  A backtrack unlinks a popped entry in O(1), and
+      {!entailing_entry} walks the chain.
+    - A reason is a slice [(tr_rpos, tr_rlen)] of the reason arena
+      [rs], an int buffer with two ints per atom.  Reasons are written
+      in trail order, so a backtrack truncates the arena to the first
+      popped entry's slice.  A propagator writes a reason at the arena
+      top ({!reason_mark}, {!reason_push}, ...) and then asserts with
+      that mark; a no-op or a conflict drops what it wrote.  Only a
+      {!Conflict} payload becomes an [atom array].
+    - Linear constraints keep their terms flat ([lin_*]), so
+      propagation reads no list. *)
 
 open Rtlsat_constr.Types
 
 type reason = atom array option
 (** [None] for decisions; otherwise the antecedent atoms, all entailed
     when the entry was pushed. *)
-
-type entry = {
-  eatom : atom;      (** the new fact, in canonical bound form *)
-  prev : int;        (** bound value this event replaced (for undo) *)
-  elevel : int;
-  ereason : reason;
-}
 
 exception Conflict of atom array
 (** The payload atoms are all entailed and jointly inconsistent. *)
@@ -48,15 +63,30 @@ type t = {
   mutable ub : int array;
   mutable init_lb : int array;
   mutable init_ub : int array;
-  trail : entry Rtlsat_constr.Vec.t;
+  mutable tr_lit : int array;
+      (** trail entry → [v lsl 1 lor side]: side 0 raised [v]'s lower
+          bound, side 1 lowered its upper bound *)
+  mutable tr_bound : int array;   (** the new bound *)
+  mutable tr_old : int array;     (** the bound it replaced, restored on undo *)
+  mutable tr_prev : int array;
+      (** the previous entry of the same variable and side, or [-1] *)
+  mutable tr_level : int array;   (** decision level *)
+  mutable tr_rpos : int array;    (** reason: first atom in the arena [rs] *)
+  mutable tr_rlen : int array;    (** reason: atom count, [-1] for a decision *)
+  mutable tr_len : int;           (** trail length; the arrays are capacity *)
   lim : int Rtlsat_constr.Vec.t;            (** decision-level boundaries *)
   mutable low_water : int;
       (** the lowest trail length since {!Justify} last set it:
           {!backtrack_to} lowers it to the length it leaves.  The
           justifier reads it to undo retirements made on trail entries
           that have since been popped *)
-  mutable lo_ev : (int * int) list array;   (** var → (new lb, trail idx), newest first *)
-  mutable hi_ev : (int * int) list array;   (** var → (new ub, trail idx), newest first *)
+  mutable last_lo : int array;
+      (** var → its newest lower-bound entry, [-1] when none; older
+          ones chain through [tr_prev] *)
+  mutable last_hi : int array;    (** the same for upper bounds *)
+  mutable rs : int array;
+      (** the reason arena: two ints per atom, see {!reason_push} *)
+  mutable rs_len : int;           (** atoms in the arena *)
   clauses : clause Rtlsat_constr.Vec.t;
   root_flags : bool Rtlsat_constr.Vec.t;
       (** parallel to [clauses]: [true] for problem ("root") clauses.
@@ -77,6 +107,13 @@ type t = {
       (** {!Hsimp} scratch, reused across passes: per-clause pass
           flags and per-variable marks *)
   mutable constrs : constr array;
+  mutable lin_off : int array;
+  mutable lin_coef : int array;
+  mutable lin_var : int array;
+      (** the terms of every linear constraint, flat and in list
+          order: constraint [ci]'s coefficients and variables sit in
+          slots [lin_off.(ci)] to [lin_off.(ci + 1) - 1] ([lin_off] has
+          one entry more than [constrs]); a multiplexer has none *)
   constr_occs : occs;                       (** var → constraint indices *)
   mutable qhead : int;
   mutable activity : float array;
@@ -190,12 +227,83 @@ val reduce_clauses : t -> keep_recent:int -> unit
 (** Learned-clause database reduction: drop long, old learned clauses,
     keeping every original clause, every binary/short learned clause
     and the [keep_recent] most recent ones.  Safe at any decision
-    level — trail explanations are copied atom arrays and never
-    reference clause storage. *)
+    level — trail explanations are arena slices of copied atoms and
+    never point into clause storage. *)
 
 val entailing_entry : t -> atom -> int option
 (** Trail index of the event that first entailed the (currently
     entailed) atom; [None] when the initial domain already entails it. *)
+
+val entailing_lo : t -> var -> int -> int
+val entailing_hi : t -> var -> int -> int
+(** {!entailing_entry} of [v >= k] / [v <= k], [-1] for [None]. *)
+
+val entailing_atom : t -> atom -> int
+val entailing_code : t -> int -> int -> int
+(** The same for an atom, and for an arena atom's code and bound. *)
+
+(** {2 Trail accessors} *)
+
+val trail_length : t -> int
+val trail_var : t -> int -> var
+val trail_lower : t -> int -> bool
+(** Whether the entry raised a lower bound (its atom is [Pos]/[Ge]). *)
+
+val trail_bound : t -> int -> int
+val trail_level : t -> int -> int
+val trail_is_decision : t -> int -> bool
+val trail_atom : t -> int -> atom
+(** The entry's canonical atom (allocates). *)
+
+val trail_reason : t -> int -> reason
+(** The entry's reason as an array (allocates; for printing and
+    tests). *)
+
+(** {2 The reason arena}
+
+    An arena atom is two ints: [code = v lsl 2 lor kind], kind 0 to 3
+    for [Pos], [Neg], [Ge], [Le], and the bound ([1] for [Pos], [0]
+    for [Neg]).  Kind bit 0 is the side: a lower bound [v >= k] when
+    clear, an upper bound [v <= k] when set. *)
+
+val reason_mark : t -> int
+(** The arena top: where the reason written next starts. *)
+
+val reason_push : t -> atom -> unit
+val reason_push_neg : t -> atom -> unit
+(** Append an atom, or its negation, to the reason being written. *)
+
+val reason_push_lo : t -> var -> int -> unit
+val reason_push_hi : t -> var -> int -> unit
+(** Append [mk_lo s v k] / [mk_hi s v k] without building it. *)
+
+val code_var : int -> var
+val code_lower : int -> bool
+val atom_of_code : int -> int -> atom
+
+val assert_from : t -> atom -> int -> unit
+(** {!assert_atom} with the reason written since the mark (a decision
+    when the mark is negative).  A no-op drops the reason; a conflict
+    takes it into the payload. *)
+
+val assert_unit : t -> clause -> int -> unit
+(** [assert_unit s c u] asserts [c.(u)] with the negations of the
+    clause's other atoms, in order, as its reason: a unit clause, or a
+    learned clause's asserting atom. *)
+
+val assert_lo : t -> var -> int -> int -> unit
+val assert_hi : t -> var -> int -> int -> unit
+(** [assert_lo s v k mark] is [assert_from s (Ge (v, k)) mark], and
+    [assert_hi] its upper-bound twin: no canonical form, so [Pos v] is
+    [assert_lo s v 1]. *)
+
+val assert_lo_canon : t -> var -> int -> int -> unit
+val assert_hi_canon : t -> var -> int -> int -> unit
+(** [assert_from s (mk_lo s v k) mark] and its upper-bound twin,
+    without building the atom. *)
+
+val take_reason : t -> int -> atom array
+(** The atoms written since the mark, dropped from the arena. *)
 
 val bump_var : t -> var -> unit
 val decay_activities : t -> unit

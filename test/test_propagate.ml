@@ -318,8 +318,15 @@ let build sc =
     sc.cur;
   s
 
+(* each trail entry: its atom, the bound it replaced, its level and
+   its reason *)
+let trail_of s =
+  List.init (State.trail_length s) (fun i ->
+      (State.trail_atom s i, s.State.tr_old.(i), State.trail_level s i,
+       State.trail_reason s i))
+
 type outcome =
-  | Done of State.entry list * int array * int array
+  | Done of (atom * int * int * State.reason) list * int array * int array
   | Conflict of atom array
   | Raised of string
 
@@ -327,7 +334,7 @@ let outcome f sc =
   let s = build sc in
   match f s 0 with
   | () ->
-    Done (Vec.to_list s.State.trail, Array.copy s.State.lb, Array.copy s.State.ub)
+    Done (trail_of s, Array.copy s.State.lb, Array.copy s.State.ub)
   | exception State.Conflict c -> Conflict c
   | exception e -> Raised (Printexc.to_string e)
 
