@@ -149,8 +149,10 @@ let print fmt d =
       Format.fprintf fmt "  %s:@." title;
       List.iter (fun k -> row k (get a k) (get b k)) names
   in
+  (* a delta below half a unit of the last printed digit would print
+     as +0.0000 or -0.0000 *)
   deltas "phase deltas (self_s, new-old)" o.phases n.phases ~zero:0.0
-    ~differ:(fun a b -> Float.abs (b -. a) > 1e-9)
+    ~differ:(fun a b -> Float.abs (b -. a) >= 0.5e-4)
     ~row:(fun name a b ->
         Format.fprintf fmt "    %-18s %+10.4f  (%.4f -> %.4f)@." name (b -. a)
           a b);

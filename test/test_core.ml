@@ -67,6 +67,85 @@ let test_entailing_entry () =
   check_int "first event" 0 (Option.get (State.entailing_entry s (T.Ge (w, 2))));
   check_int "second event" 1 (Option.get (State.entailing_entry s (T.Ge (w, 6))))
 
+(* [State.entailing_entry] against a naive scan of the trail: the
+   oldest entry on the atom's variable and side whose bound entails it
+   (bounds only tighten along the trail), none when the initial domain
+   does.  Random scripts of decisions (equal and repeated bounds
+   included, which are no-ops), backtracks and problem growth. *)
+let naive_entailing s a =
+  let v = T.atom_var a in
+  let lower, k =
+    match a with
+    | T.Pos _ -> (true, 1)
+    | T.Ge (_, k) -> (true, k)
+    | T.Neg _ -> (false, 0)
+    | T.Le (_, k) -> (false, k)
+  in
+  if (lower && s.State.init_lb.(v) >= k) || ((not lower) && s.State.init_ub.(v) <= k)
+  then None
+  else begin
+    let rec find i =
+      if i >= State.trail_length s then None
+      else if
+        State.trail_var s i = v
+        && State.trail_lower s i = lower
+        && (if lower then State.trail_bound s i >= k else State.trail_bound s i <= k)
+      then Some i
+      else find (i + 1)
+    in
+    find 0
+  end
+
+let prop_entailing_entry =
+  QCheck.Test.make ~name:"entailing entry = naive trail scan" ~count:300
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let r = Random.State.make [| seed |] in
+      let p = P.create () in
+      let add_var () =
+        if Random.State.bool r then ignore (P.new_bool p ())
+        else ignore (P.new_word p (I.make (-2) (Random.State.int r 6)))
+      in
+      for _ = 1 to 1 + Random.State.int r 4 do add_var () done;
+      let s = State.create p in
+      let atom v =
+        if P.is_bool_var p v then (if Random.State.bool r then T.Pos v else T.Neg v)
+        else
+          let k = Random.State.int r 10 - 3 in
+          if Random.State.bool r then T.Ge (v, k) else T.Le (v, k)
+      in
+      let agree () =
+        List.for_all
+          (fun v ->
+             List.for_all
+               (fun _ ->
+                  let a = atom v in
+                  (not (State.entailed s a)) || State.entailing_entry s a = naive_entailing s a)
+               [ 1; 2; 3; 4 ])
+          (List.init s.State.nv Fun.id)
+      in
+      let ok = ref true in
+      for _ = 1 to 60 do
+        (match Random.State.int r 8 with
+         | 0 when State.decision_level s > 0 ->
+           State.backtrack_to s (Random.State.int r (State.decision_level s))
+         | 1 ->
+           State.backtrack_to s 0;
+           add_var ();
+           State.grow s
+         | _ ->
+           if Random.State.bool r then State.new_level s;
+           let v = Random.State.int r s.State.nv in
+           (* the current bound again, or a random one *)
+           let a =
+             if Random.State.int r 3 = 0 && not (P.is_bool_var p v) then
+               T.Ge (v, s.State.lb.(v))
+             else atom v
+           in
+           (try State.assert_atom s a None with State.Conflict _ -> ()));
+        if not (agree ()) then ok := false
+      done;
+      !ok)
+
 (* ---- conflict analysis on hand-built trails ---- *)
 
 module Conflict = Rtlsat_core.Conflict
@@ -584,6 +663,7 @@ let () =
           Alcotest.test_case "bounds & backtrack" `Quick test_state_bounds;
           Alcotest.test_case "conflict on empty domain" `Quick test_state_conflict_on_empty;
           Alcotest.test_case "entailing entry" `Quick test_entailing_entry;
+          Qutil.to_alcotest prop_entailing_entry;
         ] );
       ( "conflict",
         [

@@ -1443,6 +1443,28 @@ let test_trace_diff_divergence () =
   check_bool "phase delta visible" true
     (List.assoc_opt "bcp" d.Trace_diff.old_side.Trace_diff.phases = Some 0.5)
 
+(* the committed w61 pair has phases that moved by less than the
+   printed precision: no printed delta may read +0.0000 or -0.0000 *)
+let test_trace_diff_no_zero_rows () =
+  let d =
+    Trace_diff.diff ~old_file:(fixture_file "w61_split_on.jsonl")
+      ~new_file:(fixture_file "w61_split_off.jsonl")
+  in
+  let out = Format.asprintf "%a" Trace_diff.print d in
+  let rows =
+    List.filter
+      (fun l -> String.length l > 4 && String.sub l 0 4 = "    ")
+      (String.split_on_char '\n' out)
+  in
+  let zero l =
+    List.exists (fun z -> List.mem z (String.split_on_char ' ' l)) [ "+0.0000"; "-0.0000" ]
+  in
+  check_bool "phase rows printed" true
+    (List.exists (fun l -> List.mem "+1.0650" (String.split_on_char ' ' l)) rows);
+  match List.filter zero rows with
+  | [] -> ()
+  | l :: _ -> Alcotest.failf "a delta prints as zero: %S" l
+
 let test_trace_diff_identical () =
   let f = Filename.temp_file "rtlsat_tdi" ".jsonl" in
   write_lines f
@@ -1581,6 +1603,8 @@ let () =
         [
           Alcotest.test_case "first divergence + verdict flip" `Quick
             test_trace_diff_divergence;
+          Alcotest.test_case "no delta prints as zero" `Quick
+            test_trace_diff_no_zero_rows;
           Alcotest.test_case "identical traces" `Quick test_trace_diff_identical;
           Alcotest.test_case "truncated trace" `Quick test_trace_diff_truncated;
         ] );
