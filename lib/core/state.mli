@@ -106,6 +106,11 @@ type t = {
   mutable hs_mark : Bytes.t;
       (** {!Hsimp} scratch, reused across passes: per-clause pass
           flags and per-variable marks *)
+  mutable an_code : int array;
+  mutable an_bound : int array;
+      (** {!Conflict} scratch, reused across analyses: per trail
+          index, the needed atom in arena form with its code plus one
+          ([0] when none), all zero between analyses *)
   mutable constrs : constr array;
   mutable lin_off : int array;
   mutable lin_coef : int array;
@@ -277,9 +282,13 @@ val reason_push_lo : t -> var -> int -> unit
 val reason_push_hi : t -> var -> int -> unit
 (** Append [mk_lo s v k] / [mk_hi s v k] without building it. *)
 
+val atom_code : atom -> int
+val atom_bound : atom -> int
 val code_var : int -> var
 val code_lower : int -> bool
 val atom_of_code : int -> int -> atom
+(** Between atoms and their arena form: [atom_of_code (atom_code a)
+    (atom_bound a)] is [a]. *)
 
 val assert_from : t -> atom -> int -> unit
 (** {!assert_atom} with the reason written since the mark (a decision
