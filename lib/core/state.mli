@@ -239,13 +239,10 @@ val entailing_entry : t -> atom -> int option
 (** Trail index of the event that first entailed the (currently
     entailed) atom; [None] when the initial domain already entails it. *)
 
-val entailing_lo : t -> var -> int -> int
-val entailing_hi : t -> var -> int -> int
-(** {!entailing_entry} of [v >= k] / [v <= k], [-1] for [None]. *)
-
 val entailing_atom : t -> atom -> int
 val entailing_code : t -> int -> int -> int
-(** The same for an atom, and for an arena atom's code and bound. *)
+(** {!entailing_entry} with [-1] for [None], of an atom and of an
+    arena atom's code and bound. *)
 
 (** {2 Trail accessors} *)
 
@@ -275,8 +272,7 @@ val reason_mark : t -> int
 (** The arena top: where the reason written next starts. *)
 
 val reason_push : t -> atom -> unit
-val reason_push_neg : t -> atom -> unit
-(** Append an atom, or its negation, to the reason being written. *)
+(** Append an atom to the reason being written. *)
 
 val reason_push_lo : t -> var -> int -> unit
 val reason_push_hi : t -> var -> int -> unit
@@ -285,15 +281,12 @@ val reason_push_hi : t -> var -> int -> unit
 val atom_code : atom -> int
 val atom_bound : atom -> int
 val code_var : int -> var
-val code_lower : int -> bool
+val code_kind : int -> int
+(** 0 [Pos], 1 [Neg], 2 [Ge], 3 [Le]. *)
+
 val atom_of_code : int -> int -> atom
 (** Between atoms and their arena form: [atom_of_code (atom_code a)
     (atom_bound a)] is [a]. *)
-
-val assert_from : t -> atom -> int -> unit
-(** {!assert_atom} with the reason written since the mark (a decision
-    when the mark is negative).  A no-op drops the reason; a conflict
-    takes it into the payload. *)
 
 val assert_unit : t -> clause -> int -> unit
 (** [assert_unit s c u] asserts [c.(u)] with the negations of the
@@ -302,14 +295,16 @@ val assert_unit : t -> clause -> int -> unit
 
 val assert_lo : t -> var -> int -> int -> unit
 val assert_hi : t -> var -> int -> int -> unit
-(** [assert_lo s v k mark] is [assert_from s (Ge (v, k)) mark], and
-    [assert_hi] its upper-bound twin: no canonical form, so [Pos v] is
-    [assert_lo s v 1]. *)
+(** [assert_lo s v k mark] asserts [v >= k] ([assert_hi]: [v <= k])
+    with the reason written since the mark, a decision when the mark
+    is negative.  It is {!assert_atom} of [Ge (v, k)], so [Pos v] is
+    [assert_lo s v 1].  A no-op drops the reason; a conflict takes it
+    into the payload. *)
 
 val assert_lo_canon : t -> var -> int -> int -> unit
 val assert_hi_canon : t -> var -> int -> int -> unit
-(** [assert_from s (mk_lo s v k) mark] and its upper-bound twin,
-    without building the atom. *)
+(** The same for [mk_lo s v k] / [mk_hi s v k], without building the
+    atom. *)
 
 val take_reason : t -> int -> atom array
 (** The atoms written since the mark, dropped from the arena. *)
