@@ -13,10 +13,11 @@
 
     Nothing on the propagation path allocates.
     - The trail is a struct of int arrays ([tr_*] below), one slot per
-      bound event: variable and side, the new bound, the bound it
-      replaced, the variable's previous event on the same side, the
-      decision level and a reason slice.  The entry's atom is
-      [mk_lo v bound] or [mk_hi v bound] ({!trail_atom}).
+      bound event: variable and side, the new bound, the variable's
+      previous event on the same side, the decision level and a reason
+      slice.  The entry's atom is [mk_lo v bound] or [mk_hi v bound]
+      ({!trail_atom}).  Only events move a bound, so undoing one
+      restores its previous event's bound, or the initial one.
     - Each variable's events on one side form a chain, newest first:
       [last_lo]/[last_hi] name the newest entry and [tr_prev] links to
       the one before.  A backtrack unlinks a popped entry in O(1), and
@@ -25,7 +26,7 @@
       [rs], an int buffer with two ints per atom.  Reasons are written
       in trail order, so a backtrack truncates the arena to the first
       popped entry's slice.  A propagator writes a reason at the arena
-      top ({!reason_mark}, {!reason_push}, ...) and then asserts with
+      top ({!reason_mark}, {!reason_push_lo}, ...) and then asserts with
       that mark; a no-op or a conflict drops what it wrote.  Only a
       {!Conflict} payload becomes an [atom array].
     - Linear constraints keep their terms flat ([lin_*]), so
@@ -67,7 +68,6 @@ type t = {
       (** trail entry → [v lsl 1 lor side]: side 0 raised [v]'s lower
           bound, side 1 lowered its upper bound *)
   mutable tr_bound : int array;   (** the new bound *)
-  mutable tr_old : int array;     (** the bound it replaced, restored on undo *)
   mutable tr_prev : int array;
       (** the previous entry of the same variable and side, or [-1] *)
   mutable tr_level : int array;   (** decision level *)
@@ -85,7 +85,7 @@ type t = {
           ones chain through [tr_prev] *)
   mutable last_hi : int array;    (** the same for upper bounds *)
   mutable rs : int array;
-      (** the reason arena: two ints per atom, see {!reason_push} *)
+      (** the reason arena: two ints per atom, see {!atom_code} *)
   mutable rs_len : int;           (** atoms in the arena *)
   clauses : clause Rtlsat_constr.Vec.t;
   root_flags : bool Rtlsat_constr.Vec.t;
@@ -235,14 +235,12 @@ val reduce_clauses : t -> keep_recent:int -> unit
     level — trail explanations are arena slices of copied atoms and
     never point into clause storage. *)
 
-val entailing_entry : t -> atom -> int option
+val entailing_entry : t -> atom -> int
 (** Trail index of the event that first entailed the (currently
-    entailed) atom; [None] when the initial domain already entails it. *)
+    entailed) atom; [-1] when the initial domain already entails it. *)
 
-val entailing_atom : t -> atom -> int
 val entailing_code : t -> int -> int -> int
-(** {!entailing_entry} with [-1] for [None], of an atom and of an
-    arena atom's code and bound. *)
+(** {!entailing_entry} of an arena atom's code and bound. *)
 
 (** {2 Trail accessors} *)
 
@@ -271,8 +269,8 @@ val trail_reason : t -> int -> reason
 val reason_mark : t -> int
 (** The arena top: where the reason written next starts. *)
 
-val reason_push : t -> atom -> unit
-(** Append an atom to the reason being written. *)
+val reason_push_lit : t -> var -> bool -> unit
+(** Append [Pos v] (when [true]) or [Neg v] without building it. *)
 
 val reason_push_lo : t -> var -> int -> unit
 val reason_push_hi : t -> var -> int -> unit

@@ -62,14 +62,19 @@ let test_entailing_entry () =
   State.assert_atom s (T.Ge (w, 3)) None;
   State.new_level s;
   State.assert_atom s (T.Ge (w, 7)) None;
-  check_bool "root bound has no entry" true (State.entailing_entry s (T.Ge (w, 0)) = None);
+  check_int "root bound has no entry" (-1) (State.entailing_entry s (T.Ge (w, 0)));
   (* Ge(w,2) was first entailed by the Ge(w,3) event (trail idx 0) *)
-  check_int "first event" 0 (Option.get (State.entailing_entry s (T.Ge (w, 2))));
-  check_int "second event" 1 (Option.get (State.entailing_entry s (T.Ge (w, 6))))
+  check_int "first event" 0 (State.entailing_entry s (T.Ge (w, 2)));
+  check_int "second event" 1 (State.entailing_entry s (T.Ge (w, 6)));
+  check_bool "trail atoms" true
+    (State.trail_atom s 0 = T.Ge (w, 3) && State.trail_atom s 1 = T.Ge (w, 7));
+  check_bool "trail levels and decisions" true
+    (State.trail_level s 0 = 1 && State.trail_level s 1 = 2
+     && State.trail_is_decision s 0 && State.trail_reason s 1 = None)
 
 (* [State.entailing_entry] against a naive scan of the trail: the
    oldest entry on the atom's variable and side whose bound entails it
-   (bounds only tighten along the trail), none when the initial domain
+   (bounds only tighten along the trail), -1 when the initial domain
    does.  Random scripts of decisions (equal and repeated bounds
    included, which are no-ops), backtracks and problem growth. *)
 let naive_entailing s a =
@@ -82,15 +87,15 @@ let naive_entailing s a =
     | T.Le (_, k) -> (false, k)
   in
   if (lower && s.State.init_lb.(v) >= k) || ((not lower) && s.State.init_ub.(v) <= k)
-  then None
+  then -1
   else begin
     let rec find i =
-      if i >= State.trail_length s then None
+      if i >= State.trail_length s then -1
       else if
         State.trail_var s i = v
         && State.trail_lower s i = lower
         && (if lower then State.trail_bound s i >= k else State.trail_bound s i <= k)
-      then Some i
+      then i
       else find (i + 1)
     in
     find 0

@@ -3,8 +3,8 @@
    Conflict_ref).  Both run the same script: decisions, propagation,
    conflict analysis, learning with the asserting atom's reason,
    backtracking, restarts, clause-database reduction and problem
-   growth.  After every step the two must agree on the trail (atom,
-   replaced bound, level and reason of every entry), the counters and
+   growth.  After every step the two must agree on the bounds, the
+   trail (atom, level and reason of every entry), the counters and
    the learned clauses, and the reason arena must hold exactly the
    trail's reasons.  Seeded random scripts cover odd inputs (repeated
    variables in a linear term, non-canonical Boolean atoms in clauses,
@@ -38,15 +38,14 @@ let show_atoms a =
 
 let show_reason = function None -> "decision" | Some r -> show_atoms r
 
-let entry_a s i =
-  (State.trail_atom s i, s.State.tr_old.(i), State.trail_level s i, State.trail_reason s i)
+let entry_a s i = (State.trail_atom s i, State.trail_level s i, State.trail_reason s i)
 
 let entry_b s i =
   let e = Vec.get s.State_ref.trail i in
-  (e.State_ref.eatom, e.State_ref.prev, e.State_ref.elevel, e.State_ref.ereason)
+  (e.State_ref.eatom, e.State_ref.elevel, e.State_ref.ereason)
 
-let show_entry (atom, old, lvl, reason) =
-  Format.asprintf "%a (was %d) L%d <- %s" (pp_atom ()) atom old lvl (show_reason reason)
+let show_entry (atom, lvl, reason) =
+  Format.asprintf "%a L%d <- %s" (pp_atom ()) atom lvl (show_reason reason)
 
 (* the arena holds the trail's reasons and nothing else *)
 let arena_top s =
@@ -59,8 +58,6 @@ let compare_full p =
   let n = a.State.nv in
   if n <> b.State_ref.nv then fail p "nv";
   for v = 0 to n - 1 do
-    if a.State.lb.(v) <> b.State_ref.lb.(v) || a.State.ub.(v) <> b.State_ref.ub.(v) then
-      fail p "bounds of v%d" v;
     if a.State.activity.(v) <> b.State_ref.activity.(v) then fail p "activity of v%d" v;
     if a.State.phase.(v) <> b.State_ref.phase.(v) then fail p "phase of v%d" v
   done;
@@ -70,12 +67,14 @@ let compare_full p =
     fail p "root flags differ";
   p.checked <- 0
 
-(* the trail entries above the compared prefix, the counters, and
-   everything else every 64 steps *)
+(* the bounds, the trail entries above the compared prefix, the
+   counters, and everything else every 64 steps *)
 let compare_step p =
   let a = p.a and b = p.b in
   p.step <- p.step + 1;
   if p.step land 63 = 0 then compare_full p;
+  if a.State.lb <> b.State_ref.lb || a.State.ub <> b.State_ref.ub then
+    fail p "bounds differ";
   let n = State.trail_length a in
   if n <> Vec.length b.State_ref.trail then
     fail p "trail length %d vs %d" n (Vec.length b.State_ref.trail);

@@ -318,15 +318,13 @@ let build sc =
     sc.cur;
   s
 
-(* each trail entry: its atom, the bound it replaced, its level and
-   its reason *)
+(* each trail entry: its atom, its level and its reason *)
 let trail_of s =
   List.init (State.trail_length s) (fun i ->
-      (State.trail_atom s i, s.State.tr_old.(i), State.trail_level s i,
-       State.trail_reason s i))
+      (State.trail_atom s i, State.trail_level s i, State.trail_reason s i))
 
 type outcome =
-  | Done of (atom * int * int * State.reason) list * int array * int array
+  | Done of (atom * int * State.reason) list * int array * int array
   | Conflict of atom array
   | Raised of string
 
