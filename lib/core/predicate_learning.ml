@@ -2,7 +2,7 @@ open Rtlsat_constr.Types
 module Ir = Rtlsat_rtl.Ir
 module Structure = Rtlsat_rtl.Structure
 module Encode = Rtlsat_constr.Encode
-module Vec = Rtlsat_constr.Vec
+module Problem = Rtlsat_constr.Problem
 module Obs = Rtlsat_obs.Obs
 module Json = Rtlsat_obs.Json
 
@@ -36,9 +36,9 @@ let ways_of enc n value =
 let bool_atoms_above s from =
   let out = ref [] in
   for i = from to State.trail_length s - 1 do
-    match State.trail_atom s i with
-    | (Pos _ | Neg _) as a -> out := a :: !out
-    | Ge _ | Le _ -> ()
+    (* a Boolean's entry atom is its [Pos]/[Neg] literal *)
+    if Problem.is_bool_var s.State.prob (State.trail_var s i) then
+      out := State.trail_atom s i :: !out
   done;
   !out
 

@@ -11,7 +11,8 @@
 
     {2 Layout}
 
-    Nothing on the propagation path allocates.
+    Propagation allocates only conflict payloads (and whatever an
+    enabled observability handle records).
     - The trail is a struct of int arrays ([tr_*] below), one slot per
       bound event: variable and side, the new bound, the variable's
       previous event on the same side, the decision level and a reason
