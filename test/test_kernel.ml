@@ -143,7 +143,7 @@ let decide p atom =
 
 (* the solver's conflict handling: analyze, backjump, learn, assert
    the learned clause's first atom (the kernel through the arena, the
-   reference with the reason array the old solver built).  [false]
+   reference with the reason array its solver built).  [false]
    when the conflict is at the root *)
 let rec learn p conflict =
   p.a.State.n_conflicts <- p.a.State.n_conflicts + 1;
