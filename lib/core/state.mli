@@ -16,9 +16,10 @@
     - The trail is a struct of int arrays ([tr_*] below), one slot per
       bound event: variable and side, the new bound, the variable's
       previous event on the same side, the decision level and a reason
-      slice.  The entry's atom is [mk_lo v bound] or [mk_hi v bound]
-      ({!trail_atom}).  Only events move a bound, so undoing one
-      restores its previous event's bound, or the initial one.
+      slice.  The entry's atom is [canonical s (Ge (v, bound))] or
+      [canonical s (Le (v, bound))] ({!trail_atom}).  Only events move
+      a bound, so undoing one restores its previous event's bound, or
+      the initial one.
     - Each variable's events on one side form a chain, newest first:
       [last_lo]/[last_hi] name the newest entry and [tr_prev] links to
       the one before.  A backtrack unlinks a popped entry in O(1), and
@@ -203,11 +204,6 @@ val assert_atom : t -> atom -> reason -> unit
 val canonical : t -> atom -> atom
 (** Bound atoms over Boolean variables become [Pos]/[Neg]. *)
 
-val mk_lo : t -> var -> int -> atom
-val mk_hi : t -> var -> int -> atom
-(** [canonical (Ge (v, k))] and [canonical (Le (v, k))], allocating
-    only the result. *)
-
 val add_clause : t -> ?root:bool -> clause -> unit
 (** Register a clause (learned by default; [~root:true] for problem
     clauses, which database reduction never drops) with occurrence
@@ -275,7 +271,8 @@ val reason_push_lit : t -> var -> bool -> unit
 
 val reason_push_lo : t -> var -> int -> unit
 val reason_push_hi : t -> var -> int -> unit
-(** Append [mk_lo s v k] / [mk_hi s v k] without building it. *)
+(** Append [canonical s (Ge (v, k))] / [canonical s (Le (v, k))]
+    without building it. *)
 
 val atom_code : atom -> int
 val atom_bound : atom -> int
@@ -302,8 +299,8 @@ val assert_hi : t -> var -> int -> int -> unit
 
 val assert_lo_canon : t -> var -> int -> int -> unit
 val assert_hi_canon : t -> var -> int -> int -> unit
-(** The same for [mk_lo s v k] / [mk_hi s v k], without building the
-    atom. *)
+(** The same for [canonical s (Ge (v, k))] / [canonical s (Le (v, k))],
+    without building the atom. *)
 
 val take_reason : t -> int -> atom array
 (** The atoms written since the mark, dropped from the arena. *)
