@@ -24,10 +24,14 @@ let create limits =
     vmax = min_int;
   }
 
+(* the first bucket [i] with [x <= limits.(i)], or the overflow one; a
+   top-level function, so an observation allocates no closure *)
+let rec bucket limits x i =
+  if i >= Array.length limits || x <= limits.(i) then i
+  else bucket limits x (i + 1)
+
 let observe h x =
-  let nb = Array.length h.limits in
-  let rec bucket i = if i >= nb || x <= h.limits.(i) then i else bucket (i + 1) in
-  let b = bucket 0 in
+  let b = bucket h.limits x 0 in
   h.counts.(b) <- h.counts.(b) + 1;
   h.n <- h.n + 1;
   (* interval widths reach 2^61, so a few of them overflow an int sum *)

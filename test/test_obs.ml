@@ -129,6 +129,48 @@ let test_hist_saturates () =
   check_int "max_int itself is reached, not passed" max_int
     (Hist.summary small).Hist.total
 
+(* an observation allocates nothing: 100 k of them over widths up to
+   2^61 - 2 (the interval-width buckets) cost a few words in all, and
+   the buckets, total and mean agree with a direct count *)
+let test_hist_observe_allocates_nothing () =
+  let limits = [| 0; 1; 3; 7; 15; 63; 255; 1023; 65535 |] in
+  let h = Hist.create limits in
+  let n = 100_000 and top = (1 lsl 61) - 2 in
+  let width i =
+    (* every bucket, both ends of the range, and a spread in between *)
+    match i mod 4 with
+    | 0 -> i mod 70_000
+    | 1 -> top - i
+    | 2 -> (i * 2_654_435_761) land top
+    | _ -> i land 15
+  in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Hist.observe h (width i)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool
+    (Printf.sprintf "100k observes allocate %.0f words" words)
+    true (words <= 16.0);
+  let counts = Array.make (Array.length limits + 1) 0 in
+  let total = ref 0 and sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    let x = width i in
+    let b = ref 0 in
+    while !b < Array.length limits && x > limits.(!b) do
+      incr b
+    done;
+    counts.(!b) <- counts.(!b) + 1;
+    total := (if !total > max_int - x then max_int else !total + x);
+    sum := !sum +. float_of_int x
+  done;
+  let s = Hist.summary h in
+  check_int "n" n s.Hist.n;
+  check_int "total" !total s.Hist.total;
+  Alcotest.(check (float 1.0)) "mean" (!sum /. float_of_int n) s.Hist.mean;
+  Alcotest.(check (list int)) "buckets" (Array.to_list counts)
+    (List.map snd s.Hist.buckets)
+
 let test_hist_bad_limits () =
   check_bool "non-increasing limits rejected" true
     (match Hist.create [| 2; 2 |] with
@@ -1520,6 +1562,8 @@ let () =
           Alcotest.test_case "buckets" `Quick test_hist_buckets;
           Alcotest.test_case "empty" `Quick test_hist_empty;
           Alcotest.test_case "bad limits" `Quick test_hist_bad_limits;
+          Alcotest.test_case "observe allocates nothing" `Quick
+            test_hist_observe_allocates_nothing;
           Alcotest.test_case "total saturates" `Quick test_hist_saturates;
         ] );
       ( "obs",
