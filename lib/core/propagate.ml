@@ -279,24 +279,37 @@ let propagate_constr s ci =
 
 exception Propagation_timeout
 
-(* one wakeup of [ci] under forensics: counted and made the narrowing
-   target, and timed when it is the sampled one *)
-let wake s f ci =
-  if Forensics.constr_enter f ci then begin
-    let enter = Mono.now () in
-    propagate_constr s ci;
-    Forensics.constr_exit_sampled f ~enter ~exit:(Mono.now ())
+(* One wakeup of [ci] under forensics: counted and made the narrowing
+   target, and timed when it is the sampled one (see [Forensics.t]).
+   The counting is written here, not called, since it runs on every
+   wakeup.  A constraint appended after the table was sized is
+   propagated uncounted. *)
+let wake s (f : Forensics.t) ci =
+  let w = f.Forensics.c_wakeups in
+  if ci < Array.length w then begin
+    let n = w.(ci) in
+    w.(ci) <- n + 1;
+    f.Forensics.cur <- ci;
+    if (n + (ci * 37)) land (Forensics.sample_period - 1) = 0 then begin
+      let enter = Mono.now () in
+      propagate_constr s ci;
+      let time = f.Forensics.c_time in
+      time.(ci) <-
+        time.(ci)
+        +. (float_of_int Forensics.sample_period *. (Mono.now () -. enter))
+    end
+    else propagate_constr s ci
   end
   else begin
-    propagate_constr s ci;
-    Forensics.constr_exit f
+    f.Forensics.cur <- -1;
+    propagate_constr s ci
   end
 
 (* close the run's span, counting one BCP entry per trail entry (and
    the full scan) and one ICP entry per BCP entry that got past its
    clauses: all but the last when the run ended in clauses ([in_bcp]) *)
 let close obs fz ~full ~entries ~in_bcp =
-  (match fz with Some f -> Forensics.constr_exit f | None -> ());
+  (match fz with Some f -> f.Forensics.cur <- -1 | None -> ());
   if obs.Obs.enabled then begin
     let bcp_calls = if full then entries + 1 else entries in
     Obs.prop_exit obs ~bcp_calls
@@ -304,11 +317,12 @@ let close obs fz ~full ~entries ~in_bcp =
   end
 
 (* One loop serves both observed and unobserved runs.  With obs
-   enabled the run is one span (two clock reads); one trail entry in 16
-   is timed on its clause and constraint halves (three reads), and the
-   span's time is split between BCP and ICP by the sampled ratio at the
-   exit.  With forensics attached, one wakeup in
-   [Forensics.sample_period] of each constraint is timed (two reads). *)
+   enabled the run is one span (two clock reads); one trail entry in
+   [Obs.prop_sample_period] is timed on its clause and constraint halves
+   (three reads), and the span's time is split between BCP and ICP by
+   the sampled ratio at the exit.  With forensics attached, one wakeup
+   in [Forensics.sample_period] of each constraint is timed (two
+   reads). *)
 let run ?(full = false) ?(deadline = infinity) ?cancel s =
   let obs = s.State.obs in
   let on = obs.Obs.enabled in
@@ -335,7 +349,8 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
       | Some f ->
         for ci = 0 to Array.length s.State.constrs - 1 do
           wake s f ci
-        done
+        done;
+        f.Forensics.cur <- -1
     end;
     (* a split candidate suspends the fixpoint: the solver takes the
        bisection decision first (the queued consequences stay on the
@@ -365,7 +380,13 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
       let v = State.trail_var s s.State.qhead in
       s.State.qhead <- s.State.qhead + 1;
       s.State.n_propagations <- s.State.n_propagations + 1;
-      let sampled = on && Obs.prop_sample_due obs in
+      let sampled =
+        on
+        &&
+        let n = obs.Obs.prop_entries in
+        obs.Obs.prop_entries <- n + 1;
+        n land (Obs.prop_sample_period - 1) = 0
+      in
       let t0 = if sampled then Mono.now () else 0.0 in
       in_bcp := true;
       (* both visit orders are newest occurrence first *)
@@ -386,9 +407,13 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
        | Some f ->
          for j = o.State.n_occ.(v) - 1 downto 0 do
            wake s f a.(j)
-         done);
-      if sampled then
-        Obs.prop_sample obs ~bcp:(t1 -. t0) ~icp:(Mono.now () -. t1)
+         done;
+         f.Forensics.cur <- -1);
+      if sampled then begin
+        let ps = obs.Obs.prop_sampled in
+        ps.(0) <- ps.(0) +. (t1 -. t0);
+        ps.(1) <- ps.(1) +. (Mono.now () -. t1)
+      end
     done
   with
   | () ->

@@ -80,7 +80,6 @@ type outcome = {
   result : result;
   stats : stats;
   learned_clauses : clause list;
-  metrics : Obs.snapshot;
 }
 
 let luby x =
@@ -153,11 +152,8 @@ let split_decide obs s v =
   if obs.Obs.enabled then begin
     Obs.incr obs "icp.splits";
     Obs.note_split obs ~var:v;
-    if Obs.tracing obs then begin
-      Obs.event obs "decide"
-        [ ("kind", Json.Str "split");
-          ("lvl", Json.Int (State.decision_level s + 1));
-          ("var", Json.Int v) ];
+    Obs.decide obs Obs.Split ~lvl:(State.decision_level s + 1) ~var:v;
+    if Obs.tracing obs then
       Obs.event obs "split"
         [ ("var", Json.Int v);
           ("name", Json.Str (Problem.var_name s.State.prob v));
@@ -166,7 +162,6 @@ let split_decide obs s v =
           ("mid", Json.Int mid);
           ("arm", Json.Str (if s.State.split_dir.(v) then "ge" else "le"));
           ("pending", Json.Int (Heap.size s.State.split_heap)) ]
-    end
   end;
   State.new_level s;
   State.assert_atom s arm None
@@ -296,7 +291,6 @@ let outcome_of opts s t0 learn_summary r =
         solve_time = Mono.now () -. t0;
       };
     learned_clauses = collected_clauses opts s;
-    metrics = Obs.snapshot obs;
   }
 
 let solve_loop ~assumptions opts s justifier learn_summary =
@@ -350,13 +344,7 @@ let solve_loop ~assumptions opts s justifier learn_summary =
     | { Conflict.clause; btlevel } ->
       Obs.observe_learned_len obs (Array.length clause);
       Obs.observe_backjump obs (level - btlevel);
-      if Obs.tracing obs then begin
-        Obs.event obs "conflict"
-          [ ("lvl", Json.Int level); ("bt", Json.Int btlevel);
-            ("len", Json.Int (Array.length clause)) ];
-        Obs.event obs "learn"
-          [ ("cause", Json.Str "conflict"); ("len", Json.Int (Array.length clause)) ]
-      end;
+      Obs.conflict obs ~lvl:level ~bt:btlevel ~len:(Array.length clause);
       State.backtrack_to s btlevel;
       State.add_clause s clause;
       s.State.n_learned <- s.State.n_learned + 1;
@@ -401,10 +389,7 @@ let solve_loop ~assumptions opts s justifier learn_summary =
         if opts.restarts && !conflicts_left <= 0 then begin
           incr restart_num;
           conflicts_left := restart_base * luby !restart_num;
-          if Obs.tracing obs then
-            Obs.event obs "restart"
-              [ ("num", Json.Int !restart_num);
-                ("conflicts", Json.Int s.State.n_conflicts) ];
+          Obs.restart obs ~num:!restart_num ~conflicts:s.State.n_conflicts;
           State.backtrack_to s 0;
           if Vec.length s.State.clauses - s.State.n_root_clauses > reduce_db_budget
           then begin
@@ -440,11 +425,8 @@ let solve_loop ~assumptions opts s justifier learn_summary =
           else if State.entailed s a then State.new_level s
           else begin
             s.State.n_decisions <- s.State.n_decisions + 1;
-            if Obs.tracing obs then
-              Obs.event obs "decide"
-                [ ("kind", Json.Str "assumption");
-                  ("lvl", Json.Int (State.decision_level s + 1));
-                  ("var", Json.Int (atom_var a)) ];
+            Obs.decide obs Obs.Assumption ~lvl:(State.decision_level s + 1)
+              ~var:(atom_var a);
             State.new_level s;
             State.assert_atom s a None
           end
@@ -505,11 +487,8 @@ let solve_loop ~assumptions opts s justifier learn_summary =
           | Some (Pos v) when v = -1 -> () (* J-conflict handled *)
           | Some a ->
             s.State.n_decisions <- s.State.n_decisions + 1;
-            if Obs.tracing obs then
-              Obs.event obs "decide"
-                [ ("kind", Json.Str "structural");
-                  ("lvl", Json.Int (State.decision_level s + 1));
-                  ("var", Json.Int (atom_var a)) ];
+            Obs.decide obs Obs.Structural ~lvl:(State.decision_level s + 1)
+              ~var:(atom_var a);
             State.new_level s;
             State.assert_atom s a None
           | None ->
@@ -524,12 +503,9 @@ let solve_loop ~assumptions opts s justifier learn_summary =
             (match pick with
              | Some v ->
                s.State.n_decisions <- s.State.n_decisions + 1;
-               if Obs.tracing obs then
-                 Obs.event obs "decide"
-                   [ ( "kind",
-                       Json.Str (match rng with Some _ -> "random" | None -> "activity") );
-                     ("lvl", Json.Int (State.decision_level s + 1));
-                     ("var", Json.Int v) ];
+               Obs.decide obs
+                 (match rng with Some _ -> Obs.Random | None -> Obs.Activity)
+                 ~lvl:(State.decision_level s + 1) ~var:v;
                State.new_level s;
                State.assert_atom s
                  (if s.State.phase.(v) then Pos v else Neg v)

@@ -115,11 +115,9 @@ type outcome = {
   learned_clauses : Rtlsat_constr.Types.clause list;
       (** conflict-learned and statically-learned clauses, in learning
           order; empty unless [collect_learned] *)
-  metrics : Rtlsat_obs.Obs.snapshot;
-      (** per-phase timings, histograms and counters from the run's
-          [obs] handle; all-zero when observability was disabled.  The
-          [stats] record above is unchanged — [metrics] extends it. *)
 }
+(** The run's per-phase timings, histograms and counters are
+    [Obs.snapshot] of the [obs] handle, taken by whoever wants them. *)
 
 val solve : ?options:options -> Rtlsat_constr.Encode.t -> outcome
 (** Decide the encoded RTL problem.  A one-shot solve is the first

@@ -4,6 +4,7 @@ module Problem = Rtlsat_constr.Problem
 module Interval = Rtlsat_interval.Interval
 module Obs = Rtlsat_obs.Obs
 module Hist = Rtlsat_obs.Hist
+module Forensics = Rtlsat_obs.Forensics
 
 type reason = atom array option
 
@@ -300,6 +301,25 @@ let push_event s v side k prev mark =
   s.tr_len <- i + 1;
   i
 
+(* One word narrowing under observation: the width histogram and, with
+   forensics attached, the counts of the variable and of the constraint
+   being propagated, written here rather than through a call each.  A
+   narrowing that can move a stall streak goes on to [Obs.stall_step]. *)
+let observe_narrow s v ~shaved ~width =
+  Hist.observe s.obs.Obs.interval_width width;
+  match s.obs.Obs.forensics with
+  | Some f when v < Array.length f.Forensics.v_narrows ->
+    f.Forensics.v_narrows.(v) <- f.Forensics.v_narrows.(v) + 1;
+    f.Forensics.v_shaved.(v) <- f.Forensics.v_shaved.(v) + shaved;
+    let c = f.Forensics.cur in
+    if c >= 0 then begin
+      f.Forensics.c_narrows.(c) <- f.Forensics.c_narrows.(c) + 1;
+      f.Forensics.c_shaved.(c) <- f.Forensics.c_shaved.(c) + shaved
+    end;
+    if width >= Forensics.stall_min_width || f.Forensics.streaking > 0 then
+      Obs.stall_step s.obs f ~var:v ~shaved ~width
+  | _ -> ()
+
 (* [v >= k] with the reason written since [mark]; an entailed bound
    drops the reason *)
 let assert_lo s v k mark =
@@ -319,10 +339,7 @@ let assert_lo s v k mark =
       let width = s.ub.(v) - s.lb.(v) in
       s.split_dir.(v) <- true;
       note_shave s v ~shaved:(k - prev) ~width;
-      if s.obs.Obs.enabled then begin
-        Hist.observe s.obs.Obs.interval_width width;
-        Obs.note_narrow s.obs ~var:v ~shaved:(k - prev) ~width
-      end
+      if s.obs.Obs.enabled then observe_narrow s v ~shaved:(k - prev) ~width
     end
   end
   else if mark >= 0 then s.rs_len <- mark
@@ -343,10 +360,7 @@ let assert_hi s v k mark =
       let width = s.ub.(v) - s.lb.(v) in
       s.split_dir.(v) <- false;
       note_shave s v ~shaved:(prev - k) ~width;
-      if s.obs.Obs.enabled then begin
-        Hist.observe s.obs.Obs.interval_width width;
-        Obs.note_narrow s.obs ~var:v ~shaved:(prev - k) ~width
-      end
+      if s.obs.Obs.enabled then observe_narrow s v ~shaved:(prev - k) ~width
     end
   end
   else if mark >= 0 then s.rs_len <- mark

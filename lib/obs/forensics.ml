@@ -1,25 +1,23 @@
 (* ---- online attribution ---- *)
 
+(* The kernel writes the counters itself (Propagate's wakeup loop and
+   State's narrowing hook): a call per event would cost more than the
+   count.  This module owns the layout, the stall policy and the read
+   side. *)
 type t = {
-  (* per-constraint *)
   c_wakeups : int array;
   c_narrows : int array;
   c_shaved : int array;
   c_time : float array;
-  (* per-word-variable *)
   v_narrows : int array;
   v_shaved : int array;
-  mutable total_shaved : int;
-  (* stall detection: consecutive small narrowings per variable *)
   v_streak : int array;
   v_streak_shaved : int array;
-  v_next_report : int array;
-  mutable n_stalls : int;
-  (* stall → split attribution: bisection decisions per variable *)
   v_splits : int array;
-  mutable n_splits : int;
-  (* attribution target while a constraint propagates *)
   mutable cur : int;
+  mutable streaking : int;
+  mutable n_stalls : int;
+  mutable n_splits : int;
   mutable namer : (int -> string) option;
   mutable descr : (int -> string) option;
 }
@@ -36,14 +34,13 @@ let create ~nvars ~nconstrs =
     c_time = Array.make nconstrs 0.0;
     v_narrows = Array.make nvars 0;
     v_shaved = Array.make nvars 0;
-    total_shaved = 0;
     v_streak = Array.make nvars 0;
     v_streak_shaved = Array.make nvars 0;
-    v_next_report = Array.make nvars stall_streak;
-    n_stalls = 0;
     v_splits = Array.make nvars 0;
-    n_splits = 0;
     cur = -1;
+    streaking = 0;
+    n_stalls = 0;
+    n_splits = 0;
     namer = None;
     descr = None;
   }
@@ -67,23 +64,6 @@ let constr_desc t ci =
    narrowing target stay exact on every wakeup. *)
 let sample_period = 64
 
-let constr_enter t ci =
-  if ci >= 0 && ci < Array.length t.c_wakeups then begin
-    let n = t.c_wakeups.(ci) in
-    t.c_wakeups.(ci) <- n + 1;
-    t.cur <- ci;
-    (n + (ci * 37)) land (sample_period - 1) = 0
-  end
-  else false
-
-let constr_exit t = t.cur <- -1
-
-let constr_exit_sampled t ~enter ~exit =
-  if t.cur >= 0 then
-    t.c_time.(t.cur) <-
-      t.c_time.(t.cur) +. (float_of_int sample_period *. (exit -. enter));
-  t.cur <- -1
-
 type stall = {
   st_var : int;
   st_constr : int;
@@ -92,44 +72,41 @@ type stall = {
   st_width : int;
 }
 
-let note_narrow t ~var ~shaved ~width =
-  if var < 0 || var >= Array.length t.v_narrows then None
+(* a streak is reported when it reaches [stall_streak] and again at
+   16x, 256x, ... that length *)
+let report_due streak =
+  let rec due r = r = streak || (r < streak && due (r * 16)) in
+  due stall_streak
+
+let stall_step t ~var ~shaved ~width =
+  if shaved <= stall_max_shave && width >= stall_min_width then begin
+    let n = t.v_streak.(var) + 1 in
+    if n = 1 then t.streaking <- t.streaking + 1;
+    t.v_streak.(var) <- n;
+    t.v_streak_shaved.(var) <- t.v_streak_shaved.(var) + shaved;
+    if report_due n then begin
+      t.n_stalls <- t.n_stalls + 1;
+      Some
+        {
+          st_var = var;
+          st_constr = t.cur;
+          st_streak = n;
+          st_shaved = t.v_streak_shaved.(var);
+          st_width = width;
+        }
+    end
+    else None
+  end
   else begin
-    t.v_narrows.(var) <- t.v_narrows.(var) + 1;
-    t.v_shaved.(var) <- t.v_shaved.(var) + shaved;
-    t.total_shaved <- t.total_shaved + shaved;
-    if t.cur >= 0 then begin
-      t.c_narrows.(t.cur) <- t.c_narrows.(t.cur) + 1;
-      t.c_shaved.(t.cur) <- t.c_shaved.(t.cur) + shaved
-    end;
-    if shaved <= stall_max_shave && width >= stall_min_width then begin
-      t.v_streak.(var) <- t.v_streak.(var) + 1;
-      t.v_streak_shaved.(var) <- t.v_streak_shaved.(var) + shaved;
-      if t.v_streak.(var) >= t.v_next_report.(var) then begin
-        t.v_next_report.(var) <- t.v_next_report.(var) * 16;
-        t.n_stalls <- t.n_stalls + 1;
-        Some
-          {
-            st_var = var;
-            st_constr = t.cur;
-            st_streak = t.v_streak.(var);
-            st_shaved = t.v_streak_shaved.(var);
-            st_width = width;
-          }
-      end
-      else None
-    end
-    else begin
-      (* a decisive narrowing (or a shrunken domain) ends the streak *)
-      t.v_streak.(var) <- 0;
-      t.v_streak_shaved.(var) <- 0;
-      t.v_next_report.(var) <- stall_streak;
-      None
-    end
+    (* a decisive narrowing (or a shrunken domain) ends the streak *)
+    if t.v_streak.(var) > 0 then t.streaking <- t.streaking - 1;
+    t.v_streak.(var) <- 0;
+    t.v_streak_shaved.(var) <- 0;
+    None
   end
 
 let stalls t = t.n_stalls
-let total_shaved t = t.total_shaved
+let total_shaved t = Array.fold_left ( + ) 0 t.v_shaved
 
 let note_split t ~var =
   if var >= 0 && var < Array.length t.v_splits then begin

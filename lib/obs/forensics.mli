@@ -24,7 +24,37 @@
 
 (* ---- online attribution ---- *)
 
-type t
+(** The attribution table of one solve.  The kernel keeps the per-event
+    counters itself, writing these arrays inline: Propagate's wakeup
+    loop counts [c_wakeups], sets [cur] and times the wakeup of
+    constraint [ci] that finds [n] earlier ones when [n + 37 ci] is a
+    multiple of {!sample_period}, charging [c_time] {!sample_period}
+    times its duration; State's narrowing hook
+    counts [v_narrows]/[v_shaved] and, when [cur >= 0],
+    [c_narrows]/[c_shaved], and hands a wide or streaking narrowing to
+    {!stall_step}.  Constraint and variable ids past the arrays' length
+    (appended by a growing session) are not counted. *)
+type t = {
+  c_wakeups : int array;  (** per constraint: wakeups *)
+  c_narrows : int array;  (** narrowings it drove *)
+  c_shaved : int array;  (** units of width it removed *)
+  c_time : float array;
+      (** sampled seconds: an estimate costing two clock reads per
+          {!sample_period} wakeups, where the counts are exact *)
+  v_narrows : int array;  (** per word variable: narrowings *)
+  v_shaved : int array;  (** units of width removed *)
+  v_streak : int array;  (** current stall streak (see {!stall_step}) *)
+  v_streak_shaved : int array;  (** units shaved over that streak *)
+  v_splits : int array;  (** interval-split decisions *)
+  mutable cur : int;
+      (** the constraint being propagated, the target of narrowings;
+          -1 outside a constraint (clause propagation, decisions) *)
+  mutable streaking : int;  (** variables with a stall streak running *)
+  mutable n_stalls : int;
+  mutable n_splits : int;
+  mutable namer : (int -> string) option;
+  mutable descr : (int -> string) option;
+}
 
 val create : nvars:int -> nconstrs:int -> t
 (** Fresh, all-zero attribution table for one solve. *)
@@ -38,26 +68,7 @@ val var_name : t -> int -> string
 val constr_desc : t -> int -> string
 
 val sample_period : int
-(** 64: one wakeup of a constraint in this many is timed (see
-    {!constr_enter}). *)
-
-val constr_enter : t -> int -> bool
-(** The propagator is about to run constraint [ci]: counts a wakeup
-    and makes [ci] the attribution target for narrowings until the
-    exit.  Returns [true] on one in every {!sample_period} consecutive
-    wakeups of [ci] (at a phase fixed by [ci]): the caller times that
-    wakeup and closes it with {!constr_exit_sampled}, any other with
-    {!constr_exit}. *)
-
-val constr_exit : t -> unit
-(** Clears the attribution target. *)
-
-val constr_exit_sampled : t -> enter:float -> exit:float -> unit
-(** Charges {!sample_period} times [exit - enter] (two {!Mono.now}
-    readings around the sampled wakeup) to the current target, if any,
-    and clears it.  Per-constraint time is thus an estimate costing two
-    clock reads per {!sample_period} wakeups; wakeup, narrowing and
-    shaved counts stay exact. *)
+(** 64: one wakeup of a constraint in this many is timed. *)
 
 (** An ICP stall report: variable [st_var] has been narrowed for
     [st_streak] consecutive events, each shaving at most
@@ -82,18 +93,21 @@ val stall_streak : int
     re-fire at 16x, 256x, ... so a long stall stays visible without
     flooding the trace. *)
 
-val note_narrow : t -> var:int -> shaved:int -> width:int -> stall option
-(** Record one narrowing of a word variable ([shaved] units removed,
-    [width] remaining), attributed to the current constraint.
-    Returns [Some stall] when this narrowing crosses a stall-report
-    threshold. *)
+val stall_step : t -> var:int -> shaved:int -> width:int -> stall option
+(** One narrowing of word variable [var] ([shaved] units removed,
+    [width] remaining) for stall detection: extends or ends its streak,
+    and returns [Some stall] when the streak crosses a report
+    threshold.  Only a narrowing with [width >= stall_min_width], or
+    one while some streak is running ([streaking > 0]), can change
+    anything, so the kernel calls it for those alone. *)
 
 val stalls : t -> int
 (** Stall reports issued so far. *)
 
 val total_shaved : t -> int
 (** Total interval width removed across every narrowing this solve —
-    the progress number heartbeats report for ICP-bound runs. *)
+    the progress number heartbeats report for ICP-bound runs (a sum,
+    taken at the call). *)
 
 val note_split : t -> var:int -> unit
 (** Record one interval-split (bisection) decision on [var], for

@@ -10,13 +10,18 @@
    backwards process-wide.  A forward step still passes through (the
    clock jumps ahead once and stays monotonic from there) — the
    failure mode left is a too-early timeout after a large forward
-   step, which is benign next to a deadline that never fires. *)
+   step, which is benign next to a deadline that never fires.
 
-let last = ref 0.0
+   The clamp lives in a one-cell float array, whose store is unboxed:
+   a [float ref] would box every reading a second time, doubling the
+   allocation of a call to the clock's own two words. *)
+
+let last = [| 0.0 |]
 
 let now () =
   let t = Unix.gettimeofday () in
-  if t >= !last then (
-    last := t;
-    t)
-  else !last
+  if t >= last.(0) then begin
+    last.(0) <- t;
+    t
+  end
+  else last.(0)

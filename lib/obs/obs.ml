@@ -50,8 +50,7 @@ type t = {
   calls : int array;
   alloc : float array;
   mutable stack : int list;
-  mutable mark : float;
-  mutable alloc_mark : float;
+  marks : float array;
   mutable prop_entries : int;
   prop_sampled : float array;
   learned_len : Hist.t;
@@ -81,6 +80,11 @@ type t = {
    from one end-of-run [quick_stat]. *)
 let allocated_words () = Gc.minor_words ()
 
+(* [marks]: the time and the allocated words of the last span event.
+   Flat float cells, so that updating them boxes nothing. *)
+let mark = 0
+let alloc_mark = 1
+
 let heap_mb_of_words words =
   float_of_int words *. float_of_int (Sys.word_size / 8) /. 1.0e6
 
@@ -93,8 +97,7 @@ let make ~enabled ~trace ~recorder ~heartbeat ~progress =
     calls = Array.make n_phases 0;
     alloc = Array.make n_phases 0.0;
     stack = [];
-    mark = now;
-    alloc_mark = allocated_words ();
+    marks = [| now; allocated_words () |];
     prop_entries = 0;
     prop_sampled = [| 0.0; 0.0 |];
     learned_len = Hist.create [| 1; 2; 4; 8; 16; 32; 64; 128 |];
@@ -137,12 +140,12 @@ let push t i =
   let words = allocated_words () in
   (match t.stack with
    | p :: _ ->
-     t.self.(p) <- t.self.(p) +. (now -. t.mark);
-     t.alloc.(p) <- t.alloc.(p) +. (words -. t.alloc_mark)
+     t.self.(p) <- t.self.(p) +. (now -. t.marks.(mark));
+     t.alloc.(p) <- t.alloc.(p) +. (words -. t.marks.(alloc_mark))
    | [] -> ());
   t.stack <- i :: t.stack;
-  t.mark <- now;
-  t.alloc_mark <- words
+  t.marks.(mark) <- now;
+  t.marks.(alloc_mark) <- words
 
 let span_enter t ph =
   if t.enabled then begin
@@ -158,11 +161,11 @@ let span_exit t ph =
     | p :: rest when p = i ->
       let now = Mono.now () in
       let words = allocated_words () in
-      t.self.(p) <- t.self.(p) +. (now -. t.mark);
-      t.alloc.(p) <- t.alloc.(p) +. (words -. t.alloc_mark);
+      t.self.(p) <- t.self.(p) +. (now -. t.marks.(mark));
+      t.alloc.(p) <- t.alloc.(p) +. (words -. t.marks.(alloc_mark));
       t.stack <- rest;
-      t.mark <- now;
-      t.alloc_mark <- words
+      t.marks.(mark) <- now;
+      t.marks.(alloc_mark) <- words
     | _ -> () (* unbalanced (exception unwound past an exit): ignore *)
   end
 
@@ -171,26 +174,13 @@ let span_exit t ph =
 (* One trail entry in [prop_sample_period], the first one included, is
    timed on its clause half and its constraint half; the cumulative
    ratio of those sampled times splits each run's exact elapsed time
-   and allocation between [Bcp] and [Icp]. *)
-let prop_sample_period = 16
+   and allocation between [Bcp] and [Icp].  The propagation loop counts
+   the entries in [prop_entries] itself. *)
+let prop_sample_period = 256
 
 (* the run's span sits on the stack as [Bcp]; its calls are counted
    at the exit *)
 let prop_enter t = if t.enabled then push t (phase_index Bcp)
-
-let prop_sample_due t =
-  if t.enabled then begin
-    let n = t.prop_entries in
-    t.prop_entries <- n + 1;
-    n land (prop_sample_period - 1) = 0
-  end
-  else false
-
-let prop_sample t ~bcp ~icp =
-  if t.enabled then begin
-    t.prop_sampled.(0) <- t.prop_sampled.(0) +. bcp;
-    t.prop_sampled.(1) <- t.prop_sampled.(1) +. icp
-  end
 
 let prop_exit t ~bcp_calls ~icp_calls =
   let b = phase_index Bcp and i = phase_index Icp in
@@ -201,7 +191,7 @@ let prop_exit t ~bcp_calls ~icp_calls =
       let words = allocated_words () in
       let sb = t.prop_sampled.(0) and si = t.prop_sampled.(1) in
       let r = if sb +. si > 0.0 then sb /. (sb +. si) else 0.5 in
-      let dt = now -. t.mark and dw = words -. t.alloc_mark in
+      let dt = now -. t.marks.(mark) and dw = words -. t.marks.(alloc_mark) in
       t.self.(b) <- t.self.(b) +. (r *. dt);
       t.self.(i) <- t.self.(i) +. ((1.0 -. r) *. dt);
       t.alloc.(b) <- t.alloc.(b) +. (r *. dw);
@@ -209,8 +199,8 @@ let prop_exit t ~bcp_calls ~icp_calls =
       t.calls.(b) <- t.calls.(b) + bcp_calls;
       t.calls.(i) <- t.calls.(i) + icp_calls;
       t.stack <- rest;
-      t.mark <- now;
-      t.alloc_mark <- words
+      t.marks.(mark) <- now;
+      t.marks.(alloc_mark) <- words
     | _ -> ()
 
 let span t ph f =
@@ -265,6 +255,38 @@ let emit_to_sinks t ev fields =
 
 let event t ev fields = if t.enabled then emit_to_sinks t ev fields
 
+(* a flat event: rendered for the trace file, stored as ints in the
+   ring *)
+let emit_flat t kind a b c =
+  (match t.trace with
+   | Some tr ->
+     let ev, fields = Recorder.render kind a b c in
+     Trace.emit tr ~ev fields
+   | None -> ());
+  match t.recorder with
+  | Some r -> Recorder.record_flat r ~t_rel:(Mono.now () -. t.t0) kind a b c
+  | None -> ()
+
+type decision = Recorder.decision =
+  | Activity
+  | Structural
+  | Random
+  | Assumption
+  | Split
+
+let decide t d ~lvl ~var =
+  if tracing t then
+    emit_flat t Recorder.Decide (Recorder.decision_code d) lvl var
+
+let conflict t ~lvl ~bt ~len =
+  if tracing t then begin
+    emit_flat t Recorder.Conflict lvl bt len;
+    emit_flat t Recorder.Learn len 0 0
+  end
+
+let restart t ~num ~conflicts =
+  if tracing t then emit_flat t Recorder.Restart num conflicts 0
+
 (* ---- forensics: attribution and stall diagnosis ---- *)
 
 let attach_forensics t ~nvars ~nconstrs ~var_name ~constr_desc =
@@ -276,27 +298,24 @@ let attach_forensics t ~nvars ~nconstrs ~var_name ~constr_desc =
 
 let forensics t = if t.enabled then t.forensics else None
 
-let note_narrow t ~var ~shaved ~width =
-  match t.forensics with
+let stall_step t f ~var ~shaved ~width =
+  match Forensics.stall_step f ~var ~shaved ~width with
   | None -> ()
-  | Some f ->
-    (match Forensics.note_narrow f ~var ~shaved ~width with
-     | None -> ()
-     | Some st ->
-       (match Hashtbl.find_opt t.counters "icp.stalls" with
-        | Some r -> Stdlib.incr r
-        | None -> Hashtbl.replace t.counters "icp.stalls" (ref 1));
-       if tracing t then
-         emit_to_sinks t "icp_stall"
-           [
-             ("var", Json.Int st.Forensics.st_var);
-             ("name", Json.Str (Forensics.var_name f st.Forensics.st_var));
-             ("constr", Json.Int st.Forensics.st_constr);
-             ("desc", Json.Str (Forensics.constr_desc f st.Forensics.st_constr));
-             ("streak", Json.Int st.Forensics.st_streak);
-             ("shaved", Json.Int st.Forensics.st_shaved);
-             ("width", Json.Int st.Forensics.st_width);
-           ])
+  | Some st ->
+    (match Hashtbl.find_opt t.counters "icp.stalls" with
+     | Some r -> Stdlib.incr r
+     | None -> Hashtbl.replace t.counters "icp.stalls" (ref 1));
+    if tracing t then
+      emit_to_sinks t "icp_stall"
+        [
+          ("var", Json.Int st.Forensics.st_var);
+          ("name", Json.Str (Forensics.var_name f st.Forensics.st_var));
+          ("constr", Json.Int st.Forensics.st_constr);
+          ("desc", Json.Str (Forensics.constr_desc f st.Forensics.st_constr));
+          ("streak", Json.Int st.Forensics.st_streak);
+          ("shaved", Json.Int st.Forensics.st_shaved);
+          ("width", Json.Int st.Forensics.st_width);
+        ]
 
 let note_split t ~var =
   match t.forensics with Some f -> Forensics.note_split f ~var | None -> ()
@@ -323,30 +342,50 @@ let hot_var_json (h : Forensics.hot_var) =
 
 let top_k = 10
 
+(* the fields of a summary event, built from the handle as it is now *)
+let summary_fields t = function
+  | Recorder.Phases ->
+    [
+      ( "self_s",
+        Json.Obj
+          (List.map
+             (fun ph -> (phase_name ph, Json.Float t.self.(phase_index ph)))
+             all_phases) );
+    ]
+  | Recorder.Hot_constraints ->
+    let top = match t.forensics with
+      | Some f -> Forensics.top_constraints f ~k:top_k
+      | None -> []
+    in
+    [ ("top", Json.Arr (List.map hot_constr_json top)) ]
+  | Recorder.Hot_vars ->
+    let top = match t.forensics with
+      | Some f -> Forensics.top_vars f ~k:top_k
+      | None -> []
+    in
+    [ ("top", Json.Arr (List.map hot_var_json top)) ]
+  | _ -> []
+
+(* A trace file gets the tables now; the ring gets markers, which a
+   dump builds from the handle as it is then — so a run that is never
+   dumped never builds them. *)
 let emit_summary_events t =
   if tracing t then begin
-    emit_to_sinks t "phases"
-      [
-        ( "self_s",
-          Json.Obj
-            (List.map
-               (fun ph -> (phase_name ph, Json.Float t.self.(phase_index ph)))
-               all_phases) );
-      ];
-    match t.forensics with
-    | None -> ()
-    | Some f ->
-      emit_to_sinks t "hot_constraints"
-        [
-          ( "top",
-            Json.Arr
-              (List.map hot_constr_json (Forensics.top_constraints f ~k:top_k)) );
-        ];
-      emit_to_sinks t "hot_vars"
-        [
-          ( "top",
-            Json.Arr (List.map hot_var_json (Forensics.top_vars f ~k:top_k)) );
-        ]
+    let kinds =
+      match t.forensics with
+      | None -> [ Recorder.Phases ]
+      | Some _ -> [ Recorder.Phases; Recorder.Hot_constraints; Recorder.Hot_vars ]
+    in
+    List.iter
+      (fun k ->
+         (match t.trace with
+          | Some tr ->
+            Trace.emit tr ~ev:(Recorder.summary_name k) (summary_fields t k)
+          | None -> ());
+         match t.recorder with
+         | Some r -> Recorder.record_flat r ~t_rel:(Mono.now () -. t.t0) k 0 0 0
+         | None -> ())
+      kinds
   end
 
 (* ---- progress ---- *)
@@ -411,7 +450,7 @@ let heartbeat_tick t ~decisions ~conflicts ~propagations ~splits ~lvl =
 let flight_dump t path =
   match t.recorder with
   | Some r when not (Recorder.is_empty r) ->
-    Recorder.dump r path;
+    Recorder.dump ~summary:(summary_fields t) r path;
     true
   | _ -> false
 

@@ -38,9 +38,11 @@ type t = {
   alloc : float array;             (** per-phase allocated words (self,
                                        minor heap only) *)
   mutable stack : int list;        (** open phases, innermost first *)
-  mutable mark : float;            (** time of the last span event *)
-  mutable alloc_mark : float;      (** allocated words at the last span event *)
-  mutable prop_entries : int;      (** trail entries seen by {!prop_sample_due} *)
+  marks : float array;             (** the time and the allocated words
+                                       of the last span event *)
+  mutable prop_entries : int;
+      (** trail entries propagated under this handle; the propagation
+          loop counts them and times one in {!prop_sample_period} *)
   prop_sampled : float array;      (** sampled BCP and ICP seconds, the
                                        ratio {!prop_exit} splits by *)
   learned_len : Hist.t;            (** learned-clause lengths *)
@@ -106,15 +108,10 @@ val prop_enter : t -> unit
 (** Opens the span of one propagation run (one clock read).  It nests
     like any span and is closed by {!prop_exit}. *)
 
-val prop_sample_due : t -> bool
-(** Counts one trail entry; [true] on the handle's first entry and on
-    every 16th one after it.  The caller then times
-    that entry's clause and constraint halves and passes both to
-    {!prop_sample}.  Always [false] on a disabled handle. *)
-
-val prop_sample : t -> bcp:float -> icp:float -> unit
-(** Adds one sampled entry's clause ([bcp]) and constraint ([icp])
-    seconds to the handle's cumulative sample. *)
+val prop_sample_period : int
+(** 256: the propagation loop times the handle's first trail entry and
+    every 256th one after it ([prop_entries] a multiple of this), on its
+    clause and constraint halves, and adds both to [prop_sampled]. *)
 
 val prop_exit : t -> bcp_calls:int -> icp_calls:int -> unit
 (** Closes the run's span (one clock read) and splits its self time
@@ -144,6 +141,26 @@ val event : t -> string -> (string * Json.t) list -> unit
     No-op unless {!tracing}.  Callers should avoid building the field
     list when not tracing. *)
 
+(** The search's own events, the frequent ones: the flight recorder
+    stores them as ints, and only a trace file or a dump renders them
+    (see {!Recorder.render}).  Each is a no-op unless {!tracing}. *)
+
+type decision = Recorder.decision =
+  | Activity
+  | Structural
+  | Random
+  | Assumption
+  | Split
+
+val decide : t -> decision -> lvl:int -> var:int -> unit
+(** A [decide] event: the decision's kind, its level and variable. *)
+
+val conflict : t -> lvl:int -> bt:int -> len:int -> unit
+(** A [conflict] event (level, backjump level, learned length) and the
+    [learn] event of its clause. *)
+
+val restart : t -> num:int -> conflicts:int -> unit
+
 val set_context : t -> (string * Json.t) list -> unit
 (** Fields appended to every subsequent heartbeat — e.g.
     [("bound", Int k)] during a sweep.  Pass [[]] to clear. *)
@@ -167,9 +184,9 @@ val heartbeat_tick :
 
 val flight_dump : t -> string -> bool
 (** Dump the flight-recorder ring to a file ([rtlsat profile] reads
-    it).  Returns [false] (and writes nothing) when no recorder is
-    attached or nothing was recorded.  @raise Sys_error when the file
-    cannot be written. *)
+    it), building its summary tables now.  Returns [false] (and writes
+    nothing) when no recorder is attached or nothing was recorded.
+    @raise Sys_error when the file cannot be written. *)
 
 (* ---- forensics (per-constraint / per-variable attribution) ---- *)
 
@@ -187,12 +204,13 @@ val attach_forensics :
 val forensics : t -> Forensics.t option
 (** The attached table; [None] when disabled or never attached. *)
 
-val note_narrow : t -> var:int -> shaved:int -> width:int -> unit
-(** Record one word-variable narrowing ([shaved] units removed,
-    [width] remaining).  When the narrowing crosses a stall threshold
-    (see {!Forensics.note_narrow}), bumps the [icp.stalls] counter and
-    emits an [icp_stall] trace event naming the variable and the
-    driving constraint. *)
+val stall_step :
+  t -> Forensics.t -> var:int -> shaved:int -> width:int -> unit
+(** {!Forensics.stall_step} on the attached table: when the narrowing
+    crosses a stall threshold, bumps the [icp.stalls] counter and emits
+    an [icp_stall] trace event naming the variable and the driving
+    constraint.  The kernel's narrowing hook calls it for the
+    narrowings {!Forensics.stall_step} says can matter. *)
 
 val note_split : t -> var:int -> unit
 (** Record one interval-split decision on [var] in the attached
@@ -203,7 +221,9 @@ val note_split : t -> var:int -> unit
 val emit_summary_events : t -> unit
 (** When tracing, emit the end-of-solve summary events: [phases]
     (per-phase self seconds) and, if forensics is attached,
-    [hot_constraints] / [hot_vars] (top-10 attribution). *)
+    [hot_constraints] / [hot_vars] (top-10 attribution).  A trace file
+    gets them built now; the flight recorder gets markers, built only
+    if and when it is dumped, from the handle as it is then. *)
 
 val progress_tick :
   t -> decisions:int -> conflicts:int -> learned:int -> depth:int -> unit

@@ -1,19 +1,51 @@
 (* Flight recorder: a bounded ring buffer of trace events that is
    always on (even with --trace off) and cheap enough to leave
-   attached to every CLI solve.  Events are stored unrendered — the
-   JSON text is only produced at dump time, so the per-event cost is
-   one array store and the field list the caller already built.
+   attached to every CLI solve.  Nothing is rendered while the solver
+   runs.  The search's per-decision and per-conflict events are flat:
+   a kind and three ints in preallocated arrays, so recording one
+   allocates nothing.  The rare events keep the field list their caller
+   built.  The summary tables are markers, built only when a dump
+   renders them.
 
    The ring has one writer, the solving domain, and one other reader:
    the SIGUSR1 dump, which runs on that same domain at a safepoint of
    the interrupted code.  No lock is needed (and a mutex would be
    wrong: OCaml mutexes are error-checking, so a handler that lands
-   inside a locked [record] and re-locks in [snapshot] fails with
-   "Resource deadlock avoided").  A [record] is consistent at every
-   safepoint because its one allocation, the entry itself, happens
-   before the ring store and the [total] increment, and those two
-   neither allocate nor poll.  A handler sees either none of the
-   event or all of it. *)
+   inside a locked [record] and re-locks in [dump] fails with
+   "Resource deadlock avoided").  A record is consistent at every
+   safepoint because it neither allocates nor polls: its arguments are
+   built before the call, and the slot stores and the [total]
+   increment that publishes them are plain stores.  A handler sees
+   either none of the event or all of it. *)
+
+type decision = Activity | Structural | Random | Assumption | Split
+
+let decision_name = function
+  | Activity -> "activity"
+  | Structural -> "structural"
+  | Random -> "random"
+  | Assumption -> "assumption"
+  | Split -> "split"
+
+let decision_code = function
+  | Activity -> 0
+  | Structural -> 1
+  | Random -> 2
+  | Assumption -> 3
+  | Split -> 4
+
+let decision_names =
+  Array.map decision_name [| Activity; Structural; Random; Assumption; Split |]
+
+type kind =
+  | Generic
+  | Decide
+  | Conflict
+  | Learn
+  | Restart
+  | Phases
+  | Hot_constraints
+  | Hot_vars
 
 type entry = {
   e_t : float;  (* seconds since the owning handle's t0 *)
@@ -23,41 +55,93 @@ type entry = {
 
 type t = {
   cap : int;
-  ring : entry array;
+  kinds : kind array;
+  times : float array;
+  ints : int array;  (* three per slot *)
+  names : string array;  (* [Generic] slots: the event name ... *)
+  fields : (string * Json.t) list array;  (* ... and its fields *)
   mutable total : int;  (* events ever recorded *)
 }
 
 let default_cap = 4096
 
-let dummy = { e_t = 0.0; e_ev = ""; e_fields = [] }
-
 let create ?(cap = default_cap) () =
   if cap <= 0 then invalid_arg "Recorder.create: cap must be positive";
-  { cap; ring = Array.make cap dummy; total = 0 }
+  {
+    cap;
+    kinds = Array.make cap Generic;
+    times = Array.make cap 0.0;
+    ints = Array.make (3 * cap) 0;
+    names = Array.make cap "";
+    fields = Array.make cap [];
+    total = 0;
+  }
 
 let record t ~t_rel ~ev fields =
-  let e = { e_t = t_rel; e_ev = ev; e_fields = fields } in
-  t.ring.(t.total mod t.cap) <- e;
+  let i = t.total mod t.cap in
+  t.kinds.(i) <- Generic;
+  t.times.(i) <- t_rel;
+  t.names.(i) <- ev;
+  t.fields.(i) <- fields;
   t.total <- t.total + 1
+
+let record_flat t ~t_rel kind a b c =
+  let i = t.total mod t.cap in
+  t.kinds.(i) <- kind;
+  t.times.(i) <- t_rel;
+  t.ints.(3 * i) <- a;
+  t.ints.((3 * i) + 1) <- b;
+  t.ints.((3 * i) + 2) <- c;
+  t.total <- t.total + 1
+
+let summary_name = function
+  | Phases -> "phases"
+  | Hot_constraints -> "hot_constraints"
+  | Hot_vars -> "hot_vars"
+  | Generic | Decide | Conflict | Learn | Restart ->
+    invalid_arg "Recorder.summary_name: not a summary marker"
+
+let render kind a b c =
+  match kind with
+  | Decide ->
+    ( "decide",
+      [ ("kind", Json.Str decision_names.(a)); ("lvl", Json.Int b);
+        ("var", Json.Int c) ] )
+  | Conflict ->
+    ("conflict", [ ("lvl", Json.Int a); ("bt", Json.Int b); ("len", Json.Int c) ])
+  | Learn -> ("learn", [ ("cause", Json.Str "conflict"); ("len", Json.Int a) ])
+  | Restart -> ("restart", [ ("num", Json.Int a); ("conflicts", Json.Int b) ])
+  | Generic | Phases | Hot_constraints | Hot_vars ->
+    invalid_arg "Recorder.render: not a flat event"
 
 let recorded t = min t.total t.cap
 let dropped t = max 0 (t.total - t.cap)
 let is_empty t = t.total = 0
 
-(* copy the ring out first, so a callback that records more events
-   cannot disturb the walk *)
-let snapshot t =
+(* the buffered events oldest-first, rendered; [summary] gives a
+   marker's fields *)
+let entries ?(summary = fun _ -> []) t =
   let total = t.total in
   let n = min total t.cap in
   let first = total - n in
-  (Array.init n (fun i -> t.ring.((first + i) mod t.cap)), total)
+  ( Array.init n (fun j ->
+        let i = (first + j) mod t.cap in
+        let e_t = t.times.(i) in
+        match t.kinds.(i) with
+        | Generic -> { e_t; e_ev = t.names.(i); e_fields = t.fields.(i) }
+        | (Phases | Hot_constraints | Hot_vars) as k ->
+          { e_t; e_ev = summary_name k; e_fields = summary k }
+        | k ->
+          let e_ev, e_fields =
+            render k t.ints.(3 * i) t.ints.((3 * i) + 1) t.ints.((3 * i) + 2)
+          in
+          { e_t; e_ev; e_fields }),
+    total )
 
-let iter t f =
-  let entries, _ = snapshot t in
-  Array.iter f entries
+let iter ?summary t f = Array.iter f (fst (entries ?summary t))
 
-let dump t path =
-  let entries, total = snapshot t in
+let dump ?summary t path =
+  let entries, total = entries ?summary t in
   let n = Array.length entries in
   let oc = open_out path in
   Fun.protect

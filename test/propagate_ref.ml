@@ -6,8 +6,6 @@ module Heap = Rtlsat_core.Heap
 
 open Rtlsat_constr.Types
 module Vec = Rtlsat_constr.Vec
-module Obs = Rtlsat_obs.Obs
-module Forensics = Rtlsat_obs.Forensics
 module Mono = Rtlsat_obs.Mono
 
 let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
@@ -264,63 +262,21 @@ let propagate_constr s ci =
 
 exception Propagation_timeout
 
-(* one wakeup of [ci] under forensics: counted and made the narrowing
-   target, and timed when it is the sampled one *)
-let wake s f ci =
-  if Forensics.constr_enter f ci then begin
-    let enter = Mono.now () in
-    propagate_constr s ci;
-    Forensics.constr_exit_sampled f ~enter ~exit:(Mono.now ())
-  end
-  else begin
-    propagate_constr s ci;
-    Forensics.constr_exit f
-  end
-
-(* close the run's span, counting one BCP entry per trail entry (and
-   the full scan) and one ICP entry per BCP entry that got past its
-   clauses: all but the last when the run ended in clauses ([in_bcp]) *)
-let close obs fz ~full ~entries ~in_bcp =
-  (match fz with Some f -> Forensics.constr_exit f | None -> ());
-  if obs.Obs.enabled then begin
-    let bcp_calls = if full then entries + 1 else entries in
-    Obs.prop_exit obs ~bcp_calls
-      ~icp_calls:(if in_bcp then bcp_calls - 1 else bcp_calls)
-  end
-
-(* One loop serves both observed and unobserved runs.  With obs
-   enabled the run is one span (two clock reads); one trail entry in 16
-   is timed on its clause and constraint halves (three reads), and the
-   span's time is split between BCP and ICP by the sampled ratio at the
-   exit.  With forensics attached, one wakeup in
-   [Forensics.sample_period] of each constraint is timed (two reads). *)
+(* The frozen loop without the observability arms: the lockstep suite
+   runs both kernels unobserved. *)
 let run ?(full = false) ?(deadline = infinity) ?cancel s =
-  let obs = s.State.obs in
-  let on = obs.Obs.enabled in
-  let fz = Obs.forensics obs in
-  let q0 = s.State.qhead in
-  let in_bcp = ref false in
   (* ICP can tighten a bound by 1 per sweep over a 2^61 domain, so the
      fixpoint loop must watch the clock itself; check sparsely to keep
      the hot path free of syscalls *)
   let fuel = ref 4096 in
-  if on then Obs.prop_enter obs;
   match
     if full then begin
-      in_bcp := true;
       for ci = 0 to Vec.length s.State.clauses - 1 do
         check_clause s ci
       done;
-      in_bcp := false;
-      match fz with
-      | None ->
-        for ci = 0 to Array.length s.State.constrs - 1 do
-          propagate_constr s ci
-        done
-      | Some f ->
-        for ci = 0 to Array.length s.State.constrs - 1 do
-          wake s f ci
-        done
+      for ci = 0 to Array.length s.State.constrs - 1 do
+        propagate_constr s ci
+      done
     end;
     (* a split candidate suspends the fixpoint: the solver takes the
        bisection decision first (the queued consequences stay on the
@@ -334,13 +290,6 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
       decr fuel;
       if !fuel <= 0 then begin
         fuel := 4096;
-        (* the w61 crawl spins here without ever returning to the
-           solve loop, so heartbeats must also fire from this gate *)
-        if on then
-          Obs.heartbeat_tick obs ~decisions:s.State.n_decisions
-            ~conflicts:s.State.n_conflicts
-            ~propagations:s.State.n_propagations ~splits:s.State.n_splits
-            ~lvl:(State.decision_level s);
         if deadline < infinity && Mono.now () > deadline then
           raise Propagation_timeout;
         (match cancel with
@@ -351,38 +300,18 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
       s.State.qhead <- s.State.qhead + 1;
       s.State.n_propagations <- s.State.n_propagations + 1;
       let v = atom_var e.State.eatom in
-      let sampled = on && Obs.prop_sample_due obs in
-      let t0 = if sampled then Mono.now () else 0.0 in
-      in_bcp := true;
       (* both visit orders are newest occurrence first *)
       let o = s.State.clause_occs in
       let a = o.State.occ.(v) in
       for j = o.State.n_occ.(v) - 1 downto 0 do
         check_clause s a.(j)
       done;
-      in_bcp := false;
-      let t1 = if sampled then Mono.now () else 0.0 in
       let o = s.State.constr_occs in
       let a = o.State.occ.(v) in
-      (match fz with
-       | None ->
-         for j = o.State.n_occ.(v) - 1 downto 0 do
-           propagate_constr s a.(j)
-         done
-       | Some f ->
-         for j = o.State.n_occ.(v) - 1 downto 0 do
-           wake s f a.(j)
-         done);
-      if sampled then
-        Obs.prop_sample obs ~bcp:(t1 -. t0) ~icp:(Mono.now () -. t1)
+      for j = o.State.n_occ.(v) - 1 downto 0 do
+        propagate_constr s a.(j)
+      done
     done
   with
-  | () ->
-    close obs fz ~full ~entries:(s.State.qhead - q0) ~in_bcp:!in_bcp;
-    None
-  | exception State.Conflict c ->
-    close obs fz ~full ~entries:(s.State.qhead - q0) ~in_bcp:!in_bcp;
-    Some c
-  | exception e ->
-    close obs fz ~full ~entries:(s.State.qhead - q0) ~in_bcp:!in_bcp;
-    raise e
+  | () -> None
+  | exception State.Conflict c -> Some c

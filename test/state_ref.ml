@@ -9,7 +9,6 @@ module Vec = Rtlsat_constr.Vec
 module Problem = Rtlsat_constr.Problem
 module Interval = Rtlsat_interval.Interval
 module Obs = Rtlsat_obs.Obs
-module Hist = Rtlsat_obs.Hist
 
 type reason = atom array option
 
@@ -191,11 +190,7 @@ let assert_lo s v k reason =
     else if not (Problem.is_bool_var s.prob v) then begin
       let width = s.ub.(v) - s.lb.(v) in
       s.split_dir.(v) <- true;
-      note_shave s v ~shaved:(k - prev) ~width;
-      if s.obs.Obs.enabled then begin
-        Hist.observe s.obs.Obs.interval_width width;
-        Obs.note_narrow s.obs ~var:v ~shaved:(k - prev) ~width
-      end
+      note_shave s v ~shaved:(k - prev) ~width
     end
   end
 
@@ -216,11 +211,7 @@ let assert_hi s v k reason =
     else if not (Problem.is_bool_var s.prob v) then begin
       let width = s.ub.(v) - s.lb.(v) in
       s.split_dir.(v) <- false;
-      note_shave s v ~shaved:(prev - k) ~width;
-      if s.obs.Obs.enabled then begin
-        Hist.observe s.obs.Obs.interval_width width;
-        Obs.note_narrow s.obs ~var:v ~shaved:(prev - k) ~width
-      end
+      note_shave s v ~shaved:(prev - k) ~width
     end
   end
 

@@ -413,14 +413,15 @@ let test_observation_does_not_change_solve () =
 let test_stall_detection () =
   let f = Forensics.create ~nvars:4 ~nconstrs:2 in
   let wide = Forensics.stall_min_width + 1 in
-  ignore (Forensics.constr_enter f 1);
+  (* constraint 1 is propagating, as the kernel's wakeup loop sets it *)
+  f.Forensics.cur <- 1;
   (* stall_streak - 1 tiny narrowings: no report yet *)
   for _ = 1 to Forensics.stall_streak - 1 do
-    match Forensics.note_narrow f ~var:0 ~shaved:1 ~width:wide with
+    match Forensics.stall_step f ~var:0 ~shaved:1 ~width:wide with
     | Some _ -> Alcotest.fail "stall reported before the streak threshold"
     | None -> ()
   done;
-  (match Forensics.note_narrow f ~var:0 ~shaved:1 ~width:wide with
+  (match Forensics.stall_step f ~var:0 ~shaved:1 ~width:wide with
    | Some st ->
      check_int "stalled var" 0 st.Forensics.st_var;
      check_int "driving constraint" 1 st.Forensics.st_constr;
@@ -429,30 +430,36 @@ let test_stall_detection () =
        st.Forensics.st_shaved
    | None -> Alcotest.fail "no stall at the streak threshold");
   (* the next report only fires at 16x the threshold, not immediately *)
-  (match Forensics.note_narrow f ~var:0 ~shaved:1 ~width:wide with
+  (match Forensics.stall_step f ~var:0 ~shaved:1 ~width:wide with
    | Some _ -> Alcotest.fail "re-reported without backoff"
    | None -> ());
-  Forensics.constr_exit f;
-  check_int "reports so far" 1 (Forensics.stalls f)
+  for _ = Forensics.stall_streak + 2 to (16 * Forensics.stall_streak) - 1 do
+    ignore (Forensics.stall_step f ~var:0 ~shaved:1 ~width:wide)
+  done;
+  (match Forensics.stall_step f ~var:0 ~shaved:1 ~width:wide with
+   | Some st -> check_int "second report at 16x" (16 * Forensics.stall_streak)
+                  st.Forensics.st_streak
+   | None -> Alcotest.fail "no second report at 16x the threshold");
+  check_int "reports so far" 2 (Forensics.stalls f)
 
 let test_stall_needs_wide_domain_and_tiny_shave () =
   let f = Forensics.create ~nvars:2 ~nconstrs:1 in
   (* narrow domain: never a stall, no matter how long the streak *)
   for _ = 1 to 4 * Forensics.stall_streak do
-    match Forensics.note_narrow f ~var:0 ~shaved:1 ~width:1000 with
+    match Forensics.stall_step f ~var:0 ~shaved:1 ~width:1000 with
     | Some _ -> Alcotest.fail "stall on a narrow domain"
     | None -> ()
   done;
   (* a big shave resets the streak *)
   let wide = Forensics.stall_min_width + 1 in
   for _ = 1 to Forensics.stall_streak - 1 do
-    ignore (Forensics.note_narrow f ~var:1 ~shaved:1 ~width:wide)
+    ignore (Forensics.stall_step f ~var:1 ~shaved:1 ~width:wide)
   done;
   ignore
-    (Forensics.note_narrow f ~var:1
+    (Forensics.stall_step f ~var:1
        ~shaved:(Forensics.stall_max_shave + 1)
        ~width:wide);
-  (match Forensics.note_narrow f ~var:1 ~shaved:1 ~width:wide with
+  (match Forensics.stall_step f ~var:1 ~shaved:1 ~width:wide with
    | Some _ -> Alcotest.fail "streak survived a big shave"
    | None -> ());
   check_int "no reports" 0 (Forensics.stalls f)
@@ -464,34 +471,38 @@ let test_forensics_attribution () =
   Forensics.set_names f
     ~var_name:(Printf.sprintf "v%d")
     ~constr_desc:(Printf.sprintf "c%d");
-  (* the propagation loop's protocol with injected clock stamps: every
-     sampled wakeup lasts 1 ms *)
-  let clock = ref 1.0 in
+  (* the kernel's writes (Propagate's wakeup loop, State's narrowing
+     hook), played by hand: every sampled wakeup lasts 1 ms *)
+  let narrow v shaved =
+    f.Forensics.v_narrows.(v) <- f.Forensics.v_narrows.(v) + 1;
+    f.Forensics.v_shaved.(v) <- f.Forensics.v_shaved.(v) + shaved;
+    let c = f.Forensics.cur in
+    if c >= 0 then begin
+      f.Forensics.c_narrows.(c) <- f.Forensics.c_narrows.(c) + 1;
+      f.Forensics.c_shaved.(c) <- f.Forensics.c_shaved.(c) + shaved
+    end
+  in
   let wake ci body =
-    if Forensics.constr_enter f ci then begin
-      let enter = !clock in
-      body ();
-      clock := !clock +. 0.001;
-      Forensics.constr_exit_sampled f ~enter ~exit:!clock
-    end
-    else begin
-      body ();
-      Forensics.constr_exit f
-    end
+    let n = f.Forensics.c_wakeups.(ci) in
+    f.Forensics.c_wakeups.(ci) <- n + 1;
+    f.Forensics.cur <- ci;
+    body ();
+    if (n + (ci * 37)) land (p - 1) = 0 then
+      f.Forensics.c_time.(ci) <- f.Forensics.c_time.(ci) +. (float_of_int p *. 0.001);
+    f.Forensics.cur <- -1
   in
   (* c0: 3·64 wakeups, each narrowing v1 by 5 and v2 by 3 *)
   for _ = 1 to 3 * p do
     wake 0 (fun () ->
-        ignore (Forensics.note_narrow f ~var:1 ~shaved:5 ~width:100);
-        ignore (Forensics.note_narrow f ~var:2 ~shaved:3 ~width:50))
+        narrow 1 5;
+        narrow 2 3)
   done;
   (* a narrowing between wakeups (clause propagation) is charged to no
      constraint *)
-  ignore (Forensics.note_narrow f ~var:2 ~shaved:1 ~width:49);
+  narrow 2 1;
   (* c1: 64 wakeups, the first narrowing v1 by 2; c2 is never woken *)
   for i = 1 to p do
-    wake 1 (fun () ->
-        if i = 1 then ignore (Forensics.note_narrow f ~var:1 ~shaved:2 ~width:98))
+    wake 1 (fun () -> if i = 1 then narrow 1 2)
   done;
   let check_ms what ms t =
     Alcotest.(check (float 1e-9)) what (float_of_int ms /. 1000.0) t
