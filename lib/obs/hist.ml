@@ -25,8 +25,9 @@ let create limits =
   }
 
 (* the first bucket [i] with [x <= limits.(i)], or the overflow one; a
-   top-level function, so an observation allocates no closure *)
-let rec bucket limits x i =
+   top-level function, so an observation allocates no closure, and typed
+   at [int], so its comparison is not the polymorphic one *)
+let rec bucket (limits : int array) (x : int) i =
   if i >= Array.length limits || x <= limits.(i) then i
   else bucket limits x (i + 1)
 

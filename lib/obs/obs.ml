@@ -255,8 +255,10 @@ let emit_to_sinks t ev fields =
 
 let event t ev fields = if t.enabled then emit_to_sinks t ev fields
 
-(* a flat event: rendered for the trace file, stored as ints in the
-   ring *)
+(* A flat event: rendered for the trace file, stored as ints in the
+   ring.  The ring stamps it with the handle's last span boundary
+   instead of a clock read of its own: on the solver's path that is the
+   end of the propagation run or of the analysis the event follows. *)
 let emit_flat t kind a b c =
   (match t.trace with
    | Some tr ->
@@ -264,7 +266,7 @@ let emit_flat t kind a b c =
      Trace.emit tr ~ev fields
    | None -> ());
   match t.recorder with
-  | Some r -> Recorder.record_flat r ~t_rel:(Mono.now () -. t.t0) kind a b c
+  | Some r -> Recorder.record_flat r ~t_rel:(t.marks.(mark) -. t.t0) kind a b c
   | None -> ()
 
 type decision = Recorder.decision =

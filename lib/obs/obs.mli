@@ -142,8 +142,9 @@ val event : t -> string -> (string * Json.t) list -> unit
     list when not tracing. *)
 
 (** The search's own events, the frequent ones: the flight recorder
-    stores them as ints, and only a trace file or a dump renders them
-    (see {!Recorder.render}).  Each is a no-op unless {!tracing}. *)
+    stores them as ints, stamped with the time of the handle's last span
+    boundary, and only a trace file or a dump renders them (see
+    {!Recorder.render}).  Each is a no-op unless {!tracing}. *)
 
 type decision = Recorder.decision =
   | Activity
