@@ -978,6 +978,86 @@ let test_flight_dump_through_obs () =
   let bare = Obs.create () in
   check_bool "no recorder, no dump" false (Obs.flight_dump bare "/nonexistent/x")
 
+let read_events path =
+  let ic = open_in path in
+  let out = ref [] in
+  (try
+     while true do
+       out := Json.of_string (input_line ic) :: !out
+     done
+   with End_of_file -> close_in ic);
+  List.rev !out
+
+let ev_name j = Option.bind (Json.member "ev" j) Json.get_string
+
+(* what the dump carries, built when it is written: a CLI-default
+   solve of b13_1(50) that also writes a trace.  The dump's summary
+   tables agree with the handle's snapshot, and its ring is the trace's
+   tail, event for event (times aside: each sink stamps its own). *)
+let test_flight_dump_contents () =
+  let tpath = Filename.temp_file "rtlsat_tail" ".jsonl"
+  and fpath = Filename.temp_file "rtlsat_flight" ".jsonl" in
+  let obs =
+    Obs.create ~trace:(Trace.to_file tpath) ~recorder:(Recorder.create ())
+      ~heartbeat_every:1.0 ()
+  in
+  let o = solve_instance ~obs ~prop:"1" ~bound:50 () in
+  check_bool "b13_1(50) decided" true (o.Solver.result <> Solver.Timeout);
+  Obs.close obs;
+  check_bool "dump written" true (Obs.flight_dump obs fpath);
+  let sn = Obs.snapshot obs in
+  let dump = read_events fpath and trace = read_events tpath in
+  Sys.remove tpath;
+  Sys.remove fpath;
+  let find name evs =
+    match List.find_opt (fun j -> ev_name j = Some name) evs with
+    | Some j -> j
+    | None -> Alcotest.failf "no %s event in the dump" name
+  in
+  let top j =
+    Option.value ~default:[] (Option.bind (Json.member "top" j) Json.get_list)
+  in
+  let ids =
+    List.filter_map (fun h -> Option.bind (Json.member "constr" h) Json.get_int)
+      (top (find "hot_constraints" dump))
+  in
+  check_bool "hot constraints listed" true (ids <> []);
+  Alcotest.(check (list int))
+    "dump hot_constraints = snapshot's"
+    (List.map (fun h -> h.Forensics.hc_id) sn.Obs.hot_constraints)
+    ids;
+  let self =
+    Option.bind (Json.member "self_s" (find "phases" dump)) Json.get_obj
+  in
+  Alcotest.(check (list string))
+    "phases event names all nine phases"
+    (List.map Obs.phase_name Obs.all_phases)
+    (List.map fst (Option.value self ~default:[]));
+  (* header, recorder marker, then the ring *)
+  let recorded =
+    match Option.bind (Json.member "recorded" (find "recorder" dump)) Json.get_int with
+    | Some n -> n
+    | None -> Alcotest.fail "recorder event without recorded"
+  in
+  let ring = List.filteri (fun i _ -> i >= 2) dump in
+  check_int "ring length" recorded (List.length ring);
+  let tail = List.filteri (fun i _ -> i >= List.length trace - recorded) trace in
+  let untimed j =
+    match j with
+    | Json.Obj fields -> Json.Obj (List.filter (fun (k, _) -> k <> "t") fields)
+    | j -> j
+  in
+  List.iteri
+    (fun i (d, t) ->
+       check_string
+         (Printf.sprintf "ring event %d of %d" i recorded)
+         (Json.to_string (untimed t))
+         (Json.to_string (untimed d)))
+    (List.combine ring tail);
+  check_bool "the ring holds decisions and conflicts" true
+    (List.exists (fun j -> ev_name j = Some "decide") ring
+     && List.exists (fun j -> ev_name j = Some "conflict") ring)
+
 let test_overhead_guard () =
   (* Telemetry must not blow up solve time.  Best-of-3 on both arms
      to shed scheduler noise; the bar is deliberately generous (2x +
@@ -1032,6 +1112,30 @@ let test_overhead_guard_cli_default () =
        !on_)
     true
     (!on_ <= (!off *. 1.35) +. 0.03)
+
+(* The deterministic twin of the timing guards, which a shared VM's
+   noise can hide a 20% cost from: the CLI-default handle may add at
+   most 10% to the minor words of a b13-class solve. *)
+let test_overhead_guard_alloc () =
+  let words f =
+    Gc.full_major ();
+    let w0 = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. w0
+  in
+  let off = words (fun () -> solve_instance ~prop:"2" ~bound:50 ()) in
+  let on_ =
+    words (fun () ->
+        let obs =
+          Obs.create ~recorder:(Recorder.create ()) ~heartbeat_every:1.0 ()
+        in
+        solve_instance ~obs ~prop:"2" ~bound:50 ())
+  in
+  check_bool
+    (Printf.sprintf "CLI-default minor words (off %.0f, on %.0f, +%.1f%%)" off
+       on_ ((on_ /. off -. 1.0) *. 100.0))
+    true
+    (on_ <= off *. 1.10)
 
 (* ---- trace version dispatch ---- *)
 
@@ -1166,6 +1270,24 @@ let test_heartbeat_gc_fields () =
       (Option.bind (Json.member "compactions" j) Json.get_int <> None)
 
 (* ---- heartbeat rate math under a misbehaving clock ---- *)
+
+(* the clock allocates only its own boxed reading (two words), and
+   readings never go backwards *)
+let test_mono_now () =
+  let n = 100_000 in
+  let prev = ref (Mono.now ()) and backwards = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    let t = Mono.now () in
+    if t < !prev then incr backwards;
+    prev := t
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_int "readings never decrease" 0 !backwards;
+  check_bool
+    (Printf.sprintf "%.2f words per call" (words /. float_of_int n))
+    true
+    (words <= (2.0 *. float_of_int n) +. 64.0)
 
 let test_heartbeat_dt_guard () =
   let hb = Heartbeat.create ~every:1.0 in
@@ -1619,17 +1741,23 @@ let () =
         [
           Alcotest.test_case "heartbeat rates" `Quick test_heartbeat_rates;
           Alcotest.test_case "heartbeat dt guard" `Quick test_heartbeat_dt_guard;
+          Alcotest.test_case "monotonic clock allocates one box" `Quick
+            test_mono_now;
           Alcotest.test_case "monitor view fold" `Quick test_heartbeat_view;
           Alcotest.test_case "monitor view v7 gc fields" `Quick
             test_heartbeat_view_v7;
           Alcotest.test_case "recorder ring" `Quick test_recorder_ring;
           Alcotest.test_case "recorder dump round trip" `Quick
             test_recorder_dump_roundtrip;
+          Alcotest.test_case "flight dump contents" `Quick
+            test_flight_dump_contents;
           Alcotest.test_case "flight dump through obs" `Quick
             test_flight_dump_through_obs;
           Alcotest.test_case "overhead guard" `Slow test_overhead_guard;
           Alcotest.test_case "overhead guard, CLI default on b13_2(50)" `Slow
             test_overhead_guard_cli_default;
+          Alcotest.test_case "allocation guard, CLI default on b13_2(50)" `Quick
+            test_overhead_guard_alloc;
         ] );
       ( "gc-telemetry",
         [
