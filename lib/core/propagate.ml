@@ -284,7 +284,7 @@ exception Propagation_timeout
    The counting is written here, not called, since it runs on every
    wakeup.  A constraint appended after the table was sized is
    propagated uncounted. *)
-let wake s (f : Forensics.t) ci =
+let[@inline] wake s (f : Forensics.t) ci =
   let w = f.Forensics.c_wakeups in
   if ci < Array.length w then begin
     let n = w.(ci) in

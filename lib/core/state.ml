@@ -305,7 +305,7 @@ let push_event s v side k prev mark =
    forensics attached, the counts of the variable and of the constraint
    being propagated, written here rather than through a call each.  A
    narrowing that can move a stall streak goes on to [Obs.stall_step]. *)
-let observe_narrow s v ~shaved ~width =
+let[@inline] observe_narrow s v ~shaved ~width =
   Hist.observe s.obs.Obs.interval_width width;
   match s.obs.Obs.forensics with
   | Some f when v < Array.length f.Forensics.v_narrows ->

@@ -62,7 +62,7 @@ let constr_desc t ci =
    id, keeps constraints woken in turn (the w61 crawl alternates two)
    from aliasing every sample onto one of them.  The counts and the
    narrowing target stay exact on every wakeup. *)
-let sample_period = 64
+let sample_period = 256
 
 type stall = {
   st_var : int;

@@ -68,7 +68,7 @@ val var_name : t -> int -> string
 val constr_desc : t -> int -> string
 
 val sample_period : int
-(** 64: one wakeup of a constraint in this many is timed. *)
+(** 256: one wakeup of a constraint in this many is timed. *)
 
 (** An ICP stall report: variable [st_var] has been narrowed for
     [st_streak] consecutive events, each shaving at most

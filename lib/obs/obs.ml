@@ -345,7 +345,12 @@ let hot_var_json (h : Forensics.hot_var) =
 let top_k = 10
 
 (* the fields of a summary event, built from the handle as it is now *)
-let summary_fields t = function
+let summary_fields t kind =
+  let top table json =
+    let rows = match t.forensics with Some f -> table f ~k:top_k | None -> [] in
+    [ ("top", Json.Arr (List.map json rows)) ]
+  in
+  match kind with
   | Recorder.Phases ->
     [
       ( "self_s",
@@ -354,18 +359,8 @@ let summary_fields t = function
              (fun ph -> (phase_name ph, Json.Float t.self.(phase_index ph)))
              all_phases) );
     ]
-  | Recorder.Hot_constraints ->
-    let top = match t.forensics with
-      | Some f -> Forensics.top_constraints f ~k:top_k
-      | None -> []
-    in
-    [ ("top", Json.Arr (List.map hot_constr_json top)) ]
-  | Recorder.Hot_vars ->
-    let top = match t.forensics with
-      | Some f -> Forensics.top_vars f ~k:top_k
-      | None -> []
-    in
-    [ ("top", Json.Arr (List.map hot_var_json top)) ]
+  | Recorder.Hot_constraints -> top Forensics.top_constraints hot_constr_json
+  | Recorder.Hot_vars -> top Forensics.top_vars hot_var_json
   | _ -> []
 
 (* A trace file gets the tables now; the ring gets markers, which a

@@ -466,7 +466,7 @@ let test_stall_needs_wide_domain_and_tiny_shave () =
 
 let test_forensics_attribution () =
   let p = Forensics.sample_period in
-  check_int "per-constraint time sampling period" 64 p;
+  check_int "per-constraint time sampling period" 256 p;
   let f = Forensics.create ~nvars:3 ~nconstrs:3 in
   Forensics.set_names f
     ~var_name:(Printf.sprintf "v%d")
@@ -491,7 +491,7 @@ let test_forensics_attribution () =
       f.Forensics.c_time.(ci) <- f.Forensics.c_time.(ci) +. (float_of_int p *. 0.001);
     f.Forensics.cur <- -1
   in
-  (* c0: 3·64 wakeups, each narrowing v1 by 5 and v2 by 3 *)
+  (* c0: 3·p wakeups, each narrowing v1 by 5 and v2 by 3 *)
   for _ = 1 to 3 * p do
     wake 0 (fun () ->
         narrow 1 5;
@@ -500,7 +500,7 @@ let test_forensics_attribution () =
   (* a narrowing between wakeups (clause propagation) is charged to no
      constraint *)
   narrow 2 1;
-  (* c1: 64 wakeups, the first narrowing v1 by 2; c2 is never woken *)
+  (* c1: p wakeups, the first narrowing v1 by 2; c2 is never woken *)
   for i = 1 to p do
     wake 1 (fun () -> if i = 1 then narrow 1 2)
   done;
@@ -513,12 +513,12 @@ let test_forensics_attribution () =
      check_int "c0 wakeups" (3 * p) a.Forensics.hc_wakeups;
      check_int "c0 narrows" (6 * p) a.Forensics.hc_narrows;
      check_int "c0 shaved" (24 * p) a.Forensics.hc_shaved;
-     check_ms "c0 time: 3x64 wakeups of 1 ms" (3 * p) a.Forensics.hc_time;
+     check_ms "c0 time: 3p wakeups of 1 ms" (3 * p) a.Forensics.hc_time;
      check_int "c1 id" 1 b.Forensics.hc_id;
      check_int "c1 wakeups" p b.Forensics.hc_wakeups;
      check_int "c1 narrows" 1 b.Forensics.hc_narrows;
      check_int "c1 shaved" 2 b.Forensics.hc_shaved;
-     check_ms "c1 time: 64 wakeups of 1 ms" p b.Forensics.hc_time
+     check_ms "c1 time: p wakeups of 1 ms" p b.Forensics.hc_time
    | l -> Alcotest.failf "expected 2 hot constraints, got %d" (List.length l));
   (* c2 never woke: no wakeup, narrowing or time, so it is not listed *)
   check_bool "never-woken c2 reads 0" false
