@@ -11,9 +11,8 @@ type t = {
   c_time : float array;
   v_narrows : int array;
   v_shaved : int array;
-  v_streak : int array;
-  v_streak_shaved : int array;
-  v_splits : int array;
+  mutable v_streak : int array;
+  mutable v_streak_shaved : int array;
   mutable cur : int;
   mutable streaking : int;
   mutable n_stalls : int;
@@ -34,9 +33,8 @@ let create ~nvars ~nconstrs =
     c_time = Array.make nconstrs 0.0;
     v_narrows = Array.make nvars 0;
     v_shaved = Array.make nvars 0;
-    v_streak = Array.make nvars 0;
-    v_streak_shaved = Array.make nvars 0;
-    v_splits = Array.make nvars 0;
+    v_streak = [||];
+    v_streak_shaved = [||];
     cur = -1;
     streaking = 0;
     n_stalls = 0;
@@ -79,6 +77,12 @@ let report_due streak =
   due stall_streak
 
 let stall_step t ~var ~shaved ~width =
+  if Array.length t.v_streak = 0 then begin
+    (* most solves never see a wide domain: size the streaks on the
+       first narrowing that could start one *)
+    t.v_streak <- Array.make (Array.length t.v_narrows) 0;
+    t.v_streak_shaved <- Array.make (Array.length t.v_narrows) 0
+  end;
   if shaved <= stall_max_shave && width >= stall_min_width then begin
     let n = t.v_streak.(var) + 1 in
     if n = 1 then t.streaking <- t.streaking + 1;
@@ -109,10 +113,8 @@ let stalls t = t.n_stalls
 let total_shaved t = Array.fold_left ( + ) 0 t.v_shaved
 
 let note_split t ~var =
-  if var >= 0 && var < Array.length t.v_splits then begin
-    t.v_splits.(var) <- t.v_splits.(var) + 1;
+  if var >= 0 && var < Array.length t.v_narrows then
     t.n_splits <- t.n_splits + 1
-  end
 
 let splits t = t.n_splits
 

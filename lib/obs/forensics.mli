@@ -43,9 +43,10 @@ type t = {
           {!sample_period} wakeups, where the counts are exact *)
   v_narrows : int array;  (** per word variable: narrowings *)
   v_shaved : int array;  (** units of width removed *)
-  v_streak : int array;  (** current stall streak (see {!stall_step}) *)
-  v_streak_shaved : int array;  (** units shaved over that streak *)
-  v_splits : int array;  (** interval-split decisions *)
+  mutable v_streak : int array;
+      (** current stall streak (see {!stall_step}); empty until its
+          first call *)
+  mutable v_streak_shaved : int array;  (** units shaved over that streak *)
   mutable cur : int;
       (** the constraint being propagated, the target of narrowings;
           -1 outside a constraint (clause propagation, decisions) *)
@@ -110,8 +111,7 @@ val total_shaved : t -> int
     taken at the call). *)
 
 val note_split : t -> var:int -> unit
-(** Record one interval-split (bisection) decision on [var], for
-    stall → split attribution. *)
+(** Count one interval-split (bisection) decision on [var]. *)
 
 val splits : t -> int
 (** Split decisions recorded so far. *)
