@@ -4,7 +4,6 @@ module Structure = Rtlsat_rtl.Structure
 module Encode = Rtlsat_constr.Encode
 module Problem = Rtlsat_constr.Problem
 module Obs = Rtlsat_obs.Obs
-module Json = Rtlsat_obs.Json
 
 type summary = {
   relations : int;
@@ -120,13 +119,7 @@ let run ?threshold ?(depth = 1) ?(deadline = infinity) s (enc : Encode.t) =
       State.add_clause s [| fst cl; snd cl |];
       s.State.n_learned <- s.State.n_learned + 1;
       incr relations;
-      if Obs.tracing s.State.obs then
-        Obs.event s.State.obs "learn"
-          [
-            ("cause", Json.Str "static");
-            ("len", Json.Int 2);
-            ("trigger_var", Json.Int (atom_var trigger));
-          ];
+      Obs.static_learn s.State.obs ~len:2 ~trigger_var:(atom_var trigger);
       List.iter
         (fun at ->
            State.bump_var s (atom_var at);

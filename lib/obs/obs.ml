@@ -289,6 +289,9 @@ let conflict t ~lvl ~bt ~len =
 let restart t ~num ~conflicts =
   if tracing t then emit_flat t Recorder.Restart num conflicts 0
 
+let static_learn t ~len ~trigger_var =
+  if tracing t then emit_flat t Recorder.Static_learn len trigger_var 0
+
 (* ---- forensics: attribution and stall diagnosis ---- *)
 
 let attach_forensics t ~nvars ~nconstrs ~var_name ~constr_desc =

@@ -162,6 +162,10 @@ val conflict : t -> lvl:int -> bt:int -> len:int -> unit
 
 val restart : t -> num:int -> conflicts:int -> unit
 
+val static_learn : t -> len:int -> trigger_var:int -> unit
+(** A [learn] event with cause [static]: a relation of predicate
+    learning, learned from a probe of [trigger_var]. *)
+
 val set_context : t -> (string * Json.t) list -> unit
 (** Fields appended to every subsequent heartbeat — e.g.
     [("bound", Int k)] during a sweep.  Pass [[]] to clear. *)

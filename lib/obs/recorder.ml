@@ -20,13 +20,6 @@
 
 type decision = Activity | Structural | Random | Assumption | Split
 
-let decision_name = function
-  | Activity -> "activity"
-  | Structural -> "structural"
-  | Random -> "random"
-  | Assumption -> "assumption"
-  | Split -> "split"
-
 let decision_code = function
   | Activity -> 0
   | Structural -> 1
@@ -34,14 +27,15 @@ let decision_code = function
   | Assumption -> 3
   | Split -> 4
 
-let decision_names =
-  Array.map decision_name [| Activity; Structural; Random; Assumption; Split |]
+(* by [decision_code] *)
+let decision_names = [| "activity"; "structural"; "random"; "assumption"; "split" |]
 
 type kind =
   | Generic
   | Decide
   | Conflict
   | Learn
+  | Static_learn
   | Restart
   | Phases
   | Hot_constraints
@@ -98,7 +92,7 @@ let summary_name = function
   | Phases -> "phases"
   | Hot_constraints -> "hot_constraints"
   | Hot_vars -> "hot_vars"
-  | Generic | Decide | Conflict | Learn | Restart ->
+  | Generic | Decide | Conflict | Learn | Static_learn | Restart ->
     invalid_arg "Recorder.summary_name: not a summary marker"
 
 let render kind a b c =
@@ -110,6 +104,10 @@ let render kind a b c =
   | Conflict ->
     ("conflict", [ ("lvl", Json.Int a); ("bt", Json.Int b); ("len", Json.Int c) ])
   | Learn -> ("learn", [ ("cause", Json.Str "conflict"); ("len", Json.Int a) ])
+  | Static_learn ->
+    ( "learn",
+      [ ("cause", Json.Str "static"); ("len", Json.Int a);
+        ("trigger_var", Json.Int b) ] )
   | Restart -> ("restart", [ ("num", Json.Int a); ("conflicts", Json.Int b) ])
   | Generic | Phases | Hot_constraints | Hot_vars ->
     invalid_arg "Recorder.render: not a flat event"
@@ -138,7 +136,7 @@ let entries ?(summary = fun _ -> []) t =
           { e_t; e_ev; e_fields }),
     total )
 
-let iter ?summary t f = Array.iter f (fst (entries ?summary t))
+let iter t f = Array.iter f (fst (entries t))
 
 let dump ?summary t path =
   let entries, total = entries ?summary t in

@@ -23,6 +23,9 @@ type kind =
   | Conflict  (** [conflict]: [a] the level, [b] the backjump level, [c]
                   the learned clause's length *)
   | Learn  (** [learn] with cause [conflict]: [a] the clause's length *)
+  | Static_learn
+      (** [learn] with cause [static]: [a] the clause's length, [b] the
+          probe's trigger variable *)
   | Restart  (** [restart]: [a] its number, [b] the conflicts so far *)
   | Phases  (** marker of a [phases] event, built by {!dump}'s [summary] *)
   | Hot_constraints  (** marker of a [hot_constraints] event *)
@@ -30,7 +33,7 @@ type kind =
 
 val render : kind -> int -> int -> int -> string * (string * Json.t) list
 (** The event name and fields of a flat event ({!Decide} to
-    {!Restart}) — the one rendering of them, for a trace file as for a
+    {!Restart}): the one rendering of them, for a trace file as for a
     dump.  @raise Invalid_argument on [Generic] and on a marker. *)
 
 val summary_name : kind -> string
@@ -67,9 +70,9 @@ val dropped : t -> int
 
 val is_empty : t -> bool
 
-val iter : ?summary:(kind -> (string * Json.t) list) -> t -> (entry -> unit) -> unit
-(** Visit the buffered events oldest-first, rendered; [summary] gives a
-    marker's fields (none by default). *)
+val iter : t -> (entry -> unit) -> unit
+(** Visit the buffered events oldest-first, rendered; a marker has no
+    fields here. *)
 
 val dump : ?summary:(kind -> (string * Json.t) list) -> t -> string -> unit
 (** Write the buffered events to [path] as a well-formed
