@@ -96,7 +96,8 @@ val stall_streak : int
 
 val stall_step : t -> var:int -> shaved:int -> width:int -> stall option
 (** One narrowing of word variable [var] ([shaved] units removed,
-    [width] remaining) for stall detection: extends or ends its streak,
+    [width] remaining; [var] below the table's variable count) for
+    stall detection: extends or ends its streak,
     and returns [Some stall] when the streak crosses a report
     threshold.  Only a narrowing with [width >= stall_min_width], or
     one while some streak is running ([streaking > 0]), can change

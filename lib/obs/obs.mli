@@ -218,8 +218,8 @@ val stall_step :
     narrowings {!Forensics.stall_step} says can matter. *)
 
 val note_split : t -> var:int -> unit
-(** Record one interval-split decision on [var] in the attached
-    forensics table (stall → split attribution); no-op without
+(** Count one interval-split decision on [var] in the attached
+    forensics table (the snapshot's [splits]); no-op without
     forensics.  The [icp.splits] counter and the [split] trace event
     are the solver's responsibility. *)
 
