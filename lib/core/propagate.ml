@@ -280,25 +280,26 @@ let propagate_constr s ci =
 exception Propagation_timeout
 
 (* One wakeup of [ci] under forensics: counted and made the narrowing
-   target, and timed when it is the sampled one (see [Forensics.t]).
+   target, and timed when its countdown runs out (see [Forensics.t]).
    The counting is written here, not called, since it runs on every
    wakeup.  A constraint appended after the table was sized is
    propagated uncounted. *)
 let[@inline] wake s (f : Forensics.t) ci =
   let w = f.Forensics.c_wakeups in
   if ci < Array.length w then begin
-    let n = w.(ci) in
-    w.(ci) <- n + 1;
+    w.(ci) <- w.(ci) + 1;
     f.Forensics.cur <- ci;
-    if (n + (ci * 37)) land (Forensics.sample_period - 1) = 0 then begin
-      let enter = Mono.now () in
-      propagate_constr s ci;
-      let time = f.Forensics.c_time in
-      time.(ci) <-
-        time.(ci)
-        +. (float_of_int Forensics.sample_period *. (Mono.now () -. enter))
+    let due = f.Forensics.c_due in
+    let d = due.(ci) - 1 in
+    if d > 0 then begin
+      due.(ci) <- d;
+      propagate_constr s ci
     end
-    else propagate_constr s ci
+    else begin
+      let start = Forensics.sample_start f ci in
+      propagate_constr s ci;
+      Forensics.sample_stop f ci start
+    end
   end
   else begin
     f.Forensics.cur <- -1;
@@ -322,7 +323,7 @@ let close obs fz ~full ~entries ~in_bcp =
    (three reads), and the span's time is split between BCP and ICP by
    the sampled ratio at the exit.  With forensics attached, one wakeup
    in [Forensics.sample_period] of each constraint is timed (two
-   reads). *)
+   reads, in [Forensics.sample_start]/[sample_stop]). *)
 let run ?(full = false) ?(deadline = infinity) ?cancel s =
   let obs = s.State.obs in
   let on = obs.Obs.enabled in

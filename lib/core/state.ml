@@ -304,7 +304,7 @@ let push_event s v side k prev mark =
 (* One word narrowing under observation: the width histogram and, with
    forensics attached, the counts of the variable and of the constraint
    being propagated, written here rather than through a call each.  A
-   narrowing that can move a stall streak goes on to [Obs.stall_step]. *)
+   narrowing past the table's stall gate goes on to [Obs.stall_step]. *)
 let[@inline] observe_narrow s v ~shaved ~width =
   Hist.observe s.obs.Obs.interval_width width;
   match s.obs.Obs.forensics with
@@ -316,7 +316,7 @@ let[@inline] observe_narrow s v ~shaved ~width =
       f.Forensics.c_narrows.(c) <- f.Forensics.c_narrows.(c) + 1;
       f.Forensics.c_shaved.(c) <- f.Forensics.c_shaved.(c) + shaved
     end;
-    if width >= Forensics.stall_min_width || f.Forensics.streaking > 0 then
+    if width >= f.Forensics.stall_gate then
       Obs.stall_step s.obs f ~var:v ~shaved ~width
   | _ -> ()
 

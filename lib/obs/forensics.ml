@@ -2,19 +2,23 @@
 
 (* The kernel writes the counters itself (Propagate's wakeup loop and
    State's narrowing hook): a call per event would cost more than the
-   count.  This module owns the layout, the stall policy and the read
-   side. *)
+   count.  The policies stay here: which wakeups are timed is set by
+   the countdowns [create] lays out and [sample_start] re-arms, what a
+   timed wakeup is charged by [sample_stop], and which narrowings can
+   move a stall streak by [stall_gate], which [stall_step] keeps. *)
 type t = {
   c_wakeups : int array;
   c_narrows : int array;
   c_shaved : int array;
   c_time : float array;
+  c_due : int array;
   v_narrows : int array;
   v_shaved : int array;
   mutable v_streak : int array;
   mutable v_streak_shaved : int array;
   mutable cur : int;
   mutable streaking : int;
+  mutable stall_gate : int;
   mutable n_stalls : int;
   mutable n_splits : int;
   mutable namer : (int -> string) option;
@@ -25,18 +29,31 @@ let stall_min_width = 1 lsl 32
 let stall_max_shave = 8
 let stall_streak = 512
 
+(* Per-constraint time is sampled: one in [sample_period] wakeups of
+   each constraint is timed and stands for the [sample_period] around
+   it.  Counting each constraint's own wakeups, at a phase spread by its
+   id, keeps constraints woken in turn (the w61 crawl alternates two)
+   from aliasing every sample onto one of them.  The counts and the
+   narrowing target stay exact on every wakeup. *)
+let sample_period = 256
+
+(* the wakeups of [ci] before its first timed one *)
+let sample_phase ci = (-37 * ci) land (sample_period - 1)
+
 let create ~nvars ~nconstrs =
   {
     c_wakeups = Array.make nconstrs 0;
     c_narrows = Array.make nconstrs 0;
     c_shaved = Array.make nconstrs 0;
     c_time = Array.make nconstrs 0.0;
+    c_due = Array.init nconstrs (fun ci -> sample_phase ci + 1);
     v_narrows = Array.make nvars 0;
     v_shaved = Array.make nvars 0;
     v_streak = [||];
     v_streak_shaved = [||];
     cur = -1;
     streaking = 0;
+    stall_gate = stall_min_width;
     n_stalls = 0;
     n_splits = 0;
     namer = None;
@@ -54,13 +71,13 @@ let constr_desc t ci =
   if ci < 0 then "(clause propagation)"
   else match t.descr with Some f -> f ci | None -> Printf.sprintf "c%d" ci
 
-(* Per-constraint time is sampled: one in [sample_period] wakeups of
-   each constraint is timed and stands for the [sample_period] around
-   it.  Counting each constraint's own wakeups, at a phase spread by its
-   id, keeps constraints woken in turn (the w61 crawl alternates two)
-   from aliasing every sample onto one of them.  The counts and the
-   narrowing target stay exact on every wakeup. *)
-let sample_period = 256
+let sample_start t ci =
+  t.c_due.(ci) <- sample_period;
+  Mono.now ()
+
+let sample_stop t ci enter =
+  t.c_time.(ci) <-
+    t.c_time.(ci) +. (float_of_int sample_period *. (Mono.now () -. enter))
 
 type stall = {
   st_var : int;
@@ -76,6 +93,12 @@ let report_due streak =
   let rec due r = r = streak || (r < streak && due (r * 16)) in
   due stall_streak
 
+(* while a streak runs, every narrowing must reach [stall_step], since a
+   narrow one ends it *)
+let set_streaking t n =
+  t.streaking <- n;
+  t.stall_gate <- (if n > 0 then min_int else stall_min_width)
+
 let stall_step t ~var ~shaved ~width =
   if Array.length t.v_streak = 0 then begin
     (* most solves never see a wide domain: size the streaks on the
@@ -85,7 +108,7 @@ let stall_step t ~var ~shaved ~width =
   end;
   if shaved <= stall_max_shave && width >= stall_min_width then begin
     let n = t.v_streak.(var) + 1 in
-    if n = 1 then t.streaking <- t.streaking + 1;
+    if n = 1 then set_streaking t (t.streaking + 1);
     t.v_streak.(var) <- n;
     t.v_streak_shaved.(var) <- t.v_streak_shaved.(var) + shaved;
     if report_due n then begin
@@ -103,7 +126,7 @@ let stall_step t ~var ~shaved ~width =
   end
   else begin
     (* a decisive narrowing (or a shrunken domain) ends the streak *)
-    if t.v_streak.(var) > 0 then t.streaking <- t.streaking - 1;
+    if t.v_streak.(var) > 0 then set_streaking t (t.streaking - 1);
     t.v_streak.(var) <- 0;
     t.v_streak_shaved.(var) <- 0;
     None

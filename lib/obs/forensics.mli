@@ -25,15 +25,15 @@
 (* ---- online attribution ---- *)
 
 (** The attribution table of one solve.  The kernel keeps the per-event
-    counters itself, writing these arrays inline: Propagate's wakeup
-    loop counts [c_wakeups], sets [cur] and times the wakeup of
-    constraint [ci] that finds [n] earlier ones when [n + 37 ci] is a
-    multiple of {!sample_period}, charging [c_time] {!sample_period}
-    times its duration; State's narrowing hook
-    counts [v_narrows]/[v_shaved] and, when [cur >= 0],
-    [c_narrows]/[c_shaved], and hands a wide or streaking narrowing to
-    {!stall_step}.  Constraint and variable ids past the arrays' length
-    (appended by a growing session) are not counted. *)
+    counters itself, writing these arrays inline; the policies are this
+    module's.  Propagate's wakeup loop, for a wakeup of constraint
+    [ci]: counts [c_wakeups], sets [cur], and decrements [c_due.(ci)];
+    when that reaches 0 the wakeup is timed between {!sample_start} and
+    {!sample_stop}.  State's narrowing hook counts
+    [v_narrows]/[v_shaved] and, when [cur >= 0], [c_narrows]/[c_shaved],
+    and hands a narrowing whose remaining width is at least
+    [stall_gate] to {!stall_step}.  Constraint and variable ids past the
+    arrays' length (appended by a growing session) are not counted. *)
 type t = {
   c_wakeups : int array;  (** per constraint: wakeups *)
   c_narrows : int array;  (** narrowings it drove *)
@@ -41,6 +41,8 @@ type t = {
   c_time : float array;
       (** sampled seconds: an estimate costing two clock reads per
           {!sample_period} wakeups, where the counts are exact *)
+  c_due : int array;
+      (** wakeups left until the next timed one, counting that one *)
   v_narrows : int array;  (** per word variable: narrowings *)
   v_shaved : int array;  (** units of width removed *)
   mutable v_streak : int array;
@@ -51,6 +53,10 @@ type t = {
       (** the constraint being propagated, the target of narrowings;
           -1 outside a constraint (clause propagation, decisions) *)
   mutable streaking : int;  (** variables with a stall streak running *)
+  mutable stall_gate : int;
+      (** the least remaining width a narrowing needs to reach
+          {!stall_step}: {!stall_min_width}, or [min_int] while a streak
+          runs *)
   mutable n_stalls : int;
   mutable n_splits : int;
   mutable namer : (int -> string) option;
@@ -58,7 +64,10 @@ type t = {
 }
 
 val create : nvars:int -> nconstrs:int -> t
-(** Fresh, all-zero attribution table for one solve. *)
+(** Fresh, all-zero attribution table for one solve, its countdowns set
+    so that constraint [ci] is first timed on its wakeup numbered
+    [(-37 ci) mod] {!sample_period} (from 0): constraints woken in turn
+    are not sampled in step. *)
 
 val set_names :
   t -> var_name:(int -> string) -> constr_desc:(int -> string) -> unit
@@ -70,6 +79,15 @@ val constr_desc : t -> int -> string
 
 val sample_period : int
 (** 256: one wakeup of a constraint in this many is timed. *)
+
+val sample_start : t -> int -> float
+(** The timed wakeup of constraint [ci] begins: re-arms its countdown
+    and returns the clock. *)
+
+val sample_stop : t -> int -> float -> unit
+(** [sample_stop t ci start]: the timed wakeup has ended; charges [ci]
+    {!sample_period} times its duration, for the wakeups it stands
+    for.  A wakeup that raised (a conflict) is not charged. *)
 
 (** An ICP stall report: variable [st_var] has been narrowed for
     [st_streak] consecutive events, each shaving at most
@@ -97,11 +115,10 @@ val stall_streak : int
 val stall_step : t -> var:int -> shaved:int -> width:int -> stall option
 (** One narrowing of word variable [var] ([shaved] units removed,
     [width] remaining; [var] below the table's variable count) for
-    stall detection: extends or ends its streak,
-    and returns [Some stall] when the streak crosses a report
-    threshold.  Only a narrowing with [width >= stall_min_width], or
-    one while some streak is running ([streaking > 0]), can change
-    anything, so the kernel calls it for those alone. *)
+    stall detection: extends or ends its streak, and returns
+    [Some stall] when the streak crosses a report threshold.  The
+    kernel calls it only when [width >= stall_gate]; a narrowing below
+    that gate changes nothing here. *)
 
 val stalls : t -> int
 (** Stall reports issued so far. *)

@@ -50,7 +50,8 @@ type entry = {
 type t
 
 val create : ?cap:int -> unit -> t
-(** A ring of [cap] events (default 4096).
+(** A ring of [cap] events (default 4096), its slots allocated as it
+    fills (64 at first, doubling).
     @raise Invalid_argument when [cap <= 0]. *)
 
 val record : t -> t_rel:float -> ev:string -> (string * Json.t) list -> unit
@@ -60,7 +61,8 @@ val record : t -> t_rel:float -> ev:string -> (string * Json.t) list -> unit
 
 val record_flat : t -> t_rel:float -> kind -> int -> int -> int -> unit
 (** Append one flat event or marker with its three ints (unused ones
-    are ignored); allocates nothing. *)
+    are ignored); allocates nothing once the ring has grown to its
+    capacity. *)
 
 val recorded : t -> int
 (** Events currently held (at most the capacity). *)
@@ -71,13 +73,15 @@ val dropped : t -> int
 val is_empty : t -> bool
 
 val iter : t -> (entry -> unit) -> unit
-(** Visit the buffered events oldest-first, rendered; a marker has no
-    fields here. *)
+(** Visit the buffered events oldest-first, rendered, as {!dump} writes
+    them; a marker has no fields here. *)
 
 val dump : ?summary:(kind -> (string * Json.t) list) -> t -> string -> unit
 (** Write the buffered events to [path] as a well-formed
     {!Trace.schema} JSON-lines stream: a synthetic [header] line, one
     [recorder] event carrying [recorded]/[dropped]/[cap], then the
     buffered events oldest-first, each marker with the fields
-    [summary] builds at dump time.  @raise Sys_error when the file
-    cannot be written. *)
+    [summary] builds at dump time.  Since those fields describe the
+    handle at the dump, only the newest marker of each kind is written;
+    [recorded] counts the events written, [dropped] those overwritten.
+    @raise Sys_error when the file cannot be written. *)

@@ -373,13 +373,45 @@ let test_observation_does_not_change_solve () =
          bcp_self icp_self sn.Obs.wall)
       true
       (bcp_self +. icp_self <= sn.Obs.wall);
-    let all =
+    let f =
       match Obs.forensics obs with
-      | Some f -> Forensics.top_constraints f ~k:max_int
+      | Some f -> f
       | None -> Alcotest.fail "no forensics attached"
     in
+    let all = Forensics.top_constraints f ~k:max_int in
     let total g = List.fold_left (fun acc h -> acc + g h) 0 all in
     check_int "woken constraints" 2800 (List.length all);
+    (* the kernel's sampling: constraint [id] is timed on its wakeups
+       numbered phase, phase + p, ... (from 0), where
+       phase = -37 id mod p; so its countdown after [w] wakeups is set,
+       and one never timed has no time *)
+    let p = Forensics.sample_period in
+    let timed = ref 0 in
+    List.iter
+      (fun h ->
+         let id = h.Forensics.hc_id and w = h.Forensics.hc_wakeups in
+         let phase = (-37 * id) land (p - 1) in
+         let due = if w <= phase then phase + 1 - w else p - ((w - phase - 1) mod p) in
+         let what m = Printf.sprintf "constraint %d (%d wakeups): %s" id w m in
+         check_int (what "countdown") due f.Forensics.c_due.(id);
+         if w <= phase then
+           Alcotest.(check (float 0.0)) (what "never timed, no time") 0.0
+             h.Forensics.hc_time
+         else timed := !timed + 1)
+      all;
+    check_bool "some constraints were timed" true (!timed > 100);
+    (* each timed wakeup is charged for the p it stands for, so their
+       sum estimates the time spent in constraints: most of the ICP
+       phase's self time (about 1.6x it here, the clock reads
+       included), where charging one wakeup would read under 1% of it.
+       No upper bound: a preemption inside one timed wakeup is charged
+       p times over. *)
+    let charged = List.fold_left (fun acc h -> acc +. h.Forensics.hc_time) 0.0 all in
+    check_bool
+      (Printf.sprintf "charged constraint time %.3fs > ICP self %.3fs / 8"
+         charged icp_self)
+      true
+      (charged > icp_self /. 8.0);
     check_int "total wakeups" 454388 (total (fun h -> h.Forensics.hc_wakeups));
     check_int "total narrows" 81024 (total (fun h -> h.Forensics.hc_narrows));
     check_int "total shaved" 482305 (total (fun h -> h.Forensics.hc_shaved));
@@ -471,8 +503,9 @@ let test_forensics_attribution () =
   Forensics.set_names f
     ~var_name:(Printf.sprintf "v%d")
     ~constr_desc:(Printf.sprintf "c%d");
-  (* the kernel's writes (Propagate's wakeup loop, State's narrowing
-     hook), played by hand: every sampled wakeup lasts 1 ms *)
+  (* the readers over counts written as the kernel writes them (a real
+     solve pins the kernel's own writes, in the determinism test); the
+     time each constraint is charged is set by hand: 1 ms a wakeup *)
   let narrow v shaved =
     f.Forensics.v_narrows.(v) <- f.Forensics.v_narrows.(v) + 1;
     f.Forensics.v_shaved.(v) <- f.Forensics.v_shaved.(v) + shaved;
@@ -483,12 +516,9 @@ let test_forensics_attribution () =
     end
   in
   let wake ci body =
-    let n = f.Forensics.c_wakeups.(ci) in
-    f.Forensics.c_wakeups.(ci) <- n + 1;
+    f.Forensics.c_wakeups.(ci) <- f.Forensics.c_wakeups.(ci) + 1;
     f.Forensics.cur <- ci;
     body ();
-    if (n + (ci * 37)) land (p - 1) = 0 then
-      f.Forensics.c_time.(ci) <- f.Forensics.c_time.(ci) +. (float_of_int p *. 0.001);
     f.Forensics.cur <- -1
   in
   (* c0: 3·p wakeups, each narrowing v1 by 5 and v2 by 3 *)
@@ -504,6 +534,8 @@ let test_forensics_attribution () =
   for i = 1 to p do
     wake 1 (fun () -> if i = 1 then narrow 1 2)
   done;
+  f.Forensics.c_time.(0) <- float_of_int (3 * p) *. 0.001;
+  f.Forensics.c_time.(1) <- float_of_int p *. 0.001;
   let check_ms what ms t =
     Alcotest.(check (float 1e-9)) what (float_of_int ms /. 1000.0) t
   in
@@ -530,7 +562,21 @@ let test_forensics_attribution () =
      check_int "hottest var" 1 v.Forensics.hv_id;
      check_int "its narrows" ((3 * p) + 1) v.Forensics.hv_narrows;
      check_int "its shaved" ((15 * p) + 2) v.Forensics.hv_shaved
-   | l -> Alcotest.failf "expected 1 hot var, got %d" (List.length l))
+   | l -> Alcotest.failf "expected 1 hot var, got %d" (List.length l));
+  (* a timed wakeup: its countdown re-armed, its duration charged p
+     times over *)
+  let g = Forensics.create ~nvars:1 ~nconstrs:2 in
+  check_int "c1 first timed on its wakeup numbered -37 mod p"
+    (((-37) land (p - 1)) + 1)
+    g.Forensics.c_due.(1);
+  let start = Forensics.sample_start g 1 in
+  check_int "countdown re-armed" p g.Forensics.c_due.(1);
+  while Mono.now () < start +. 0.002 do
+    ()
+  done;
+  Forensics.sample_stop g 1 start;
+  check_bool "a 2 ms wakeup is charged at least p * 2 ms" true
+    (g.Forensics.c_time.(1) >= float_of_int p *. 0.002)
 
 (* [Forensics.top_k]'s bounded selection against the list sort it
    replaced, kept verbatim: random score tables with many ties, NaN
@@ -989,6 +1035,54 @@ let read_events path =
   List.rev !out
 
 let ev_name j = Option.bind (Json.member "ev" j) Json.get_string
+
+(* the ring's slots grow as it fills: events keep their order across
+   each growth and across the wrap; a flat event leaves nothing of the
+   generic one it overwrote; a dump keeps the newest marker of a kind *)
+let test_recorder_growth_and_markers () =
+  let cap = 300 in
+  let r = Recorder.create ~cap () in
+  let var_of (e : Recorder.entry) =
+    match List.assoc_opt "var" e.Recorder.e_fields with
+    | Some (Json.Int v) -> v
+    | _ -> -1
+  in
+  let held () =
+    let l = ref [] in
+    Recorder.iter r (fun e -> l := var_of e :: !l);
+    List.rev !l
+  in
+  let add i =
+    if i mod 2 = 0 then
+      Recorder.record r ~t_rel:0.0 ~ev:"decide" [ ("var", Json.Int i) ]
+    else Recorder.record_flat r ~t_rel:0.0 Recorder.Decide 0 1 i
+  in
+  for i = 0 to 199 do
+    add i
+  done;
+  check_bool "200 events through two growths, in order" true
+    (held () = List.init 200 Fun.id);
+  for i = 200 to 699 do
+    add i
+  done;
+  check_bool "the last [cap] after the wrap, in order" true
+    (held () = List.init cap (fun j -> 700 - cap + j));
+  check_int "overwritten" (700 - cap) (Recorder.dropped r);
+  let path = Filename.temp_file "rtlsat_markers" ".jsonl" in
+  let marks = Recorder.create ~cap:8 () in
+  Recorder.record_flat marks ~t_rel:1.0 Recorder.Phases 0 0 0;
+  Recorder.record_flat marks ~t_rel:1.0 Recorder.Hot_vars 0 0 0;
+  Recorder.record marks ~t_rel:1.5 ~ev:"sweep.bound" [ ("bound", Json.Int 2) ];
+  Recorder.record_flat marks ~t_rel:2.0 Recorder.Phases 0 0 0;
+  Recorder.dump
+    ~summary:(fun k -> [ ("of", Json.Str (Recorder.summary_name k)) ])
+    marks path;
+  let evs = List.filter_map ev_name (read_events path) in
+  Sys.remove path;
+  Alcotest.(check (list string))
+    "the older phases marker is left out"
+    [ "header"; "recorder"; "hot_vars"; "sweep.bound"; "phases" ]
+    evs
 
 (* what the dump carries, built when it is written: a CLI-default
    solve of b13_1(50) that also writes a trace.  The dump's summary
@@ -1747,6 +1841,8 @@ let () =
           Alcotest.test_case "monitor view v7 gc fields" `Quick
             test_heartbeat_view_v7;
           Alcotest.test_case "recorder ring" `Quick test_recorder_ring;
+          Alcotest.test_case "recorder growth and markers" `Quick
+            test_recorder_growth_and_markers;
           Alcotest.test_case "recorder dump round trip" `Quick
             test_recorder_dump_roundtrip;
           Alcotest.test_case "flight dump contents" `Quick
