@@ -7,6 +7,7 @@ type t = {
   circuit : Ir.circuit;
   mutable bits : C.lit array array; (* node id -> literals, LSB first *)
   ltrue : C.lit;
+  mutable preprocessed : bool; (* [simplify] has run its one pass *)
 }
 
 let solver t = t.sat
@@ -220,7 +221,13 @@ let encode circuit =
   let tvar = C.new_var sat in
   C.add_clause sat [ C.pos tvar ];
   let t =
-    { sat; circuit; bits = Array.make circuit.Ir.ncount [||]; ltrue = C.pos tvar }
+    {
+      sat;
+      circuit;
+      bits = Array.make circuit.Ir.ncount [||];
+      ltrue = C.pos tvar;
+      preprocessed = false;
+    }
   in
   encode_nodes t (Ir.nodes circuit);
   t
@@ -262,14 +269,21 @@ let assume_interval t n iv =
 
 type result = Sat | Unsat | Timeout
 
-(* Pre/inprocess the underlying CNF.  [elim] (variable elimination) is
-   only sound for one-shot use: it must stay off when the encoding
-   will grow ([extend]) or literals will be assumed later, because
-   eliminated variables may no longer be mentioned.  Model readback
-   ([node_value]) is unaffected either way — the CDCL engine extends
-   Sat models back over substituted and eliminated variables. *)
+(* Preprocess the underlying CNF once per encoding: re-running the
+   whole-database pass per sweep bound cost more than the search it
+   sped up, and its work grew with the learned clauses.  Later frames
+   reach the watched database through [C.add_clause], which rewrites
+   them through the first pass's substitution.  [elim] (variable
+   elimination) is only sound for one-shot use: it must stay off when
+   the encoding will grow ([extend]) or literals will be assumed
+   later, because eliminated variables may no longer be mentioned. *)
 let simplify ?(elim = false) ?deadline ?cancel t =
-  C.simplify ~elim ?deadline ?cancel t.sat
+  if not t.preprocessed then begin
+    t.preprocessed <- true;
+    C.simplify ~elim ?deadline ?cancel t.sat
+  end
+
+let preprocessed t = t.preprocessed
 let simp_stats t = C.simp_stats t.sat
 
 let solve ?deadline ?assumptions ?inprocess ?cancel t =

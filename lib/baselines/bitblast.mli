@@ -56,13 +56,26 @@ type result =
 
 val simplify :
   ?elim:bool -> ?deadline:float -> ?cancel:bool Atomic.t -> t -> unit
-(** Pre/inprocess the CNF with {!Rtlsat_sat.Cdcl.simplify}.
+(** Preprocess the CNF with {!Rtlsat_sat.Cdcl.simplify}, once per
+    encoding: the first call runs the pass, every later call does
+    nothing.  Clauses that {!extend} or the [assume_*] functions add
+    afterwards go straight into the live watched database, rewritten
+    through the first pass's equivalent-literal substitution, and are
+    never preprocessed; a sweep therefore pays the pass once and not
+    per bound.  ([solve ~inprocess] is separate and still rewrites the
+    whole database at its restarts.)
+
     [elim:true] (bounded variable elimination) is only sound for
     one-shot solving — keep it off (the default) when the encoding
     will later {!extend} or assume literals.  [node_value] keeps
     working either way: Sat models are extended back over substituted
-    and eliminated variables.  [deadline] and [cancel] cut the passes
-    short as in {!Rtlsat_sat.Cdcl.simplify}. *)
+    and eliminated variables.  [deadline] and [cancel] cut the pass
+    short as in {!Rtlsat_sat.Cdcl.simplify}; a pass cut short still
+    counts as the encoding's one pass. *)
+
+val preprocessed : t -> bool
+(** {!simplify} has been called on this encoding, so further calls
+    run no pass. *)
 
 val simp_stats : t -> Rtlsat_simplify.Simp.stats
 (** Cumulative simplification counters of the underlying solver. *)

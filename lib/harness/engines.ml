@@ -132,36 +132,31 @@ let hybrid_call obs ~t0 ~deadline ?assumptions enc sess inst =
     },
     r )
 
-(* simplify, then record this call's work: the solver's Simp counters
-   are cumulative (inprocessing adds to them too), so the counters and
-   the trace event carry the delta of this call *)
+(* preprocess, then record the pass's work.  An encoding runs its one
+   pass on the first call ({!Bb.simplify}), before any solve, so the
+   solver's cumulative Simp counters are that pass's work alone; later
+   sweep steps run no pass, so they open no span and emit no event. *)
 let simplify_with_obs obs ~elim ~deadline ~cancel bb =
-  Obs.span obs Obs.Simplify (fun () ->
-      let open Rtlsat_simplify.Simp in
-      let before = empty_stats () in
-      if obs.Obs.enabled then add_stats before (Bb.simp_stats bb);
-      Bb.simplify ~elim ~deadline ~cancel bb;
-      if obs.Obs.enabled then begin
-        let st = Bb.simp_stats bb in
-        let subsumed = st.subsumed - before.subsumed
-        and strengthened = st.strengthened - before.strengthened
-        and eliminated = st.eliminated - before.eliminated
-        and probed = st.probed - before.probed
-        and equivs = st.equivs - before.equivs in
-        Obs.add obs "simplify.subsumed" subsumed;
-        Obs.add obs "simplify.strengthened" strengthened;
-        Obs.add obs "simplify.eliminated" eliminated;
-        Obs.add obs "simplify.probed" probed;
-        Obs.add obs "simplify.equivs" equivs;
-        if Obs.tracing obs then
-          Obs.event obs "simplify.pass"
-            [ ("engine", Json.Str "cdcl");
-              ("subsumed", Json.Int subsumed);
-              ("strengthened", Json.Int strengthened);
-              ("eliminated", Json.Int eliminated);
-              ("probed", Json.Int probed);
-              ("equivs", Json.Int equivs) ]
-      end)
+  if not (Bb.preprocessed bb) then
+    Obs.span obs Obs.Simplify (fun () ->
+        Bb.simplify ~elim ~deadline ~cancel bb;
+        if obs.Obs.enabled then begin
+          let st = Bb.simp_stats bb in
+          let open Rtlsat_simplify.Simp in
+          Obs.add obs "simplify.subsumed" st.subsumed;
+          Obs.add obs "simplify.strengthened" st.strengthened;
+          Obs.add obs "simplify.eliminated" st.eliminated;
+          Obs.add obs "simplify.probed" st.probed;
+          Obs.add obs "simplify.equivs" st.equivs;
+          if Obs.tracing obs then
+            Obs.event obs "simplify.pass"
+              [ ("engine", Json.Str "cdcl");
+                ("subsumed", Json.Int st.subsumed);
+                ("strengthened", Json.Int st.strengthened);
+                ("eliminated", Json.Int st.eliminated);
+                ("probed", Json.Int st.probed);
+                ("equivs", Json.Int st.equivs) ]
+        end)
 
 (* the eager bit-blast baseline, over Bitblast / Cdcl; [conflicts0] is
    the kernel's conflict count before this call *)

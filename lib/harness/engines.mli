@@ -123,9 +123,10 @@ val sweep_step : req:Req.t -> session -> bound:int -> sweep_step
     bit-blast baseline) and solve within [req.timeout] of this call's
     start.  Only the budget is read from [req], so a daemon can give
     every request its own deadline over one warm session.  The
-    bit-blast baseline keeps variable elimination {e off}: the encoding
-    grows and literals are assumed per bound, which elimination does
-    not survive. *)
+    bit-blast baseline preprocesses its CNF on the session's first
+    bound only ({!Rtlsat_baselines.Bitblast.simplify}), with variable
+    elimination {e off}: the encoding grows and literals are assumed
+    per bound, which elimination does not survive. *)
 
 val run_sweep :
   ?req:Req.t ->

@@ -117,6 +117,13 @@ let parse text =
     Netlist.set_name node name;
     node
   in
+  (* a builder's Invalid_argument (width out of range, bad init, ...)
+     becomes a parse failure that names the line *)
+  let located line_no build =
+    try build ()
+    with Invalid_argument msg ->
+      failwith (Printf.sprintf "line %d: %s" line_no msg)
+  in
   let handle line_no raw =
     let stripped =
       match String.index_opt raw '#' with
@@ -133,22 +140,19 @@ let parse text =
       circuit := Some (Netlist.create name)
     | "input" :: [ name; w ] ->
       let c = the_circuit line_no in
-      bind line_no name (Netlist.input c ~name (int_of line_no w))
+      let w = int_of line_no w in
+      bind line_no name (located line_no (fun () -> Netlist.input c ~name w))
     | "reg" :: [ name; w; init ] ->
       let c = the_circuit line_no in
+      let width = int_of line_no w and init = int_of line_no init in
       bind line_no name
-        (Netlist.reg c ~name ~width:(int_of line_no w) ~init:(int_of line_no init) ())
+        (located line_no (fun () -> Netlist.reg c ~name ~width ~init ()))
     | "node" :: name :: "=" :: rhs when rhs <> [] ->
       let c = the_circuit line_no in
-      (match parse_node line_no c name rhs with
-       | node -> bind line_no name node
-       | exception Invalid_argument msg ->
-         failwith (Printf.sprintf "line %d: %s" line_no msg))
+      bind line_no name (located line_no (fun () -> parse_node line_no c name rhs))
     | "connect" :: [ rname; nname ] ->
-      (match Netlist.connect (resolve line_no rname) (resolve line_no nname) with
-       | () -> ()
-       | exception Invalid_argument msg ->
-         failwith (Printf.sprintf "line %d: %s" line_no msg))
+      let r = resolve line_no rname and n = resolve line_no nname in
+      located line_no (fun () -> Netlist.connect r n)
     | "output" :: [ port; nname ] ->
       Netlist.output (the_circuit line_no) port (resolve line_no nname)
     | _ -> failwith (Printf.sprintf "line %d: cannot parse %S" line_no raw)

@@ -352,26 +352,20 @@ let propagate t =
    the result.  VSIDS activities and saved phases survive; the trail,
    watches and clause store are rebuilt.  [elim] enables bounded
    variable elimination — only sound while no later [add_clause] or
-   assumption mentions an eliminated variable, so it defaults to off;
-   [frozen] additionally protects known assumption variables.  Past
-   [deadline] or once [cancel] is set, Simp cuts its remaining passes
-   short; the database it hands back is still equisatisfiable. *)
-let simplify ?(elim = false) ?(frozen = []) ?(deadline = infinity) ?cancel t =
+   assumption mentions an eliminated variable, so it defaults to off.
+   Past [deadline] or once [cancel] is set, Simp cuts its remaining
+   passes short; the database it hands back is still equisatisfiable. *)
+let simplify ?(elim = false) ?(deadline = infinity) ?cancel t =
   backtrack t 0;
   if (not t.unsat_root) && propagate t >= 0 then t.unsat_root <- true;
   if not t.unsat_root then begin
     let units = root_units t in
     let clauses = fold_clauses (fun acc c -> Array.copy c :: acc) [] t in
-    let frozen_a = Array.make (max t.nvars 1) false in
-    List.iter (fun v -> if v < t.nvars then frozen_a.(v) <- true) frozen;
     let stop () =
       Rtlsat_obs.Mono.now () > deadline
       || match cancel with Some c -> Atomic.get c | None -> false
     in
-    let r =
-      Simp.run ~elim ~frozen:(fun v -> frozen_a.(v)) ~stop ~nvars:t.nvars
-        ~units ~clauses ()
-    in
+    let r = Simp.run ~elim ~stop ~nvars:t.nvars ~units ~clauses () in
     Simp.add_stats t.simp r.Simp.r_stats;
     if r.Simp.r_unsat then t.unsat_root <- true
     else begin

@@ -69,7 +69,6 @@ val add_clause : t -> lit list -> unit
 
 val simplify :
   ?elim:bool ->
-  ?frozen:int list ->
   ?deadline:float ->
   ?cancel:bool Atomic.t ->
   t ->
@@ -83,11 +82,9 @@ val simplify :
 
     [elim] defaults to [false]: eliminating a variable is only sound
     while no later [add_clause] or [solve ~assumptions] mentions it,
-    so callers opt in for one-shot solving.  [frozen] lists variables
-    that must never be eliminated (e.g. future assumption variables).
-    Models returned by later [solve] calls are automatically extended
-    over substituted and eliminated variables, so {!value} and
-    {!model} are unaffected.
+    so callers opt in for one-shot solving.  Models returned by later
+    [solve] calls are automatically extended over substituted and
+    eliminated variables, so {!value} and {!model} are unaffected.
 
     [deadline] (monotonic clock, as in {!solve}) and [cancel] are
     polled between passes and every few thousand clause visits inside

@@ -335,8 +335,9 @@ let test_one_shot_pin () =
    [Bitblast.extend] blasts only the nodes appended since the last
    bound; the b13_1 ladder 10..60 must keep the verdicts of the
    full-circuit walk it replaced, and the carried clauses pin the
-   bit-blast search, so any change to the encoder or the CDCL kernel
-   that moves it shows here. *)
+   bit-blast search, so any change to the encoder, the CDCL kernel or
+   the preprocessing policy that moves it shows here.  The counts are
+   those of an encoding preprocessed once, on the first bound. *)
 let test_bitblast_ladder_pin () =
   let source, props = Registry.build "b13" in
   let steps =
@@ -350,8 +351,82 @@ let test_bitblast_ladder_pin () =
   in
   let pinned (bound, carried) = Printf.sprintf "%d unsat carried %d" bound carried in
   Alcotest.(check (list string)) "b13_1 bitblast ladder"
-    (List.map pinned [ (10, 0); (20, 10); (30, 78); (40, 213); (50, 399); (60, 570) ])
+    (List.map pinned [ (10, 0); (20, 10); (30, 106); (40, 240); (50, 483); (60, 798) ])
     (List.map row steps)
+
+(* ---- a bit-blast session preprocesses once ----
+
+   The session program over the raw APIs, as `rtlsat sweep` and the
+   per-layer pass run it: extend, simplify without elimination, solve
+   under the bound's violation selector.  Only the first call may run
+   a Simp pass; every later bound's frames go straight into the live
+   database. *)
+let test_bitblast_preprocesses_once () =
+  let source, props = Registry.build "b13" in
+  let sw = Bmc.sweep source ~prop:(List.assoc "1" props) () in
+  let bb = Bb.encode (Unroll.combo (Bmc.sweep_unrolled sw)) in
+  let rounds () = (Bb.simp_stats bb).Rtlsat_simplify.Simp.rounds in
+  let step bound =
+    let vnode = Bmc.sweep_violation sw ~bound in
+    Bb.extend bb;
+    let before = rounds () in
+    Bb.simplify ~elim:false bb;
+    let ran = rounds () <> before in
+    let verdict =
+      match Bb.solve ~assumptions:[ Bb.bool_lit bb vnode ] bb with
+      | Bb.Sat -> "sat"
+      | Bb.Unsat -> "unsat"
+      | Bb.Timeout -> "timeout"
+    in
+    Printf.sprintf "%d %s pass %b" bound verdict ran
+  in
+  Alcotest.(check (list string)) "b13_1 bitblast ladder passes"
+    [ "10 unsat pass true"; "20 unsat pass false"; "30 unsat pass false";
+      "40 unsat pass false"; "50 unsat pass false"; "60 unsat pass false" ]
+    (List.map step [ 10; 20; 30; 40; 50; 60 ])
+
+(* "bound verdict" per step of a bit-blast sweep *)
+let bitblast_ladder ?(req = Req.make ~timeout:60.0 ()) ?semantics source ~prop
+    bounds =
+  List.map
+    (fun (st : Engines.sweep_step) ->
+       Printf.sprintf "%d %s" st.Engines.sw_bound
+         (Report.verdict_string st.Engines.sw_run.Engines.verdict))
+    (Engines.run_sweep ~req ?semantics Engines.Bitblast source ~prop ~bounds)
+
+(* Every bound of the b01_1 ladder is Sat, and the engine reports Sat
+   only after the witness, read back through the first pass's
+   substitution, replays in the simulator (a failed replay is an
+   Abort). *)
+let test_bitblast_sat_ladder () =
+  let source, props = Registry.build "b01" in
+  let bounds = [ 10; 20; 30; 40; 50; 60 ] in
+  Alcotest.(check (list string)) "b01_1 bitblast ladder"
+    (List.map (Printf.sprintf "%d sat") bounds)
+    (bitblast_ladder source ~prop:(List.assoc "1" props) bounds)
+
+(* A register whose next state the first pass substitutes: z = a ∧
+   (a ∨ c) is a (self-subsuming resolution, then SCC collapsing), so
+   every frame a later bound adds reads r through z's substituted
+   variable.  r and q (next state a) agree in every frame, so each
+   bound is Unsat under Any semantics; a frame added without the
+   substitution would find z's variable free and r apart from q. *)
+let subst_carry =
+  "circuit subst_carry\ninput a 1\ninput c 1\nnode b = or a c\n\
+   node z = and a b\nreg r 1 0\nconnect r z\nreg q 1 0\nconnect q a\n\
+   node p = eq r q\noutput prop p\n"
+
+let test_bitblast_substituted_frames () =
+  let c = Rtlsat_rtl.Text.parse subst_carry in
+  let obs = Obs.create () in
+  let rows =
+    bitblast_ladder ~req:(Req.make ~timeout:60.0 ~obs ()) ~semantics:Bmc.Any c
+      ~prop:(Rtlsat_rtl.Netlist.find_output c "prop") [ 10; 20; 30 ]
+  in
+  check_bool "the first pass substitutes" true
+    (Obs.counter obs "simplify.equivs" > 0);
+  Alcotest.(check (list string)) "subst_carry bitblast ladder"
+    [ "10 unsat"; "20 unsat"; "30 unsat" ] rows
 
 (* ---- the sweep verdict rule, shared by `rtlsat sweep` and serve ---- *)
 
@@ -524,7 +599,13 @@ let () =
         [ Alcotest.test_case "repeated bounds keep their order" `Quick
             test_sweep_repeated_bounds;
           Alcotest.test_case "bitblast b13_1 ladder pinned" `Quick
-            test_bitblast_ladder_pin ] );
+            test_bitblast_ladder_pin;
+          Alcotest.test_case "bitblast preprocesses once" `Quick
+            test_bitblast_preprocesses_once;
+          Alcotest.test_case "bitblast b01_1 sat ladder" `Quick
+            test_bitblast_sat_ladder;
+          Alcotest.test_case "bitblast frames via substitution" `Quick
+            test_bitblast_substituted_frames ] );
       ( "serve",
         [
           Alcotest.test_case "warm reuse over one pool" `Quick

@@ -471,9 +471,9 @@ let test_hybrid_phase_instrumented () =
   check_bool "simplify phase entered" true (calls >= 1)
 
 let test_bitblast_sweep_counts_preprocessing () =
-  (* every incremental bit-blast step preprocesses without
-     elimination; its work must reach the counters like a one-shot
-     solve's does *)
+  (* a bit-blast session preprocesses once, without elimination, on
+     its first step; that pass's work must reach the counters like a
+     one-shot solve's does, and the later step opens no simplify span *)
   let obs = Obs.create () in
   let source, props = Registry.build "b13" in
   let steps =
@@ -488,7 +488,11 @@ let test_bitblast_sweep_counts_preprocessing () =
   in
   check_bool "equivalences counted" true (counter "simplify.equivs" > 0);
   check_bool "subsumption counted" true (counter "simplify.subsumed" > 0);
-  check_int "no elimination in a sweep" 0 (counter "simplify.eliminated")
+  check_int "no elimination in a sweep" 0 (counter "simplify.eliminated");
+  let _, _, calls =
+    List.find (fun (n, _, _) -> n = "simplify") (Obs.snapshot obs).Obs.phases
+  in
+  check_int "one simplify span over two steps" 1 calls
 
 let test_engine_simplify_off_matches_seed_behaviour () =
   (* --no-simplify must reproduce the prior solver exactly: same

@@ -81,11 +81,15 @@ let test_roundtrip_benchmarks () =
          (List.combine t1 t2))
     Registry.circuits
 
-let expect_failure msg text =
+(* [line], when given, is the line the message must name *)
+let expect_failure ?line msg text =
+  let prefix =
+    match line with Some n -> Printf.sprintf "line %d: " n | None -> "line "
+  in
   match Text.parse text with
   | exception Failure m ->
-    check_bool (msg ^ ": mentions line") true
-      (String.length m >= 5 && String.sub m 0 5 = "line ")
+    check_bool (msg ^ ": mentions " ^ prefix) true
+      (String.starts_with ~prefix m)
   | _ -> Alcotest.failf "%s: expected parse failure" msg
 
 let test_errors () =
@@ -97,7 +101,10 @@ let test_errors () =
   expect_failure "width mismatch" "circuit c\ninput a 2\ninput b 3\nnode x = add a b\n";
   expect_failure "garbage" "circuit c\nwibble\n";
   expect_failure "empty" "";
-  expect_failure "arity" "circuit c\ninput a 1\nnode x = xor a\n"
+  expect_failure "arity" "circuit c\ninput a 1\nnode x = xor a\n";
+  (* a builder's Invalid_argument is a located failure, not a crash *)
+  expect_failure ~line:3 "input too wide" "circuit c\ninput b 2\ninput a 625\n";
+  expect_failure ~line:3 "reg init too big" "circuit c\ninput tick 1\nreg r 3 9\n"
 
 let test_comments_and_blanks () =
   let c = Text.parse "  \n# hello\ncircuit c # trailing\ninput a 3 # also\n" in
