@@ -49,10 +49,7 @@ let solve ?(deadline = infinity) ?max_nodes ?cancel prob =
   let result = ref None in
   if !root_empty then result := Some Unsat;
   while !result = None do
-    if
-      Rtlsat_obs.Mono.now () > deadline
-      || (match cancel with Some c -> Atomic.get c | None -> false)
-    then result := Some Timeout
+    if Rtlsat_sat.Search.expired ~deadline cancel then result := Some Timeout
     else begin
       match C.solve ~deadline ?cancel sat with
       | C.Timeout -> result := Some Timeout

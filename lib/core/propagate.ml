@@ -3,6 +3,7 @@ module Vec = Rtlsat_constr.Vec
 module Obs = Rtlsat_obs.Obs
 module Forensics = Rtlsat_obs.Forensics
 module Mono = Rtlsat_obs.Mono
+module Heap = Rtlsat_sat.Heap
 
 let fdiv a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
 let cdiv a b = -(fdiv (-a) b)
@@ -372,11 +373,8 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
             ~conflicts:s.State.n_conflicts
             ~propagations:s.State.n_propagations ~splits:s.State.n_splits
             ~lvl:(State.decision_level s);
-        if deadline < infinity && Mono.now () > deadline then
-          raise Propagation_timeout;
-        (match cancel with
-         | Some c when Atomic.get c -> raise Propagation_timeout
-         | _ -> ())
+        if Rtlsat_sat.Search.expired ~deadline cancel then
+          raise Propagation_timeout
       end;
       let v = State.trail_var s s.State.qhead in
       s.State.qhead <- s.State.qhead + 1;

@@ -5,6 +5,8 @@ module Encode = Rtlsat_constr.Encode
 module Obs = Rtlsat_obs.Obs
 module Json = Rtlsat_obs.Json
 module Mono = Rtlsat_obs.Mono
+module Heap = Rtlsat_sat.Heap
+module Search = Rtlsat_sat.Search
 
 type options = {
   structural : bool;
@@ -81,20 +83,6 @@ type outcome = {
   stats : stats;
   learned_clauses : clause list;
 }
-
-let luby x =
-  let size = ref 1 and seq = ref 0 in
-  while !size < x + 1 do
-    incr seq;
-    size := (2 * !size) + 1
-  done;
-  let x = ref x in
-  while !size - 1 <> !x do
-    size := (!size - 1) / 2;
-    decr seq;
-    x := !x mod !size
-  done;
-  1 lsl !seq
 
 let validate_clause prob cl =
   if Array.length cl > 1 then
@@ -328,16 +316,14 @@ let solve_loop ~assumptions opts s justifier learn_summary =
     | None -> None
   in
   let rng = Option.map (fun seed -> Random.State.make [| seed |]) opts.random_seed in
-  let restart_base = 100 in
-  let restart_num = ref 0 in
-  let conflicts_left = ref (restart_base * luby 0) in
-  let last_inproc = ref s.State.n_conflicts in
+  let restarts = Search.restarts ~conflicts:s.State.n_conflicts in
+  let cancel = Some opts.cancel in
   let steps = ref 0 in
   let result = ref None in
   let rec handle_conflict ?(kind = "conflict") conflict =
     maybe_dump kind conflict;
     s.State.n_conflicts <- s.State.n_conflicts + 1;
-    decr conflicts_left;
+    Search.conflict restarts;
     let level = State.decision_level s in
     match Obs.span obs Obs.Conflict_analysis (fun () -> Conflict.analyze s conflict) with
     | exception Conflict.Root_conflict -> result := Some Unsat
@@ -377,7 +363,7 @@ let solve_loop ~assumptions opts s justifier learn_summary =
     end;
     if
       !steps land 63 = 0
-      && (Mono.now () > opts.deadline || Atomic.get opts.cancel)
+      && Search.expired ~deadline:opts.deadline cancel
     then result := Some Timeout
     else begin
       match Propagate.run ~deadline:opts.deadline ~cancel:opts.cancel s with
@@ -386,10 +372,9 @@ let solve_loop ~assumptions opts s justifier learn_summary =
         if State.decision_level s = 0 then result := Some Unsat
         else handle_conflict conflict
       | None ->
-        if opts.restarts && !conflicts_left <= 0 then begin
-          incr restart_num;
-          conflicts_left := restart_base * luby !restart_num;
-          Obs.restart obs ~num:!restart_num ~conflicts:s.State.n_conflicts;
+        if opts.restarts && Search.due restarts then begin
+          let num = Search.restart restarts in
+          Obs.restart obs ~num ~conflicts:s.State.n_conflicts;
           State.backtrack_to s 0;
           if Vec.length s.State.clauses - s.State.n_root_clauses > reduce_db_budget
           then begin
@@ -403,12 +388,10 @@ let solve_loop ~assumptions opts s justifier learn_summary =
              first restart after every [inprocess] conflicts — the
              solver is back at level 0 here, the precondition of the
              pass *)
-          if opts.inprocess > 0
-             && s.State.n_conflicts - !last_inproc >= opts.inprocess
-          then begin
-            last_inproc := s.State.n_conflicts;
-            simplify_db opts s
-          end
+          if
+            Search.inprocess_due restarts ~every:opts.inprocess
+              ~conflicts:s.State.n_conflicts
+          then simplify_db opts s
         end
         else if State.decision_level s < Array.length assumptions then begin
           (* MiniSat-style assumption push: the next assumption becomes

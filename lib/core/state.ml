@@ -5,6 +5,7 @@ module Interval = Rtlsat_interval.Interval
 module Obs = Rtlsat_obs.Obs
 module Hist = Rtlsat_obs.Hist
 module Forensics = Rtlsat_obs.Forensics
+module Heap = Rtlsat_sat.Heap
 
 type reason = atom array option
 
@@ -522,16 +523,14 @@ let reduce_clauses s ~keep_recent =
   end
 
 let bump_var s v =
-  s.activity.(v) <- s.activity.(v) +. s.var_inc;
-  if s.activity.(v) > 1e100 then begin
-    for i = 0 to s.nv - 1 do
-      s.activity.(i) <- s.activity.(i) *. 1e-100
-    done;
-    s.var_inc <- s.var_inc *. 1e-100
-  end;
-  Heap.bumped s.heap s.activity v;
+  s.var_inc <-
+    Rtlsat_sat.Search.bump s.heap s.activity ~nvars:s.nv s.var_inc v;
   Heap.bumped s.split_heap s.activity v
 
+(* divided by 0.95 where Cdcl multiplies by 1/0.95: the two increments
+   differ in the last bit from the second decay on, and each kernel's
+   frozen reference (test/state_ref.ml, test/cdcl_ref.ml) pins its own
+   form *)
 let decay_activities s = s.var_inc <- s.var_inc /. 0.95
 
 let pp_atom s fmt a = pp_atom ~name:(Problem.var_name s.prob) () fmt a

@@ -125,7 +125,7 @@ type t = {
   mutable qhead : int;
   mutable activity : float array;
   mutable var_inc : float;
-  heap : Heap.t;
+  heap : Rtlsat_sat.Heap.t;
   mutable phase : bool array;
   (* statistics *)
   mutable n_decisions : int;
@@ -144,7 +144,7 @@ type t = {
       (** direction of the variable's last narrowing: [true] when the
           lower bound crawled up, [false] when the upper bound crawled
           down; the bisection decides the arm that keeps chasing it *)
-  split_heap : Heap.t;
+  split_heap : Rtlsat_sat.Heap.t;
       (** activity-ordered candidates whose streak crossed
           {!split_streak_limit}; only populated when [split] is on *)
   mutable split : bool;

@@ -9,82 +9,6 @@ let lit_var l = l lsr 1
 let lit_sign l = l land 1 = 0
 let lit_not l = l lxor 1
 
-(* ---- indexed max-heap over variable activities ---- *)
-
-module Heap = struct
-  type t = {
-    mutable heap : int array;   (* heap of vars *)
-    mutable index : int array;  (* var -> position, -1 if absent *)
-    mutable size : int;
-  }
-
-  let create () = { heap = Array.make 16 0; index = Array.make 16 (-1); size = 0 }
-
-  let ensure h n =
-    if n > Array.length h.index then begin
-      let cap = max n (2 * Array.length h.index) in
-      let idx = Array.make cap (-1) in
-      Array.blit h.index 0 idx 0 (Array.length h.index);
-      h.index <- idx;
-      let hp = Array.make cap 0 in
-      Array.blit h.heap 0 hp 0 h.size;
-      h.heap <- hp
-    end
-
-  let mem h v = v < Array.length h.index && h.index.(v) >= 0
-
-  let swap h i j =
-    let a = h.heap.(i) and b = h.heap.(j) in
-    h.heap.(i) <- b;
-    h.heap.(j) <- a;
-    h.index.(b) <- i;
-    h.index.(a) <- j
-
-  let rec up h act i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if act.(h.heap.(i)) > act.(h.heap.(parent)) then begin
-        swap h i parent;
-        up h act parent
-      end
-    end
-
-  let rec down h act i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let best = ref i in
-    if l < h.size && act.(h.heap.(l)) > act.(h.heap.(!best)) then best := l;
-    if r < h.size && act.(h.heap.(r)) > act.(h.heap.(!best)) then best := r;
-    if !best <> i then begin
-      swap h i !best;
-      down h act !best
-    end
-
-  let insert h act v =
-    ensure h (v + 1);
-    if not (mem h v) then begin
-      h.heap.(h.size) <- v;
-      h.index.(v) <- h.size;
-      h.size <- h.size + 1;
-      up h act (h.size - 1)
-    end
-
-  let bumped h act v = if mem h v then up h act h.index.(v)
-
-  let pop h act =
-    if h.size = 0 then invalid_arg "Heap.pop";
-    let v = h.heap.(0) in
-    h.size <- h.size - 1;
-    h.index.(v) <- -1;
-    if h.size > 0 then begin
-      h.heap.(0) <- h.heap.(h.size);
-      h.index.(h.heap.(0)) <- 0;
-      down h act 0
-    end;
-    v
-
-  let is_empty h = h.size = 0
-end
-
 module Simp = Rtlsat_simplify.Simp
 
 type t = {
@@ -106,6 +30,7 @@ type t = {
   mutable qhead : int;
   mutable var_inc : float;
   mutable conflicts : int;
+  mutable propagations : int;       (* trail literals dequeued, total *)
   mutable learned : int;            (* conflict-learned lemmas, total *)
   mutable unsat_root : bool;
   heap : Heap.t;
@@ -118,6 +43,10 @@ type t = {
   simp : Simp.stats;                (* cumulative across simplify calls *)
 }
 
+(* multiplied by 1/0.95 where the hybrid kernel divides by 0.95: the
+   two increments differ in the last bit from the second decay on, and
+   each kernel's frozen reference (test/cdcl_ref.ml, test/state_ref.ml)
+   pins its own form *)
 let var_decay = 1.0 /. 0.95
 
 let create () =
@@ -140,6 +69,7 @@ let create () =
     qhead = 0;
     var_inc = 1.0;
     conflicts = 0;
+    propagations = 0;
     learned = 0;
     unsat_root = false;
     heap = Heap.create ();
@@ -298,6 +228,7 @@ let propagate t =
   while !conflict < 0 && t.qhead < t.trail_len do
     let l = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
+    t.propagations <- t.propagations + 1;
     let falsified = lit_not l in
     let ws = t.watches.(l) and n = t.wlen.(l) in
     if Array.length t.wspare < n then t.wspare <- Array.make (Array.length ws) 0;
@@ -361,10 +292,7 @@ let simplify ?(elim = false) ?(deadline = infinity) ?cancel t =
   if not t.unsat_root then begin
     let units = root_units t in
     let clauses = fold_clauses (fun acc c -> Array.copy c :: acc) [] t in
-    let stop () =
-      Rtlsat_obs.Mono.now () > deadline
-      || match cancel with Some c -> Atomic.get c | None -> false
-    in
+    let stop () = Search.expired ~deadline cancel in
     let r = Simp.run ~elim ~stop ~nvars:t.nvars ~units ~clauses () in
     Simp.add_stats t.simp r.Simp.r_stats;
     if r.Simp.r_unsat then t.unsat_root <- true
@@ -428,16 +356,6 @@ let reconstruct t =
       t.assign.(v) <- (if lit_true (pos v) then 1 else 0)
   done
 
-let bump_var t v =
-  t.activity.(v) <- t.activity.(v) +. t.var_inc;
-  if t.activity.(v) > 1e100 then begin
-    for i = 0 to t.nvars - 1 do
-      t.activity.(i) <- t.activity.(i) *. 1e-100
-    done;
-    t.var_inc <- t.var_inc *. 1e-100
-  end;
-  Heap.bumped t.heap t.activity v
-
 (* first-UIP analysis; returns (learned clause, backtrack level);
    invariant: reason clauses keep their implied literal at index 0.
    The clause is the UIP, then the lower-level literals newest-found
@@ -459,7 +377,7 @@ let analyze t confl0 =
       let v = lit_var q in
       if (not seen.(v)) && t.level.(v) > 0 then begin
         seen.(v) <- true;
-        bump_var t v;
+        t.var_inc <- Search.bump t.heap t.activity ~nvars:t.nvars t.var_inc v;
         if t.level.(v) >= current then incr counter
         else begin
           buf.(!n) <- q;
@@ -500,21 +418,6 @@ let analyze t confl0 =
   end;
   (clause, !btlevel)
 
-(* Luby restart sequence, 0-indexed *)
-let luby x =
-  let size = ref 1 and seq = ref 0 in
-  while !size < x + 1 do
-    incr seq;
-    size := (2 * !size) + 1
-  done;
-  let x = ref x in
-  while !size - 1 <> !x do
-    size := (!size - 1) / 2;
-    decr seq;
-    x := !x mod !size
-  done;
-  1 lsl !seq
-
 type outcome = Sat | Unsat | Timeout
 
 let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
@@ -535,21 +438,14 @@ let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
     t.unsat_root <- true;
     result := Some Unsat
   end;
-  let restart_base = 100 in
-  let restart_num = ref 0 in
-  let conflicts_left = ref (restart_base * luby 0) in
-  let last_simp = ref t.conflicts in
+  let restarts = Search.restarts ~conflicts:t.conflicts in
   let steps = ref 0 in
   while Option.is_none !result do
     incr steps;
     if obs.Obs.enabled && !steps land 255 = 0 then
       Obs.heartbeat_tick obs ~decisions:!decisions ~conflicts:t.conflicts
-        ~propagations:0 ~splits:0 ~lvl:(decision_level t);
-    if
-      !steps land 255 = 0
-      && (Rtlsat_obs.Mono.now () > deadline
-          || match cancel with Some c -> Atomic.get c | None -> false)
-    then begin
+        ~propagations:t.propagations ~splits:0 ~lvl:(decision_level t);
+    if !steps land 255 = 0 && Search.expired ~deadline cancel then begin
       backtrack t 0;
       result := Some Timeout
     end
@@ -559,7 +455,7 @@ let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
         t.conflicts <- t.conflicts + 1;
         if Obs.tracing obs then
           Obs.event obs "conflict" [ ("lvl", Json.Int (decision_level t)) ];
-        decr conflicts_left;
+        Search.conflict restarts;
         if decision_level t = 0 then begin
           t.unsat_root <- true;
           result := Some Unsat
@@ -584,20 +480,16 @@ let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
           end
         end
       end
-      else if !conflicts_left <= 0 then begin
-        incr restart_num;
-        conflicts_left := restart_base * luby !restart_num;
-        if Obs.tracing obs then
-          Obs.event obs "restart"
-            [ ("num", Json.Int !restart_num);
-              ("conflicts", Json.Int t.conflicts) ];
+      else if Search.due restarts then begin
+        let num = Search.restart restarts in
+        Obs.restart obs ~num ~conflicts:t.conflicts;
         backtrack t 0;
         (* inprocessing at restart boundaries: the trail is back at
            level 0, so the whole database can be rewritten; variable
            elimination stays off because assumptions and learned units
            must keep their variables addressable *)
-        if inprocess > 0 && t.conflicts - !last_simp >= inprocess then begin
-          last_simp := t.conflicts;
+        if Search.inprocess_due restarts ~every:inprocess ~conflicts:t.conflicts
+        then begin
           simplify ~elim:false ~deadline ?cancel t;
           if t.unsat_root then result := Some Unsat
           else
@@ -613,11 +505,8 @@ let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
           | 0 -> result := Some Unsat
           | _ ->
             incr decisions;
-            if Obs.tracing obs then
-              Obs.event obs "decide"
-                [ ("kind", Json.Str "assumption");
-                  ("lvl", Json.Int (decision_level t + 1));
-                  ("var", Json.Int (lit_var al)) ];
+            Obs.decide obs Obs.Assumption ~lvl:(decision_level t + 1)
+              ~var:(lit_var al);
             new_decision_level t;
             enqueue t al (-1)
         end
@@ -632,11 +521,7 @@ let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
           if v < 0 then result := Some Sat
           else begin
             incr decisions;
-            if Obs.tracing obs then
-              Obs.event obs "decide"
-                [ ("kind", Json.Str "activity");
-                  ("lvl", Json.Int (decision_level t + 1));
-                  ("var", Json.Int v) ];
+            Obs.decide obs Obs.Activity ~lvl:(decision_level t + 1) ~var:v;
             new_decision_level t;
             enqueue t (if t.phase.(v) then pos v else neg v) (-1)
           end

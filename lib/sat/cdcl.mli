@@ -3,7 +3,9 @@
     Implements the modern DPLL variant sketched in §2.4: two-watched-
     literal unit propagation, first-UIP conflict analysis with clause
     learning, non-chronological backtracking, exponentially-decaying
-    variable activities (VSIDS), phase saving and Luby restarts.
+    variable activities (VSIDS), phase saving and Luby restarts.  The
+    activity heap and the restart and bump policy are {!Heap} and
+    {!Search}, shared with the hybrid solver.
 
     This is the Boolean engine behind the eager bit-blasting baseline
     (the UCLID stand-in) and the propositional skeleton of the lazy
@@ -142,7 +144,8 @@ val solve :
     first restart after every [inprocess] conflicts; 0 (the default)
     disables inprocessing.  [obs] (default {!Rtlsat_obs.Obs.disabled})
     receives [decide]/[conflict]/[restart]/[done] trace events and
-    periodic heartbeats, feeding the [rtlsat sat] flight recorder;
+    periodic heartbeats (decisions, conflicts and propagations, the
+    trail literals dequeued), feeding the [rtlsat sat] flight recorder;
     observation never changes the search. *)
 
 val value : t -> int -> bool

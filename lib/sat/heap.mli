@@ -1,5 +1,6 @@
-(** Indexed max-heap over externally-stored [float] priorities; the
-    decision queue of the hybrid solver. *)
+(** Indexed max-heap over externally-stored [float] priorities: the
+    VSIDS decision queue of both CDCL kernels ({!Cdcl} and the hybrid
+    solver) and the hybrid solver's split-candidate queue. *)
 
 type t
 

@@ -2,7 +2,7 @@
    trail and linear terms, over State_ref, kept verbatim below this
    header for the lockstep suite in test_kernel.ml. *)
 module State = State_ref
-module Heap = Rtlsat_core.Heap
+module Heap = Rtlsat_sat.Heap
 
 open Rtlsat_constr.Types
 module Vec = Rtlsat_constr.Vec

@@ -2,7 +2,7 @@
    flat trail (a record per trail entry, event lists per variable,
    reasons as atom arrays), kept verbatim below this header for the
    lockstep suite in test_kernel.ml. *)
-module Heap = Rtlsat_core.Heap
+module Heap = Rtlsat_sat.Heap
 
 open Rtlsat_constr.Types
 module Vec = Rtlsat_constr.Vec

@@ -16,7 +16,7 @@ module P = Rtlsat_constr.Problem
 module E = Rtlsat_constr.Encode
 module I = Rtlsat_interval.Interval
 module Vec = Rtlsat_constr.Vec
-module Heap = Rtlsat_core.Heap
+module Heap = Rtlsat_sat.Heap
 module State = Rtlsat_core.State
 module Propagate = Rtlsat_core.Propagate
 module Conflict = Rtlsat_core.Conflict

@@ -315,6 +315,110 @@ let test_lockstep_bitblast () =
        same_state row s r)
     [ ("b13", "1"); ("b13", "8") ]
 
+(* ---- the search policy both kernels share ---- *)
+
+module Search = Rtlsat_sat.Search
+module Heap = Rtlsat_sat.Heap
+
+let test_luby () =
+  Alcotest.(check (list int))
+    "prefix"
+    [ 1; 1; 2; 1; 1; 2; 4; 1; 1; 2; 1; 1; 2; 4; 8 ]
+    (List.init 15 Search.luby)
+
+let test_heap () =
+  let act = [| 3.0; 1.0; 4.0; 1.5; 9.0; 2.0 |] in
+  let h = Heap.create () in
+  Array.iteri (fun v _ -> Heap.insert h act v) act;
+  Heap.insert h act 2;
+  Alcotest.(check int) "duplicate insert" 6 (Heap.size h);
+  let drain () = List.init (Heap.size h) (fun _ -> Heap.pop h act) in
+  Alcotest.(check (list int)) "pop order" [ 4; 2; 0; 5; 3; 1 ] (drain ());
+  check_bool "empty" true (Heap.is_empty h);
+  Array.iteri (fun v _ -> Heap.insert h act v) act;
+  act.(1) <- 10.0;
+  Heap.bumped h act 1;
+  Alcotest.(check int) "bumped to the top" 1 (Heap.pop h act);
+  Heap.clear h;
+  check_bool "cleared" true (Heap.is_empty h && not (Heap.mem h 4));
+  List.iter (Heap.insert h act) [ 3; 0 ];
+  Alcotest.(check (list int)) "reinsert after clear" [ 0; 3 ] (drain ());
+  check_bool "mem past capacity" false (Heap.mem h 1_000_000)
+
+let test_bump_rescale () =
+  let act = [| 1e100; 5e99; 1.0; 0.0 |] in
+  let h = Heap.create () in
+  Array.iteri (fun v _ -> Heap.insert h act v) act;
+  let inc = Search.bump h act ~nvars:4 2.0 2 in
+  Alcotest.(check (float 0.)) "below the threshold" 2.0 inc;
+  Alcotest.(check (float 0.)) "bumped" 3.0 act.(2);
+  let inc = Search.bump h act ~nvars:4 6e99 1 in
+  Alcotest.(check (float 1e-12)) "increment scaled" 0.6 inc;
+  Alcotest.(check (float 1e-12)) "bumped then scaled" 1.1 act.(1);
+  Alcotest.(check (float 1e-12)) "others scaled" 1.0 act.(0);
+  Alcotest.(check (list int)) "order kept" [ 1; 0; 2; 3 ]
+    (List.init 4 (fun _ -> Heap.pop h act))
+
+module Recorder = Rtlsat_obs.Recorder
+module Obs = Rtlsat_obs.Obs
+module Json = Rtlsat_obs.Json
+
+(* the (num, conflicts) of every restart event a recorder holds *)
+let restarts_of rec_ =
+  let out = ref [] in
+  Recorder.iter rec_ (fun e ->
+      if e.Recorder.e_ev = "restart" then
+        match List.assoc "num" e.Recorder.e_fields,
+              List.assoc "conflicts" e.Recorder.e_fields with
+        | Json.Int n, Json.Int c -> out := (n, c) :: !out
+        | _ -> Alcotest.fail "restart fields");
+  List.rev !out
+
+(* both kernels restart on the one Luby schedule: restart k is numbered
+   k and fires no earlier than 100 * (luby 0 + ... + luby (k-1))
+   conflicts into the call *)
+let test_restart_schedule () =
+  let inst = Registry.instance ~circuit:"b13" ~prop:"2" ~bound:50 in
+  let combo = Rtlsat_bmc.Unroll.combo inst.Rtlsat_bmc.Bmc.unrolled in
+  let recorded run =
+    let r = Recorder.create ~cap:(1 lsl 20) () in
+    let obs = Obs.create ~recorder:r () in
+    run obs;
+    restarts_of r
+  in
+  let hybrid =
+    recorded (fun obs ->
+        let module E = Rtlsat_constr.Encode in
+        let module Solver = Rtlsat_core.Solver in
+        let enc = E.encode combo in
+        E.assume_bool enc inst.Rtlsat_bmc.Bmc.violation true;
+        let o = Solver.solve ~options:{ Solver.hdpll_sp with Solver.obs } enc in
+        check_bool "hybrid unsat" true (o.Solver.result = Solver.Unsat))
+  in
+  let blast =
+    recorded (fun obs ->
+        let bb = Bb.encode combo in
+        Bb.assume_bool bb inst.Rtlsat_bmc.Bmc.violation true;
+        Bb.simplify ~elim:true bb;
+        check_bool "bit-blast unsat" true
+          (C.solve ~obs (Bb.solver bb) = C.Unsat))
+  in
+  List.iter
+    (fun (kernel, rs) ->
+       check_bool (kernel ^ " restarts several times") true (List.length rs >= 3);
+       ignore
+         (List.fold_left
+            (fun (k, due) (num, conflicts) ->
+               Alcotest.(check int) (kernel ^ " restart number") k num;
+               let due = due + (100 * Search.luby (k - 1)) in
+               check_bool
+                 (Printf.sprintf "%s restart %d at %d >= %d conflicts" kernel k
+                    conflicts due)
+                 true (conflicts >= due);
+               (k + 1, due))
+            (1, 0) rs))
+    [ ("hybrid", hybrid); ("bit-blast", blast) ]
+
 let qsuite = Qutil.qsuite
 
 let () =
@@ -346,5 +450,13 @@ let () =
         [
           Alcotest.test_case "random scripts" `Quick test_lockstep_random;
           Alcotest.test_case "bitblast b13 rows" `Quick test_lockstep_bitblast;
+        ] );
+      ( "search policy",
+        [
+          Alcotest.test_case "luby prefix" `Quick test_luby;
+          Alcotest.test_case "activity heap" `Quick test_heap;
+          Alcotest.test_case "bump rescales at 1e100" `Quick test_bump_rescale;
+          Alcotest.test_case "both kernels restart on luby" `Quick
+            test_restart_schedule;
         ] );
     ]
