@@ -102,12 +102,19 @@ let ledger_term =
           Some (match path with Some p -> p | None -> Ledger.default_path ()))
     $ path $ off)
 
-(* bookkeeping must never fail the run: warn and continue *)
+(* bookkeeping must never fail the run: warn and continue.  The files
+   the run wrote become the record's artifacts, in one fixed order. *)
 let ledger_append ledger ~subcommand ~instance ~engine ~options ~verdict
-    ~wall_s ~counters ~artifacts =
+    ~wall_s ~counters ?summary ?trace ?stats ?flight () =
   match ledger with
   | None -> ()
   | Some path ->
+    let artifacts =
+      List.filter_map
+        (fun (kind, file) -> Option.map (fun f -> (kind, f)) file)
+        [ ("summary", summary); ("trace", trace); ("stats", stats);
+          ("flight", flight) ]
+    in
     let record =
       Ledger.make ~subcommand ~argv:(Array.to_list Sys.argv) ~instance ~engine
         ~options ~verdict ~wall_s ~counters ~artifacts ()
@@ -213,7 +220,7 @@ let open_trace =
         Format.eprintf "rtlsat: cannot write trace file: %s@." msg;
         exit 2)
 
-(* ---- the flight recorder (solve / sweep / sat) ---- *)
+(* ---- instrumented runs and the flight recorder (solve / sweep / sat) ---- *)
 
 (* [Some file] = armed, dumping to [file]; [None] = --no-flight-recorder *)
 let flight_term =
@@ -239,10 +246,24 @@ let flight_term =
   in
   Term.(const (fun on file -> if on then Some file else None) $ on $ file)
 
-(* The dump of [obs]'s flight recorder to the [flight_term] file, also
-   wired to SIGUSR1 when armed.  The returned function answers the file
-   it wrote, if any. *)
-let arm_flight obs flight =
+(* One instrumented run (solve / sweep / sat): [run] gets the run's
+   observability handle — disabled unless a trace, stats, progress
+   reports or the flight recorder ask for one.  An armed flight
+   recorder dumps to the [flight_term] file on SIGUSR1 and when [run]
+   raises.  Answers the result and the post-mortem: forcing it dumps
+   when [negative] holds of the result and gives the file written, if
+   any.  Callers force it after printing the result. *)
+let instrumented ?trace ?(stats = false) ?(progress = false) ~heartbeat ~flight
+    ~negative run =
+  let obs =
+    if stats || progress || trace <> None || flight <> None then
+      Obs.create ?trace:(open_trace trace)
+        ?recorder:(Option.map (fun _ -> Recorder.create ()) flight)
+        ?heartbeat_every:(if heartbeat > 0.0 then Some heartbeat else None)
+        ?progress_every:(if progress then Some 1.0 else None)
+        ()
+    else Obs.disabled
+  in
   let dump () =
     match flight with
     | None -> None
@@ -263,9 +284,48 @@ let arm_flight obs flight =
        Sys.set_signal Sys.sigusr1
          (Sys.Signal_handle (fun _ -> ignore (dump ())))
      with Invalid_argument _ | Sys_error _ -> ());
-  dump
+  let r =
+    try run obs
+    with e ->
+      (* post-mortem for crashes, not just timeouts *)
+      ignore (dump ());
+      raise e
+  in
+  Obs.close obs;
+  (r, lazy (if negative r then dump () else None))
 
-let flight_artifact = function Some p -> [ ("flight", p) ] | None -> []
+let negative_verdict = function
+  | Engines.Timeout | Engines.Abort _ -> true
+  | Engines.Sat | Engines.Unsat -> false
+
+let verdict_line = function
+  | Engines.Sat -> "SATISFIABLE (witness validated)"
+  | Engines.Unsat -> "UNSATISFIABLE"
+  | Engines.Timeout -> "TIMEOUT"
+  | Engines.Abort msg -> "ABORT: " ^ msg
+
+(* ---- benchmark lookup (solve / sweep / prove / show / export) ---- *)
+
+let circuit_arg =
+  Arg.(required & opt (some string) None & info [ "c"; "circuit" ] ~docv:"NAME")
+
+let prop_arg =
+  Arg.(required & opt (some string) None & info [ "p"; "property" ] ~docv:"PROP")
+
+(* an unknown circuit or property name is invalid input *)
+let lookup_circuit name =
+  try Registry.build name
+  with Not_found ->
+    Format.eprintf "unknown circuit %s@." name;
+    exit 2
+
+let lookup circuit prop =
+  let c, props = lookup_circuit circuit in
+  match List.assoc_opt prop props with
+  | Some p -> (c, p)
+  | None ->
+    Format.eprintf "unknown property %s_%s@." circuit prop;
+    exit 2
 
 (* ---- list ---- *)
 
@@ -295,22 +355,18 @@ let show_cmd =
   in
   let dump = Arg.(value & flag & info [ "netlist" ] ~doc:"Dump the netlist") in
   let run circuit dump =
-    match Registry.build circuit with
-    | c, props ->
-      let arith, boolean = Structure.op_counts c in
-      Format.printf "circuit %s: %d nodes, %d inputs, %d registers@." c.Ir.cname
-        c.Ir.ncount
-        (List.length (Ir.inputs c))
-        (List.length (Ir.regs c));
-      Format.printf "operators: %d word-level, %d Boolean@." arith boolean;
-      Format.printf "predicate roots: %d@."
-        (List.length (Structure.predicate_roots c));
-      Format.printf "properties: %s@."
-        (String.concat ", " (List.map fst props));
-      if dump then Format.printf "@.%a" Ir.pp_circuit c
-    | exception Not_found ->
-      Format.eprintf "unknown circuit %s@." circuit;
-      exit 2
+    let c, props = lookup_circuit circuit in
+    let arith, boolean = Structure.op_counts c in
+    Format.printf "circuit %s: %d nodes, %d inputs, %d registers@." c.Ir.cname
+      c.Ir.ncount
+      (List.length (Ir.inputs c))
+      (List.length (Ir.regs c));
+    Format.printf "operators: %d word-level, %d Boolean@." arith boolean;
+    Format.printf "predicate roots: %d@."
+      (List.length (Structure.predicate_roots c));
+    Format.printf "properties: %s@."
+      (String.concat ", " (List.map fst props));
+    if dump then Format.printf "@.%a" Ir.pp_circuit c
   in
   Cmd.v (Cmd.info "show" ~exits:std_exits ~doc:"Show circuit statistics")
     Term.(const run $ circuit $ dump)
@@ -387,11 +443,9 @@ let solve_cmd =
           "rtlsat: CASE.rtl and --circuit/--property/--bound are exclusive@.";
         exit 2
       | None, Some circuit, Some prop, Some bound ->
-        (match Registry.instance ~circuit ~prop ~bound with
-         | inst -> (inst, Registry.instance_name ~circuit ~prop ~bound)
-         | exception Not_found ->
-           Format.eprintf "unknown instance %s_%s@." circuit prop;
-           exit 2)
+        let c, p = lookup circuit prop in
+        ( Rtlsat_bmc.Bmc.make c ~prop:p ~bound (),
+          Registry.instance_name ~circuit ~prop ~bound )
       | None, _, _, _ ->
         Format.eprintf
           "rtlsat: give either CASE.rtl or all of --circuit, --property and \
@@ -417,35 +471,15 @@ let solve_cmd =
             (Unix.error_message e);
           exit 2)
      | None -> ());
-    let need_obs =
-      stats_json <> None || trace_out <> None || progress || flight <> None
+    let r, post_mortem =
+      instrumented ?trace:trace_out ~stats:(stats_json <> None) ~progress
+        ~heartbeat ~flight
+        ~negative:(fun r -> negative_verdict r.Engines.verdict)
+        (fun obs -> Engines.run_instance ~req:(Req.with_obs req obs) engine inst)
     in
-    let obs =
-      if need_obs then
-        Obs.create ?trace:(open_trace trace_out)
-          ?recorder:(Option.map (fun _ -> Recorder.create ()) flight)
-          ?heartbeat_every:(if heartbeat > 0.0 then Some heartbeat else None)
-          ?progress_every:(if progress then Some 1.0 else None)
-          ()
-      else Obs.disabled
-    in
-    let dump_flight = arm_flight obs flight in
-    let req = Req.with_obs req obs in
-    let r =
-      try Engines.run_instance ~req engine inst
-      with e ->
-        (* post-mortem for crashes, not just timeouts *)
-        ignore (dump_flight ());
-        raise e
-    in
-    Obs.close obs;
     Format.printf "%s %s: %s in %.2fs@." label
       (Engines.engine_name engine)
-      (match r.Engines.verdict with
-       | Engines.Sat -> "SATISFIABLE (witness validated)"
-       | Engines.Unsat -> "UNSATISFIABLE"
-       | Engines.Timeout -> "TIMEOUT"
-       | Engines.Abort msg -> "ABORT: " ^ msg)
+      (verdict_line r.Engines.verdict)
       r.Engines.time;
     Format.printf "decisions=%d conflicts=%d relations=%d%s@."
       r.Engines.decisions r.Engines.conflicts r.Engines.relations
@@ -474,11 +508,7 @@ let solve_cmd =
     (match dump_graph with
      | Some dir -> Format.printf "conflict graphs written to %s@." dir
      | None -> ());
-    let dumped =
-      match r.Engines.verdict with
-      | Engines.Timeout | Engines.Abort _ -> dump_flight ()
-      | Engines.Sat | Engines.Unsat -> None
-    in
+    let dumped = Lazy.force post_mortem in
     ledger_append ledger ~subcommand:"solve" ~instance:label
       ~engine:(Engines.engine_name engine)
       ~options:
@@ -496,16 +526,8 @@ let solve_cmd =
          match r.Engines.stats with
          | Some st -> [ ("splits", st.Rtlsat_core.Solver.splits) ]
          | None -> [])
-      ~artifacts:
-        (List.concat
-           [
-             (match trace_out with Some p -> [ ("trace", p) ] | None -> []);
-             (match stats_json with Some p -> [ ("stats", p) ] | None -> []);
-             flight_artifact dumped;
-           ]);
-    match r.Engines.verdict with
-    | Engines.Timeout | Engines.Abort _ -> exit 1
-    | Engines.Sat | Engines.Unsat -> ()
+      ?trace:trace_out ?stats:stats_json ?flight:dumped ();
+    if negative_verdict r.Engines.verdict then exit 1
   in
   Cmd.v
     (Cmd.info "solve" ~exits:std_exits
@@ -546,47 +568,28 @@ let check_cmd =
     in
     let semantics = if any then Rtlsat_bmc.Bmc.Any else Rtlsat_bmc.Bmc.Final in
     let inst = Rtlsat_bmc.Bmc.make circuit ~prop ~bound ~semantics () in
-    let combo = Rtlsat_bmc.Unroll.combo inst.Rtlsat_bmc.Bmc.unrolled in
-    let enc = Rtlsat_constr.Encode.encode combo in
-    Rtlsat_constr.Encode.assume_bool enc inst.Rtlsat_bmc.Bmc.violation true;
-    let module Solver = Rtlsat_core.Solver in
-    let options =
-      { Solver.hdpll_sp with Solver.deadline = Req.deadline_from req (Mono.now ()) }
-    in
-    (match (Solver.solve ~options enc).Solver.result with
-     | Solver.Unsat -> Format.printf "%s holds within %d frames (UNSAT)@." port bound
-     | Solver.Timeout ->
-       Format.printf "TIMEOUT@.";
-       exit 1
-     | Solver.Sat m ->
-       let value n = m.(Rtlsat_constr.Encode.var enc n) in
-       (match Engines.replay inst value with
-        | Engines.Abort msg ->
-          Format.printf "ABORT: %s@." msg;
-          exit 1
-        | _ -> ());
-       Format.printf "%s VIOLATED within %d frames@." port bound;
-       let inputs_at f =
-         List.map
-           (fun n -> (n, value (Rtlsat_bmc.Unroll.input_at inst.Rtlsat_bmc.Bmc.unrolled n f)))
-           (Ir.inputs circuit)
-       in
-       let traces =
-         Rtlsat_rtl.Sim.run circuit ~inputs:(List.init bound inputs_at)
-       in
-       (match vcd_out with
-        | Some path ->
-          Rtlsat_rtl.Vcd.to_file circuit traces path;
-          Format.printf "counterexample written to %s@." path
-        | None ->
-          List.iteri
-            (fun f ins ->
-               Format.printf "  cycle %2d:" f;
-               List.iter
-                 (fun (n, v) -> Format.printf " %s=%d" (Ir.node_name n) v)
-                 ins;
-               Format.printf "@.")
-            (List.init bound inputs_at)))
+    let r = Engines.run_instance ~req Engines.Hdpll_sp inst in
+    match r.Engines.verdict with
+    | Engines.Unsat -> Format.printf "%s holds within %d frames (UNSAT)@." port bound
+    | (Engines.Timeout | Engines.Abort _) as v ->
+      Format.printf "%s@." (verdict_line v);
+      exit 1
+    | Engines.Sat ->
+      Format.printf "%s VIOLATED within %d frames@." port bound;
+      (match vcd_out with
+       | Some path ->
+         let traces = Rtlsat_rtl.Sim.run circuit ~inputs:r.Engines.witness in
+         Rtlsat_rtl.Vcd.to_file circuit traces path;
+         Format.printf "counterexample written to %s@." path
+       | None ->
+         List.iteri
+           (fun f ins ->
+              Format.printf "  cycle %2d:" f;
+              List.iter
+                (fun (n, v) -> Format.printf " %s=%d" (Ir.node_name n) v)
+                ins;
+              Format.printf "@.")
+           r.Engines.witness)
   in
   Cmd.v
     (Cmd.info "check" ~exits:std_exits
@@ -596,12 +599,6 @@ let check_cmd =
 (* ---- sweep: bound sweep through one incremental solver session ---- *)
 
 let sweep_cmd =
-  let circuit =
-    Arg.(required & opt (some string) None & info [ "c"; "circuit" ] ~docv:"NAME")
-  in
-  let prop =
-    Arg.(required & opt (some string) None & info [ "p"; "property" ] ~docv:"PROP")
-  in
   let bounds =
     Arg.(value & opt (list bound_conv) [ 10; 20; 30 ]
          & info [ "bounds" ] ~docv:"K1,K2,.."
@@ -634,36 +631,16 @@ let sweep_cmd =
   let run circuit prop bounds engine timeout scratch trace_out heartbeat
       flight opts ledger =
     let req = req_of_opts ~timeout opts in
-    let source, p =
-      match Registry.build circuit with
-      | c, props ->
-        (match List.assoc_opt prop props with
-         | Some p -> (c, p)
-         | None ->
-           Format.eprintf "unknown property %s_%s@." circuit prop;
-           exit 2)
-      | exception Not_found ->
-        Format.eprintf "unknown circuit %s@." circuit;
-        exit 2
+    let source, p = lookup circuit prop in
+    let bad =
+      List.exists (fun (step : Engines.sweep_step) ->
+          negative_verdict step.Engines.sw_run.Engines.verdict)
     in
-    let obs =
-      if trace_out <> None || flight <> None then
-        Obs.create ?trace:(open_trace trace_out)
-          ?recorder:(Option.map (fun _ -> Recorder.create ()) flight)
-          ?heartbeat_every:(if heartbeat > 0.0 then Some heartbeat else None)
-          ()
-      else Obs.disabled
+    let steps, post_mortem =
+      instrumented ?trace:trace_out ~heartbeat ~flight ~negative:bad (fun obs ->
+          Engines.run_sweep ~req:(Req.with_obs req obs) engine source ~prop:p
+            ~bounds)
     in
-    let dump_flight = arm_flight obs flight in
-    let req = Req.with_obs req obs in
-    let steps =
-      try Engines.run_sweep ~req engine source ~prop:p ~bounds
-      with e ->
-        (* post-mortem for crashes, matching solve *)
-        ignore (dump_flight ());
-        raise e
-    in
-    Obs.close obs;
     Format.printf "%s_%s sweep, engine %s: one session, bounds as assumptions@."
       circuit prop (Engines.engine_name engine);
     Format.printf "%5s %-4s %8s%s %12s %12s@." "bound" "rslt" "incr"
@@ -704,20 +681,12 @@ let sweep_cmd =
     (match trace_out with
      | Some path -> Format.printf "trace written to %s@." path
      | None -> ());
-    let bad =
-      List.exists
-        (fun (step : Engines.sweep_step) ->
-           match step.Engines.sw_run.Engines.verdict with
-           | Engines.Timeout | Engines.Abort _ -> true
-           | Engines.Sat | Engines.Unsat -> false)
-        steps
-    in
-    let dumped = if bad then dump_flight () else None in
     let total c =
       List.fold_left
         (fun acc (s : Engines.sweep_step) -> acc + c s.Engines.sw_run)
         0 steps
     in
+    let dumped = Lazy.force post_mortem in
     ledger_append ledger ~subcommand:"sweep"
       ~instance:(Printf.sprintf "%s_%s" circuit prop)
       ~engine:(Engines.engine_name engine)
@@ -733,20 +702,15 @@ let sweep_cmd =
           ("decisions", total (fun r -> r.Engines.decisions));
           ("conflicts", total (fun r -> r.Engines.conflicts));
         ]
-      ~artifacts:
-        (List.concat
-           [
-             (match trace_out with Some p -> [ ("trace", p) ] | None -> []);
-             flight_artifact dumped;
-           ]);
-    if bad then exit 1
+      ?trace:trace_out ?flight:dumped ();
+    if bad steps then exit 1
   in
   Cmd.v
     (Cmd.info "sweep" ~exits:std_exits
        ~doc:"Sweep a list of BMC bounds through one incremental solver \
              session: learned clauses, predicate relations and heuristic \
              state carry from bound to bound")
-    Term.(const run $ circuit $ prop $ bounds $ engine $ timeout $ scratch
+    Term.(const run $ circuit_arg $ prop_arg $ bounds $ engine $ timeout $ scratch
           $ trace_out $ heartbeat $ flight_term
           $ engine_opts_term $ ledger_term)
 
@@ -777,38 +741,27 @@ let serve_cmd =
 (* ---- prove: k-induction ---- *)
 
 let prove_cmd =
-  let circuit =
-    Arg.(required & opt (some string) None & info [ "c"; "circuit" ] ~docv:"NAME")
-  in
-  let prop =
-    Arg.(required & opt (some string) None & info [ "p"; "property" ] ~docv:"PROP")
-  in
-  let max_k = Arg.(value & opt int 20 & info [ "max-k" ]) in
+  let max_k = Arg.(value & opt bound_conv 20 & info [ "max-k" ]) in
   let run circuit prop max_k =
-    match Registry.build circuit with
-    | c, props ->
-      (match List.assoc_opt prop props with
-       | None ->
-         Format.eprintf "unknown property %s_%s@." circuit prop;
-         exit 2
-       | Some p ->
-         (match Rtlsat_harness.Induction.prove ~max_k c ~prop:p with
-          | Rtlsat_harness.Induction.Proved k ->
-            Format.printf "%s_%s PROVED for all reachable states (inductive at k=%d)@."
-              circuit prop k
-          | Rtlsat_harness.Induction.Falsified k ->
-            Format.printf "%s_%s FALSIFIED by a %d-cycle trace from reset@." circuit
-              prop k
-          | Rtlsat_harness.Induction.Unknown ->
-            Format.printf "%s_%s UNKNOWN up to k=%d (not inductive)@." circuit prop
-              max_k))
-    | exception Not_found ->
-      Format.eprintf "unknown circuit %s@." circuit;
-      exit 2
+    let c, p = lookup circuit prop in
+    let module I = Rtlsat_harness.Induction in
+    match I.prove ~max_k c ~prop:p with
+    | I.Proved k ->
+      Format.printf "%s_%s PROVED for all reachable states (inductive at k=%d)@."
+        circuit prop k
+    | I.Falsified k ->
+      Format.printf "%s_%s FALSIFIED by a %d-cycle trace from reset@." circuit
+        prop k
+    | I.Unknown ->
+      Format.printf "%s_%s UNKNOWN up to k=%d (not inductive)@." circuit prop
+        max_k
+    | I.Stopped (k, v) ->
+      Format.printf "%s_%s %s at k=%d@." circuit prop (verdict_line v) k;
+      exit 1
   in
   Cmd.v
     (Cmd.info "prove" ~exits:std_exits ~doc:"Unbounded proof by k-induction")
-    Term.(const run $ circuit $ prop $ max_k)
+    Term.(const run $ circuit_arg $ prop_arg $ max_k)
 
 (* ---- sat: standalone DIMACS solving ---- *)
 
@@ -841,24 +794,20 @@ let sat_cmd =
         Format.eprintf "rtlsat: cannot read %s: %s@." file msg;
         exit 2
     in
-    let obs =
-      if flight <> None then
-        Obs.create ~recorder:(Recorder.create ()) ~heartbeat_every:1.0 ()
-      else Obs.disabled
-    in
-    let dump_flight = arm_flight obs flight in
     let t_start = Mono.now () in
     let deadline = Req.deadline_from req t_start in
     let solver_out = ref None in
-    let result =
-      try
-        Rtlsat_sat.Dimacs.solve_cnf ~deadline ~simplify ~inprocess ~solver_out
-          ~obs cnf
-      with e ->
-        ignore (dump_flight ());
-        raise e
+    let result, post_mortem =
+      instrumented ~heartbeat:1.0 ~flight
+        ~negative:(function `Timeout -> true | `Sat _ | `Unsat -> false)
+        (fun obs ->
+           Rtlsat_sat.Dimacs.solve_cnf ~deadline ~simplify ~inprocess
+             ~solver_out ~obs cnf)
     in
     let wall = Mono.now () -. t_start in
+    let verdict =
+      match result with `Sat _ -> "sat" | `Unsat -> "unsat" | `Timeout -> "timeout"
+    in
     Rtlsat_sat.Dimacs.print_result Format.std_formatter result;
     (match (stats_json, !solver_out) with
      | Some path, Some solver ->
@@ -868,12 +817,7 @@ let sat_cmd =
          (Json.Obj
             [ ("schema", Json.Str "rtlsat.sat/1");
               ("file", Json.Str (Filename.basename file));
-              ( "result",
-                Json.Str
-                  (match result with
-                   | `Sat _ -> "sat"
-                   | `Unsat -> "unsat"
-                   | `Timeout -> "timeout") );
+              ("result", Json.Str verdict);
               ( "simplify",
                 Json.Obj
                   [ ("enabled", Json.Bool simplify);
@@ -888,18 +832,11 @@ let sat_cmd =
               ("conflicts", Json.Int (Rtlsat_sat.Cdcl.n_conflicts solver)) ]);
        Format.printf "stats written to %s@." path
      | _ -> ());
-    let dumped =
-      match result with `Timeout -> dump_flight () | `Sat _ | `Unsat -> None
-    in
+    let dumped = Lazy.force post_mortem in
     ledger_append ledger ~subcommand:"sat"
       ~instance:(Filename.basename file) ~engine:"cdcl"
       ~options:(Printf.sprintf "simplify=%b,inprocess=%d" simplify inprocess)
-      ~verdict:
-        (match result with
-         | `Sat _ -> "sat"
-         | `Unsat -> "unsat"
-         | `Timeout -> "timeout")
-      ~wall_s:wall
+      ~verdict ~wall_s:wall
       ~counters:
         (match !solver_out with
          | Some solver ->
@@ -909,12 +846,7 @@ let sat_cmd =
              ("conflicts", Rtlsat_sat.Cdcl.n_conflicts solver);
            ]
          | None -> [])
-      ~artifacts:
-        (List.concat
-           [
-             (match stats_json with Some p -> [ ("stats", p) ] | None -> []);
-             flight_artifact dumped;
-           ]);
+      ?stats:stats_json ?flight:dumped ();
     match result with `Timeout -> exit 1 | `Sat _ | `Unsat -> ()
   in
   Cmd.v
@@ -926,12 +858,6 @@ let sat_cmd =
 (* ---- export ---- *)
 
 let export_cmd =
-  let circuit =
-    Arg.(required & opt (some string) None & info [ "c"; "circuit" ] ~docv:"NAME")
-  in
-  let prop =
-    Arg.(required & opt (some string) None & info [ "p"; "property" ] ~docv:"PROP")
-  in
   let bound = Arg.(required & opt (some bound_conv) None & info [ "k"; "bound" ]) in
   let fmt_arg =
     Arg.(value & opt (enum [ ("smt2", `Smt2); ("dimacs", `Dimacs); ("rtl", `Rtl) ]) `Smt2
@@ -939,7 +865,8 @@ let export_cmd =
   in
   let out = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE") in
   let run circuit prop bound fmt out =
-    let inst = Registry.instance ~circuit ~prop ~bound in
+    let c, p = lookup circuit prop in
+    let inst = Rtlsat_bmc.Bmc.make c ~prop:p ~bound () in
     let combo = Rtlsat_bmc.Unroll.combo inst.Rtlsat_bmc.Bmc.unrolled in
     let text =
       match fmt with
@@ -949,7 +876,7 @@ let export_cmd =
         let bb = Rtlsat_baselines.Bitblast.encode combo in
         Rtlsat_baselines.Bitblast.assume_bool bb inst.Rtlsat_bmc.Bmc.violation true;
         Rtlsat_baselines.Bitblast.to_dimacs bb
-      | `Rtl -> Rtlsat_rtl.Text.to_string (Registry.build circuit |> fst)
+      | `Rtl -> Rtlsat_rtl.Text.to_string c
     in
     match out with
     | None -> print_string text
@@ -962,7 +889,7 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export" ~exits:input_exits
        ~doc:"Export an instance as SMT-LIB 2 / DIMACS, or the circuit as text")
-    Term.(const run $ circuit $ prop $ bound $ fmt_arg $ out)
+    Term.(const run $ circuit_arg $ prop_arg $ bound $ fmt_arg $ out)
 
 (* ---- fuzz: cross-engine differential fuzzing ---- *)
 
@@ -1086,12 +1013,7 @@ let fuzz_cmd =
           ("timeouts", s.Fuzz.timeouts);
           ("failures", List.length s.Fuzz.failures);
         ]
-      ~artifacts:
-        (List.concat
-           [
-             (match json_out with Some p -> [ ("summary", p) ] | None -> []);
-             (match trace_out with Some p -> [ ("trace", p) ] | None -> []);
-           ]);
+      ?summary:json_out ?trace:trace_out ();
     if s.Fuzz.failures <> [] then exit 1
   in
   Cmd.v

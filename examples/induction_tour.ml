@@ -24,6 +24,9 @@ let try_prove ?(max_k = 10) circuit prop =
   | Induction.Unknown ->
     Format.printf "%s_%-3s UNKNOWN     not inductive within the budget  (%.2fs)@."
       circuit prop dt
+  | Induction.Stopped (k, v) ->
+    Format.printf "%s_%-3s STOPPED     %s at k=%d  (%.2fs)@." circuit prop
+      (Rtlsat_harness.Report.verdict_string v) k dt
 
 let () =
   Format.printf "== k-induction over the benchmark suite ==@.@.";

@@ -1,6 +1,6 @@
 open Rtlsat_rtl
 
-type semantics = Final | Any | Never
+type semantics = Final | Any | Never | First
 
 type instance = {
   source : Ir.circuit;
@@ -86,6 +86,12 @@ let violation_node unrolled ~prop ~bound ~semantics ~name =
     (match frames with
      | [ one ] -> one
      | many -> Netlist.and_ combo ~name many)
+  | First ->
+    let last = Netlist.not_ combo (Unroll.node_at unrolled prop (bound - 1)) in
+    if bound = 1 then last
+    else
+      Netlist.and_ combo ~name
+        (List.init (bound - 1) (Unroll.node_at unrolled prop) @ [ last ])
 
 let make source ~prop ~bound ?(semantics = Final) () =
   if not (Ir.is_bool prop) then invalid_arg "Bmc.make: property must be Boolean";
@@ -122,13 +128,13 @@ type sweep = {
   sw_selectors : (int, Ir.node) Hashtbl.t;
 }
 
-let sweep source ~prop ?(semantics = Final) () =
+let sweep source ~prop ?(semantics = Final) ?free_init () =
   if not (Ir.is_bool prop) then invalid_arg "Bmc.sweep: property must be Boolean";
   {
     sw_source = source;
     sw_prop = prop;
     sw_semantics = semantics;
-    sw_unrolled = Unroll.unroll source ~frames:1;
+    sw_unrolled = Unroll.unroll ?free_init source ~frames:1;
     sw_selectors = Hashtbl.create 16;
   }
 
@@ -163,22 +169,46 @@ let sweep_instance sw ~bound =
     violation;
   }
 
-let witness_ok inst value =
-  (* extract per-frame input valuations from the unrolled model *)
-  let inputs_at f =
-    List.map
-      (fun n -> (n, value (Unroll.input_at inst.unrolled n f)))
-      (Ir.inputs inst.source)
+(* ---- witness replay ---- *)
+
+let violated inst ?(state = Sim.initial_state inst.source) inputs =
+  let _, props =
+    List.fold_left_map
+      (fun st ins ->
+         let vals, st = Sim.step inst.source st ~inputs:ins in
+         (st, Sim.value vals inst.prop))
+      state inputs
   in
-  let traces =
-    Array.of_list (Sim.run inst.source ~inputs:(List.init inst.bound inputs_at))
-  in
-  let prop_at f = Sim.value traces.(f) inst.prop in
+  let props = Array.of_list props in
+  let last = inst.bound - 1 in
+  let low = props.(last) = 0 in
   match inst.semantics with
-  | Final -> prop_at (inst.bound - 1) = 0
-  | Any ->
-    let rec any f = f < inst.bound && (prop_at f = 0 || any (f + 1)) in
-    any 0
-  | Never ->
-    let rec all f = f >= inst.bound || (prop_at f = 0 && all (f + 1)) in
-    all 0
+  | Final -> low
+  | Any -> Array.mem 0 props
+  | Never -> Array.for_all (( = ) 0) props
+  | First -> low && not (Array.mem 0 (Array.sub props 0 last))
+
+let witness_inputs inst value =
+  let ins = Ir.inputs inst.source in
+  List.init inst.bound (fun f ->
+      List.map (fun n -> (n, value (Unroll.input_at inst.unrolled n f))) ins)
+
+(* the model's frame-0 register values where the unroll left the
+   registers free (their frame-0 copy is an input), reset elsewhere *)
+let witness_state inst value =
+  let st = Sim.initial_state inst.source in
+  List.iter
+    (fun r ->
+       let r0 = Unroll.node_at inst.unrolled r 0 in
+       match r0.Ir.op with
+       | Ir.Input -> Hashtbl.replace st r.Ir.id (value r0)
+       | _ -> ())
+    (Ir.regs inst.source);
+  st
+
+let witness inst value =
+  let inputs = witness_inputs inst value in
+  if violated inst ~state:(witness_state inst value) inputs then Some inputs
+  else None
+
+let witness_ok inst value = Option.is_some (witness inst value)

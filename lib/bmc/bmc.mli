@@ -14,6 +14,9 @@ type semantics =
   | Never
       (** bounded guarantee: the signal must hold at least once within
           the bound; the violation is "it stays low in every frame" *)
+  | First
+      (** the k-induction step: the property holds in every frame
+          before the last and fails in the last *)
 
 type instance = {
   source : Ir.circuit;
@@ -48,9 +51,11 @@ val make : Ir.circuit -> prop:Ir.node -> bound:int -> ?semantics:semantics -> un
 
 type sweep
 
-val sweep : Ir.circuit -> prop:Ir.node -> ?semantics:semantics -> unit -> sweep
+val sweep :
+  Ir.circuit -> prop:Ir.node -> ?semantics:semantics -> ?free_init:bool -> unit -> sweep
 (** Start a sweep (initially one frame is unrolled).  Default
-    semantics: [Final]. *)
+    semantics: [Final].  With [free_init] the registers start from an
+    arbitrary state ({!Unroll.unroll}), as in a k-induction step. *)
 
 val sweep_unrolled : sweep -> Unroll.t
 (** The shared unroll; grows as bounds are requested. *)
@@ -65,9 +70,22 @@ val sweep_instance : sweep -> bound:int -> instance
 (** A per-bound [instance] view over the shared unroll — e.g. to
     replay a witness through {!witness_ok}. *)
 
-val witness_ok : instance -> (Ir.node -> int) -> bool
-(** [witness_ok inst value] replays a model of the *unrolled* circuit
+val violated : instance -> ?state:Sim.state -> (Ir.node * int) list list -> bool
+(** [violated inst inputs] simulates the source circuit from [state]
+    (default: reset) under one input valuation per frame, and tells
+    whether the property is violated in the sense of the instance's
+    semantics.  The one definition of every semantics over simulated
+    values. *)
+
+val witness : instance -> (Ir.node -> int) -> (Ir.node * int) list list option
+(** [witness inst value] replays a model of the {e unrolled} circuit
     (queried per unrolled node by [value]) through the sequential
-    simulator and confirms that the property is indeed violated at the
-    frame the semantics requires.  This validates SAT answers
+    simulator.  The simulation starts from the model's frame-0 register
+    values wherever the unroll left the registers free, from reset
+    elsewhere.  [Some inputs], the model's per-frame primary-input
+    valuation, when the property is violated at the frames the
+    semantics requires; [None] otherwise.  This validates SAT answers
     end-to-end against the RTL. *)
+
+val witness_ok : instance -> (Ir.node -> int) -> bool
+(** [witness_ok inst value] is [witness inst value <> None]. *)

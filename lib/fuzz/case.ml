@@ -20,6 +20,7 @@ let semantics_name = function
   | Bmc.Final -> "final"
   | Bmc.Any -> "any"
   | Bmc.Never -> "never"
+  | Bmc.First -> "first"
 
 let semantics_of_name = function
   | "final" -> Bmc.Final

@@ -33,7 +33,8 @@ val instance : t -> Rtlsat_bmc.Bmc.instance
 (** Unroll into a BMC instance (see {!Rtlsat_bmc.Bmc.make}). *)
 
 val semantics_name : Rtlsat_bmc.Bmc.semantics -> string
-(** ["final"], ["any"], ["never"]. *)
+(** ["final"], ["any"], ["never"]; ["first"] for [First], which no
+    case uses and the parser rejects. *)
 
 val to_string : t -> string
 (** Directive line + canonical {!Rtlsat_rtl.Text} form; the property

@@ -29,14 +29,7 @@ let default_engines =
 
 let violated (inst : Bmc.instance) matrix =
   let inputs = Ir.inputs inst.Bmc.source in
-  let frame row = List.combine inputs row in
-  let traces = Sim.run inst.Bmc.source ~inputs:(List.map frame matrix) in
-  let prop_at vals = Sim.value vals inst.Bmc.prop in
-  let pv = List.map prop_at traces in
-  match inst.Bmc.semantics with
-  | Bmc.Final -> List.nth pv (inst.Bmc.bound - 1) = 0
-  | Bmc.Any -> List.exists (fun v -> v = 0) pv
-  | Bmc.Never -> List.for_all (fun v -> v = 0) pv
+  Bmc.violated inst (List.map (List.combine inputs) matrix)
 
 (* independent refutation search for a unanimous Unsat: find an input
    matrix whose simulation violates the property *)

@@ -46,10 +46,11 @@ val default_engines : Engines.engine list
 (** All six engines. *)
 
 val violated : Rtlsat_bmc.Bmc.instance -> int list list -> bool
-(** [violated inst matrix] simulates the source circuit under the
-    per-frame input values and reports whether the property is
-    violated in the sense of the instance's semantics.  Used both by
-    the certificate search and by tests. *)
+(** [violated inst matrix] simulates the source circuit from reset
+    under the per-frame input values ({!Rtlsat_bmc.Bmc.violated}) and
+    reports whether the property is violated in the sense of the
+    instance's semantics.  Used both by the certificate search and by
+    tests. *)
 
 val check :
   ?engines:Engines.engine list ->

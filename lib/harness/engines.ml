@@ -44,6 +44,7 @@ type run = {
   conflicts : int;
   stats : Solver.stats option;
   metrics : Obs.snapshot option;
+  witness : (Rtlsat_rtl.Ir.node * int) list list;
 }
 
 type sweep_step = {
@@ -101,8 +102,11 @@ let encode_instance obs inst =
       E.assume_bool enc inst.Bmc.violation true;
       enc)
 
+(* a Sat answer counts only once its model replays through Sim *)
 let replay inst value =
-  if Bmc.witness_ok inst value then Sat else Abort "witness failed replay"
+  match Bmc.witness inst value with
+  | Some inputs -> (Sat, inputs)
+  | None -> (Abort "witness failed replay", [])
 
 (* ---- one call of each kernel ----
 
@@ -114,10 +118,10 @@ let replay inst value =
 let hybrid_call obs ~t0 ~deadline ?assumptions enc sess inst =
   let r = Solver.Session.solve ?assumptions ~deadline sess in
   let { Solver.result; stats; _ } = r.Solver.Session.outcome in
-  let verdict =
+  let verdict, witness =
     match result with
-    | Solver.Unsat -> Unsat
-    | Solver.Timeout -> Timeout
+    | Solver.Unsat -> (Unsat, [])
+    | Solver.Timeout -> (Timeout, [])
     | Solver.Sat m -> replay inst (fun n -> m.(E.var enc n))
   in
   ( {
@@ -129,6 +133,7 @@ let hybrid_call obs ~t0 ~deadline ?assumptions enc sess inst =
       conflicts = stats.Solver.conflicts;
       stats = Some stats;
       metrics = snap obs;
+      witness;
     },
     r )
 
@@ -164,12 +169,12 @@ let blast_call (knobs : Req.t) ~t0 ~deadline ~elim ~conflicts0 ?assumptions bb
     inst =
   let obs = knobs.Req.obs and cancel = knobs.Req.cancel in
   if knobs.Req.simplify then simplify_with_obs obs ~elim ~deadline ~cancel bb;
-  let verdict =
+  let verdict, witness =
     match
       Bb.solve ~deadline ~inprocess:knobs.Req.inprocess ~cancel ?assumptions bb
     with
-    | Bb.Unsat -> Unsat
-    | Bb.Timeout -> Timeout
+    | Bb.Unsat -> (Unsat, [])
+    | Bb.Timeout -> (Timeout, [])
     | Bb.Sat -> replay inst (Bb.node_value bb)
   in
   {
@@ -181,17 +186,20 @@ let blast_call (knobs : Req.t) ~t0 ~deadline ~elim ~conflicts0 ?assumptions bb
     conflicts = Cdcl.n_conflicts (Bb.solver bb) - conflicts0;
     stats = None;
     metrics = snap obs;
+    witness;
   }
 
 (* the lazy CDP baseline: every call is a fresh solve of [enc] *)
 let lazy_call (knobs : Req.t) ~t0 ~deadline inst enc =
   let result, st = Lz.solve ~deadline ~cancel:knobs.Req.cancel enc.E.problem in
+  let verdict, witness =
+    match result with
+    | Lz.Unsat -> (Unsat, [])
+    | Lz.Timeout -> (Timeout, [])
+    | Lz.Sat m -> replay inst (fun n -> m.(E.var enc n))
+  in
   {
-    verdict =
-      (match result with
-       | Lz.Unsat -> Unsat
-       | Lz.Timeout -> Timeout
-       | Lz.Sat m -> replay inst (fun n -> m.(E.var enc n)));
+    verdict;
     time = Mono.now () -. t0;
     relations = 0;
     learn_time = 0.0;
@@ -199,6 +207,7 @@ let lazy_call (knobs : Req.t) ~t0 ~deadline inst enc =
     conflicts = st.Lz.blocking_clauses;
     stats = None;
     metrics = snap knobs.Req.obs;
+    witness;
   }
 
 (* ---- one-shot solves ---- *)
@@ -236,8 +245,8 @@ type kernel =
 (* [s_req] fixes the session's policy for its lifetime *)
 type session = { s_req : Req.t; sw : Bmc.sweep; kernel : kernel }
 
-let session ~req ?semantics engine source ~prop =
-  let sw = Bmc.sweep source ~prop ?semantics () in
+let session ~req ?semantics ?free_init engine source ~prop =
+  let sw = Bmc.sweep source ~prop ?semantics ?free_init () in
   let encode f =
     Obs.span req.Req.obs Obs.Encode (fun () ->
         f (Unroll.combo (Bmc.sweep_unrolled sw)))

@@ -58,6 +58,10 @@ type run = {
   metrics : Rtlsat_obs.Obs.snapshot option;
       (** observability snapshot; [None] unless the request carried an
           enabled [obs] handle *)
+  witness : (Rtlsat_rtl.Ir.node * int) list list;
+      (** the per-frame primary-input valuation of a [Sat] answer's
+          replayed witness ({!Rtlsat_bmc.Bmc.witness}); empty for every
+          other verdict *)
 }
 
 val run_instance : ?req:Req.t -> engine -> Rtlsat_bmc.Bmc.instance -> run
@@ -107,6 +111,7 @@ type session
 val session :
   req:Req.t ->
   ?semantics:Rtlsat_bmc.Bmc.semantics ->
+  ?free_init:bool ->
   engine ->
   Rtlsat_rtl.Ir.circuit ->
   prop:Rtlsat_rtl.Ir.node ->
@@ -115,7 +120,9 @@ val session :
     ([split]/[simplify]/[inprocess]/[learn_threshold]/[on_learn]) — is
     taken from [req] and fixed for the session's lifetime;
     [dump_graph] is ignored (every call would restart the file
-    numbering). *)
+    numbering).  [semantics] and [free_init] shape the unroll as in
+    {!Rtlsat_bmc.Bmc.sweep}; witnesses of a [free_init] session replay
+    from the model's initial state. *)
 
 val sweep_step : req:Req.t -> session -> bound:int -> sweep_step
 (** Decide one bound: extend the unroll to [bound], pose the bound's
@@ -152,8 +159,3 @@ val sweep_verdict : sweep_step list -> verdict
 val op_counts : Rtlsat_bmc.Bmc.instance -> int * int
 (** (arith, bool) operator counts of the unrolled instance —
     columns 3–4 of Table 2. *)
-
-val replay : Rtlsat_bmc.Bmc.instance -> (Rtlsat_rtl.Ir.node -> int) -> verdict
-(** Check a model by replaying its witness through the RTL simulator
-    ({!Rtlsat_bmc.Bmc.witness_ok}): [Sat] when it replays,
-    [Abort "witness failed replay"] when it does not. *)

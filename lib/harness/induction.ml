@@ -1,45 +1,33 @@
 module Bmc = Rtlsat_bmc.Bmc
-module Unroll = Rtlsat_bmc.Unroll
-module E = Rtlsat_constr.Encode
-module Solver = Rtlsat_core.Solver
 
-type outcome = Proved of int | Falsified of int | Unknown
+type outcome =
+  | Proved of int
+  | Falsified of int
+  | Unknown
+  | Stopped of int * Engines.verdict
 
-let solve_encoded options enc =
-  match (Solver.solve ~options enc).Solver.result with
-  | Solver.Sat _ -> `Sat
-  | Solver.Unsat -> `Unsat
-  | Solver.Timeout -> `Timeout
-
-let base_case options circuit prop k =
-  let inst = Bmc.make circuit ~prop ~bound:k ~semantics:Bmc.Any () in
-  let enc = E.encode (Unroll.combo inst.Bmc.unrolled) in
-  E.assume_bool enc inst.Bmc.violation true;
-  solve_encoded options enc
-
-let step_case options circuit prop k =
-  (* frames 0..k from an arbitrary state; prop holds in 0..k-1 and
-     fails in frame k *)
-  let u = Unroll.unroll ~free_init:true circuit ~frames:(k + 1) in
-  let enc = E.encode (Unroll.combo u) in
-  for f = 0 to k - 1 do
-    E.assume_bool enc (Unroll.node_at u prop f) true
-  done;
-  E.assume_bool enc (Unroll.node_at u prop k) false;
-  solve_encoded options enc
-
-let prove ?(options = Solver.hdpll_sp) ?(max_k = 20) circuit ~prop =
+(* Two warm sessions, each extended by one frame per depth: the base
+   case from reset, and the step case from a free initial state, whose
+   depth-k query is bound k+1 under [First] semantics *)
+let prove ?(req = Req.default) ?(max_k = 20) circuit ~prop =
+  let base =
+    Engines.session ~req ~semantics:Bmc.Any Engines.Hdpll_sp circuit ~prop
+  in
+  let step =
+    Engines.session ~req ~semantics:Bmc.First ~free_init:true Engines.Hdpll_sp
+      circuit ~prop
+  in
+  let ask s bound = (Engines.sweep_step ~req s ~bound).Engines.sw_run.Engines.verdict in
   let rec go k =
     if k > max_k then Unknown
-    else begin
-      match base_case options circuit prop k with
-      | `Sat -> Falsified k
-      | `Timeout -> Unknown
-      | `Unsat ->
-        (match step_case options circuit prop k with
-         | `Unsat -> Proved k
-         | `Timeout -> Unknown
-         | `Sat -> go (k + 1))
-    end
+    else
+      match ask base k with
+      | Engines.Sat -> Falsified k
+      | Engines.Unsat -> (
+          match ask step (k + 1) with
+          | Engines.Unsat -> Proved k
+          | Engines.Sat -> go (k + 1)
+          | v -> Stopped (k, v))
+      | v -> Stopped (k, v)
   in
   go 1

@@ -453,15 +453,15 @@ let solve ?(deadline = infinity) ?(assumptions = []) ?(inprocess = 0)
       let confl = propagate t in
       if confl >= 0 then begin
         t.conflicts <- t.conflicts + 1;
-        if Obs.tracing obs then
-          Obs.event obs "conflict" [ ("lvl", Json.Int (decision_level t)) ];
         Search.conflict restarts;
         if decision_level t = 0 then begin
           t.unsat_root <- true;
           result := Some Unsat
         end
         else begin
+          let lvl = decision_level t in
           let clause, btlevel = analyze t confl in
+          Obs.conflict obs ~lvl ~bt:btlevel ~len:(Array.length clause);
           backtrack t btlevel;
           t.var_inc <- t.var_inc *. var_decay;
           t.learned <- t.learned + 1;

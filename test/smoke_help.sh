@@ -7,7 +7,8 @@
 #      0 success / 1 negative finding / 2 invalid input
 #   3. the top-level help lists the serve daemon next to solve/sweep
 #   4. a bound below 1 is invalid input (exit 2 with a message) on
-#      every subcommand that takes one, not an uncaught exception
+#      every subcommand that takes one, and so is an unknown circuit or
+#      property name, not an uncaught exception
 #   5. malformed DIMACS is invalid input for `sat` (exit 2, the file
 #      and line in the message), and a bit-blast solve honours a tiny
 #      --timeout even though preprocessing alone outlasts it
@@ -73,20 +74,25 @@ node p = ne r five
 connect r nxt
 output prop p
 NETLIST
+# expect_exit2 MESSAGE ARGS...: exit 2 with MESSAGE in the output
 expect_exit2() {
+  msg=$1
+  shift
   status=0
   "$rtlsat" "$@" > "$out" 2>&1 || status=$?
-  if [ "$status" -ne 2 ]; then
-    echo "smoke_help: '$*' exited $status, expected 2" >&2
+  if [ "$status" -ne 2 ] || ! grep -q "$msg" "$out"; then
+    echo "smoke_help: '$*' exited $status, expected 2 with '$msg'" >&2
     cat "$out" >&2
     exit 1
   fi
-  grep -q "must be at least 1" "$out"
 }
-expect_exit2 solve -c b01 -p 1 -k 0
-expect_exit2 check "$net" -p prop -k 0
-expect_exit2 export -c b01 -p 1 -k 0
-expect_exit2 sweep -c b01 -p 1 --bounds 0,2
+expect_exit2 "must be at least 1" solve -c b01 -p 1 -k 0
+expect_exit2 "must be at least 1" check "$net" -p prop -k 0
+expect_exit2 "must be at least 1" export -c b01 -p 1 -k 0
+expect_exit2 "must be at least 1" sweep -c b01 -p 1 --bounds 0,2
+expect_exit2 "must be at least 1" prove -c b01 -p 1 --max-k=-1
+expect_exit2 "unknown circuit nope" export -c nope -p 1 -k 3
+expect_exit2 "unknown property b13_99" export -c b13 -p 99 -k 3
 
 # 5. malformed DIMACS exits 2 with FILE: line N; a 10 ms bit-blast
 #    solve reports TIMEOUT (verdict only: the wall time is not checked)

@@ -126,6 +126,38 @@ let test_witness_rejects_bogus () =
   (* all-zero inputs never reach 5 *)
   check_bool "bogus rejected" false (Bmc.witness_ok inst (fun _ -> 0))
 
+let test_bmc_first_semantics () =
+  (* the k-induction step: from a free state, cnt ≠ 5 holds in every
+     frame before the last and fails in the last *)
+  let c, en, cnt, _ = build_counter () in
+  let prop = N.ne c cnt (N.const c ~width:3 5) in
+  let sw = Bmc.sweep c ~prop ~semantics:Bmc.First ~free_init:true () in
+  let inst = Bmc.sweep_instance sw ~bound:2 in
+  let u = inst.Bmc.unrolled in
+  let model ~init ~enable n =
+    if n == Unroll.node_at u cnt 0 then init
+    else if n == Unroll.input_at u en 0 then enable
+    else 0
+  in
+  check_bool "4 then 5: fails first in the last frame" true
+    (Bmc.witness_ok inst (model ~init:4 ~enable:1));
+  check_bool "5 from the start: fails before the last frame" false
+    (Bmc.witness_ok inst (model ~init:5 ~enable:0));
+  check_bool "4 held: never fails" false
+    (Bmc.witness_ok inst (model ~init:4 ~enable:0));
+  (* the same free start under Final semantics is a violation *)
+  check_bool "Final accepts the early failure" true
+    (Bmc.witness_ok { inst with Bmc.semantics = Bmc.Final } (model ~init:5 ~enable:0));
+  (* a solver model of the bound-3 step case replays from its own
+     initial register values *)
+  let inst = Bmc.sweep_instance sw ~bound:3 in
+  let enc, r = solve_instance inst in
+  match r with
+  | Solver.Sat m ->
+    check_bool "solver witness replays" true
+      (Bmc.witness_ok inst (fun n -> m.(E.var enc n)))
+  | _ -> Alcotest.fail "the step case is satisfiable from a free state"
+
 let () =
   Alcotest.run "bmc"
     [
@@ -141,6 +173,7 @@ let () =
           Alcotest.test_case "final semantics boundary" `Quick test_bmc_final_semantics;
           Alcotest.test_case "any semantics" `Quick test_bmc_any_semantics;
           Alcotest.test_case "never (bounded guarantee)" `Quick test_bmc_never_semantics;
+          Alcotest.test_case "first (induction step)" `Quick test_bmc_first_semantics;
           Alcotest.test_case "witness validation" `Quick test_witness_rejects_bogus;
         ] );
     ]

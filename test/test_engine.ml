@@ -444,6 +444,7 @@ let test_sweep_verdict () =
           conflicts = 0;
           stats = None;
           metrics = None;
+          witness = [];
         };
       sw_carried_clauses = 0;
       sw_carried_relations = 0;

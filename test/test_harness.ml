@@ -106,6 +106,46 @@ let test_induction_unknown_on_budget () =
   let p = List.assoc "1" props in
   check_bool "unknown" true (Induction.prove ~max_k:0 c ~prop:p = Induction.Unknown)
 
+let test_induction_falsified_depths () =
+  (* the base case finds the shortest counterexample from reset *)
+  List.iter
+    (fun (circuit, prop, depth) ->
+       let c, props = Registry.build circuit in
+       match Induction.prove ~max_k:10 c ~prop:(List.assoc prop props) with
+       | Induction.Falsified k -> check_int (circuit ^ "_" ^ prop) depth k
+       | _ -> Alcotest.fail (circuit ^ "_" ^ prop ^ ": expected Falsified"))
+    [ ("b01", "1", 9); ("b02", "3", 4); ("b04", "2", 3) ]
+
+let test_induction_honours_deadline () =
+  (* with a zero budget every call that needs a search step times out,
+     and the first one ends the proof with that verdict *)
+  let c, props = Registry.build "b13" in
+  match
+    Induction.prove ~req:(Rtlsat_harness.Req.make ~timeout:0.0 ()) c
+      ~prop:(List.assoc "1" props)
+  with
+  | Induction.Stopped (_, Engines.Timeout) -> ()
+  | _ -> Alcotest.fail "expected Stopped with a timeout"
+
+let test_step_case_witnesses_replay () =
+  (* the step case of b13_1 is satisfiable from a free state at every
+     depth; each answer counts only if its witness replays from the
+     model's initial register values *)
+  let c, props = Registry.build "b13" in
+  let req = Rtlsat_harness.Req.default in
+  let s =
+    Engines.session ~req ~semantics:Bmc.First ~free_init:true Engines.Hdpll_sp c
+      ~prop:(List.assoc "1" props)
+  in
+  List.iter
+    (fun bound ->
+       let r = (Engines.sweep_step ~req s ~bound).Engines.sw_run in
+       check_bool (Printf.sprintf "bound %d sat and replayed" bound) true
+         (r.Engines.verdict = Engines.Sat);
+       check_int "one input valuation per frame" bound
+         (List.length r.Engines.witness))
+    [ 2; 3; 4; 5 ]
+
 (* ---- randomized decision strategy (§5.1's comparison baseline) ---- *)
 
 let test_random_strategy_agrees () =
@@ -202,6 +242,12 @@ let () =
           Alcotest.test_case "falsifies b04_2" `Quick test_induction_falsifies;
           Alcotest.test_case "proves b13_3" `Quick test_induction_control_only;
           Alcotest.test_case "unknown on zero budget" `Quick test_induction_unknown_on_budget;
+          Alcotest.test_case "falsified at the shortest depth" `Quick
+            test_induction_falsified_depths;
+          Alcotest.test_case "zero timeout stops the proof" `Quick
+            test_induction_honours_deadline;
+          Alcotest.test_case "step-case witnesses replay" `Quick
+            test_step_case_witnesses_replay;
         ] );
       ( "strategies",
         [

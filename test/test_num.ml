@@ -1,7 +1,6 @@
-(* Unit and property tests for Bigint and Rat. *)
+(* Unit and property tests for Bigint. *)
 
 module B = Rtlsat_num.Bigint
-module R = Rtlsat_num.Rat
 
 let check_int msg expected actual = Alcotest.(check int) msg expected actual
 let check_str msg expected actual = Alcotest.(check string) msg expected actual
@@ -125,42 +124,6 @@ let prop_string_roundtrip =
   QCheck.Test.make ~name:"of_string/to_string roundtrip" ~count:300 QCheck.int
     (fun a -> B.to_int (B.of_string (string_of_int a)) = a)
 
-(* ---- Rat tests ---- *)
-
-let test_rat_normalize () =
-  let r = R.of_ints 6 (-4) in
-  check_str "norm" "-3/2" (R.to_string r);
-  check_str "int" "5" (R.to_string (R.of_ints 10 2))
-
-let test_rat_arith () =
-  let half = R.of_ints 1 2 and third = R.of_ints 1 3 in
-  check_str "add" "5/6" R.(to_string (half + third));
-  check_str "sub" "1/6" R.(to_string (half - third));
-  check_str "mul" "1/6" R.(to_string (half * third));
-  check_str "div" "3/2" R.(to_string (half / third))
-
-let test_rat_floor_ceil () =
-  check_str "floor" "-2" (Rtlsat_num.Bigint.to_string (R.floor (R.of_ints (-3) 2)));
-  check_str "ceil" "-1" (Rtlsat_num.Bigint.to_string (R.ceil (R.of_ints (-3) 2)));
-  check_str "floor pos" "1" (Rtlsat_num.Bigint.to_string (R.floor (R.of_ints 3 2)))
-
-let test_rat_compare () =
-  Alcotest.(check bool) "lt" true R.(of_ints 1 3 < of_ints 1 2);
-  Alcotest.(check bool) "eq" true R.(of_ints 2 4 = of_ints 1 2)
-
-let test_rat_div_by_zero () =
-  Alcotest.check_raises "div0" Division_by_zero (fun () ->
-      ignore (R.div R.one R.zero))
-
-let prop_rat_field =
-  QCheck.Test.make ~name:"rat arithmetic is exact" ~count:300
-    (QCheck.quad arb_small QCheck.(int_range 1 1000) arb_small QCheck.(int_range 1 1000))
-    (fun (a, b, c, d) ->
-       let x = R.of_ints a b and y = R.of_ints c d in
-       (* (x + y) - y = x;  (x * y) / y = x  when y <> 0 *)
-       R.equal R.((x + y) - y) x
-       && (R.sign y = 0 || R.equal R.(x * y / y) x))
-
 let qsuite = Qutil.qsuite
 
 let () =
@@ -185,13 +148,4 @@ let () =
         ] );
       qsuite "bigint-props"
         [ prop_ring_ops; prop_divmod; prop_big_divmod; prop_string_roundtrip ];
-      ( "rat",
-        [
-          Alcotest.test_case "normalize" `Quick test_rat_normalize;
-          Alcotest.test_case "arith" `Quick test_rat_arith;
-          Alcotest.test_case "floor/ceil" `Quick test_rat_floor_ceil;
-          Alcotest.test_case "compare" `Quick test_rat_compare;
-          Alcotest.test_case "div by zero" `Quick test_rat_div_by_zero;
-        ] );
-      qsuite "rat-props" [ prop_rat_field ];
     ]

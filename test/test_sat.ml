@@ -384,7 +384,7 @@ let test_restart_schedule () =
     let r = Recorder.create ~cap:(1 lsl 20) () in
     let obs = Obs.create ~recorder:r () in
     run obs;
-    restarts_of r
+    r
   in
   let hybrid =
     recorded (fun obs ->
@@ -395,14 +395,41 @@ let test_restart_schedule () =
         let o = Solver.solve ~options:{ Solver.hdpll_sp with Solver.obs } enc in
         check_bool "hybrid unsat" true (o.Solver.result = Solver.Unsat))
   in
+  let conflicts = ref 0 in
   let blast =
     recorded (fun obs ->
         let bb = Bb.encode combo in
         Bb.assume_bool bb inst.Rtlsat_bmc.Bmc.violation true;
         Bb.simplify ~elim:true bb;
         check_bool "bit-blast unsat" true
-          (C.solve ~obs (Bb.solver bb) = C.Unsat))
+          (C.solve ~obs (Bb.solver bb) = C.Unsat);
+        conflicts := C.n_conflicts (Bb.solver bb))
   in
+  (* the CDCL kernel records a conflict the way the hybrid one does:
+     one flat conflict event (level, backjump level, learned length)
+     per analysed conflict, then the learn event of its clause.  The
+     last conflict, at level 0, proves Unsat and learns nothing *)
+  let events = ref [] in
+  Recorder.iter blast (fun e -> events := e :: !events);
+  let rec pairs n = function
+    | c :: l :: rest when c.Recorder.e_ev = "conflict" ->
+      let field e k = List.assoc k e.Recorder.e_fields in
+      check_bool "conflict has lvl, bt and len" true
+        (List.for_all
+           (fun k -> List.mem_assoc k c.Recorder.e_fields)
+           [ "lvl"; "bt"; "len" ]);
+      Alcotest.(check string) "conflict followed by learn" "learn" l.Recorder.e_ev;
+      check_bool "learn carries the conflict's length" true
+        (field l "len" = field c "len");
+      pairs (n + 1) rest
+    | [ c ] when c.Recorder.e_ev = "conflict" -> Alcotest.fail "conflict without learn"
+    | _ :: rest -> pairs n rest
+    | [] -> n
+  in
+  Alcotest.(check int) "one conflict event per analysed conflict"
+    (!conflicts - 1)
+    (pairs 0 (List.rev !events));
+  let hybrid = restarts_of hybrid and blast = restarts_of blast in
   List.iter
     (fun (kernel, rs) ->
        check_bool (kernel ^ " restarts several times") true (List.length rs >= 3);
