@@ -17,8 +17,8 @@ let negate_le (e : linexpr) =
 let active_lins s =
   let out = ref [] in
   let push e guards = out := (e.terms, e.const, guards) :: !out in
-  Array.iter
-    (fun c ->
+  Rtlsat_constr.Problem.iter_constrs
+    (fun _ c ->
        match c with
        | Lin_le e -> push e []
        | Lin_eq e ->
@@ -39,7 +39,7 @@ let active_lins s =
          let eq = lin_of_terms [ (1, z); (-1, chosen) ] 0 in
          push eq [ guard ];
          push (lin_neg eq) [ guard ])
-    s.State.constrs;
+    s.State.prob;
   List.rev !out
 
 (* union-find over variables *)

@@ -1,77 +1,80 @@
-open Rtlsat_constr.Types
-module Vec = Rtlsat_constr.Vec
-
 type stats = {
   mutable subsumed : int;
   mutable strengthened : int;
 }
 
-(* every atom is a half-interval bound: a lower bound (Pos v is
-   v >= 1, Ge) or an upper bound (Neg v is v <= 0, Le); Booleans are
-   the one-bit special case, cf. State.entailed.  The checks match on
-   the constructors directly so that no pair test allocates. *)
-let bound = function Pos _ -> 1 | Neg _ -> 0 | Ge (_, k) | Le (_, k) -> k
+(* A clause is read out of the arena ([State.read_clause]) as its
+   atoms' codes and bounds.  Every atom is a half-interval bound on
+   [code lsr 2]: a lower bound when bit 0 is clear (Pos v is v >= 1,
+   Ge), an upper bound when set (Neg v is v <= 0, Le); Booleans are the
+   one-bit special case, cf. State.entailed. *)
+type atoms = {
+  mutable codes : int array;
+  mutable bounds : int array;
+  mutable len : int;
+}
 
-(* a ⇒ b: the interval of [a] is included in the interval of [b] *)
-let imp a b =
-  match (a, b) with
-  | (Pos v | Ge (v, _)), (Pos w | Ge (w, _)) -> v = w && bound a >= bound b
-  | (Neg v | Le (v, _)), (Neg w | Le (w, _)) -> v = w && bound a <= bound b
-  | _ -> false
+(* clause [ci] into [c], whose arrays grow to fit and are kept *)
+let load s c ci =
+  let n = State.clause_len s ci in
+  if n > Array.length c.codes then begin
+    c.codes <- Array.make (2 * n) 0;
+    c.bounds <- Array.make (2 * n) 0
+  end;
+  c.len <- n;
+  State.read_clause s ci c.codes c.bounds
 
-(* a ∧ b unsatisfiable: opposite bounds on one variable that cross *)
-let incompatible a b =
-  match (a, b) with
-  | (Pos v | Ge (v, _)), (Neg w | Le (w, _)) -> v = w && bound a > bound b
-  | (Neg v | Le (v, _)), (Pos w | Ge (w, _)) -> v = w && bound b > bound a
-  | _ -> false
+(* (c, k) ⇒ (d, l): one variable and side, the first interval included
+   in the second *)
+let imp c k d l = (c lxor d) land lnot 2 = 0 && if c land 1 = 0 then k >= l else k <= l
+
+(* (c, k) ∧ (d, l) unsatisfiable: opposite bounds on one variable that
+   cross *)
+let incompatible c k d l =
+  (c lxor d) land lnot 2 = 1 && if c land 1 = 0 then k > l else l > k
 
 (* some atom of [d] at an index >= [j], other than [skip], is implied
-   by [a] *)
-let rec implied_in a d ~skip j =
-  j < Array.length d
-  && ((j <> skip && imp a d.(j)) || implied_in a d ~skip (j + 1))
+   by (c, k) *)
+let rec implied_in c k d ~skip j =
+  j < d.len
+  && ((j <> skip && imp c k d.codes.(j) d.bounds.(j)) || implied_in c k d ~skip (j + 1))
 
 (* C subsumes D: every atom of C (from index [i] on) implies some atom
    of D, so C ⊨ D *)
 let rec subsumes c d i =
-  i >= Array.length c || (implied_in c.(i) d ~skip:(-1) 0 && subsumes c d (i + 1))
+  i >= c.len
+  || (implied_in c.codes.(i) c.bounds.(i) d ~skip:(-1) 0 && subsumes c d (i + 1))
 
 (* every atom of C (from index [i] on) either clashes with d.(k) or
    implies into D \ {d.(k)} *)
 let rec strengthens c d k i =
-  i >= Array.length c
-  || ((incompatible c.(i) d.(k) || implied_in c.(i) d ~skip:k 0)
+  i >= c.len
+  || ((incompatible c.codes.(i) c.bounds.(i) d.codes.(k) d.bounds.(k)
+       || implied_in c.codes.(i) c.bounds.(i) d ~skip:k 0)
       && strengthens c d k (i + 1))
 
 (* self-subsuming strengthening: the first index at or after [k] whose
-   atom clashes with [a] and that C strengthens away (C ∧ D then
+   atom clashes with (x, kx) and that C strengthens away (C ∧ D then
    entails D without that atom), or -1 *)
-let rec strengthen_at a c d k =
-  if k >= Array.length d then -1
-  else if incompatible a d.(k) && strengthens c d k 0 then k
-  else strengthen_at a c d (k + 1)
+let rec strengthen_at x kx c d k =
+  if k >= d.len then -1
+  else if incompatible x kx d.codes.(k) d.bounds.(k) && strengthens c d k 0 then k
+  else strengthen_at x kx c d (k + 1)
 
-let rec any_entailed s cl i =
-  i < Array.length cl && (State.entailed s cl.(i) || any_entailed s cl (i + 1))
-
-let count_falsified s cl =
-  let nf = ref 0 in
-  for i = 0 to Array.length cl - 1 do
-    if State.falsified s cl.(i) then incr nf
-  done;
-  !nf
+(* an atom's state under the bounds: entailed, falsified *)
+let entailed lb ub c k = if c land 1 = 0 then lb.(c lsr 2) >= k else ub.(c lsr 2) <= k
+let falsified lb ub c k = if c land 1 = 0 then ub.(c lsr 2) < k else lb.(c lsr 2) > k
 
 (* cost cap: only short clauses act as subsumers/strengtheners, the
    standard occurrence-list trade-off *)
 let max_subsumer_len = 10
 
-(* the candidate variable of [c] with the fewest clause occurrences *)
+(* the candidate variable of C with the fewest clause occurrences *)
 let best_var s c =
   let o = s.State.clause_occs in
-  let best = ref (atom_var c.(0)) in
-  for i = 0 to Array.length c - 1 do
-    let v = atom_var c.(i) in
+  let best = ref (c.codes.(0) lsr 2) in
+  for i = 0 to c.len - 1 do
+    let v = c.codes.(i) lsr 2 in
     if State.occs_count o v < State.occs_count o !best then best := v
   done;
   !best
@@ -94,10 +97,6 @@ let remove f ci bit =
   Bytes.unsafe_set f ci
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get f ci) land lnot bit))
 
-let rec all_marked mark c i =
-  i >= Array.length c
-  || (Bytes.unsafe_get mark (atom_var c.(i)) <> '\000' && all_marked mark c (i + 1))
-
 (* [di] may pair with clause [ci]: alive and non-root *)
 let candidate s flags ~ci di =
   di <> ci && (not (has flags di dead)) && not (State.is_root_clause s di)
@@ -109,6 +108,37 @@ let scratch b n c =
   Bytes.fill b 0 n c;
   b
 
+(* 1. root-bound cleaning of non-root clause [ci], read into [d]: a
+   clause with an entailed atom is permanently satisfied, a falsified
+   atom can never help.  Never shrink to the empty clause — a fully
+   falsified clause (possible only mid-suspension) is left for
+   propagation to turn into the root conflict.  A surviving clause
+   outside the clean prefix marks its variables. *)
+let clean_clause s st flags mark ~clean d ci =
+  let lb = s.State.lb and ub = s.State.ub in
+  load s d ci;
+  let sat = ref false and nf = ref 0 in
+  for j = 0 to d.len - 1 do
+    if entailed lb ub d.codes.(j) d.bounds.(j) then sat := true
+    else if falsified lb ub d.codes.(j) d.bounds.(j) then incr nf
+  done;
+  if !sat then begin
+    add flags ci dead;
+    st.subsumed <- st.subsumed + 1
+  end
+  else begin
+    if !nf > 0 && !nf < d.len then begin
+      State.drop_atoms s ci (fun j -> falsified lb ub d.codes.(j) d.bounds.(j));
+      st.strengthened <- st.strengthened + !nf;
+      add flags ci dirty;
+      load s d ci
+    end;
+    if ci >= clean then
+      for j = 0 to d.len - 1 do
+        Bytes.unsafe_set mark (d.codes.(j) lsr 2) '\001'
+      done
+  end
+
 (* Which tests can fire (see hsimp.mli): a test of C against D needs
    C dirty or D new ([di >= clean]).  Occurrence lists ascend by
    clause index, so a clean C reads only their new tails; and a clean
@@ -117,49 +147,17 @@ let scratch b n c =
 let run s =
   if State.decision_level s <> 0 then invalid_arg "Hsimp.run: decision level";
   let st = { subsumed = 0; strengthened = 0 } in
-  let clauses = s.State.clauses in
-  let n = Vec.length clauses in
+  let n = s.State.n_clauses in
   let clean = s.State.n_clean in
   s.State.hs_flags <- scratch s.State.hs_flags n (Char.chr pending);
   s.State.hs_mark <- scratch s.State.hs_mark s.State.nv '\000';
   let flags = s.State.hs_flags and mark = s.State.hs_mark in
   Bytes.fill flags clean (n - clean) (Char.chr (pending lor dirty));
-  (* 1. root-bound cleaning of non-root clauses: a clause with an
-     entailed atom is permanently satisfied, a falsified atom can
-     never help.  Never shrink to the empty clause — a fully
-     falsified clause (possible only mid-suspension) is left for
-     propagation to turn into the root conflict. *)
+  (* C and D, read out of the arena into arrays the pass reuses *)
+  let fresh () = { codes = [||]; bounds = [||]; len = 0 } in
+  let c = fresh () and d = fresh () in
   for ci = 0 to n - 1 do
-    if not (State.is_root_clause s ci) then begin
-      let cl = Vec.get clauses ci in
-      if any_entailed s cl 0 then begin
-        add flags ci dead;
-        st.subsumed <- st.subsumed + 1
-      end
-      else begin
-        let len = Array.length cl in
-        let nf = count_falsified s cl in
-        if nf > 0 && nf < len then begin
-          let kept = Array.make (len - nf) cl.(0) in
-          let j = ref 0 in
-          for i = 0 to len - 1 do
-            if not (State.falsified s cl.(i)) then begin
-              kept.(!j) <- cl.(i);
-              incr j
-            end
-          done;
-          st.strengthened <- st.strengthened + nf;
-          Vec.set clauses ci kept;
-          add flags ci dirty
-        end;
-        if ci >= clean then begin
-          let cl = Vec.get clauses ci in
-          for i = 0 to Array.length cl - 1 do
-            Bytes.unsafe_set mark (atom_var cl.(i)) '\001'
-          done
-        end
-      end
-    end
+    if not (State.is_root_clause s ci) then clean_clause s st flags mark ~clean d ci
   done;
   (* 2. subsumption + self-subsuming strengthening to (bounded)
      fixpoint.  Candidates come through the occurrence lists of the
@@ -175,12 +173,12 @@ let run s =
     for ci = 0 to n - 1 do
       if has flags ci pending && not (has flags ci dead) then begin
         remove flags ci pending;
-        let c = Vec.get clauses ci in
-        let len = Array.length c in
+        let len = State.clause_len s ci in
         let c_dirty = has flags ci dirty in
         if len > 0 && len <= max_subsumer_len
-           && (c_dirty || all_marked mark c 0)
+           && (c_dirty || State.vars_marked s ci mark)
         then begin
+          load s c ci;
           let first = if c_dirty then 0 else clean in
           (* backward subsumption: kill non-root clauses implied by c *)
           let v = best_var s c in
@@ -188,39 +186,36 @@ let run s =
           let j = ref (o.State.n_occ.(v) - 1) in
           while !j >= 0 && occ.(!j) >= first do
             let di = occ.(!j) in
-            if candidate s flags ~ci di && subsumes c (Vec.get clauses di) 0
-            then begin
-              add flags di dead;
-              st.subsumed <- st.subsumed + 1;
-              changed := true
+            if candidate s flags ~ci di then begin
+              load s d di;
+              if subsumes c d 0 then begin
+                add flags di dead;
+                st.subsumed <- st.subsumed + 1;
+                changed := true
+              end
             end;
             decr j
           done;
-          (* self-subsuming strengthening: for an atom a of c, drop
-             from a clause d the first atom b incompatible with a such
-             that every atom of c either clashes with b or implies
-             into d \ {b} *)
+          (* self-subsuming strengthening: for an atom x of c, drop
+             from a clause d the first atom incompatible with x such
+             that every atom of c either clashes with it or implies
+             into the rest of d *)
           for i = 0 to len - 1 do
-            let a = c.(i) in
-            let v = atom_var a in
+            let x = c.codes.(i) and kx = c.bounds.(i) in
+            let v = x lsr 2 in
             let occ = o.State.occ.(v) in
             let j = ref (o.State.n_occ.(v) - 1) in
             while !j >= 0 && occ.(!j) >= first do
               let di = occ.(!j) in
-              if candidate s flags ~ci di then begin
-                let d = Vec.get clauses di in
-                let nd = Array.length d in
-                if nd > 1 then begin
-                  let k = strengthen_at a c d 0 in
-                  if k >= 0 then begin
-                    Vec.set clauses di
-                      (Array.init (nd - 1) (fun j ->
-                           if j < k then d.(j) else d.(j + 1)));
-                    st.strengthened <- st.strengthened + 1;
-                    changed := true;
-                    add flags di (dirty lor pending);
-                    add flags ci pending
-                  end
+              if candidate s flags ~ci di && State.clause_len s di > 1 then begin
+                load s d di;
+                let k = strengthen_at x kx c d 0 in
+                if k >= 0 then begin
+                  State.drop_atoms s di (fun j -> j = k);
+                  st.strengthened <- st.strengthened + 1;
+                  changed := true;
+                  add flags di (dirty lor pending);
+                  add flags ci pending
                 end
               end;
               decr j
@@ -236,5 +231,5 @@ let run s =
   (* a fixpoint leaves every surviving pair tested and negative; a
      pass cut off by the round cap with changes pending proves
      nothing *)
-  s.State.n_clean <- (if !changed then 0 else Vec.length clauses);
+  s.State.n_clean <- (if !changed then 0 else s.State.n_clauses);
   st

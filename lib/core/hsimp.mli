@@ -45,11 +45,17 @@
 
     {b Output contract.}  Skipped tests are exactly tests that would
     fail, so every call leaves the same database as testing every
-    pair: the same clause vector (order and contents), root flags,
+    pair: the same clauses (order and contents), root flags,
     occurrence lists and {!stats}.  The search that follows is
     therefore unchanged.  [test/hsimp_ref.ml] keeps the full-testing
     pass, and a differential suite in [test/test_hsimp.ml] holds the
-    two to this over random multi-call session histories. *)
+    two to this over random multi-call session histories.
+
+    {b In place.}  The pass reads each clause it tests out of the
+    clause arena into two int arrays it reuses
+    ([State.read_clause]).  Cleaning and strengthening shorten a
+    clause's slot ([State.drop_atoms]); the final compaction slides the
+    slots down over the deleted clauses and the gaps. *)
 
 type stats = {
   mutable subsumed : int;      (** clauses deleted (incl. root-satisfied) *)
@@ -57,9 +63,11 @@ type stats = {
 }
 
 val run : State.t -> stats
-(** Simplify the clause database in place (the clause vector is
-    compacted, occurrence lists rebuilt) and set [State.n_clean].
-    Requires decision level 0.  The pair tests allocate nothing, and
-    the per-pass scratch lives in the state.
+(** Simplify the clause database in place (the arena is compacted,
+    occurrence lists rebuilt) and set [State.n_clean].
+    Requires decision level 0.  The pair tests allocate nothing: the
+    per-clause flags and per-variable marks live in the state, and
+    the pass's two clause buffers grow only with the longest clause
+    read.
     Sound mid-suspension: it never manufactures an empty clause, so a
     pending root conflict still surfaces through propagation. *)

@@ -36,7 +36,7 @@ let bool_atoms_above s from =
   let out = ref [] in
   for i = from to State.trail_length s - 1 do
     (* a Boolean's entry atom is its [Pos]/[Neg] literal *)
-    if Problem.is_bool_var s.State.prob (State.trail_var s i) then
+    if State.is_bool s (State.trail_var s i) then
       out := State.trail_atom s i :: !out
   done;
   !out

@@ -1,5 +1,3 @@
-open Rtlsat_constr.Types
-module Vec = Rtlsat_constr.Vec
 module Obs = Rtlsat_obs.Obs
 module Forensics = Rtlsat_obs.Forensics
 module Mono = Rtlsat_obs.Mono
@@ -10,30 +8,40 @@ let cdiv a b = -(fdiv (-a) b)
 
 (* ---- clauses ---- *)
 
-(* One pass over clause [c] from atom [j]: [-2] when an atom is
-   entailed or a second atom is open (satisfied or undetermined: no-op
-   either way), [-1] when every atom is false, else the index of the one
-   open atom.  [unit] carries the open atom found so far. *)
-let rec scan lb ub c j unit =
-  if j = Array.length c then unit
-  else
-    let st =
-      (* 0 falsified, 1 open, 2 entailed *)
-      match c.(j) with
-      | Pos v -> if lb.(v) >= 1 then 2 else if ub.(v) < 1 then 0 else 1
-      | Ge (v, k) -> if lb.(v) >= k then 2 else if ub.(v) < k then 0 else 1
-      | Neg v -> if ub.(v) <= 0 then 2 else if lb.(v) > 0 then 0 else 1
-      | Le (v, k) -> if ub.(v) <= k then 2 else if lb.(v) > k then 0 else 1
+(* One pass over a clause's atoms in the arena (State.cl_arena), the
+   [j]th of [n] at index [i]: [-2] when an atom is entailed or a second
+   atom is open (satisfied or undetermined: no-op either way), [-1] when
+   every atom is false, else the ordinal of the one open atom.  [unit]
+   carries the open atom found so far. *)
+let rec scan a lb ub n i j unit =
+  if j = n then unit
+  else begin
+    let code = a.(i) in
+    let v = code lsr 2 in
+    (* a [Pos]/[Neg] atom's bound is implied: 1 / 0 *)
+    let k, next =
+      if code land 2 = 0 then (1 - (code land 1), i + 1) else (a.(i + 1), i + 2)
     in
-    if st = 0 then scan lb ub c (j + 1) unit
-    else if st = 2 || unit >= 0 then -2
-    else scan lb ub c (j + 1) j
+    (* bit 0 of the code is the side: entailed, falsified, or open *)
+    if code land 1 = 0 then
+      if lb.(v) >= k then -2
+      else if ub.(v) < k then scan a lb ub n next (j + 1) unit
+      else if unit >= 0 then -2
+      else scan a lb ub n next (j + 1) j
+    else if ub.(v) <= k then -2
+    else if lb.(v) > k then scan a lb ub n next (j + 1) unit
+    else if unit >= 0 then -2
+    else scan a lb ub n next (j + 1) j
+  end
 
-let check_clause s ci =
-  let c = Vec.get s.State.clauses ci in
-  let u = scan s.State.lb s.State.ub c 0 (-1) in
-  if u = -1 then raise (State.Conflict (Array.map negate_atom c))
-  else if u >= 0 then State.assert_unit s c u
+(* clause [ci] of the arena [a] with slots [starts], under [lb]/[ub] *)
+let check s a starts lb ub ci =
+  let p = starts.(ci) in
+  let u = scan a lb ub (a.(p) lsr 1) (p + 1) 0 (-1) in
+  if u = -1 then State.clause_conflict s ci
+  else if u >= 0 then State.assert_unit s ci u
+
+let check_clause s ci = check s s.State.cl_arena s.State.cl_start s.State.lb s.State.ub ci
 
 (* ---- linear constraints ---- *)
 
@@ -127,7 +135,7 @@ let tighten s neg k xb xpos m m_ok lo hi =
         (* c·v ≤ -r *)
         let ub' = fdiv (-r) c in
         if ub' < ub.(v) then begin
-          let mark = State.reason_mark s in
+          let mark = s.State.rs_len in
           expl s ~neg ~maxi:false ~skip:v ~xb ~xpos lo hi;
           State.assert_hi_canon s v ub' mark
         end
@@ -136,7 +144,7 @@ let tighten s neg k xb xpos m m_ok lo hi =
         (* (-c)·v ≥ r, -c > 0 *)
         let lb' = cdiv r (-c) in
         if lb' > lb.(v) then begin
-          let mark = State.reason_mark s in
+          let mark = s.State.rs_len in
           expl s ~neg ~maxi:false ~skip:v ~xb ~xpos lo hi;
           State.assert_lo_canon s v lb' mark
         end
@@ -169,7 +177,7 @@ let propagate_le s ~neg ~k ~xb ~xpos lo hi =
   | () ->
     let m = !m in
     if m > 0 then begin
-      let mark = State.reason_mark s in
+      let mark = s.State.rs_len in
       expl s ~neg ~maxi:false ~skip:(-1) ~xb ~xpos lo hi;
       raise (State.Conflict (State.take_reason s mark))
     end;
@@ -190,7 +198,7 @@ let extreme_is s lb ub const lo hi ~pos =
    from [y] to [w], explained by the selector and [y]'s bound when it
    is tighter than the initial domain *)
 let sel_move s sel pos lo y w =
-  let mark = State.reason_mark s in
+  let mark = s.State.rs_len in
   State.reason_push_lit s sel pos;
   if lo then begin
     if s.State.lb.(y) > s.State.init_lb.(y) then State.reason_push_lo s y s.State.lb.(y);
@@ -216,7 +224,7 @@ let refute s sel pos mark =
 
 let mux_disjoint s x z sel pos =
   let lb = s.State.lb and ub = s.State.ub in
-  let mark = State.reason_mark s in
+  let mark = s.State.rs_len in
   if lb.(z) > ub.(x) then begin
     State.reason_push_lo s z (ub.(x) + 1);
     State.reason_push_hi s x ub.(x);
@@ -233,14 +241,14 @@ let mux_open s sel t e z =
   (* hull narrowing of z *)
   let klo = if lb.(t) <= lb.(e) then lb.(t) else lb.(e) in
   if klo > lb.(z) then begin
-    let mark = State.reason_mark s in
+    let mark = s.State.rs_len in
     State.reason_push_lo s t klo;
     State.reason_push_lo s e klo;
     State.assert_lo_canon s z klo mark
   end;
   let khi = if ub.(t) >= ub.(e) then ub.(t) else ub.(e) in
   if khi < ub.(z) then begin
-    let mark = State.reason_mark s in
+    let mark = s.State.rs_len in
     State.reason_push_hi s t khi;
     State.reason_push_hi s e khi;
     State.assert_hi_canon s z khi mark
@@ -248,35 +256,42 @@ let mux_open s sel t e z =
   mux_disjoint s t z sel false;
   mux_disjoint s e z sel true
 
+(* dispatch on the constraint tables (State.cn_head): the kind in the
+   low two bits, a predicate's or multiplexer's Boolean above them,
+   whose value is read off its bounds *)
 let propagate_constr s ci =
   let lo = s.State.lin_off.(ci) and hi = s.State.lin_off.(ci + 1) in
-  match s.State.constrs.(ci) with
-  | Lin_le e -> propagate_le s ~neg:false ~k:e.const ~xb:(-1) ~xpos:false lo hi
-  | Lin_eq e ->
-    propagate_le s ~neg:false ~k:e.const ~xb:(-1) ~xpos:false lo hi;
-    propagate_le s ~neg:true ~k:(-e.const) ~xb:(-1) ~xpos:false lo hi
-  | Pred { b; e } ->
-    (match State.bool_value s b with
-     | 1 -> propagate_le s ~neg:false ~k:e.const ~xb:b ~xpos:true lo hi
-     (* ¬(e ≤ 0) over integers is -e + 1 ≤ 0 *)
-     | 0 -> propagate_le s ~neg:true ~k:(-e.const + 1) ~xb:b ~xpos:false lo hi
-     | _ ->
-       let lb = s.State.lb and ub = s.State.ub in
-       if extreme_is s ub lb e.const lo hi ~pos:false then begin
-         let mark = State.reason_mark s in
-         expl s ~neg:false ~maxi:true ~skip:(-1) ~xb:(-1) ~xpos:false lo hi;
-         State.assert_lo s b 1 mark
-       end
-       else if extreme_is s lb ub e.const lo hi ~pos:true then begin
-         let mark = State.reason_mark s in
-         expl s ~neg:false ~maxi:false ~skip:(-1) ~xb:(-1) ~xpos:false lo hi;
-         State.assert_hi s b 0 mark
-       end)
-  | Mux_w { sel; t; e; z } ->
-    (match State.bool_value s sel with
-     | 1 -> mux_equal s sel true t z
-     | 0 -> mux_equal s sel false e z
-     | _ -> mux_open s sel t e z)
+  let h = s.State.cn_head.(ci) in
+  let lb = s.State.lb and ub = s.State.ub in
+  match h land 3 with
+  | 0 -> propagate_le s ~neg:false ~k:s.State.cn_const.(ci) ~xb:(-1) ~xpos:false lo hi
+  | 1 ->
+    let k = s.State.cn_const.(ci) in
+    propagate_le s ~neg:false ~k ~xb:(-1) ~xpos:false lo hi;
+    propagate_le s ~neg:true ~k:(-k) ~xb:(-1) ~xpos:false lo hi
+  | 2 ->
+    let b = h lsr 2 and k = s.State.cn_const.(ci) in
+    if lb.(b) >= 1 then propagate_le s ~neg:false ~k ~xb:b ~xpos:true lo hi
+    else if ub.(b) <= 0 then
+      (* ¬(e ≤ 0) over integers is -e + 1 ≤ 0 *)
+      propagate_le s ~neg:true ~k:(-k + 1) ~xb:b ~xpos:false lo hi
+    else if extreme_is s ub lb k lo hi ~pos:false then begin
+      let mark = s.State.rs_len in
+      expl s ~neg:false ~maxi:true ~skip:(-1) ~xb:(-1) ~xpos:false lo hi;
+      State.assert_lo s b 1 mark
+    end
+    else if extreme_is s lb ub k lo hi ~pos:true then begin
+      let mark = s.State.rs_len in
+      expl s ~neg:false ~maxi:false ~skip:(-1) ~xb:(-1) ~xpos:false lo hi;
+      State.assert_hi s b 0 mark
+    end
+  | _ ->
+    (* a multiplexer's slots are its words t, e, z *)
+    let sel = h lsr 2 and vs = s.State.lin_var in
+    let t = vs.(lo) and e = vs.(lo + 1) and z = vs.(lo + 2) in
+    if lb.(sel) >= 1 then mux_equal s sel true t z
+    else if ub.(sel) <= 0 then mux_equal s sel false e z
+    else mux_open s sel t e z
 
 exception Propagation_timeout
 
@@ -339,17 +354,17 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
   match
     if full then begin
       in_bcp := true;
-      for ci = 0 to Vec.length s.State.clauses - 1 do
+      for ci = 0 to s.State.n_clauses - 1 do
         check_clause s ci
       done;
       in_bcp := false;
       match fz with
       | None ->
-        for ci = 0 to Array.length s.State.constrs - 1 do
+        for ci = 0 to Array.length s.State.cn_head - 1 do
           propagate_constr s ci
         done
       | Some f ->
-        for ci = 0 to Array.length s.State.constrs - 1 do
+        for ci = 0 to Array.length s.State.cn_head - 1 do
           wake s f ci
         done;
         f.Forensics.cur <- -1
@@ -376,7 +391,7 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
         if Rtlsat_sat.Search.expired ~deadline cancel then
           raise Propagation_timeout
       end;
-      let v = State.trail_var s s.State.qhead in
+      let v = s.State.tr_lit.(s.State.qhead) lsr 1 in
       s.State.qhead <- s.State.qhead + 1;
       s.State.n_propagations <- s.State.n_propagations + 1;
       let sampled =
@@ -390,9 +405,11 @@ let run ?(full = false) ?(deadline = infinity) ?cancel s =
       in_bcp := true;
       (* both visit orders are newest occurrence first *)
       let o = s.State.clause_occs in
-      let a = o.State.occ.(v) in
+      let occ = o.State.occ.(v) in
+      let a = s.State.cl_arena and starts = s.State.cl_start in
+      let lb = s.State.lb and ub = s.State.ub in
       for j = o.State.n_occ.(v) - 1 downto 0 do
-        check_clause s a.(j)
+        check s a starts lb ub occ.(j)
       done;
       in_bcp := false;
       let t1 = if sampled then Mono.now () else 0.0 in

@@ -1,5 +1,4 @@
 open Rtlsat_constr.Types
-module Vec = Rtlsat_constr.Vec
 module Problem = Rtlsat_constr.Problem
 module Encode = Rtlsat_constr.Encode
 module Obs = Rtlsat_obs.Obs
@@ -187,10 +186,9 @@ let model_ok s m =
     | Le (v, k) -> m.(v) <= k
   in
   let ok = ref true in
-  let n = Vec.length s.State.clauses in
   let i = ref 0 in
-  while !ok && !i < n do
-    if not (Array.exists sat_atom (Vec.get s.State.clauses !i)) then ok := false;
+  while !ok && !i < s.State.n_clauses do
+    if not (Array.exists sat_atom (State.clause s !i)) then ok := false;
     incr i
   done;
   !ok
@@ -204,7 +202,7 @@ let pick_random rng s =
     if tried >= n then None
     else begin
       let v = (start + i) mod n in
-      if Problem.is_bool_var s.State.prob v && State.bool_value s v = -1 then Some v
+      if State.is_bool s v && State.bool_value s v = -1 then Some v
       else scan (i + 1) (tried + 1)
     end
   in
@@ -214,9 +212,8 @@ let collected_clauses opts s =
   if not opts.collect_learned then []
   else begin
     let out = ref [] in
-    for i = Vec.length s.State.clauses - 1 downto 0 do
-      if not (State.is_root_clause s i) then
-        out := Vec.get s.State.clauses i :: !out
+    for i = s.State.n_clauses - 1 downto 0 do
+      if not (State.is_root_clause s i) then out := State.clause s i :: !out
     done;
     !out
   end
@@ -228,7 +225,7 @@ let collected_clauses opts s =
 let simplify_db opts s =
   let obs = opts.obs in
   Obs.span obs Obs.Simplify (fun () ->
-      let before = Vec.length s.State.clauses in
+      let before = s.State.n_clauses in
       let st = Hsimp.run s in
       if obs.Obs.enabled then begin
         Obs.add obs "simplify.subsumed" st.Hsimp.subsumed;
@@ -239,7 +236,7 @@ let simplify_db opts s =
               ("subsumed", Json.Int st.Hsimp.subsumed);
               ("strengthened", Json.Int st.Hsimp.strengthened);
               ("clauses_before", Json.Int before);
-              ("clauses_after", Json.Int (Vec.length s.State.clauses)) ]
+              ("clauses_after", Json.Int s.State.n_clauses) ]
       end)
 
 (* the one place an [outcome] is built, shared by the main loop and
@@ -344,7 +341,7 @@ let solve_loop ~assumptions opts s justifier learn_summary =
         (* asserting cannot conflict at the backjump level (its bounds
            are a prefix of the state in which the UIP held), but guard
            anyway: a follow-up conflict re-enters the analysis *)
-        try State.assert_unit s clause 0
+        try State.assert_unit s (s.State.n_clauses - 1) 0
         with State.Conflict c ->
           if State.decision_level s = 0 then result := Some Unsat
           else handle_conflict c
@@ -355,7 +352,7 @@ let solve_loop ~assumptions opts s justifier learn_summary =
     if obs.Obs.enabled && !steps land 255 = 0 then begin
       Obs.progress_tick obs ~decisions:s.State.n_decisions
         ~conflicts:s.State.n_conflicts
-        ~learned:(Vec.length s.State.clauses - s.State.n_root_clauses)
+        ~learned:(s.State.n_clauses - s.State.n_root_clauses)
         ~depth:(State.decision_level s);
       Obs.heartbeat_tick obs ~decisions:s.State.n_decisions
         ~conflicts:s.State.n_conflicts ~propagations:s.State.n_propagations
@@ -376,13 +373,13 @@ let solve_loop ~assumptions opts s justifier learn_summary =
           let num = Search.restart restarts in
           Obs.restart obs ~num ~conflicts:s.State.n_conflicts;
           State.backtrack_to s 0;
-          if Vec.length s.State.clauses - s.State.n_root_clauses > reduce_db_budget
+          if s.State.n_clauses - s.State.n_root_clauses > reduce_db_budget
           then begin
             State.reduce_clauses s ~keep_recent:(reduce_db_budget / 2);
             if Obs.tracing obs then
               Obs.event obs "reduce_db"
                 [ ( "learned_db",
-                    Json.Int (Vec.length s.State.clauses - s.State.n_root_clauses) ) ]
+                    Json.Int (s.State.n_clauses - s.State.n_root_clauses) ) ]
           end;
           (* inprocessing: re-simplify the clause database at the
              first restart after every [inprocess] conflicts — the
@@ -569,12 +566,12 @@ module Session = struct
     s.State.obs <- options.obs;
     if options.obs.Obs.enabled then begin
       Obs.attach_forensics options.obs ~nvars:(Problem.n_vars prob)
-        ~nconstrs:(Array.length s.State.constrs)
+        ~nconstrs:(Problem.n_constrs prob)
         ~var_name:(Problem.var_name prob)
         ~constr_desc:(fun ci ->
           Format.asprintf "%a"
             (pp_constr ~name:(Problem.var_name prob) ())
-            s.State.constrs.(ci));
+            (Problem.constr_at prob ci));
       Obs.incr options.obs "session.creates";
       if Obs.tracing options.obs then
         Obs.event options.obs "session.create"
@@ -615,7 +612,7 @@ module Session = struct
       List.iter
         (fun n ->
            let v = enc.Encode.var_of.(n.Rtlsat_rtl.Ir.id) in
-           if v >= 0 && Problem.is_bool_var t.s.State.prob v then begin
+           if v >= 0 && State.is_bool t.s v then begin
              t.s.State.activity.(v) <-
                t.s.State.activity.(v) +. float_of_int fo.(n.Rtlsat_rtl.Ir.id);
              Heap.bumped t.s.State.heap t.s.State.activity v
@@ -642,7 +639,7 @@ module Session = struct
     Option.iter Justify.extend t.just;
     seed_new t;
     let carried_clauses =
-      Vec.length t.s.State.clauses - t.s.State.n_root_clauses
+      t.s.State.n_clauses - t.s.State.n_root_clauses
     in
     let carried_relations =
       match t.learn_summary with

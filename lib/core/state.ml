@@ -1,5 +1,4 @@
 open Rtlsat_constr.Types
-module Vec = Rtlsat_constr.Vec
 module Problem = Rtlsat_constr.Problem
 module Interval = Rtlsat_interval.Interval
 module Obs = Rtlsat_obs.Obs
@@ -64,6 +63,7 @@ type t = {
   mutable ub : int array;
   mutable init_lb : int array;
   mutable init_ub : int array;
+  mutable is_bool : Bytes.t;
   mutable tr_lit : int array;
   mutable tr_bound : int array;
   mutable tr_prev : int array;
@@ -71,14 +71,17 @@ type t = {
   mutable tr_rpos : int array;
   mutable tr_rlen : int array;
   mutable tr_len : int;
-  lim : int Vec.t;
+  mutable lim : int array;
+  mutable level : int;
   mutable low_water : int;
   mutable last_lo : int array;
   mutable last_hi : int array;
   mutable rs : int array;
   mutable rs_len : int;
-  clauses : clause Vec.t;
-  root_flags : bool Vec.t;
+  mutable cl_arena : int array;
+  mutable cl_top : int;
+  mutable cl_start : int array;
+  mutable n_clauses : int;
   clause_occs : occs;
   mutable n_root_clauses : int;
   mutable n_prob_clauses : int;
@@ -87,7 +90,8 @@ type t = {
   mutable hs_mark : Bytes.t;
   mutable an_code : int array;
   mutable an_bound : int array;
-  mutable constrs : constr array;
+  mutable cn_head : int array;
+  mutable cn_const : int array;
   mutable lin_off : int array;
   mutable lin_coef : int array;
   mutable lin_var : int array;
@@ -128,23 +132,27 @@ let split_max_shave = 8
 let split_streak_limit = 512
 let split_min_width = 16
 
-let decision_level s = Vec.length s.lim
+let decision_level s = s.level
+
+(* the Boolean map: one byte per variable, filled from the problem's
+   kinds when the variable is loaded *)
+let is_bool s v = Bytes.get s.is_bool v <> '\000'
 
 (* canonical (Ge (v, k)) / canonical (Le (v, k)), building one atom *)
 let mk_lo s v k =
-  if not (Problem.is_bool_var s.prob v) then Ge (v, k)
+  if not (is_bool s v) then Ge (v, k)
   else if k >= 1 then Pos v
   else invalid_arg "State.canonical: trivial Boolean atom"
 
 let mk_hi s v k =
-  if not (Problem.is_bool_var s.prob v) then Le (v, k)
+  if not (is_bool s v) then Le (v, k)
   else if k <= 0 then Neg v
   else invalid_arg "State.canonical: trivial Boolean atom"
 
 let canonical s a =
   match a with
-  | Ge (v, k) when Problem.is_bool_var s.prob v -> mk_lo s v k
-  | Le (v, k) when Problem.is_bool_var s.prob v -> mk_hi s v k
+  | Ge (v, k) when is_bool s v -> mk_lo s v k
+  | Le (v, k) when is_bool s v -> mk_hi s v k
   | a -> a
 
 (* every atom is a lower bound (Pos v is v >= 1, Ge) or an upper bound
@@ -222,19 +230,18 @@ let reason_push s a = push_code s (atom_code a) (atom_bound a)
 let reason_push_lit s v pos =
   if pos then push_code s (v lsl 2) 1 else push_code s ((v lsl 2) lor 1) 0
 
-let reason_push_neg s = function
-  | Pos v -> push_code s ((v lsl 2) lor 1) 0
-  | Neg v -> push_code s (v lsl 2) 1
-  | Ge (v, k) -> push_code s ((v lsl 2) lor 3) (k - 1)
-  | Le (v, k) -> push_code s ((v lsl 2) lor 2) (k + 1)
+(* the negation of an atom in arena form: the other side, one step
+   past the bound ([Pos] and [Neg] included, bounds 1 and 0) *)
+let push_neg_code s code k =
+  push_code s (code lxor 1) (if code land 1 = 0 then k - 1 else k + 1)
 
 let reason_push_lo s v k =
-  if not (Problem.is_bool_var s.prob v) then push_code s ((v lsl 2) lor 2) k
+  if not (is_bool s v) then push_code s ((v lsl 2) lor 2) k
   else if k >= 1 then push_code s (v lsl 2) 1
   else invalid_arg "State.canonical: trivial Boolean atom"
 
 let reason_push_hi s v k =
-  if not (Problem.is_bool_var s.prob v) then push_code s ((v lsl 2) lor 3) k
+  if not (is_bool s v) then push_code s ((v lsl 2) lor 3) k
   else if k <= 0 then push_code s ((v lsl 2) lor 1) 0
   else invalid_arg "State.canonical: trivial Boolean atom"
 
@@ -290,7 +297,7 @@ let push_event s v side k prev mark =
   s.tr_lit.(i) <- (v lsl 1) lor side;
   s.tr_bound.(i) <- k;
   s.tr_prev.(i) <- prev;
-  s.tr_level.(i) <- decision_level s;
+  s.tr_level.(i) <- s.level;
   if mark < 0 then begin
     s.tr_rpos.(i) <- s.rs_len;
     s.tr_rlen.(i) <- -1
@@ -335,8 +342,8 @@ let assert_lo s v k mark =
     let i = push_event s v 0 k s.last_lo.(v) mark in
     s.last_lo.(v) <- i;
     s.lb.(v) <- k;
-    if k = 1 && Problem.is_bool_var s.prob v then s.phase.(v) <- true
-    else if not (Problem.is_bool_var s.prob v) then begin
+    if is_bool s v then (if k = 1 then s.phase.(v) <- true)
+    else begin
       let width = s.ub.(v) - s.lb.(v) in
       s.split_dir.(v) <- true;
       note_shave s v ~shaved:(k - prev) ~width;
@@ -356,8 +363,8 @@ let assert_hi s v k mark =
     let i = push_event s v 1 k s.last_hi.(v) mark in
     s.last_hi.(v) <- i;
     s.ub.(v) <- k;
-    if k = 0 && Problem.is_bool_var s.prob v then s.phase.(v) <- false
-    else if not (Problem.is_bool_var s.prob v) then begin
+    if is_bool s v then (if k = 0 then s.phase.(v) <- false)
+    else begin
       let width = s.ub.(v) - s.lb.(v) in
       s.split_dir.(v) <- false;
       note_shave s v ~shaved:(prev - k) ~width;
@@ -368,12 +375,12 @@ let assert_hi s v k mark =
 
 (* the canonical forms: [mk_lo s v k] / [mk_hi s v k] asserted *)
 let assert_lo_canon s v k mark =
-  if not (Problem.is_bool_var s.prob v) then assert_lo s v k mark
+  if not (is_bool s v) then assert_lo s v k mark
   else if k >= 1 then assert_lo s v 1 mark
   else invalid_arg "State.canonical: trivial Boolean atom"
 
 let assert_hi_canon s v k mark =
-  if not (Problem.is_bool_var s.prob v) then assert_hi s v k mark
+  if not (is_bool s v) then assert_hi s v k mark
   else if k <= 0 then assert_hi s v 0 mark
   else invalid_arg "State.canonical: trivial Boolean atom"
 
@@ -392,21 +399,82 @@ let assert_atom s a reason =
     Array.iter (reason_push s) r;
     assert_from s a mark
 
-let assert_unit s c u =
-  let mark = s.rs_len in
-  for j = 0 to Array.length c - 1 do
-    if j <> u then reason_push_neg s c.(j)
-  done;
-  assert_from s c.(u) mark
+(* ---- the clause arena ----
 
-let new_level s = Vec.push s.lim s.tr_len
+   Clause [ci] is the slot of [cl_arena] from [cl_start.(ci)]: a header
+   [n lsl 1 lor root] (n atoms; bit 0 set for a problem clause), then
+   its atoms in order, each in the reason arena's code form.  A Boolean
+   atom is its code alone, since its bound is implied (1 for [Pos], 0
+   for [Neg]); a bound atom is its code and then its bound.  The slots
+   tile [0, cl_top) in index order; an in-place strengthening leaves a
+   gap behind the shortened slot until the next compaction. *)
+
+let[@inline] code_bound a i =
+  let code = a.(i) in
+  if code land 2 = 0 then 1 - (code land 1) else a.(i + 1)
+
+let[@inline] next_atom a i = if a.(i) land 2 = 0 then i + 1 else i + 2
+
+let clause_len s ci = s.cl_arena.(s.cl_start.(ci)) lsr 1
+let is_root_clause s ci = s.cl_arena.(s.cl_start.(ci)) land 1 = 1
+
+let clause s ci =
+  let a = s.cl_arena in
+  let p = s.cl_start.(ci) in
+  let i = ref (p + 1) in
+  Array.init (a.(p) lsr 1) (fun _ ->
+      let atom = atom_of_code a.(!i) (code_bound a !i) in
+      i := next_atom a !i;
+      atom)
+
+(* the negations of clause [ci]'s atoms but the [skip]th, in order,
+   written to the reason arena; the position of the [skip]th *)
+let push_negations s ci skip =
+  let a = s.cl_arena in
+  let p = s.cl_start.(ci) in
+  let at = ref (-1) and i = ref (p + 1) in
+  for j = 0 to (a.(p) lsr 1) - 1 do
+    if j = skip then at := !i else push_neg_code s a.(!i) (code_bound a !i);
+    i := next_atom a !i
+  done;
+  !at
+
+let assert_unit s ci u =
+  let mark = s.rs_len in
+  let i = push_negations s ci u in
+  let a = s.cl_arena in
+  let code = a.(i) and k = code_bound a i in
+  if code land 1 = 0 then assert_lo s (code lsr 2) k mark
+  else assert_hi s (code lsr 2) k mark
+
+let clause_conflict s ci =
+  let mark = s.rs_len in
+  ignore (push_negations s ci (-1));
+  raise (Conflict (take_reason s mark))
+
+(* [a] with room for [need] ints, its first [used] kept.  It doubles:
+   every array it drops is garbage on the major heap until a cycle
+   ends, and a smaller step drops more of them (an eighth: 3 MB more
+   peak RSS on b13_2(100)) *)
+let reserve a used need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (max 16 (2 * Array.length a))) 0 in
+    Array.blit a 0 b 0 used;
+    b
+  end
+
+let new_level s =
+  s.lim <- reserve s.lim s.level (s.level + 1);
+  s.lim.(s.level) <- s.tr_len;
+  s.level <- s.level + 1
 
 (* only events move a bound, so a variable's bound is its newest
    event's, or the initial one: undoing an event restores the bound
    of the event before it *)
 let backtrack_to s lvl =
-  if decision_level s > lvl then begin
-    let bound = Vec.get s.lim lvl in
+  if s.level > lvl then begin
+    let bound = s.lim.(lvl) in
     if bound < s.tr_len then s.rs_len <- s.tr_rpos.(bound);
     while s.tr_len > bound do
       let i = s.tr_len - 1 in
@@ -421,10 +489,9 @@ let backtrack_to s lvl =
         s.ub.(v) <- (if p >= 0 then s.tr_bound.(p) else s.init_ub.(v));
         s.last_hi.(v) <- p
       end;
-      if Problem.is_bool_var s.prob v && bool_value s v = -1 then
-        Heap.insert s.heap s.activity v
+      if is_bool s v && bool_value s v = -1 then Heap.insert s.heap s.activity v
     done;
-    Vec.shrink s.lim lvl;
+    s.level <- lvl;
     s.qhead <- min s.qhead bound;
     if bound < s.low_water then s.low_water <- bound
   end
@@ -463,62 +530,134 @@ let entailing_entry s a = entailing_code s (atom_code a) (atom_bound a)
 (* register clause [ci] in the occurrence lists of its variables;
    [ci] is the newest index registered, so a variable already
    registered for this clause has it in its last slot *)
-let register_clause s ci cl =
-  let o = s.clause_occs in
-  for i = 0 to Array.length cl - 1 do
-    let v = atom_var cl.(i) in
+let register_clause s ci =
+  let o = s.clause_occs and a = s.cl_arena in
+  let p = s.cl_start.(ci) in
+  let i = ref (p + 1) in
+  for _ = 1 to a.(p) lsr 1 do
+    let v = a.(!i) lsr 2 in
     let n = o.n_occ.(v) in
-    if n = 0 || o.occ.(v).(n - 1) <> ci then occs_push o v ci
+    if n = 0 || o.occ.(v).(n - 1) <> ci then occs_push o v ci;
+    i := next_atom a !i
   done
 
+(* the ints of [cl]'s slot, header included *)
+let slot_ints cl =
+  Array.fold_left (fun w at -> match at with Pos _ | Neg _ -> w + 1 | _ -> w + 2) 1 cl
+
 let add_clause s ?(root = false) cl =
-  let ci = Vec.length s.clauses in
-  Vec.push s.clauses cl;
-  Vec.push s.root_flags root;
+  let ci = s.n_clauses and p = s.cl_top in
+  let width = slot_ints cl in
+  s.cl_arena <- reserve s.cl_arena p (p + width);
+  s.cl_start <- reserve s.cl_start ci (ci + 1);
+  let a = s.cl_arena in
+  a.(p) <- (Array.length cl lsl 1) lor Bool.to_int root;
+  let i = ref (p + 1) in
+  Array.iter
+    (fun at ->
+       a.(!i) <- atom_code at;
+       (match at with
+        | Pos _ | Neg _ -> incr i
+        | Ge (_, k) | Le (_, k) ->
+          a.(!i + 1) <- k;
+          i := !i + 2))
+    cl;
+  s.cl_top <- p + width;
+  s.cl_start.(ci) <- p;
+  s.n_clauses <- ci + 1;
   if root then s.n_root_clauses <- s.n_root_clauses + 1;
-  register_clause s ci cl
+  register_clause s ci
 
-let clear_clause_occs s = occs_clear s.clause_occs
+(* the ints of clause [ci]'s slot, header included *)
+let slot_width s ci =
+  let a = s.cl_arena in
+  let p = s.cl_start.(ci) in
+  let i = ref (p + 1) in
+  for _ = 1 to a.(p) lsr 1 do
+    i := next_atom a !i
+  done;
+  !i - p
 
-let is_root_clause s ci = Vec.get s.root_flags ci
+(* clause [ci]'s atoms, in order, as codes and bounds *)
+let read_clause s ci codes bounds =
+  let a = s.cl_arena in
+  let p = s.cl_start.(ci) in
+  let i = ref (p + 1) in
+  for j = 0 to (a.(p) lsr 1) - 1 do
+    codes.(j) <- a.(!i);
+    bounds.(j) <- code_bound a !i;
+    i := next_atom a !i
+  done
 
-(* in-order compaction: slide the kept clauses (and their root flags)
-   down over the dropped ones and re-register the survivors, which
-   yields exactly the occurrence lists that adding them afresh in
-   order would.  The clean prefix shrinks to the kept clauses that
-   were in it — any subset of a pairwise-checked set still is one. *)
+(* every variable of clause [ci] has a non-zero byte in [marks] *)
+let vars_marked s ci marks =
+  let a = s.cl_arena in
+  let p = s.cl_start.(ci) in
+  let ok = ref true and i = ref (p + 1) in
+  for _ = 1 to a.(p) lsr 1 do
+    if Bytes.get marks (a.(!i) lsr 2) = '\000' then ok := false;
+    i := next_atom a !i
+  done;
+  !ok
+
+(* remove the atoms of clause [ci] whose ordinals [drop] selects,
+   keeping the rest in order *)
+let drop_atoms s ci drop =
+  let a = s.cl_arena in
+  let p = s.cl_start.(ci) in
+  let w = ref (p + 1) and i = ref (p + 1) and kept = ref 0 in
+  for j = 0 to (a.(p) lsr 1) - 1 do
+    let code = a.(!i) and k = code_bound a !i and next = next_atom a !i in
+    if not (drop j) then begin
+      a.(!w) <- code;
+      if code land 2 = 0 then incr w
+      else begin
+        a.(!w + 1) <- k;
+        w := !w + 2
+      end;
+      incr kept
+    end;
+    i := next
+  done;
+  a.(p) <- (!kept lsl 1) lor (a.(p) land 1)
+
+(* in-order compaction: slide the kept slots down over the dropped ones
+   (and over the gaps that strengthening left) and re-register the
+   survivors, which yields exactly the occurrence lists that adding
+   them afresh in order would.  The clean prefix shrinks to the kept
+   clauses that were in it — any subset of a pairwise-checked set still
+   is one. *)
 let compact_clauses s ~keep =
-  let n = Vec.length s.clauses in
-  let j = ref 0 and clean = ref 0 and roots = ref 0 in
-  for ci = 0 to n - 1 do
+  let a = s.cl_arena in
+  let j = ref 0 and top = ref 0 and clean = ref 0 and roots = ref 0 in
+  for ci = 0 to s.n_clauses - 1 do
     if keep ci then begin
-      let root = Vec.get s.root_flags ci in
-      Vec.set s.clauses !j (Vec.get s.clauses ci);
-      Vec.set s.root_flags !j root;
-      if root then incr roots;
+      let p = s.cl_start.(ci) and w = slot_width s ci in
+      Array.blit a p a !top w;
+      s.cl_start.(!j) <- !top;
+      if a.(!top) land 1 = 1 then incr roots;
       if ci < s.n_clean then incr clean;
+      top := !top + w;
       incr j
     end
   done;
-  Vec.shrink s.clauses !j;
-  Vec.shrink s.root_flags !j;
+  s.n_clauses <- !j;
+  s.cl_top <- !top;
   s.n_root_clauses <- !roots;
   s.n_clean <- !clean;
-  clear_clause_occs s;
+  occs_clear s.clause_occs;
   for ci = 0 to !j - 1 do
-    register_clause s ci (Vec.get s.clauses ci)
+    register_clause s ci
   done
 
 (* in a session, root (problem) clauses may arrive after learned ones,
    so "root" is a per-clause flag rather than a prefix of the database *)
 let reduce_clauses s ~keep_recent =
-  let total = Vec.length s.clauses in
+  let total = s.n_clauses in
   if total - s.n_root_clauses > keep_recent then begin
     let cutoff = total - keep_recent in
     compact_clauses s ~keep:(fun ci ->
-        ci >= cutoff
-        || Vec.get s.root_flags ci
-        || Array.length (Vec.get s.clauses ci) <= 4);
+        ci >= cutoff || is_root_clause s ci || clause_len s ci <= 4);
     s.n_reductions <- s.n_reductions + 1
   end
 
@@ -541,21 +680,42 @@ let pp_trail s fmt () =
       (if trail_is_decision s i then " (decision)" else "")
   done
 
-(* the flat terms of constraints [from..]: [lin_coef]/[lin_var] hold
-   each linear constraint's terms in list order, constraint [ci]'s in
-   slots [lin_off.(ci)] to [lin_off.(ci + 1) - 1]; a multiplexer has
-   none *)
-let lin_terms = function
+(* The constraint tables, loaded from constraint [from] on, with the
+   constraint occurrence lists.  [cn_head.(ci)] is the kind (0
+   [Lin_le], 1 [Lin_eq], 2 [Pred], 3 [Mux_w]), with a predicate's or a
+   multiplexer's Boolean ([b], [sel]) as [var lsl 2 lor kind];
+   [cn_const.(ci)] is a linear constraint's constant.  [lin_coef] and
+   [lin_var] hold constraint [ci]'s slots [lin_off.(ci)] to
+   [lin_off.(ci + 1) - 1]: a linear constraint's terms in list order,
+   or a multiplexer's words [t], [e], [z] (coefficients 0). *)
+let cn_slots = function
   | Lin_le e | Lin_eq e | Pred { e; _ } -> e.terms
-  | Mux_w _ -> []
+  | Mux_w { t; e; z; _ } -> [ (0, t); (0, e); (0, z) ]
 
-let load_lin s from =
-  let cs = s.constrs in
-  let n = Array.length cs in
+let kind_head = function
+  | Lin_le _ -> 0
+  | Lin_eq _ -> 1
+  | Pred { b; _ } -> (b lsl 2) lor 2
+  | Mux_w { sel; _ } -> (sel lsl 2) lor 3
+
+let constant = function Lin_le e | Lin_eq e | Pred { e; _ } -> e.const | Mux_w _ -> 0
+
+let load_constrs s from =
+  let n = Problem.n_constrs s.prob in
+  let grown a =
+    let b = Array.make n 0 in
+    Array.blit a 0 b 0 from;
+    b
+  in
+  let head = grown s.cn_head and const = grown s.cn_const in
   let off = Array.make (n + 1) 0 in
   Array.blit s.lin_off 0 off 0 (from + 1);
   for ci = from to n - 1 do
-    off.(ci + 1) <- off.(ci) + List.length (lin_terms cs.(ci))
+    let c = Problem.constr_at s.prob ci in
+    head.(ci) <- kind_head c;
+    const.(ci) <- constant c;
+    off.(ci + 1) <- off.(ci) + List.length (cn_slots c);
+    List.iter (fun v -> occs_push s.constr_occs v ci) (constr_vars c)
   done;
   let coef = Array.make off.(n) 0 and var = Array.make off.(n) 0 in
   Array.blit s.lin_coef 0 coef 0 off.(from);
@@ -565,11 +725,23 @@ let load_lin s from =
       (fun j (c, v) ->
          coef.(off.(ci) + j) <- c;
          var.(off.(ci) + j) <- v)
-      (lin_terms cs.(ci))
+      (cn_slots (Problem.constr_at s.prob ci))
   done;
+  s.cn_head <- head;
+  s.cn_const <- const;
   s.lin_off <- off;
   s.lin_coef <- coef;
   s.lin_var <- var
+
+(* the Boolean map with variables [from..] loaded *)
+let load_kinds s from =
+  let nv = Problem.n_vars s.prob in
+  let b = Bytes.make nv '\000' in
+  Bytes.blit s.is_bool 0 b 0 from;
+  for v = from to nv - 1 do
+    if Problem.is_bool_var s.prob v then Bytes.set b v '\001'
+  done;
+  s.is_bool <- b
 
 let create prob =
   let nv = Problem.n_vars prob in
@@ -584,6 +756,11 @@ let create prob =
     lb.(v) <- Interval.lo d;
     ub.(v) <- Interval.hi d
   done;
+  (* the clause arena and index hold the problem's clauses and an
+     eighth more for the first learned ones before they double *)
+  let width = ref 0 in
+  Problem.iter_clauses (fun cl -> width := !width + slot_ints cl) prob;
+  let ncl = Problem.n_clauses prob in
   let s =
     {
       prob;
@@ -592,6 +769,7 @@ let create prob =
       ub;
       init_lb = Array.copy lb;
       init_ub = Array.copy ub;
+      is_bool = Bytes.empty;
       tr_lit = Array.make trail_capacity 0;
       tr_bound = Array.make trail_capacity 0;
       tr_prev = Array.make trail_capacity 0;
@@ -599,14 +777,17 @@ let create prob =
       tr_rpos = Array.make trail_capacity 0;
       tr_rlen = Array.make trail_capacity 0;
       tr_len = 0;
-      lim = Vec.create ~dummy:0 ();
+      lim = Array.make 16 0;
+      level = 0;
       low_water = 0;
       last_lo = Array.make nv (-1);
       last_hi = Array.make nv (-1);
       rs = Array.make trail_capacity 0;
       rs_len = 0;
-      clauses = Vec.create ~dummy:[||] ();
-      root_flags = Vec.create ~dummy:false ();
+      cl_arena = Array.make (!width + (!width / 8)) 0;
+      cl_top = 0;
+      cl_start = Array.make (ncl + (ncl / 8)) 0;
+      n_clauses = 0;
       clause_occs = occs_make nv;
       n_root_clauses = 0;
       n_prob_clauses = 0;
@@ -615,7 +796,8 @@ let create prob =
       hs_mark = Bytes.empty;
       an_code = [||];
       an_bound = [||];
-      constrs = Problem.constrs prob;
+      cn_head = [||];
+      cn_const = [||];
       lin_off = [| 0 |];
       lin_coef = [||];
       lin_var = [||];
@@ -640,17 +822,13 @@ let create prob =
       obs = Obs.disabled;
     }
   in
-  load_lin s 0;
-  (* clause and constraint occurrence lists *)
-  List.iter (fun cl -> add_clause s ~root:true cl) (Problem.clauses prob);
-  s.n_prob_clauses <- Problem.n_clauses prob;
-  Array.iteri
-    (fun ci c ->
-       List.iter (fun v -> occs_push s.constr_occs v ci) (constr_vars c))
-    s.constrs;
+  load_kinds s 0;
+  load_constrs s 0;
+  Problem.iter_clauses (fun cl -> add_clause s ~root:true cl) prob;
+  s.n_prob_clauses <- ncl;
   (* decision heap holds every Boolean variable *)
   for v = 0 to nv - 1 do
-    if Problem.is_bool_var prob v then Heap.insert s.heap s.activity v
+    if is_bool s v then Heap.insert s.heap s.activity v
   done;
   s
 
@@ -660,7 +838,7 @@ let create prob =
    to them — stay valid; only the per-variable arrays reallocate.
    Must run at decision level 0 (bounds arrays hold root values). *)
 let grow s =
-  if decision_level s <> 0 then invalid_arg "State.grow: not at level 0";
+  if s.level <> 0 then invalid_arg "State.grow: not at level 0";
   let nv = Problem.n_vars s.prob in
   if nv > s.nv then begin
     let old = s.nv in
@@ -680,6 +858,7 @@ let grow s =
     s.init_ub <- grown s.init_ub 0;
     Array.blit s.lb old s.init_lb old (nv - old);
     Array.blit s.ub old s.init_ub old (nv - old);
+    load_kinds s old;
     s.last_lo <- grown s.last_lo (-1);
     s.last_hi <- grown s.last_hi (-1);
     occs_grow s.clause_occs nv;
@@ -690,18 +869,11 @@ let grow s =
     s.split_dir <- grown s.split_dir true;
     s.nv <- nv;
     for v = old to nv - 1 do
-      if Problem.is_bool_var s.prob v then Heap.insert s.heap s.activity v
+      if is_bool s v then Heap.insert s.heap s.activity v
     done
   end;
-  let old_cn = Array.length s.constrs in
-  let ncn = Problem.n_constrs s.prob in
-  if ncn > old_cn then begin
-    s.constrs <- Problem.constrs s.prob;
-    load_lin s old_cn;
-    for ci = old_cn to ncn - 1 do
-      List.iter (fun v -> occs_push s.constr_occs v ci) (constr_vars s.constrs.(ci))
-    done
-  end;
+  let old_cn = Array.length s.cn_head in
+  if Problem.n_constrs s.prob > old_cn then load_constrs s old_cn;
   let ncl = Problem.n_clauses s.prob in
   for i = s.n_prob_clauses to ncl - 1 do
     add_clause s ~root:true (Problem.clause_at s.prob i)

@@ -31,8 +31,17 @@
       top ({!reason_mark}, {!reason_push_lo}, ...) and then asserts with
       that mark; a no-op or a conflict drops what it wrote.  Only a
       {!Conflict} payload becomes an [atom array].
-    - Linear constraints keep their terms flat ([lin_*]), so
-      propagation reads no list. *)
+    - The clause database is one int arena ([cl_*] below): each clause
+      is a slot of a header and its atoms in the reason arena's code
+      form, and propagation, conflict payloads, unit reasons,
+      strengthening and compaction read and write the ints.  Only
+      {!clause} builds an [atom array], for cold readers.
+    - Constraints are int tables ([cn_*], [lin_*]): a kind with its
+      Boolean, a constant, and flat terms, so propagation reads no list
+      and matches no variant.
+    - A byte per variable says whether it is Boolean ([is_bool]), and
+      the decision level is a field, so no event calls out of the
+      module. *)
 
 open Rtlsat_constr.Types
 
@@ -66,6 +75,8 @@ type t = {
   mutable ub : int array;
   mutable init_lb : int array;
   mutable init_ub : int array;
+  mutable is_bool : Bytes.t;
+      (** the Boolean map: byte [v] is non-zero when [v] is Boolean *)
   mutable tr_lit : int array;
       (** trail entry → [v lsl 1 lor side]: side 0 raised [v]'s lower
           bound, side 1 lowered its upper bound *)
@@ -76,7 +87,10 @@ type t = {
   mutable tr_rpos : int array;    (** reason: first atom in the arena [rs] *)
   mutable tr_rlen : int array;    (** reason: atom count, [-1] for a decision *)
   mutable tr_len : int;           (** trail length; the arrays are capacity *)
-  lim : int Rtlsat_constr.Vec.t;            (** decision-level boundaries *)
+  mutable lim : int array;
+      (** decision-level boundaries: level [l] starts at trail length
+          [lim.(l)], for [l] below [level] *)
+  mutable level : int;            (** the decision level *)
   mutable low_water : int;
       (** the lowest trail length since {!Justify} last set it:
           {!backtrack_to} lowers it to the length it leaves.  The
@@ -89,11 +103,20 @@ type t = {
   mutable rs : int array;
       (** the reason arena: two ints per atom, see {!atom_code} *)
   mutable rs_len : int;           (** atoms in the arena *)
-  clauses : clause Rtlsat_constr.Vec.t;
-  root_flags : bool Rtlsat_constr.Vec.t;
-      (** parallel to [clauses]: [true] for problem ("root") clauses.
-          A per-clause flag, not a prefix — in a session, appended
-          problem clauses land after learned ones *)
+  mutable cl_arena : int array;
+      (** the clause arena.  Clause [ci]'s slot starts at
+          [cl_start.(ci)] with a header [n lsl 1 lor root]: [n] atoms,
+          and bit 0 set for a problem ("root") clause — a per-clause
+          flag, not a prefix, since in a session appended problem
+          clauses land after learned ones.  Its atoms follow in order,
+          each its {!atom_code}, then its bound for a [Ge]/[Le] atom
+          ([Pos]/[Neg] imply theirs).  The slots lie in index order in
+          [[0, cl_top)]; a strengthening leaves a gap behind a shortened
+          slot until the next {!compact_clauses}.  [Propagate]'s clause
+          scan reads this layout inline, with no call per atom *)
+  mutable cl_top : int;           (** the arena's used prefix *)
+  mutable cl_start : int array;   (** clause → its slot *)
+  mutable n_clauses : int;        (** clauses in the database *)
   clause_occs : occs;                       (** var → clause indices *)
   mutable n_root_clauses : int;             (** count of root-flagged clauses *)
   mutable n_prob_clauses : int;
@@ -113,14 +136,19 @@ type t = {
       (** {!Conflict} scratch, reused across analyses: per trail
           index, the needed atom in arena form with its code plus one
           ([0] when none), all zero between analyses *)
-  mutable constrs : constr array;
+  mutable cn_head : int array;
+      (** constraint → its kind, 0 [Lin_le], 1 [Lin_eq], 2 [Pred], 3
+          [Mux_w], with a predicate's [b] or a multiplexer's [sel] as
+          [var lsl 2 lor kind] *)
+  mutable cn_const : int array;   (** constraint → a linear one's constant *)
   mutable lin_off : int array;
   mutable lin_coef : int array;
   mutable lin_var : int array;
-      (** the terms of every linear constraint, flat and in list
-          order: constraint [ci]'s coefficients and variables sit in
-          slots [lin_off.(ci)] to [lin_off.(ci + 1) - 1] ([lin_off] has
-          one entry more than [constrs]); a multiplexer has none *)
+      (** the slots of every constraint, flat: constraint [ci]'s
+          coefficients and variables sit in [lin_off.(ci)] to
+          [lin_off.(ci + 1) - 1] ([lin_off] has one entry more than
+          [cn_head]) — a linear constraint's terms in list order, a
+          multiplexer's words [t], [e], [z] with coefficient 0 *)
   constr_occs : occs;                       (** var → constraint indices *)
   mutable qhead : int;
   mutable activity : float array;
@@ -204,14 +232,27 @@ val assert_atom : t -> atom -> reason -> unit
 val canonical : t -> atom -> atom
 (** Bound atoms over Boolean variables become [Pos]/[Neg]. *)
 
-val add_clause : t -> ?root:bool -> clause -> unit
-(** Register a clause (learned by default; [~root:true] for problem
-    clauses, which database reduction never drops) with occurrence
-    lists; the caller is responsible for any immediate propagation. *)
+val is_bool : t -> var -> bool
+(** Whether the variable is Boolean, off the Boolean map. *)
 
-val clear_clause_occs : t -> unit
-(** Empty every clause occurrence list (capacity is kept) before a
-    database rebuild re-registers the surviving clauses. *)
+val add_clause : t -> ?root:bool -> clause -> unit
+(** Write a clause into the arena at the next index (learned by
+    default; [~root:true] for problem clauses, which database reduction
+    never drops) and register it with occurrence lists; the caller is
+    responsible for any immediate propagation. *)
+
+val clause : t -> int -> clause
+(** The clause at this database index, built from the arena
+    (allocates; for cold readers). *)
+
+val clause_len : t -> int -> int
+(** Its atom count. *)
+
+val read_clause : t -> int -> int array -> int array -> unit
+(** [read_clause s ci codes bounds] writes clause [ci]'s atoms, in
+    order, to the first {!clause_len} slots of [codes] (their
+    {!atom_code}s) and [bounds] (their {!atom_bound}s), building no
+    atom. *)
 
 val is_root_clause : t -> int -> bool
 (** Whether the clause at this database index is root (problem-level)
@@ -229,8 +270,18 @@ val reduce_clauses : t -> keep_recent:int -> unit
 (** Learned-clause database reduction: drop long, old learned clauses,
     keeping every original clause, every binary/short learned clause
     and the [keep_recent] most recent ones.  Safe at any decision
-    level — trail explanations are arena slices of copied atoms and
-    never point into clause storage. *)
+    level — trail explanations are reason-arena slices of copied atoms
+    and never point into clause storage. *)
+
+val vars_marked : t -> int -> Bytes.t -> bool
+(** [vars_marked s ci marks]: whether byte [v] of [marks] is non-zero
+    for every variable [v] of clause [ci]. *)
+
+val drop_atoms : t -> int -> (int -> bool) -> unit
+(** [drop_atoms s ci drop] removes in place the atoms of clause [ci]
+    whose ordinals [drop] selects, the rest keeping their order.  The slot's freed ints stay a gap until
+    the next {!compact_clauses}; the occurrence lists are not
+    touched. *)
 
 val entailing_entry : t -> atom -> int
 (** Trail index of the event that first entailed the (currently
@@ -284,10 +335,14 @@ val atom_of_code : int -> int -> atom
 (** Between atoms and their arena form: [atom_of_code (atom_code a)
     (atom_bound a)] is [a]. *)
 
-val assert_unit : t -> clause -> int -> unit
-(** [assert_unit s c u] asserts [c.(u)] with the negations of the
-    clause's other atoms, in order, as its reason: a unit clause, or a
-    learned clause's asserting atom. *)
+val assert_unit : t -> int -> int -> unit
+(** [assert_unit s ci u] asserts clause [ci]'s [u]th atom with the
+    negations of the clause's other atoms, in order, as its reason: a
+    unit clause, or a learned clause's asserting atom. *)
+
+val clause_conflict : t -> int -> 'a
+(** Raise {!Conflict} with the negations of clause [ci]'s atoms, in
+    order: the payload of a clause that every atom falsifies. *)
 
 val assert_lo : t -> var -> int -> int -> unit
 val assert_hi : t -> var -> int -> int -> unit

@@ -206,7 +206,7 @@ let test_reduce_clause_db () =
   let b = P.new_bool p () in
   P.add_clause p [| T.Pos b; T.Ge (w, 1) |];
   let s = State.create p in
-  let roots = Rtlsat_constr.Vec.length s.State.clauses in
+  let roots = s.State.n_clauses in
   (* add long "learned" clauses and one short one *)
   for i = 0 to 9 do
     State.add_clause s
@@ -214,7 +214,7 @@ let test_reduce_clause_db () =
   done;
   State.add_clause s [| T.Pos b; T.Le (w, 9) |];
   State.reduce_clauses s ~keep_recent:2;
-  let total = Rtlsat_constr.Vec.length s.State.clauses in
+  let total = s.State.n_clauses in
   (* roots + 2 recent + the binary survivor *)
   check_bool "reduced" true (total < roots + 11);
   check_bool "kept roots" true (total >= roots + 2);

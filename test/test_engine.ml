@@ -292,7 +292,8 @@ let test_lazy_carries_nothing () =
 (* ---- one-shot structural search pinned ----
 
    Per-row decisions, conflicts, propagations and learned clauses of
-   the structural engines on three Table 2 rows, one fresh context
+   the structural engines on three Table 2 rows, and on b13_2(100),
+   the row that sets the hybrid benchmarks' tail, one fresh context
    each (the path of `rtlsat solve`).  The b13_2 ladder in
    test_session.ml pins the warm session path; this pins the one-shot
    path.  Propagations and learned clauses catch a reordered clause
@@ -305,6 +306,9 @@ let test_lazy_carries_nothing () =
 let one_shot_rows =
   [ (Engines.Hdpll_sp, "b04", "1", 50, 4, 4, 8411, 454);
     (Engines.Hdpll_sp, "b13", "8", 50, 844, 35, 52946, 1235);
+    (* before the bound-50 row: Bmc.make extends a shallower cached
+       unroll, whose violation@50 output would then ride along *)
+    (Engines.Hdpll_sp, "b13", "2", 100, 11794, 4917, 2531495, 6917);
     (Engines.Hdpll_sp, "b13", "2", 50, 1625, 1051, 214399, 2251);
     (Engines.Hdpll_s, "b04", "1", 50, 4, 4, 7833, 4);
     (Engines.Hdpll_s, "b13", "8", 50, 1262, 37, 67169, 37);

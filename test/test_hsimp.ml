@@ -1,7 +1,8 @@
 (* The hybrid clause-database simplifier (Hsimp): fixed cases pinning
    what a pass may and may not do, and a differential suite driving
-   Hsimp and the frozen reference (Hsimp_ref) in lockstep over random
-   multi-call session histories. *)
+   Hsimp and the frozen reference (Hsimp_ref, over the frozen list
+   kernel State_ref) in lockstep over random multi-call session
+   histories. *)
 
 module P = Rtlsat_constr.Problem
 module T = Rtlsat_constr.Types
@@ -9,11 +10,13 @@ module Vec = Rtlsat_constr.Vec
 module I = Rtlsat_interval.Interval
 module State = Rtlsat_core.State
 module Hsimp = Rtlsat_core.Hsimp
+module Hsimp_ref = Frozen_kernel.Hsimp_ref
+module State_ref = Frozen_kernel.State_ref
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let clauses s = Vec.to_list s.State.clauses
+let clauses s = List.init s.State.n_clauses (State.clause s)
 
 let atom_str = function
   | T.Pos v -> Printf.sprintf "b%d" v
@@ -101,8 +104,8 @@ let test_second_pass_idle () =
   let first = Hsimp.run s in
   check_bool "the first pass changes something" true
     (first.Hsimp.subsumed + first.Hsimp.strengthened > 0);
-  check_int "the fixpoint leaves every clause clean"
-    (Vec.length s.State.clauses) s.State.n_clean;
+  check_int "the fixpoint leaves every clause clean" s.State.n_clauses
+    s.State.n_clean;
   let before = db_str s in
   let st = Hsimp.run s in
   check_int "nothing subsumed" 0 st.Hsimp.subsumed;
@@ -128,7 +131,7 @@ let test_round_cap () =
   check_int "changes pending: nothing clean" 0 s.State.n_clean;
   let st = Hsimp.run s in
   check_int "the next pass finishes the chain" 1 st.Hsimp.strengthened;
-  check_int "now at a fixpoint" (Vec.length s.State.clauses) s.State.n_clean
+  check_int "now at a fixpoint" s.State.n_clauses s.State.n_clean
 
 (* ---- differential suite: Hsimp against the reference ----
 
@@ -142,22 +145,23 @@ let test_round_cap () =
    to back. *)
 
 let occs_equal a b =
-  let oa = a.State.clause_occs and ob = b.State.clause_occs in
+  let oa = a.State.clause_occs and ob = b.State_ref.clause_occs in
   let ok = ref true in
   for v = 0 to a.State.nv - 1 do
     let n = State.occs_count oa v in
-    if n <> State.occs_count ob v
-       || Array.sub oa.State.occ.(v) 0 n <> Array.sub ob.State.occ.(v) 0 n
+    if n <> State_ref.occs_count ob v
+       || Array.sub oa.State.occ.(v) 0 n <> Array.sub ob.State_ref.occ.(v) 0 n
     then ok := false
   done;
   !ok
 
+let roots a = List.init a.State.n_clauses (State.is_root_clause a)
+
 (* the first differing part of two databases, if any *)
 let db_diff a b =
-  if clauses a <> clauses b then Some "clauses"
-  else if Vec.to_list a.State.root_flags <> Vec.to_list b.State.root_flags then
-    Some "root flags"
-  else if a.State.n_root_clauses <> b.State.n_root_clauses then
+  if clauses a <> Vec.to_list b.State_ref.clauses then Some "clauses"
+  else if roots a <> Vec.to_list b.State_ref.root_flags then Some "root flags"
+  else if a.State.n_root_clauses <> b.State_ref.n_root_clauses then
     Some "root count"
   else if not (occs_equal a b) then Some "occurrence lists"
   else None
@@ -188,10 +192,10 @@ let run_history seed =
      superset (subsumed), a weakened copy (subsumed by interval
      inclusion) or a copy with one atom flipped (strengthenable) *)
   let related s =
-    let n = Vec.length s.State.clauses in
+    let n = s.State.n_clauses in
     if n = 0 then clause ()
     else begin
-      let c = Array.copy (Vec.get s.State.clauses (int n)) in
+      let c = State.clause s (int n) in
       match int 4 with
       | 0 -> c
       | 1 -> Array.append c [| atom () |]
@@ -212,8 +216,7 @@ let run_history seed =
   for _ = 1 to 3 + int 4 do
     P.add_clause p (clause ())
   done;
-  let a = State.create p and b = State.create p in
-  let both f = f a; f b in
+  let a = State.create p and b = State_ref.create p in
   let failure = ref None in
   let pass () =
     let sa = Hsimp.run a and sb = Hsimp_ref.run b in
@@ -228,11 +231,13 @@ let run_history seed =
      | 0 | 1 ->
        for _ = 1 to 1 + int 6 do
          let cl = if int 2 = 0 then related a else clause () in
-         both (fun s -> State.add_clause s cl)
+         State.add_clause a cl;
+         State_ref.add_clause b cl
        done
      | 2 ->
        let cl = if int 2 = 0 then related a else clause () in
-       both (fun s -> State.add_clause s ~root:true cl)
+       State.add_clause a ~root:true cl;
+       State_ref.add_clause b ~root:true cl
      | 3 ->
        (* tighten a root bound, never emptying the domain *)
        let v = words.(int n_words) in
@@ -240,18 +245,21 @@ let run_history seed =
        if lb < ub then begin
          let k = lb + 1 + int (ub - lb) in
          let at = if int 2 = 0 then T.Ge (v, k) else T.Le (v, k - 1) in
-         both (fun s -> State.assert_atom s at None)
+         State.assert_atom a at None;
+         State_ref.assert_atom b at None
        end
        else begin
          let v = bools.(int n_bools) in
          if State.bool_value a v = -1 then begin
            let at = if int 2 = 0 then T.Pos v else T.Neg v in
-           both (fun s -> State.assert_atom s at None)
+           State.assert_atom a at None;
+           State_ref.assert_atom b at None
          end
        end
      | 4 ->
        let keep_recent = int 4 in
-       both (fun s -> State.reduce_clauses s ~keep_recent)
+       State.reduce_clauses a ~keep_recent;
+       State_ref.reduce_clauses b ~keep_recent
      | _ -> ());
     (* several steps may land between passes, and passes may run
        back to back *)
@@ -265,7 +273,8 @@ let run_history seed =
   | None -> true
   | Some what ->
     QCheck.Test.fail_reportf "%s differ:\n  hsimp %s\n  ref   %s" what
-      (db_str a) (db_str b)
+      (db_str a)
+      (String.concat " " (List.map clause_str (Vec.to_list b.State_ref.clauses)))
 
 let differential =
   QCheck.Test.make ~count:500

@@ -5,11 +5,13 @@
    backtracking, restarts, clause-database reduction and problem
    growth.  After every step the two must agree on the bounds, the
    trail (atom, level and reason of every entry), the counters and
-   the learned clauses, and the reason arena must hold exactly the
-   trail's reasons.  Seeded random scripts cover odd inputs (repeated
-   variables in a linear term, non-canonical Boolean atoms in clauses,
-   wide domains); the b13_1 and b13_8 rows at bound 50 cover the
-   encoder's real constraints under structural decisions. *)
+   the learned clauses, the reason arena must hold exactly the trail's
+   reasons, and the clause arena exactly the live clauses.  Level-0
+   simplification runs Hsimp against the frozen Hsimp_ref.  Seeded
+   random scripts cover odd inputs (repeated variables in a linear
+   term, non-canonical Boolean atoms in clauses, wide domains); the
+   b13_1, b13_8 and b13_2 rows at bound 50 cover the encoder's real
+   constraints under structural decisions. *)
 
 open Rtlsat_constr.Types
 module P = Rtlsat_constr.Problem
@@ -21,6 +23,11 @@ module State = Rtlsat_core.State
 module Propagate = Rtlsat_core.Propagate
 module Conflict = Rtlsat_core.Conflict
 module Justify = Rtlsat_core.Justify
+module Hsimp = Rtlsat_core.Hsimp
+module State_ref = Frozen_kernel.State_ref
+module Propagate_ref = Frozen_kernel.Propagate_ref
+module Conflict_ref = Frozen_kernel.Conflict_ref
+module Hsimp_ref = Frozen_kernel.Hsimp_ref
 
 type pair = {
   name : string;
@@ -53,6 +60,22 @@ let arena_top s =
   if n = 0 then 0
   else s.State.tr_rpos.(n - 1) + max 0 s.State.tr_rlen.(n - 1)
 
+(* the clause arena holds the live clauses and nothing else: their
+   slots follow each other from 0 in index order, each a header and
+   its atoms (a Pos/Neg atom one int, a Ge/Le atom two), and end at
+   the top *)
+let check_clause_arena p =
+  let s = p.a in
+  let top = ref 0 in
+  for ci = 0 to s.State.n_clauses - 1 do
+    let start = s.State.cl_start.(ci) in
+    if start <> !top then fail p "clause %d starts at %d, not at %d" ci start !top;
+    let width w = function Pos _ | Neg _ -> w + 1 | Ge _ | Le _ -> w + 2 in
+    top := Array.fold_left width (start + 1) (State.clause s ci)
+  done;
+  if !top <> s.State.cl_top then
+    fail p "the clauses end at %d, the arena's top is %d" !top s.State.cl_top
+
 let compare_full p =
   let a = p.a and b = p.b in
   let n = a.State.nv in
@@ -61,10 +84,12 @@ let compare_full p =
     if a.State.activity.(v) <> b.State_ref.activity.(v) then fail p "activity of v%d" v;
     if a.State.phase.(v) <> b.State_ref.phase.(v) then fail p "phase of v%d" v
   done;
-  if Vec.to_list a.State.clauses <> Vec.to_list b.State_ref.clauses then
+  let nc = a.State.n_clauses in
+  if List.init nc (State.clause a) <> Vec.to_list b.State_ref.clauses then
     fail p "clause databases differ";
-  if Vec.to_list a.State.root_flags <> Vec.to_list b.State_ref.root_flags then
+  if List.init nc (State.is_root_clause a) <> Vec.to_list b.State_ref.root_flags then
     fail p "root flags differ";
+  check_clause_arena p;
   p.checked <- 0
 
 (* the bounds, the trail entries above the compared prefix, the
@@ -88,7 +113,7 @@ let compare_step p =
       (arena_top a);
   let counters (s : State.t) =
     [ s.n_decisions; s.n_conflicts; s.n_propagations; s.n_learned; s.n_reductions;
-      s.qhead; s.low_water; State.decision_level s; Vec.length s.clauses;
+      s.qhead; s.low_water; State.decision_level s; s.n_clauses;
       s.n_root_clauses; s.n_clean ]
   and counters_ref (s : State_ref.t) =
     [ s.n_decisions; s.n_conflicts; s.n_propagations; s.n_learned; s.n_reductions;
@@ -172,7 +197,7 @@ let rec learn p conflict =
       if State.entailed p.a uip then Ok ()
       else
         both p "asserting atom"
-          (fun () -> State.assert_unit p.a clause 0)
+          (fun () -> State.assert_unit p.a (p.a.State.n_clauses - 1) 0)
           (fun () ->
              let reason =
                Array.of_list
@@ -217,6 +242,21 @@ let suspended p = p.a.State.qhead < State.trail_length p.a
 let reduce p ~keep_recent =
   State.reduce_clauses p.a ~keep_recent;
   State_ref.reduce_clauses p.b ~keep_recent;
+  check_clause_arena p;
+  compare_step p
+
+(* a level-0 simplification pass: the same statistics and database.
+   The reference keeps no clean prefix, so it takes the kernel's *)
+let simplified = ref 0
+
+let simplify p =
+  let sa = Hsimp.run p.a and sb = Hsimp_ref.run p.b in
+  simplified := !simplified + sa.Hsimp.subsumed + sa.Hsimp.strengthened;
+  if sa.Hsimp.subsumed <> sb.Hsimp_ref.subsumed
+     || sa.Hsimp.strengthened <> sb.Hsimp_ref.strengthened
+  then fail p "simplification statistics differ";
+  p.b.State_ref.n_clean <- p.a.State.n_clean;
+  compare_full p;
   compare_step p
 
 let make name prob ~split =
@@ -407,9 +447,10 @@ let run_script seed =
            (match random_decision r p with
             | Some atom -> decide p atom
             | None ->
-              (* a model: restart from the root *)
+              (* a model: restart from the root, and simplify there *)
               backtrack p 0;
-              compare_step p);
+              compare_step p;
+              simplify p);
            loop (n - 1) ~full:false)
     end
   in
@@ -420,18 +461,20 @@ let run_script seed =
 (* the scripts, seeded, must reach conflicts and reductions often *)
 let test_scripts () =
   let conflicts = ref 0 and reductions = ref 0 in
+  simplified := 0;
   for seed = 1 to 400 do
     let s = run_script seed in
     conflicts := !conflicts + s.State.n_conflicts;
     reductions := !reductions + s.State.n_reductions
   done;
-  Printf.printf "%d conflicts, %d reductions\n" !conflicts !reductions;
-  if !conflicts < 500 || !reductions < 500 then
-    Alcotest.fail "the scripts no longer exercise analysis and reduction"
+  Printf.printf "%d conflicts, %d reductions, %d clauses or atoms simplified away\n"
+    !conflicts !reductions !simplified;
+  if !conflicts < 500 || !reductions < 500 || !simplified < 100 then
+    Alcotest.fail "the scripts no longer exercise analysis, reduction, simplification"
 
 (* ---- the b13 rows: structural decisions, then activity ---- *)
 
-let test_row circuit prop () =
+let run_row circuit prop =
   let inst = Rtlsat_itc99.Registry.instance ~circuit ~prop ~bound:50 in
   let enc = E.encode (Rtlsat_bmc.Unroll.combo inst.Rtlsat_bmc.Bmc.unrolled) in
   E.assume_bool enc inst.Rtlsat_bmc.Bmc.violation true;
@@ -463,7 +506,8 @@ let test_row circuit prop () =
         if State.decision_level p.a > 0 && learn p c then begin
           if !conflicts mod 50 = 0 then begin
             backtrack p 0;
-            reduce p ~keep_recent:100
+            reduce p ~keep_recent:100;
+            simplify p
           end;
           loop ~full:false
         end
@@ -485,7 +529,29 @@ let test_row circuit prop () =
   in
   loop ~full:true;
   compare_full p;
-  if p.a.State.n_conflicts = 0 then fail p "no conflict exercised"
+  if p.a.State.n_conflicts = 0 then fail p "no conflict exercised";
+  (p.a, enc.E.problem)
+
+let test_row circuit prop () = ignore (run_row circuit prop)
+
+(* The kernel's footprint after the b13_2(50) script, in words: what
+   the state reaches beyond its problem.  Unlike a process's peak RSS,
+   which moves with GC pacing, the count is deterministic, so a layout
+   change that grows the kernel shows here and must update the pin.
+   The kernel with boxed clauses (an atom-array vector sharing the
+   problem's clauses, with a root-flag vector beside it) reached
+   341_898 words on the same script; the clause arena may cost at most
+   5% over that. *)
+let footprint_pin = 354_657
+let footprint_boxed = 341_898
+
+let test_footprint () =
+  let s, prob = run_row "b13" "2" in
+  let words = Obj.reachable_words (Obj.repr s) - Obj.reachable_words (Obj.repr prob) in
+  Alcotest.(check int) "b13_2(50) kernel footprint, words" footprint_pin words;
+  if 100 * footprint_pin > 105 * footprint_boxed then
+    Alcotest.failf "the footprint %d is more than 5%% over the boxed kernel's %d"
+      footprint_pin footprint_boxed
 
 let () =
   Alcotest.run "kernel"
@@ -495,5 +561,6 @@ let () =
           Alcotest.test_case "400 seeded scripts" `Quick test_scripts;
           Alcotest.test_case "b13_1(50)" `Quick (test_row "b13" "1");
           Alcotest.test_case "b13_8(50)" `Quick (test_row "b13" "8");
+          Alcotest.test_case "b13_2(50), footprint" `Quick test_footprint;
         ] );
     ]

@@ -11,7 +11,6 @@
 open Rtlsat_constr.Types
 module P = Rtlsat_constr.Problem
 module I = Rtlsat_interval.Interval
-module Vec = Rtlsat_constr.Vec
 module State = Rtlsat_core.State
 module Propagate = Rtlsat_core.Propagate
 
@@ -22,7 +21,7 @@ module Ref = struct
   let cdiv a b = -(fdiv (-a) b)
 
   let check_clause s ci =
-    let c = Vec.get s.State.clauses ci in
+    let c = State.clause s ci in
     if not (Array.exists (State.entailed s) c) then begin
       let non_false = ref [] in
       Array.iter (fun a -> if not (State.falsified s a) then non_false := a :: !non_false) c;
@@ -134,7 +133,7 @@ module Ref = struct
     { n with const = n.const + 1 }
 
   let propagate_constr s ci =
-    match s.State.constrs.(ci) with
+    match P.constr_at s.State.prob ci with
     | Lin_le e -> propagate_le s e
     | Lin_eq e ->
       propagate_le s e;
